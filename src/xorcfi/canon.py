@@ -1,11 +1,11 @@
 """Refinement and symmetry machinery.
 
 Color refinement runs vectorized: each round sorts every vertex's
-neighbor colors and splits cells via a lexicographic unique over
-(own color, sorted neighbor colors). Cell ids produced this way depend
-only on the refinement history, never on vertex numbering, which is
-what the individualization-refinement search needs to match up cells
-across branches.
+neighbor colors and ranks the rows (own color, sorted neighbor colors)
+lexicographically. Cell ids produced this way depend only on the
+refinement history, never on vertex numbering, which is what the
+individualization-refinement search needs to match up cells across
+branches.
 
 The IR automorphism search follows the classic scheme: the leftmost
 root-to-leaf path fixes a reference labeling, every other leaf proposes
@@ -14,14 +14,14 @@ orbits, and subtrees off the leftmost path unwind as soon as they
 produce one automorphism. There is deliberately no node-invariant
 pruning and no component factoring: wrong branches pay for their whole
 subtree, so the node count directly reflects how long refinement keeps
-branches looking alike.
+branches looking alike. The group order is the orbit product along the
+leftmost path (McKay & Piperno, Practical Graph Isomorphism II, 2014).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -70,10 +70,6 @@ class Partition:
             out.append(order[lab])
         return cls(tuple(out))
 
-    @classmethod
-    def unit(cls, element_count: int) -> "Partition":
-        return cls(tuple(0 for _ in range(element_count)))
-
     @property
     def element_count(self) -> int:
         return len(self.cell_of)
@@ -113,6 +109,8 @@ class AutReport:
     orbit_partition: Partition
     search_nodes: int
     status: str
+    first_path_depth: int = 0
+    refine_rounds: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +136,16 @@ class _Csr:
         self.row_of = np.repeat(np.arange(self.v, dtype=np.int64), deg)
         self.pos = np.arange(len(self.nbrs), dtype=np.int64) - self.indptr[self.row_of]
         self.max_deg = int(deg.max()) if self.v else 0
+        self.rounds = 0
 
 
 def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
-    """Coarsest stable refinement; returns dense ids in invariant order."""
+    """Coarsest stable refinement; returns dense ids in invariant order.
+
+    A round gives each vertex the row (own color, sorted neighbor
+    colors, -1 padding) and the id of that row's rank among the distinct
+    rows, exactly the ids of np.unique(rows, axis=0, return_inverse=True).
+    """
     v = csr.v
     if v == 0:
         return colors
@@ -149,19 +153,28 @@ def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
     colors = inv.reshape(-1).astype(np.int64)
     ncolors = int(colors.max()) + 1
     width = csr.max_deg + 1
-    mat = np.empty((v, width), dtype=np.int64)
+    mat = np.full((v, width), -1, dtype=np.int64)
+    cols = csr.pos + 1
     while ncolors < v:
-        ncol = colors[csr.nbrs]
-        order = np.lexsort((ncol, csr.row_of))
-        mat.fill(-1)
+        csr.rounds += 1
+        # Rows are contiguous in CSR order, so sorting row*ncolors + color
+        # sorts each row's neighbor colors in place.
+        base = csr.row_of * ncolors
+        key = base + colors[csr.nbrs]
+        key.sort()
         mat[:, 0] = colors
-        mat[csr.row_of, csr.pos + 1] = ncol[order]
-        _, inv = np.unique(mat, axis=0, return_inverse=True)
-        inv = inv.reshape(-1).astype(np.int64)
-        new_n = int(inv.max()) + 1
+        mat[csr.row_of, cols] = key - base
+        order = np.lexsort(mat.T[::-1])
+        ranked = mat[order]
+        step = np.empty(v, dtype=np.int64)
+        step[0] = 0
+        step[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        np.cumsum(step, out=step)
+        new_n = int(step[-1]) + 1
+        colors = np.empty(v, dtype=np.int64)
+        colors[order] = step
         if new_n == ncolors:
-            return inv
-        colors = inv
+            break
         ncolors = new_n
     return colors
 
@@ -220,6 +233,21 @@ class _BudgetHit(Exception):
     pass
 
 
+class _Node:
+    """An inner search node: its target cell and the members tried so far."""
+
+    __slots__ = ("colors", "prefix", "is_left", "members", "next", "covered", "found")
+
+    def __init__(self, colors: np.ndarray, prefix: List[int], is_left: bool, members: List[int]):
+        self.colors = colors
+        self.prefix = prefix
+        self.is_left = is_left
+        self.members = members
+        self.next = 0
+        self.covered: Set[int] = set()
+        self.found = False
+
+
 def _orbit_closure(seed: Set[int], gens: List[Tuple[int, ...]], prefix: List[int]) -> Set[int]:
     fixers = [p for p in gens if all(p[x] == x for x in prefix)]
     if not fixers:
@@ -253,14 +281,6 @@ def _orbits_from_generators(n: int, gens: List[Tuple[int, ...]]) -> Partition:
     return Partition.from_labels([find(x) for x in range(n)])
 
 
-def _group_order(n: int, gens: List[Tuple[int, ...]]) -> int:
-    if not gens:
-        return 1
-    from sympy.combinatorics import Permutation, PermutationGroup
-
-    return int(PermutationGroup([Permutation(list(p)) for p in gens]).order())
-
-
 def _target_cell(colors: np.ndarray, strategy: str) -> np.ndarray:
     sizes = np.bincount(colors)
     nonsingle = np.where(sizes > 1)[0]
@@ -283,7 +303,10 @@ def ir_automorphisms(
     search_nodes counts backtrack-tree nodes and is the hardness
     statistic; it is deterministic for a fixed input and strategy.
     budget.max_decisions, when set, bounds the node count; on exhaustion
-    the report is flagged TIMEOUT and carries whatever was found.
+    the report is flagged TIMEOUT and carries whatever was found, and
+    group_size is then a lower bound. first_path_depth counts the levels
+    of the leftmost path and refine_rounds the refinement rounds of the
+    whole search, the root refinement included.
     """
     v = g.vertex_count
     if v == 0:
@@ -294,8 +317,8 @@ def ir_automorphisms(
     gens: List[Tuple[int, ...]] = []
     gen_set: Set[Tuple[int, ...]] = set()
     first_leaf: List[Optional[np.ndarray]] = [None]
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * v + 200))
+    left: List[int] = []  # vertex individualized at each level of the leftmost path
+    stack: List[_Node] = []
 
     def leaf(colors: np.ndarray) -> bool:
         order = np.argsort(colors)
@@ -313,36 +336,56 @@ def ir_automorphisms(
             return True
         return False
 
-    def node(colors: np.ndarray, depth: int, prefix: List[int], is_left: bool) -> bool:
+    def enter(colors: np.ndarray, prefix: List[int], is_left: bool) -> Optional[bool]:
+        """Count a node; a leaf returns its verdict, an inner node is stacked."""
         tracker.tick()
         if int(colors.max()) + 1 == v:
             return leaf(colors)
         members = [int(x) for x in _target_cell(colors, cell_strategy)]
-        covered: Set[int] = set()
-        found = False
-        first_child = True
-        for w in members:
-            if w in covered:
-                continue
-            child_colors = colors * 2 + 1
-            child_colors[w] -= 1
-            child_colors = _refine(child_colors, csr)
-            got = node(child_colors, depth + 1, prefix + [w], is_left and first_child)
-            first_child = False
-            found = found or got
-            if not is_left and found:
-                return True
-            covered = _orbit_closure(covered | {w}, gens, prefix)
-        return found
+        stack.append(_Node(colors, prefix, is_left, members))
+        return None
 
+    # Depth-first over the explicit stack. A node's result is whether its
+    # subtree produced a new automorphism; a subtree off the leftmost path
+    # unwinds as soon as it has one.
     status = STATUS_COMPLETE
     try:
-        node(root, 0, [], True)
+        done = enter(root, [], True)
+        while stack:
+            top = stack[-1]
+            if done is not None:
+                top.found = top.found or done
+                done = None
+                if not top.is_left and top.found:
+                    stack.pop()
+                    done = True
+                    continue
+                top.covered = _orbit_closure(top.covered | {top.members[top.next - 1]},
+                                             gens, top.prefix)
+            while top.next < len(top.members) and top.members[top.next] in top.covered:
+                top.next += 1
+            if top.next == len(top.members):
+                stack.pop()
+                done = top.found
+                continue
+            w = top.members[top.next]
+            top.next += 1
+            child_is_left = top.is_left and top.next == 1
+            if child_is_left:
+                left.append(w)
+            child = top.colors * 2 + 1
+            child[w] -= 1
+            done = enter(_refine(child, csr), top.prefix + [w], child_is_left)
     except _BudgetHit:
         status = STATUS_TIMEOUT
-    # On TIMEOUT this is the order of the group found so far, a lower bound.
-    order = _group_order(v, gens)
-    return AutReport(gens, order, _orbits_from_generators(v, gens), tracker.nodes, status)
+    # |Aut| = product over the leftmost path of |orbit of w_i| under the
+    # stabilizer of w_0..w_{i-1}. On TIMEOUT the generators found so far
+    # give smaller orbits, so the product is a lower bound.
+    order = 1
+    for i, w in enumerate(left):
+        order *= len(_orbit_closure({w}, gens, left[:i]))
+    return AutReport(gens, order, _orbits_from_generators(v, gens), tracker.nodes, status,
+                     first_path_depth=len(left), refine_rounds=csr.rounds)
 
 
 def brute_force_automorphisms(g: Graph) -> AutReport:

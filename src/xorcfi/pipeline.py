@@ -134,6 +134,9 @@ def from_dre(text: str) -> Graph:
         raise ValueError("missing dreadnaut header")
     head = lines[0].split()
     n = int(head[0][2:])
+    for tok in head[1:]:
+        if tok.startswith("$") and tok.lstrip("$=") != "0":
+            raise ValueError(f"labelling origin {tok!r} is not supported; vertices are 0-based")
     edges = set()
     for ln in lines[1:]:
         terminated = ln.endswith(".")

@@ -15,7 +15,7 @@ cost gap against the plain run comes from.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formula import CnfFormula, XorFormula
@@ -263,6 +263,7 @@ def solve(input: CnfFormula, use_gauss: bool = False, budget: Optional[SolveBudg
     the CNF part plus the reduced rows.
     """
     xors: List[Tuple[Tuple[int, ...], int]] = [(xc.vars, xc.rhs) for xc in input.xors]
+    presolve = 0.0
     if use_gauss and xors:
         start = time.monotonic()
         rows = []
@@ -281,11 +282,12 @@ def solve(input: CnfFormula, use_gauss: bool = False, budget: Optional[SolveBudg
         for coeffs, rhs in reduced:
             vs = tuple(j + 1 for j in range(input.n) if (coeffs >> j) & 1)
             xors.append((vs, rhs))
+        presolve = time.monotonic() - start
     solver = _Solver(input.n, input.clauses, xors)
     stats = solver.run(budget)
     if stats.result == SAT:
         assert stats.model is not None and _verify_model(input, stats.model)
-    return stats
+    return replace(stats, elapsed=stats.elapsed + presolve)
 
 
 def nontrivial_query(f: XorFormula) -> CnfFormula:

@@ -3,10 +3,17 @@ brute-force oracles on small inputs."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import xorcfi
+from xorcfi import canon
 from xorcfi.canon import (
     CELL_FIRST_LARGEST,
     STATUS_COMPLETE,
@@ -21,9 +28,10 @@ from xorcfi.canon import (
     wl_indistinguishable,
     wl_k,
 )
-from xorcfi.cfi import Graph, build_full
+from xorcfi.cfi import Graph, build_core, build_full, incidence_graph
 from xorcfi.formula import make_formula, pin, to_matrix
 from xorcfi.gf2 import rank
+from xorcfi.pipeline import PipelineConfig, build_graph, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import SolveBudget
 
@@ -38,6 +46,10 @@ def path(n):
 
 def complete(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def matching(k):
+    return Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
 def random_graph(rnd, n, p=0.5, colored=False):
@@ -108,6 +120,65 @@ def test_refine_respects_initial_colors():
     g = cycle(4)
     p = color_refine(g, Partition.from_labels([0, 0, 0, 1]))
     assert not p.same_cell(0, 3)
+
+
+def reference_refine(colors, csr):
+    """The unique-over-rows refinement that canon._refine replaced."""
+    v = csr.v
+    if v == 0:
+        return colors
+    _, inv = np.unique(colors, return_inverse=True)
+    colors = inv.reshape(-1).astype(np.int64)
+    ncolors = int(colors.max()) + 1
+    mat = np.empty((v, csr.max_deg + 1), dtype=np.int64)
+    while ncolors < v:
+        ncol = colors[csr.nbrs]
+        order = np.lexsort((ncol, csr.row_of))
+        mat.fill(-1)
+        mat[:, 0] = colors
+        mat[csr.row_of, csr.pos + 1] = ncol[order]
+        _, inv = np.unique(mat, axis=0, return_inverse=True)
+        inv = inv.reshape(-1).astype(np.int64)
+        new_n = int(inv.max()) + 1
+        if new_n == ncolors:
+            return inv
+        colors = inv
+        ncolors = new_n
+    return colors
+
+
+def refinement_corpus():
+    rnd = random.Random(2024)
+    for i in range(200):
+        yield random_graph(rnd, rnd.randint(1, 24), p=rnd.random(), colored=(i % 3 == 0))
+    for _ in range(40):
+        n = rnd.randint(4, 12)
+        m = rnd.randint(n // 2, min(2 * n, math.comb(n, 3)))
+        f = sample_homogeneous(SampleConfig(n=n, m=m, seed=rnd.randint(0, 10**6)))
+        yield incidence_graph(f)
+        yield build_core(f)
+        yield build_full(f)
+
+
+def test_refine_matches_unique_reference():
+    rnd = random.Random(7)
+    graphs = 0
+    for g in refinement_corpus():
+        graphs += 1
+        csr = canon._Csr(g)
+        v = g.vertex_count
+        start = canon._initial_colors(g, None)
+        stable = reference_refine(start, csr)
+        colorings = [start, np.array([rnd.randint(0, 3) for _ in range(v)], dtype=np.int64)]
+        if v:
+            # Individualize one vertex of the stable coloring, as the search does.
+            child = stable * 2 + 1
+            child[rnd.randrange(v)] -= 1
+            colorings.append(child)
+        for colors in colorings:
+            got = canon._refine(colors.copy(), csr)
+            assert np.array_equal(got, reference_refine(colors.copy(), csr))
+    assert graphs >= 300
 
 
 # -- individualization -----------------------------------------------------
@@ -192,6 +263,136 @@ def test_ir_timeout_flagged():
     rep = ir_automorphisms(g, budget=SolveBudget(max_decisions=2))
     assert rep.status == STATUS_TIMEOUT
     assert rep.search_nodes <= 3
+
+
+# First five accepted core lifts at n=15 and n=20 under A7's frozen batch
+# protocol, with node counts for (first-smallest, first-largest).
+GOLDEN_CORE_NODES = {
+    15: [(2, 31, 21), (4, 31, 21), (8, 15, 21), (9, 7, 5), (10, 31, 21)],
+    20: [(0, 255, 21), (26, 255, 21), (38, 63, 21), (56, 127, 21), (58, 31, 21)],
+}
+
+# Full lifts with |Aut| = 4: (seed, first-smallest nodes, first-largest nodes).
+GOLDEN_FULL_NODES = [(0, 10, 14), (1, 10, 8), (2, 17, 26), (3, 19, 10), (4, 11, 8), (5, 10, 8)]
+
+
+def test_ir_node_counts_match_golden_core_lifts():
+    for n, expected in GOLDEN_CORE_NODES.items():
+        cfg = PipelineConfig(n=n, m=n, seed=5000, trials=400, gadget_mode="core",
+                             gauss_threshold=1.0)
+        got = []
+        trial = 0
+        while len(got) < len(expected):
+            outcome = run_trial(cfg, trial)
+            if outcome.accepted:
+                g = build_graph(outcome.formula, "core")
+                got.append((trial, ir_automorphisms(g).search_nodes,
+                            ir_automorphisms(g, cell_strategy=CELL_FIRST_LARGEST).search_nodes))
+            trial += 1
+        assert got == expected, n
+
+
+def test_ir_node_counts_match_golden_full_lifts():
+    for seed, small, large in GOLDEN_FULL_NODES:
+        g = build_full(sample_homogeneous(SampleConfig(n=8, m=6, seed=seed)))
+        rep = ir_automorphisms(g)
+        assert (rep.search_nodes, rep.group_size) == (small, 4)
+        assert ir_automorphisms(g, cell_strategy=CELL_FIRST_LARGEST).search_nodes == large
+
+
+def sympy_order(g, gens):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    perms = [Permutation(list(p)) for p in gens] or [Permutation(list(range(g.vertex_count)))]
+    return int(PermutationGroup(perms).order())
+
+
+def symmetric_corpus():
+    for n in range(3, 9):
+        yield cycle(n), 2 * n
+        yield complete(n), math.factorial(n)
+    yield matching(5), 2**5 * math.factorial(5)
+    rnd = random.Random(31)
+    for _ in range(12):
+        n = rnd.randint(5, 9)
+        m = rnd.randint(n // 2, n)
+        f = sample_homogeneous(SampleConfig(n=n, m=m, seed=rnd.randint(0, 10**6)))
+        h, _ = to_matrix(f)
+        yield build_full(f), 2 ** (n - rank(h))
+        yield build_core(f), None
+        yield incidence_graph(f), None
+
+
+def test_ir_group_size_matches_sympy():
+    pytest.importorskip("sympy")
+    nontrivial = 0
+    for g, exact in symmetric_corpus():
+        rep = ir_automorphisms(g)
+        assert rep.status == STATUS_COMPLETE
+        assert rep.group_size == sympy_order(g, rep.generators)
+        if exact is not None:
+            assert rep.group_size == exact
+        nontrivial += rep.group_size > 1
+    assert nontrivial >= 20
+
+
+def test_ir_timeout_group_size_is_lower_bound():
+    for g in (complete(6), matching(4), build_full(sample_homogeneous(SampleConfig(n=8, m=6, seed=2)))):
+        full = ir_automorphisms(g)
+        assert full.status == STATUS_COMPLETE
+        for cap in range(1, full.search_nodes):
+            rep = ir_automorphisms(g, budget=SolveBudget(max_decisions=cap))
+            assert rep.status == STATUS_TIMEOUT
+            assert 1 <= rep.group_size <= full.group_size
+            assert rep.first_path_depth <= full.first_path_depth
+
+
+def test_ir_search_deeper_than_recursion_limit():
+    g = matching(60)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        rep = ir_automorphisms(g)
+        limit_during_search = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(saved)
+    assert limit_during_search == depth + 40
+    assert rep.first_path_depth == 60 > 40
+    assert rep.search_nodes == 3720
+    assert rep.group_size == 2**60 * math.factorial(60)
+
+
+def test_ir_report_observability():
+    # path(3): two rounds split the ends from the middle; individualizing
+    # an end makes the coloring discrete, so the first path has one level.
+    rep = ir_automorphisms(path(3))
+    assert (rep.search_nodes, rep.first_path_depth, rep.refine_rounds) == (3, 1, 2)
+    # K4: each inner node costs one round that splits nothing; the first
+    # path individualizes three vertices before the coloring is discrete.
+    rep = ir_automorphisms(complete(4))
+    assert (rep.search_nodes, rep.first_path_depth, rep.refine_rounds) == (10, 3, 6)
+    assert brute_force_automorphisms(path(3)).refine_rounds == 0
+
+
+def test_ir_search_does_not_import_sympy():
+    code = (
+        "import sys\n"
+        "import xorcfi.cli, xorcfi.bench\n"
+        "from xorcfi.canon import ir_automorphisms\n"
+        "from xorcfi.cfi import Graph\n"
+        "g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])\n"
+        "assert ir_automorphisms(g).group_size == 10\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(xorcfi.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_brute_force_guard():

@@ -71,6 +71,13 @@ def test_dre_parses_isolated_tail_vertices():
     assert from_dre(to_dre(g)).vertex_count == 5
 
 
+def test_dre_rejects_nonzero_labelling_origin():
+    assert from_dre("n=3 $=0 g\n0 : 1.\n").edges == from_dre("n=3 g\n0 : 1.\n").edges
+    for head in ("n=3 $=1 g", "n=3 $1 g", "n=3 $$ g"):
+        with pytest.raises(ValueError):
+            from_dre(head + "\n1 : 2.\n")
+
+
 def test_dimacs_graph_rejects_garbage():
     with pytest.raises(ValueError):
         from_dimacs_graph("p edge 2 1\nq 1 2\n")

@@ -1,9 +1,12 @@
 """DPLL solver against a vectorized truth-table oracle."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xorcfi import xorsat
 from xorcfi.formula import CnfFormula, XorClause, import_extended_dimacs, make_formula
 from xorcfi.xorsat import (
     BUDGET_EXHAUSTED,
@@ -146,6 +149,19 @@ def test_decisions_deterministic():
 def test_gauss_mode_presolves_full_rank_instantly():
     stats = solve(nontrivial_query(COMPLETE), use_gauss=True)
     assert stats.result == UNSAT and stats.decisions == 0
+
+
+def test_gauss_mode_elapsed_includes_presolve(monkeypatch):
+    real = xorsat.reduced_system
+
+    def slow_reduced_system(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(xorsat, "reduced_system", slow_reduced_system)
+    stats = solve(nontrivial_query(COMPLETE), use_gauss=True)
+    assert stats.decisions == 0
+    assert stats.elapsed >= 0.05
 
 
 # -- gauss gap -------------------------------------------------------------
