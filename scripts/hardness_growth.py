@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from xorcfi.bench import run_internal, write_summary
-from xorcfi.pipeline import PipelineConfig, build_graph, run_trial
+from xorcfi.pipeline import PipelineConfig, run_trial
 
 
 def main(argv=None) -> int:
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
             trial += 1
             if not outcome.accepted:
                 continue
-            g = build_graph(outcome.formula, args.gadget)
+            g = outcome.graph
             res = run_internal(g, timeout=args.timeout,
                                instance=outcome.record.instance_id,
                                cell_strategy=args.cell_strategy,

@@ -22,7 +22,6 @@ from .formula import XorFormula
 # the clause's variables (in ascending order) are negated relative to
 # the clause's base literal pattern.
 CLAUSE_TAGS: Tuple[Tuple[int, int, int], ...] = ((0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1))
-CLAUSE_TAG_NAMES = ("000", "011", "110", "101")
 
 
 @dataclass(frozen=True)
@@ -53,18 +52,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def sorted_edges(self) -> List[Tuple[int, int]]:
-        return sorted(self.edges)
-
-    def adjacency(self) -> List[List[int]]:
-        adj: List[List[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
 
     def degrees(self) -> List[int]:
         deg = [0] * self.vertex_count
@@ -112,17 +99,6 @@ class VertexScheme:
     @property
     def full_vertex_count(self) -> int:
         return 4 * self.m + 2 * self.n + 3 * (self.n - 1)
-
-    def describe(self, v: int) -> str:
-        """Human-readable name of a vertex id, for reports and debugging."""
-        if v < 2 * self.n:
-            return f"X{v // 2 + 1}^{v % 2}"
-        if v < self.core_vertex_count:
-            off = v - 2 * self.n
-            return f"C{off // 4 + 1}_{CLAUSE_TAG_NAMES[off % 4]}"
-        off = v - self.core_vertex_count
-        kind = ("l", "r", "s")[off % 3]
-        return f"{off // 3 + 1}_{kind}"
 
 
 def incidence_graph(f: XorFormula) -> Graph:

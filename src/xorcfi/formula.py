@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .gf2 import Gf2Matrix, Gf2Vector, kernel_basis, rank
+from .gf2 import Gf2Matrix, Gf2Vector, rank
 
 
 @dataclass(frozen=True, order=True)
@@ -153,10 +153,12 @@ def pin(f: XorFormula, i: int, value: int) -> PinnedSystem:
     return PinnedSystem(f, i, value)
 
 
-def to_matrix(f: Union[XorFormula, PinnedSystem]) -> Tuple[Gf2Matrix, Gf2Vector]:
+def to_matrix(f: Union[XorFormula, PinnedSystem, CnfFormula]) -> Tuple[Gf2Matrix, Gf2Vector]:
     """One row per clause in canonical order; column j holds variable j+1.
 
-    For a pinned system the unit row comes last.
+    For a pinned system the unit row comes last. For a CNF formula the
+    rows are its XOR rows in stored order, which need not be sorted or
+    consistent.
     """
     if isinstance(f, PinnedSystem):
         base, rhs = to_matrix(f.formula)
@@ -165,7 +167,7 @@ def to_matrix(f: Union[XorFormula, PinnedSystem]) -> Tuple[Gf2Matrix, Gf2Vector]
         return Gf2Matrix(base.rows + 1, base.cols, rows), Gf2Vector(base.rows + 1, b_bits)
     rows = []
     b_bits = 0
-    for idx, cl in enumerate(f.clauses):
+    for idx, cl in enumerate(f.xors if isinstance(f, CnfFormula) else f.clauses):
         bits = 0
         for v in cl.vars:
             bits |= 1 << (v - 1)
@@ -226,31 +228,56 @@ def export_dimacs(c: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_dimacs(text: str) -> CnfFormula:
-    n = None
-    declared = None
-    clauses: List[Tuple[int, ...]] = []
+def _dimacs_records(text: str, kind: str, tags: Tuple[str, ...],
+                    check_count: bool = True) -> Tuple[int, List[Tuple[int, str, List[int]]]]:
+    """The header's first number and the body lines of a DIMACS-style file.
+
+    Blank lines and lines starting with 'c' are skipped; the header is
+    'p <kind> <a> <b>'. Every other line becomes (lineno, tag, ints):
+    tag is a leading word such as 'x' or 'e' ('' when the line starts
+    with a number) and must be one of tags. For kind 'cnf' each line
+    ends in a 0 that is checked and dropped; edge lines carry none.
+    With check_count, b must equal the number of body lines.
+    """
+    n = declared = None
+    records: List[Tuple[int, str, List[int]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
+        tokens = line.split()
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(tokens) != 4 or tokens[1] != kind:
                 raise ValueError(f"line {lineno}: bad DIMACS header {line!r}")
-            n, declared = int(parts[2]), int(parts[3])
+            n, declared = int(tokens[2]), int(tokens[3])
             continue
         if n is None:
             raise ValueError(f"line {lineno}: clause before header")
-        lits = [int(tok) for tok in line.split()]
-        if not lits or lits[-1] != 0:
-            raise ValueError(f"line {lineno}: clause not 0-terminated")
-        clauses.append(tuple(lits[:-1]))
+        tag = tokens.pop(0) if tokens[0][0].isalpha() else ""
+        if tag not in tags:
+            raise ValueError(f"line {lineno}: unexpected line {line!r}")
+        ints = [int(tok) for tok in tokens]
+        if kind == "cnf":
+            if not ints or ints[-1] != 0:
+                raise ValueError(f"line {lineno}: clause not 0-terminated")
+            ints.pop()
+        records.append((lineno, tag, ints))
     if n is None:
         raise ValueError("missing DIMACS header")
-    if declared is not None and declared != len(clauses):
-        raise ValueError(f"header declares {declared} clauses, found {len(clauses)}")
-    return CnfFormula(n, tuple(clauses))
+    if check_count and declared != len(records):
+        noun = "edges" if kind == "edge" else "clauses"
+        raise ValueError(f"header declares {declared} {noun}, found {len(records)}")
+    return n, records
+
+
+def _xor_equation(lits: List[int]) -> Tuple[Tuple[int, ...], int]:
+    """(variables, rhs) of an xor line: an odd number of negations means rhs 1."""
+    return tuple(abs(lit) for lit in lits), sum(1 for lit in lits if lit < 0) & 1
+
+
+def import_dimacs(text: str) -> CnfFormula:
+    n, records = _dimacs_records(text, "cnf", ("",))
+    return CnfFormula(n, tuple(tuple(lits) for _, _, lits in records))
 
 
 def export_xor_dimacs(f: XorFormula) -> str:
@@ -263,72 +290,16 @@ def export_xor_dimacs(f: XorFormula) -> str:
 
 
 def import_xor_dimacs(text: str) -> XorFormula:
-    n = None
-    declared = None
-    raw: List[Tuple[Tuple[int, ...], int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: bad DIMACS header {line!r}")
-            n, declared = int(parts[2]), int(parts[3])
-            continue
-        if not line.startswith("x"):
-            raise ValueError(f"line {lineno}: expected xor clause line, got {line!r}")
-        if n is None:
-            raise ValueError(f"line {lineno}: clause before header")
-        lits = [int(tok) for tok in line.split()[1:]]
-        if not lits or lits[-1] != 0:
-            raise ValueError(f"line {lineno}: clause not 0-terminated")
-        lits = lits[:-1]
-        rhs = sum(1 for lit in lits if lit < 0) & 1
-        raw.append((tuple(abs(lit) for lit in lits), rhs))
-    if n is None:
-        raise ValueError("missing DIMACS header")
-    if declared is not None and declared != len(raw):
-        raise ValueError(f"header declares {declared} clauses, found {len(raw)}")
-    return make_formula(n, raw)
+    n, records = _dimacs_records(text, "cnf", ("x",))
+    return make_formula(n, [_xor_equation(lits) for _, _, lits in records])
 
 
 def import_extended_dimacs(text: str) -> CnfFormula:
-    """Parse a mixed file: plain CNF clause lines plus 'x ...' xor lines."""
-    n = None
-    cnf: List[Tuple[int, ...]] = []
-    xor_raw: List[Tuple[Tuple[int, ...], int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: bad DIMACS header {line!r}")
-            n = int(parts[2])
-            continue
-        if n is None:
-            raise ValueError(f"line {lineno}: clause before header")
-        if line.startswith("x"):
-            lits = [int(tok) for tok in line.split()[1:]]
-            if not lits or lits[-1] != 0:
-                raise ValueError(f"line {lineno}: clause not 0-terminated")
-            lits = lits[:-1]
-            rhs = sum(1 for lit in lits if lit < 0) & 1
-            xor_raw.append((tuple(abs(lit) for lit in lits), rhs))
-        else:
-            lits = [int(tok) for tok in line.split()]
-            if not lits or lits[-1] != 0:
-                raise ValueError(f"line {lineno}: clause not 0-terminated")
-            cnf.append(tuple(lits[:-1]))
-    if n is None:
-        raise ValueError("missing DIMACS header")
-    xors = tuple(sorted(XorClause.make(vs, rhs) for vs, rhs in xor_raw))
-    return CnfFormula(n, tuple(cnf), xors)
+    """Parse a mixed file: plain CNF clause lines plus 'x ...' xor lines.
 
-
-def solution_space(f: XorFormula) -> Tuple[int, List[Gf2Vector]]:
-    """(rank, kernel basis) of the homogeneous part's coefficient matrix."""
-    h, _ = to_matrix(f)
-    return rank(h), kernel_basis(h)
+    The header's clause count is not checked.
+    """
+    n, records = _dimacs_records(text, "cnf", ("", "x"), check_count=False)
+    cnf = tuple(tuple(lits) for _, tag, lits in records if not tag)
+    xors = tuple(sorted(XorClause.make(*_xor_equation(lits)) for _, tag, lits in records if tag))
+    return CnfFormula(n, cnf, xors)

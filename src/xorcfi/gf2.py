@@ -4,7 +4,9 @@ A matrix row is a single Python int: bit j holds the entry in column j,
 so a row XOR is one arbitrary-precision xor. All reductions are plain
 Gauss-Jordan with the pivot taken as the first row carrying the leading
 bit; free variables are set to 0, so solve() and kernel_basis() return
-canonical (reduced-echelon-derived) results.
+canonical (reduced-echelon-derived) results. solve() reads its result
+off reduced_system(): in reduced echelon form each row's pivot is its
+lowest set bit.
 """
 
 from __future__ import annotations
@@ -149,19 +151,13 @@ def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
 
     The returned x is canonical: all free variables are 0.
     """
-    if b.n != m.rows:
-        raise ValueError(f"dimension mismatch: matrix has {m.rows} rows, vector length {b.n}")
-    # Augment each row with its right-hand side in bit position `cols`.
-    aug = [m.row_bits[i] | (((b.bits >> i) & 1) << m.cols) for i in range(m.rows)]
-    work, pivots = _rref(aug, m.cols)
-    col_mask = (1 << m.cols) - 1
-    for row in work:
-        if (row & col_mask) == 0 and (row >> m.cols) & 1:
-            return None
+    reduced = reduced_system(m, b)
+    if reduced is None:
+        return None
     bits = 0
-    for idx, pc in enumerate(pivots):
-        if (work[idx] >> m.cols) & 1:
-            bits |= 1 << pc
+    for coeffs, rhs in reduced:
+        if rhs:
+            bits |= coeffs & -coeffs  # the row's lowest set bit is its pivot column
     return Gf2Vector(m.cols, bits)
 
 

@@ -2,11 +2,11 @@
 
 Per trial: draw a homogeneous formula from its own RNG stream, reject
 unless it survives the enabled filters (incidence-graph asymmetry in
-core-only mode, full rank, Gaussian decision-cost gap, optionally a
-refinement non-separation check), then build the lifted graph and write
-formula + graph + manifest with a content digest. Everything written is
-a pure function of the config, so a rerun reproduces the tree byte for
-byte.
+core-only mode, full rank, Gaussian decision-cost gap), build the lifted
+graph once, optionally reject it on a refinement non-separation check,
+and write formula + graph + manifest with a content digest. Everything
+written is a pure function of the config, so a rerun reproduces the
+tree byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import logging
 import math
 import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -22,10 +23,17 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import __version__
 from .canon import color_refine, ir_automorphisms
 from .cfi import Graph, VertexScheme, build_core, build_full, incidence_graph
-from .formula import XorFormula, export_xor_dimacs, import_xor_dimacs, is_uniquely_satisfiable, to_matrix
+from .formula import (
+    XorFormula,
+    _dimacs_records,
+    export_xor_dimacs,
+    import_xor_dimacs,
+    is_uniquely_satisfiable,
+    to_matrix,
+)
 from .gf2 import rank
 from .sampler import SampleConfig, sample_homogeneous
-from .xorsat import BUDGET_EXHAUSTED, SolveBudget, UNSAT, gauss_ratio, nontrivial_query, solve
+from .xorsat import BUDGET_EXHAUSTED, SolveBudget, UNSAT, gauss_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +63,6 @@ class PipelineConfig:
     gadget_mode: str = GADGET_FULL
     gauss_threshold: float = 5.0
     wl1_filter: bool = False
-    sat_cross_check: bool = False
     solver_budget: SolveBudget = SolveBudget(max_decisions=100_000)
     ir_budget: SolveBudget = SolveBudget(max_decisions=50_000)
     formats: Tuple[str, ...] = ("dre",)
@@ -63,15 +70,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.gadget_mode not in (GADGET_FULL, GADGET_CORE):
             raise ValueError(f"unknown gadget mode {self.gadget_mode!r}")
-        if self.m is None and self.ratio is None:
-            raise ValueError("one of m or ratio is required")
-        if self.effective_m < self.n:
+        m = self.sample_config.effective_m  # SampleConfig checks m or ratio and m <= C(n, 3)
+        if m < self.n:
             raise ValueError(
                 "clause/variable ratio below 1 can never be uniquely satisfiable "
-                f"(m={self.effective_m} < n={self.n})"
+                f"(m={m} < n={self.n})"
             )
-        if self.effective_m > math.comb(self.n, 3):
-            raise ValueError("more clauses requested than distinct variable triples")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         for fmt in self.formats:
@@ -83,8 +87,12 @@ class PipelineConfig:
             raise ValueError("ir budget must be bounded")
 
     @property
+    def sample_config(self) -> SampleConfig:
+        return SampleConfig(n=self.n, m=self.m, ratio=self.ratio, seed=self.seed)
+
+    @property
     def effective_m(self) -> int:
-        return self.m if self.m is not None else round(self.ratio * self.n)
+        return self.sample_config.effective_m
 
 
 @dataclass(frozen=True)
@@ -159,28 +167,12 @@ def to_dimacs_graph(g: Graph) -> str:
 
 
 def from_dimacs_graph(text: str) -> Graph:
-    n = None
-    declared = None
-    edges = set()
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln or ln.startswith("c"):
-            continue
-        if ln.startswith("p"):
-            parts = ln.split()
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"line {lineno}: bad graph header {ln!r}")
-            n, declared = int(parts[2]), int(parts[3])
-            continue
-        if ln.startswith("e"):
-            _, u, v = ln.split()
-            edges.add((int(u) - 1, int(v) - 1))
-            continue
-        raise ValueError(f"line {lineno}: unexpected line {ln!r}")
-    if n is None:
-        raise ValueError("missing graph header")
-    if declared is not None and declared != len(edges):
-        raise ValueError(f"header declares {declared} edges, found {len(edges)}")
+    n, records = _dimacs_records(text, "edge", ("e",))
+    edges = []
+    for lineno, _, ends in records:
+        if len(ends) != 2:
+            raise ValueError(f"line {lineno}: edge line needs 2 endpoints, got {len(ends)}")
+        edges.append((ends[0] - 1, ends[1] - 1))
     return Graph.from_edges(n, edges)
 
 
@@ -213,13 +205,8 @@ def phi_is_asymmetric(f: XorFormula, budget: SolveBudget) -> Optional[bool]:
     return report.group_size == 1
 
 
-def gauss_gap_value(f: XorFormula, budget: SolveBudget):
-    return gauss_ratio(f, budget=budget)
-
-
-def wl1_keeps_pairs_together(f: XorFormula, gadget_mode: str) -> bool:
-    """Whether refinement leaves every X^0/X^1 pair in one cell."""
-    g = build_graph(f, gadget_mode)
+def wl1_keeps_pairs_together(f: XorFormula, g: Graph) -> bool:
+    """Whether refinement of f's lift g leaves every X^0/X^1 pair in one cell."""
     scheme = VertexScheme(f.n, f.m)
     part = color_refine(g)
     return all(
@@ -324,9 +311,20 @@ def parse_manifest(text: str, manifest_file: str = MANIFEST_NAME) -> InstanceRec
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write text to a temp file of a unique name beside path, then rename it.
+
+    Mode "x" never opens a file another writer holds and, unlike
+    tempfile.mkstemp's 0600, leaves the final file's mode to the umask.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def clause_digest(formula_text: str) -> str:
@@ -344,12 +342,12 @@ class TrialOutcome:
     reject_reason: Optional[str]
     record: Optional[InstanceRecord]
     formula: Optional[XorFormula] = None
+    graph: Optional[Graph] = None
 
 
 def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
     """All filters for one trial; no files are written here."""
-    sample_cfg = SampleConfig(n=cfg.n, m=cfg.effective_m, seed=cfg.seed)
-    f = sample_homogeneous(sample_cfg, trial)
+    f = sample_homogeneous(cfg.sample_config, trial)
 
     phi_asymmetric: Optional[bool] = None
     if cfg.gadget_mode == GADGET_CORE:
@@ -361,28 +359,25 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         phi_asymmetric = True
 
     unique = is_uniquely_satisfiable(f)
-    if cfg.sat_cross_check:
-        verdict = solve(nontrivial_query(f), use_gauss=True, budget=cfg.solver_budget)
-        if verdict.result == BUDGET_EXHAUSTED:
-            return TrialOutcome(trial, False, REJECT_BUDGET, None)
-        if (verdict.result == UNSAT) != unique:
-            raise AssertionError("rank check and SAT cross-check disagree")
     if not unique:
         return TrialOutcome(trial, False, REJECT_NOT_UNIQUE, None)
 
-    gap = gauss_gap_value(f, cfg.solver_budget)
+    gap = gauss_ratio(f, budget=cfg.solver_budget)
     if gap.with_gauss.result == BUDGET_EXHAUSTED:
         return TrialOutcome(trial, False, REJECT_BUDGET, None)
+    # The Gauss run decides the same question as the rank check.
+    if gap.with_gauss.result != UNSAT:
+        raise AssertionError("rank check and SAT cross-check disagree")
     if not gap.ratio >= cfg.gauss_threshold:
         return TrialOutcome(trial, False, REJECT_LOW_RATIO, None)
 
+    g = build_graph(f, cfg.gadget_mode)
     wl1: Optional[bool] = None
     if cfg.wl1_filter:
-        wl1 = wl1_keeps_pairs_together(f, cfg.gadget_mode)
+        wl1 = wl1_keeps_pairs_together(f, g)
         if not wl1:
             return TrialOutcome(trial, False, REJECT_WL1, None)
 
-    g = build_graph(f, cfg.gadget_mode)
     instance_id = f"n{cfg.n:04d}_m{cfg.effective_m:04d}_s{cfg.seed}_t{trial:04d}"
     formula_text = export_xor_dimacs(f)
     record = InstanceRecord(
@@ -405,7 +400,7 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         manifest_file=f"{instance_id}/{MANIFEST_NAME}",
         tool_version=__version__,
     )
-    return TrialOutcome(trial, True, None, record, f)
+    return TrialOutcome(trial, True, None, record, f, g)
 
 
 def write_instance(record: InstanceRecord, f: XorFormula, g: Graph, out_dir: Union[str, Path]) -> None:
@@ -432,8 +427,7 @@ def generate(cfg: PipelineConfig, out_dir: Union[str, Path]) -> List[InstanceRec
             rejects.append((trial, outcome.reject_reason))
             continue
         record = outcome.record
-        g = build_graph(outcome.formula, cfg.gadget_mode)
-        write_instance(record, outcome.formula, g, out)
+        write_instance(record, outcome.formula, outcome.graph, out)
         records.append(record)
         logger.info("trial %d accepted as %s", trial, record.instance_id)
     index_lines = [
@@ -499,9 +493,9 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
                               f"n={f.n} m={f.m}"))
 
     h, _ = to_matrix(f)
-    full_rank = rank(h) == f.n
-    checks.append(CheckResult("rank_check", full_rank == record.uniquely_satisfiable,
-                              f"rank={rank(h)} n={f.n}"))
+    r = rank(h)
+    checks.append(CheckResult("rank_check", (r == f.n) == record.uniquely_satisfiable,
+                              f"rank={r} n={f.n}"))
 
     expected = build_graph(f, record.gadget_mode)
     if record.gadget_mode == GADGET_FULL:

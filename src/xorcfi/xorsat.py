@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .formula import CnfFormula, XorFormula
-from .gf2 import Gf2Matrix, Gf2Vector, reduced_system
+from .formula import CnfFormula, XorFormula, to_matrix
+from .gf2 import reduced_system
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -260,22 +260,14 @@ def solve(input: CnfFormula, use_gauss: bool = False, budget: Optional[SolveBudg
 
     With use_gauss the XOR rows are replaced by their reduced echelon
     form first (refuting outright if inconsistent); DPLL then works on
-    the CNF part plus the reduced rows.
+    the CNF part plus the reduced rows. Both elapsed and the time
+    budget cover the elimination.
     """
     xors: List[Tuple[Tuple[int, ...], int]] = [(xc.vars, xc.rhs) for xc in input.xors]
     presolve = 0.0
     if use_gauss and xors:
         start = time.monotonic()
-        rows = []
-        b_bits = 0
-        for i, (vs, rhs) in enumerate(xors):
-            bits = 0
-            for v in vs:
-                bits |= 1 << (v - 1)
-            rows.append(bits)
-            b_bits |= rhs << i
-        reduced = reduced_system(Gf2Matrix(len(rows), input.n, tuple(rows)),
-                                 Gf2Vector(len(rows), b_bits))
+        reduced = reduced_system(*to_matrix(input))
         if reduced is None:
             return SolveStats(UNSAT, 0, 0, 1, time.monotonic() - start)
         xors = []
@@ -283,6 +275,10 @@ def solve(input: CnfFormula, use_gauss: bool = False, budget: Optional[SolveBudg
             vs = tuple(j + 1 for j in range(input.n) if (coeffs >> j) & 1)
             xors.append((vs, rhs))
         presolve = time.monotonic() - start
+        if budget is not None and budget.max_seconds is not None:
+            if presolve >= budget.max_seconds:
+                return SolveStats(BUDGET_EXHAUSTED, 0, 0, 0, presolve)
+            budget = replace(budget, max_seconds=budget.max_seconds - presolve)
     solver = _Solver(input.n, input.clauses, xors)
     stats = solver.run(budget)
     if stats.result == SAT:

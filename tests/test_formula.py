@@ -12,6 +12,7 @@ from xorcfi.formula import (
     export_xor_dimacs,
     homogeneous_companion,
     import_dimacs,
+    import_extended_dimacs,
     import_xor_dimacs,
     is_uniquely_satisfiable,
     make_formula,
@@ -20,6 +21,7 @@ from xorcfi.formula import (
     to_matrix,
 )
 from xorcfi.gf2 import kernel_basis, rank
+from xorcfi.pipeline import from_dimacs_graph
 
 
 # -- oracles ---------------------------------------------------------------
@@ -293,6 +295,53 @@ def test_dimacs_errors_carry_line_context():
         import_dimacs("p cnf 2 1\n1 2\n")
     with pytest.raises(ValueError, match="header"):
         import_dimacs("1 2 0\n")
+
+
+DIMACS_PARSERS = {
+    "cnf": import_dimacs,
+    "xor": import_xor_dimacs,
+    "extended": import_extended_dimacs,
+    "graph": from_dimacs_graph,
+}
+# Each parser's header (declared count left open) and two well-formed body lines.
+DIMACS_SHAPES = {
+    "cnf": ("p cnf 4 {}", "1 -2 3 0", "-1 4 0"),
+    "xor": ("p cnf 4 {}", "x 1 2 3 0", "x -2 3 4 0"),
+    "extended": ("p cnf 4 {}", "x 1 2 3 0", "-1 4 0"),
+    "graph": ("p edge 4 {}", "e 1 2", "e 2 3"),
+}
+ALL_PARSERS = set(DIMACS_PARSERS)
+# case -> (text built from a shape, the parsers that accept it). The
+# extended reader does not check the declared count, and edge lines
+# carry no 0 terminator. Only one verdict differs from the readers'
+# earlier separate implementations: the graph reader used to accept
+# edge lines before the header.
+DIMACS_CASES = {
+    "well_formed": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n", ALL_PARSERS),
+    "comments_and_blank_lines": (
+        lambda h, a, b: f"c top\n\n   \n{h.format(2)}\nc mid\n{a}\n\n{b}\n", ALL_PARSERS),
+    "bad_header_field_count": (lambda h, a, b: f"{h.format(2)} 7\n{a}\n{b}\n", set()),
+    "bad_header_kind": (lambda h, a, b: f"p sat 4 2\n{a}\n{b}\n", set()),
+    "missing_header": (lambda h, a, b: f"{a}\n{b}\n", set()),
+    "clause_before_header": (lambda h, a, b: f"{a}\n{h.format(2)}\n{b}\n", set()),
+    "missing_0_terminator": (
+        lambda h, a, b: f"{h.format(2)}\n{a.removesuffix(' 0')}\n{b}\n", {"graph"}),
+    "count_too_high": (lambda h, a, b: f"{h.format(3)}\n{a}\n{b}\n", {"extended"}),
+    "count_too_low": (lambda h, a, b: f"{h.format(1)}\n{a}\n{b}\n", {"extended"}),
+    "unexpected_tag": (lambda h, a, b: f"{h.format(2)}\n{a}\nq 1 2 0\n", set()),
+}
+
+
+@pytest.mark.parametrize("parser", sorted(DIMACS_PARSERS))
+@pytest.mark.parametrize("case", sorted(DIMACS_CASES))
+def test_dimacs_parsers_accept_reject_table(case, parser):
+    build, accepted_by = DIMACS_CASES[case]
+    text = build(*DIMACS_SHAPES[parser])
+    if parser in accepted_by:
+        DIMACS_PARSERS[parser](text)
+    else:
+        with pytest.raises(ValueError):
+            DIMACS_PARSERS[parser](text)
 
 
 def test_cnf_rejects_empty_clause_and_bad_literals():

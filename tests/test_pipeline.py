@@ -1,10 +1,16 @@
 """Pipeline: file formats, filters, determinism, validation."""
 
+import os
 import random
 import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import xorcfi
+from xorcfi import pipeline
 from xorcfi.cfi import Graph
 from xorcfi.formula import import_xor_dimacs
 from xorcfi.pipeline import (
@@ -12,6 +18,7 @@ from xorcfi.pipeline import (
     GADGET_FULL,
     InstanceRecord,
     PipelineConfig,
+    _atomic_write,
     build_graph,
     export_graph,
     from_dimacs_graph,
@@ -29,7 +36,7 @@ from xorcfi.pipeline import (
 )
 from xorcfi.formula import is_uniquely_satisfiable
 from xorcfi.sampler import SampleConfig, sample_homogeneous
-from xorcfi.xorsat import SolveBudget, gauss_ratio
+from xorcfi.xorsat import SAT, SolveBudget, gauss_ratio
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -106,6 +113,14 @@ def test_config_accepts_ratio_one():
     assert cfg.effective_m == 4
 
 
+def test_config_checks_sampling_parameters():
+    with pytest.raises(ValueError, match="one of m or ratio"):
+        PipelineConfig(n=10)
+    with pytest.raises(ValueError):
+        PipelineConfig(n=5, m=11)  # only C(5, 3) = 10 distinct triples
+    assert PipelineConfig(n=5, m=10).effective_m == 10
+
+
 def test_config_requires_bounded_budgets():
     with pytest.raises(ValueError):
         PipelineConfig(n=6, m=8, solver_budget=SolveBudget())
@@ -132,7 +147,7 @@ def test_filter_order_cannot_change_accept_set():
             "phi": lambda f=f: phi_is_asymmetric(f, budget) is True,
             "unique": lambda f=f: is_uniquely_satisfiable(f),
             "gauss": lambda f=f: gauss_ratio(f, budget).ratio >= threshold,
-            "wl1": lambda f=f: wl1_keeps_pairs_together(f, GADGET_CORE),
+            "wl1": lambda f=f: wl1_keeps_pairs_together(f, build_graph(f, GADGET_CORE)),
         }
         orderings = [("phi", "unique", "gauss", "wl1"),
                      ("wl1", "gauss", "unique", "phi"),
@@ -141,6 +156,47 @@ def test_filter_order_cannot_change_accept_set():
         for order in orderings:
             verdicts.append(all(checks[name]() for name in order))
         assert len(set(verdicts)) == 1
+
+
+def test_run_trial_raises_when_gauss_run_contradicts_rank_check(monkeypatch):
+    real = pipeline.gauss_ratio
+
+    def gap_reporting_sat(f, budget=None):
+        gap = real(f, budget=budget)
+        return replace(gap, with_gauss=replace(gap.with_gauss, result=SAT))
+
+    monkeypatch.setattr(pipeline, "gauss_ratio", gap_reporting_sat)
+    cfg = PipelineConfig(n=4, m=4, seed=1, trials=1, gauss_threshold=1.0)
+    with pytest.raises(AssertionError, match="disagree"):
+        run_trial(cfg, 0)
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(pipeline, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, spy)
+
+
+@pytest.mark.parametrize("gadget_mode", [GADGET_FULL, GADGET_CORE])
+@pytest.mark.parametrize("wl1_filter", [False, True])
+def test_one_graph_build_per_accepted_trial_and_one_rank_per_check(
+        tmp_path, monkeypatch, gadget_mode, wl1_filter):
+    calls = []
+    for name in ("build_core", "build_full", "rank"):
+        _spy(monkeypatch, name, calls)
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=1, gadget_mode=gadget_mode,
+                         wl1_filter=wl1_filter, gauss_threshold=1.0)
+    records = generate(cfg, tmp_path)
+    assert len(records) == 1
+    assert calls == [f"build_{gadget_mode}"]
+    calls.clear()
+    report = validate(tmp_path / records[0].manifest_file)
+    assert report.ok
+    assert calls.count("rank") == 1
 
 
 def test_accepted_records_satisfy_invariants(tmp_path):
@@ -185,6 +241,26 @@ def test_generate_is_byte_deterministic(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+
+def test_generate_leaves_other_writers_temp_files_alone(tmp_path):
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    reference = generate(cfg, tmp_path / "ref")
+    out = tmp_path / "out"
+    stray = out / reference[0].instance_id / "graph.dre.tmp"
+    stray.parent.mkdir(parents=True)
+    stray.write_text("another writer's data\n")
+    records = generate(cfg, out)
+    assert stray.read_text() == "another writer's data\n"
+    for rel in (records[0].graph_dre, records[0].manifest_file, "index.txt"):
+        assert (out / rel).read_bytes() == (tmp_path / "ref" / rel).read_bytes()
+    assert sorted(out.rglob("*.tmp")) == [stray]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(tmp_path / "index.txt", "lone surrogate \udc80\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_round_trip():
@@ -280,3 +356,19 @@ def test_cli_sample_then_build(tmp_path):
     assert len(built) == 2
     g = from_dimacs_graph(built[0].read_text())
     assert g.vertex_count == 2 * 6 + 4 * 8
+
+
+# -- scripts ---------------------------------------------------------------
+
+
+def test_hardness_growth_script_toy_run(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "hardness_growth.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(xorcfi.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--ns", "10", "--ratio", "1.0", "--count", "1",
+         "--gadget", "core", "--max-trials", "200", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "results.csv").is_file()
+    assert (tmp_path / "growth.txt").is_file()

@@ -164,6 +164,30 @@ def test_gauss_mode_elapsed_includes_presolve(monkeypatch):
     assert stats.elapsed >= 0.05
 
 
+def test_gauss_mode_presolve_counts_against_time_budget(monkeypatch):
+    real = xorsat.reduced_system
+
+    def slow_reduced_system(*args):
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(xorsat, "reduced_system", slow_reduced_system)
+    stats = solve(nontrivial_query(COMPLETE), use_gauss=True, budget=SolveBudget(max_seconds=0.05))
+    assert stats.result == BUDGET_EXHAUSTED
+    assert stats.decisions == 0
+    assert stats.elapsed >= 0.2
+
+
+def test_gauss_mode_refutes_unsorted_contradictory_xor_rows():
+    # CnfFormula keeps XOR rows as given, so they may be unsorted and contradict.
+    cnf = CnfFormula(4, (), (XorClause((2, 3, 4), 0), XorClause((1, 2, 3), 1),
+                             XorClause((1, 2, 3), 0)))
+    assert not brute_verdict(cnf)
+    assert solve(cnf).result == UNSAT
+    stats = solve(cnf, use_gauss=True)
+    assert stats.result == UNSAT and stats.decisions == 0
+
+
 # -- gauss gap -------------------------------------------------------------
 
 
