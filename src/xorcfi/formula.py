@@ -177,9 +177,15 @@ def to_matrix(f: Union[XorFormula, PinnedSystem, CnfFormula]) -> Tuple[Gf2Matrix
 
 
 def is_uniquely_satisfiable(f: XorFormula) -> bool:
-    """True iff the all-zero assignment is the only solution (rank = n)."""
+    """True iff the all-zero assignment is the only solution (rank = n).
+
+    A variable in no clause is a kernel vector on its own, so rank < n
+    is settled without an elimination.
+    """
     if not f.is_homogeneous:
         raise ValueError("unique-satisfiability check is defined for homogeneous formulas")
+    if len({v for cl in f.clauses for v in cl.vars}) < f.n:
+        return False
     h, _ = to_matrix(f)
     return rank(h) == f.n
 
@@ -228,16 +234,25 @@ def export_dimacs(c: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(lineno: int, line: str, tokens: List[str]) -> List[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer token in {line!r}") from None
+
+
 def _dimacs_records(text: str, kind: str, tags: Tuple[str, ...],
                     check_count: bool = True) -> Tuple[int, List[Tuple[int, str, List[int]]]]:
     """The header's first number and the body lines of a DIMACS-style file.
 
     Blank lines and lines starting with 'c' are skipped; the header is
-    'p <kind> <a> <b>'. Every other line becomes (lineno, tag, ints):
-    tag is a leading word such as 'x' or 'e' ('' when the line starts
-    with a number) and must be one of tags. For kind 'cnf' each line
-    ends in a 0 that is checked and dropped; edge lines carry none.
-    With check_count, b must equal the number of body lines.
+    'p <kind> <a> <b>'. A line '%' (the SATLIB end marker) ends the body
+    and whatever follows it is ignored. Every other line becomes
+    (lineno, tag, ints): tag is a leading word such as 'x' or 'e' (''
+    when the line starts with a number) and must be one of tags. For
+    kind 'cnf' each line ends in a 0 that is checked and dropped; edge
+    lines carry none. With check_count, b must equal the number of body
+    lines.
     """
     n = declared = None
     records: List[Tuple[int, str, List[int]]] = []
@@ -245,18 +260,20 @@ def _dimacs_records(text: str, kind: str, tags: Tuple[str, ...],
         line = line.strip()
         if not line or line.startswith("c"):
             continue
+        if line == "%":
+            break
         tokens = line.split()
         if line.startswith("p"):
             if len(tokens) != 4 or tokens[1] != kind:
                 raise ValueError(f"line {lineno}: bad DIMACS header {line!r}")
-            n, declared = int(tokens[2]), int(tokens[3])
+            n, declared = _ints(lineno, line, tokens[2:])
             continue
         if n is None:
             raise ValueError(f"line {lineno}: clause before header")
         tag = tokens.pop(0) if tokens[0][0].isalpha() else ""
         if tag not in tags:
             raise ValueError(f"line {lineno}: unexpected line {line!r}")
-        ints = [int(tok) for tok in tokens]
+        ints = _ints(lineno, line, tokens)
         if kind == "cnf":
             if not ints or ints[-1] != 0:
                 raise ValueError(f"line {lineno}: clause not 0-terminated")

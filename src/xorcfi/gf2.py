@@ -1,11 +1,16 @@
 """Dense linear algebra over GF(2) with bit-packed rows.
 
 A matrix row is a single Python int: bit j holds the entry in column j,
-so a row XOR is one arbitrary-precision xor. All reductions are plain
-Gauss-Jordan with the pivot taken as the first row carrying the leading
-bit; free variables are set to 0, so solve() and kernel_basis() return
-canonical (reduced-echelon-derived) results. solve() reads its result
-off reduced_system(): in reduced echelon form each row's pivot is its
+so a row XOR is one arbitrary-precision xor. All reductions go through
+one Gauss-Jordan elimination that works column-major: the rows are
+transposed once into one int per column (bit i = row i), the pivot of
+a column is the lowest set bit among the rows not yet used as pivots,
+and clearing it elsewhere is one xor into each later column the pivot
+row touches. The reduced row echelon form of a matrix is unique, so
+the pivot choice cannot change any result. Free variables are set to
+0, so solve() and kernel_basis() return canonical
+(reduced-echelon-derived) results. solve() reads its result off
+reduced_system(): in reduced echelon form each row's pivot is its
 lowest set bit.
 """
 
@@ -96,27 +101,60 @@ class Gf2Matrix:
 
 
 def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    work = list(row_bits)
+    """Reduced row echelon form; returns (reduced rows, pivot columns).
+
+    Pivots are sought in columns 0..cols-1 only; bits at cols and above
+    (the rhs of an augmented system) are carried along by every row
+    operation. The rows come back as the pivot rows in pivot order,
+    then the others in input order, which are zero below bit cols.
+
+    The work is column-major: column j is one int whose bit i is row i.
+    The pivot of column c is its lowest row not yet used as a pivot,
+    and clearing c in the other rows is one xor into each later column
+    that the pivot row touches.
+    """
+    rows = list(row_bits)
+    width = max(cols, max(rows, default=0).bit_length())
+    col = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            col[low.bit_length() - 1] |= bit
+            row ^= low
+    free = (1 << len(rows)) - 1
     pivots: List[int] = []
-    r = 0
+    order: List[int] = []  # pivot row indices, then the remaining rows
     for c in range(cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
+        cand = col[c] & free
+        if not cand:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and ((work[i] >> c) & 1):
-                work[i] ^= work[r]
+        p = cand & -cand
+        others = col[c] ^ p
+        if others:
+            for j in range(c + 1, width):
+                if col[j] & p:
+                    col[j] ^= others
+        col[c] = 0  # a unit column; its one bit goes back in below
+        free ^= p
         pivots.append(c)
-        r += 1
-        if r == len(work):
+        order.append(p.bit_length() - 1)
+        if not free:
             break
-    return work, pivots
+    work = [0] * len(rows)
+    for i, c in zip(order, pivots):
+        work[i] = 1 << c
+    for j, x in enumerate(col):
+        bit = 1 << j
+        while x:
+            low = x & -x
+            work[low.bit_length() - 1] |= bit
+            x ^= low
+    while free:
+        low = free & -free
+        order.append(low.bit_length() - 1)
+        free ^= low
+    return [work[i] for i in order], pivots
 
 
 def rank(m: Gf2Matrix) -> int:

@@ -55,10 +55,10 @@ class _Solver:
         self.n = n
         self.clauses: List[Tuple[int, ...]] = []
         for cl in cnf:
-            lits = tuple(sorted(set(cl), key=abs))
-            if any(-l in lits for l in lits):
+            lit_set = set(cl)
+            if any(-l in lit_set for l in lit_set):
                 continue  # tautology
-            self.clauses.append(lits)
+            self.clauses.append(tuple(sorted(lit_set, key=abs)))
         self.xors = [(tuple(vs), rhs & 1) for vs, rhs in xors]
 
         self.assign: List[Optional[int]] = [None] * (n + 1)
@@ -272,8 +272,12 @@ def solve(input: CnfFormula, use_gauss: bool = False, budget: Optional[SolveBudg
             return SolveStats(UNSAT, 0, 0, 1, time.monotonic() - start)
         xors = []
         for coeffs, rhs in reduced:
-            vs = tuple(j + 1 for j in range(input.n) if (coeffs >> j) & 1)
-            xors.append((vs, rhs))
+            vs = []
+            while coeffs:
+                low = coeffs & -coeffs
+                vs.append(low.bit_length())  # bit j is variable j + 1
+                coeffs ^= low
+            xors.append((tuple(vs), rhs))
         presolve = time.monotonic() - start
         if budget is not None and budget.max_seconds is not None:
             if presolve >= budget.max_seconds:

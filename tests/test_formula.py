@@ -1,13 +1,16 @@
 """Formula model, canonicalization, pinning, CNF export, DIMACS round-trips."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xorcfi import formula
 from xorcfi.formula import (
     CnfFormula,
     XorClause,
+    XorFormula,
     export_dimacs,
     export_xor_dimacs,
     homogeneous_companion,
@@ -22,6 +25,7 @@ from xorcfi.formula import (
 )
 from xorcfi.gf2 import kernel_basis, rank
 from xorcfi.pipeline import from_dimacs_graph
+from xorcfi.sampler import SampleConfig, sample_homogeneous
 
 
 # -- oracles ---------------------------------------------------------------
@@ -196,6 +200,28 @@ def test_unique_iff_single_brute_solution(f):
     assert is_uniquely_satisfiable(f) == (len(brute_solutions(f)) == 1)
 
 
+def test_unused_variable_verdict_equals_rank_check(monkeypatch):
+    real_rank = formula.rank
+    ranks = []
+    monkeypatch.setattr(formula, "rank", lambda h: ranks.append(h) or real_rank(h))
+    checked = unused = 0
+    for n in (3, 5, 12, 30, 100):
+        for ratio in (0.5, 1.0, 2.0, 3.0):
+            for seed in range(4):
+                m = min(max(1, round(ratio * n)), math.comb(n, 3))
+                f = sample_homogeneous(SampleConfig(n=n, m=m, seed=seed))
+                # The same clauses over one more variable, which none of them uses.
+                for g in (f, XorFormula(n + 1, f.clauses)):
+                    h, _ = to_matrix(g)
+                    has_unused = len({v for cl in g.clauses for v in cl.vars}) < g.n
+                    checked += 1
+                    unused += has_unused
+                    before = len(ranks)
+                    assert is_uniquely_satisfiable(g) == (real_rank(h) == g.n)
+                    assert len(ranks) == before + (not has_unused)
+    assert 0 < unused < checked
+
+
 @settings(max_examples=80, deadline=None)
 @given(formulas(max_n=7))
 def test_zero_assignment_satisfies_homogeneous(f):
@@ -311,11 +337,19 @@ DIMACS_SHAPES = {
     "graph": ("p edge 4 {}", "e 1 2", "e 2 3"),
 }
 ALL_PARSERS = set(DIMACS_PARSERS)
+
+
+def _second_token(line, token):
+    tokens = line.split()
+    tokens[1] = token
+    return " ".join(tokens)
+
+
 # case -> (text built from a shape, the parsers that accept it). The
 # extended reader does not check the declared count, and edge lines
-# carry no 0 terminator. Only one verdict differs from the readers'
-# earlier separate implementations: the graph reader used to accept
-# edge lines before the header.
+# carry no 0 terminator. Against the readers' earlier separate
+# implementations, the graph reader used to accept edge lines before the
+# header, and every reader rejected the SATLIB '%' end marker.
 DIMACS_CASES = {
     "well_formed": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n", ALL_PARSERS),
     "comments_and_blank_lines": (
@@ -329,6 +363,19 @@ DIMACS_CASES = {
     "count_too_high": (lambda h, a, b: f"{h.format(3)}\n{a}\n{b}\n", {"extended"}),
     "count_too_low": (lambda h, a, b: f"{h.format(1)}\n{a}\n{b}\n", {"extended"}),
     "unexpected_tag": (lambda h, a, b: f"{h.format(2)}\n{a}\nq 1 2 0\n", set()),
+    "non_integer_header_token": (
+        lambda h, a, b: f"{h.format(2).replace(' 4 ', ' three ')}\n{a}\n{b}\n", set()),
+    "non_integer_body_token": (
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{_second_token(b, 'a')}\n", set()),
+    "satlib_end_marker": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n%\n0\n\n", ALL_PARSERS),
+    "end_marker_ends_body": (
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n%\n0\n{a}\nnot dimacs\n", ALL_PARSERS),
+}
+# Rejections that name the offending line.
+LINE_CONTEXT_CASES = {
+    "bad_header_field_count", "bad_header_kind", "clause_before_header",
+    "missing_0_terminator", "unexpected_tag", "non_integer_header_token",
+    "non_integer_body_token",
 }
 
 
@@ -340,8 +387,16 @@ def test_dimacs_parsers_accept_reject_table(case, parser):
     if parser in accepted_by:
         DIMACS_PARSERS[parser](text)
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^line \d+: " if case in LINE_CONTEXT_CASES else None):
             DIMACS_PARSERS[parser](text)
+
+
+def test_end_marker_reads_like_its_absence():
+    for parser, shape in DIMACS_SHAPES.items():
+        plain = DIMACS_CASES["well_formed"][0](*shape)
+        for case in ("satlib_end_marker", "end_marker_ends_body"):
+            text = DIMACS_CASES[case][0](*shape)
+            assert DIMACS_PARSERS[parser](text) == DIMACS_PARSERS[parser](plain)
 
 
 def test_cnf_rejects_empty_clause_and_bad_literals():

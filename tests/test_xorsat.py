@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from xorcfi import xorsat
 from xorcfi.formula import CnfFormula, XorClause, import_extended_dimacs, make_formula
+from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
     BUDGET_EXHAUSTED,
     SAT,
@@ -236,3 +237,30 @@ def test_tautologies_and_duplicates_handled(rnd):
     cnf = CnfFormula(n, tuple(tuple(c) for c in clauses))
     stats = solve(cnf)
     assert (stats.result == SAT) == brute_verdict(cnf)
+
+
+# -- golden counters -------------------------------------------------------
+
+# (seed, ratio, use_gauss) -> (result, decisions, propagations, conflicts,
+# the variables a SAT model sets to 1) for the nonzero-solution query of
+# an n=200 homogeneous sample, recorded before the column-major GF(2)
+# elimination and the set-bit row decoding of the Gauss presolve.
+GOLDEN_N200 = {
+    (1, 1.0, True): (SAT, 14, 200, 0, (200,)),
+    (1, 1.0, False): (SAT, 23, 200, 0, (200,)),
+    (4, 2.0, True): (SAT, 0, 200, 0, (79,)),
+    (4, 2.0, False): (SAT, 6, 200, 0, (79,)),
+    (2, 2.0, True): (UNSAT, 0, 199, 1, None),
+    (2, 2.0, False): (UNSAT, 31, 1033, 32, None),
+    (6, 2.0, True): (UNSAT, 0, 199, 1, None),
+    (6, 2.0, False): (UNSAT, 63, 2556, 64, None),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_N200))
+def test_solve_counters_match_golden_n200(key):
+    seed, ratio, use_gauss = key
+    f = sample_homogeneous(SampleConfig(n=200, ratio=ratio, seed=seed))
+    s = solve(nontrivial_query(f), use_gauss=use_gauss)
+    ones = None if s.model is None else tuple(i + 1 for i, v in enumerate(s.model) if v)
+    assert (s.result, s.decisions, s.propagations, s.conflicts, ones) == GOLDEN_N200[key]
