@@ -24,7 +24,7 @@ import numpy as np
 
 from .canon import CELL_FIRST_SMALLEST, STATUS_COMPLETE, ir_automorphisms
 from .cfi import Graph
-from .pipeline import from_dre, to_dimacs_graph
+from .pipeline import _atomic_write, from_dre, to_dimacs_graph
 from .xorsat import SolveBudget
 
 STATUS_OK = "OK"
@@ -225,18 +225,12 @@ def growth_report(results: Sequence[BenchResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(results: Sequence[BenchResult]) -> Tuple[str, str]:
-    """(csv table, growth report) for a batch of results."""
-    return results_csv(results), growth_report(results)
-
-
 def write_summary(results: Sequence[BenchResult], out_dir: Union[str, Path]) -> None:
     """results.csv, growth.txt and per-solver '<solver>.dat' plot files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_text, report = summarize(results)
-    (out / "results.csv").write_text(csv_text, encoding="utf-8")
-    (out / "growth.txt").write_text(report, encoding="utf-8")
+    _atomic_write(out / "results.csv", results_csv(results))
+    _atomic_write(out / "growth.txt", growth_report(results))
     by_solver: Dict[str, List[Tuple[int, float]]] = {}
     for r in results:
         cost = _cost_of(r)
@@ -245,4 +239,4 @@ def write_summary(results: Sequence[BenchResult], out_dir: Union[str, Path]) -> 
         by_solver.setdefault(r.solver, []).append((r.vertices, cost))
     for solver, points in by_solver.items():
         body = "".join(f"{v} {c:.6f}\n" for v, c in sorted(points))
-        (out / f"{solver}.dat").write_text("# vertices cost\n" + body, encoding="utf-8")
+        _atomic_write(out / f"{solver}.dat", "# vertices cost\n" + body)

@@ -24,12 +24,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from .cfi import Graph, is_automorphism
-from .formula import PinnedSystem, XorFormula
+from .formula import PinnedSystem, XorFormula, to_matrix
 from .xorsat import SolveBudget
 
 CELL_FIRST_SMALLEST = "first-smallest"
@@ -74,32 +74,8 @@ class Partition:
     def element_count(self) -> int:
         return len(self.cell_of)
 
-    @property
-    def num_cells(self) -> int:
-        return max(self.cell_of) + 1 if self.cell_of else 0
-
-    def cells(self) -> List[List[int]]:
-        out: List[List[int]] = [[] for _ in range(self.num_cells)]
-        for x, c in enumerate(self.cell_of):
-            out[c].append(x)
-        return out
-
     def same_cell(self, u: int, v: int) -> bool:
         return self.cell_of[u] == self.cell_of[v]
-
-    def is_discrete(self) -> bool:
-        return self.num_cells == self.element_count
-
-    def refines(self, other: "Partition") -> bool:
-        cell_target: Dict[int, int] = {}
-        for x in range(self.element_count):
-            c = self.cell_of[x]
-            if c in cell_target:
-                if cell_target[c] != other.cell_of[x]:
-                    return False
-            else:
-                cell_target[c] = other.cell_of[x]
-        return True
 
 
 @dataclass
@@ -198,15 +174,6 @@ def color_refine(g: Graph, initial: Optional[Partition] = None) -> Partition:
     """
     colors = _refine(_initial_colors(g, initial), _Csr(g))
     return Partition.from_labels(colors.tolist())
-
-
-def individualize(g: Graph, p: Partition, v: int) -> Partition:
-    """Move v to its own cell, then re-refine."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    colors = np.asarray(p.cell_of, dtype=np.int64) * 2 + 1
-    colors[v] -= 1
-    return Partition.from_labels(_refine(colors, _Csr(g)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -388,107 +355,6 @@ def ir_automorphisms(
                      first_path_depth=len(left), refine_rounds=csr.rounds)
 
 
-def brute_force_automorphisms(g: Graph) -> AutReport:
-    """Exact automorphism group by checking every vertex permutation."""
-    v = g.vertex_count
-    if v > 10:
-        raise ValueError("brute force is guarded to graphs with at most 10 vertices")
-    auts = []
-    for perm in itertools.permutations(range(v)):
-        if is_automorphism(g, perm):
-            auts.append(perm)
-    gens = [p for p in auts if any(p[i] != i for i in range(v))]
-    return AutReport(gens, len(auts), _orbits_from_generators(v, gens),
-                     math.factorial(v), STATUS_COMPLETE)
-
-
-# ---------------------------------------------------------------------------
-# k-dimensional Weisfeiler-Leman over V^k tuples.
-
-
-def _flat_index(tup: Sequence[int], v: int) -> int:
-    out = 0
-    for x in tup:
-        out = out * v + x
-    return out
-
-
-def wl_k(g: Graph, k: int, max_tuples: int = 300_000) -> Partition:
-    """Stable k-tuple partition under the substitution-count condition.
-
-    Tuples start on their ordered-induced-subgraph type (equalities,
-    adjacencies, vertex colors); a round recolors each tuple by the
-    multiset, over all vertices x, of the k-vector of colors obtained by
-    substituting x at each position. Elements of the result are tuples
-    in lexicographic order (flat index sum(u_i * V^(k-1-i))).
-    """
-    if k < 2:
-        raise ValueError("wl_k is defined for k >= 2")
-    v = g.vertex_count
-    total = v**k
-    if total > max_tuples:
-        raise BudgetExceededError(f"{total} tuples exceed the budget of {max_tuples}")
-    if v == 0:
-        return Partition(())
-
-    adj = np.zeros((v, v), dtype=np.int8)
-    for a, b in g.edges:
-        adj[a, b] = 1
-        adj[b, a] = 1
-    vcol = np.zeros(v, dtype=np.int64) if g.colors is None else np.asarray(g.colors, dtype=np.int64)
-
-    comps = np.indices((v,) * k).reshape(k, -1)
-    features = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            features.append((comps[i] == comps[j]).astype(np.int64))
-            features.append(adj[comps[i], comps[j]].astype(np.int64))
-    for i in range(k):
-        features.append(vcol[comps[i]])
-    _, colors = np.unique(np.stack(features, axis=1), axis=0, return_inverse=True)
-    colors = colors.reshape(-1).astype(np.int64)
-
-    # Substituting x at position i moves a flat index by (x - u_i) * v^(k-1-i).
-    vpow = np.array([v ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    base = [np.arange(total, dtype=np.int64) - comps[i] * vpow[i] for i in range(k)]
-
-    ncolors = int(colors.max()) + 1
-    sig = np.empty((total, v), dtype=np.int64)
-    while True:
-        if ncolors**k > 2**62:
-            raise BudgetExceededError("tuple-color signature would overflow packing")
-        sig.fill(0)
-        for i in range(k):
-            scale = ncolors ** (k - 1 - i)
-            for x in range(v):
-                sig[:, x] += colors[base[i] + x * vpow[i]] * scale
-        sig.sort(axis=1)
-        _, inv = np.unique(np.concatenate([colors[:, None], sig], axis=1),
-                           axis=0, return_inverse=True)
-        inv = inv.reshape(-1).astype(np.int64)
-        new_n = int(inv.max()) + 1
-        if new_n == ncolors:
-            break
-        colors = inv
-        ncolors = new_n
-    return Partition.from_labels(colors.tolist())
-
-
-def wl_indistinguishable(g: Graph, u: int, v: int, k: int, max_tuples: int = 300_000) -> bool:
-    """True when the constant tuples (u,...,u) and (v,...,v) share a cell.
-
-    k = 1 is the refinement level: plain color refinement must leave u
-    and v together.
-    """
-    if u == v:
-        return True
-    if k == 1:
-        return color_refine(g).same_cell(u, v)
-    part = wl_k(g, k, max_tuples=max_tuples)
-    n = g.vertex_count
-    return part.same_cell(_flat_index([u] * k, n), _flat_index([v] * k, n))
-
-
 # ---------------------------------------------------------------------------
 # Exact k-local consistency of a formula (existential pebble game).
 
@@ -511,13 +377,9 @@ def local_consistency(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(f, PinnedSystem):
-        n = f.n
-        constraints = [(sum(1 << (x - 1) for x in cl.vars), cl.rhs) for cl in f.formula.clauses]
-        constraints.append((1 << (f.var - 1), f.value))
-    else:
-        n = f.n
-        constraints = [(sum(1 << (x - 1) for x in cl.vars), cl.rhs) for cl in f.clauses]
+    n = f.n
+    h, b = to_matrix(f)
+    constraints = [(row, (b.bits >> i) & 1) for i, row in enumerate(h.row_bits)]
     keff = min(k, n)
     est = _estimated_states(n, keff)
     if est > max_states:

@@ -60,9 +60,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
 
 @dataclass(frozen=True)
 class VertexScheme:
@@ -72,6 +69,8 @@ class VertexScheme:
     clause c (1-based, canonical clause order), tag t in CLAUSE_TAGS:
         2n + 4(c-1) + tag_index
     order gadget i in 1..n-1: i_l -> 2n+4m+3(i-1), i_r -> +1, i_s -> +2
+
+    The vertex and edge counts of both lifts are defined here only.
     """
 
     n: int
@@ -97,8 +96,16 @@ class VertexScheme:
         return 2 * self.n + 4 * self.m
 
     @property
+    def core_edge_count(self) -> int:
+        return 12 * self.m + self.n
+
+    @property
     def full_vertex_count(self) -> int:
-        return 4 * self.m + 2 * self.n + 3 * (self.n - 1)
+        return self.core_vertex_count + 3 * (self.n - 1)
+
+    @property
+    def full_edge_count(self) -> int:
+        return self.core_edge_count + 6 * (self.n - 1)
 
 
 def incidence_graph(f: XorFormula) -> Graph:
@@ -132,7 +139,7 @@ def _clause_literal_patterns(rhs: int) -> List[Tuple[int, int, int]]:
 
 
 def build_core(f: XorFormula) -> Graph:
-    """The lift without order gadgets: 2n + 4m vertices, 12m + n edges.
+    """The lift without order gadgets (sizes in VertexScheme.core_*_count).
 
     Each clause becomes 4 vertices (the clause and the 3 equivalent
     clauses from negating exactly two literals). A clause vertex is
@@ -149,17 +156,16 @@ def build_core(f: XorFormula) -> Graph:
             for k, var in enumerate(cl.vars):
                 edges.add(tuple(sorted((cv, scheme.var_vertex(var, 1 - pattern[k])))))
     g = Graph.from_edges(scheme.core_vertex_count, edges)
-    assert g.vertex_count == 2 * f.n + 4 * f.m
-    assert g.edge_count == 12 * f.m + f.n
+    assert g.edge_count == scheme.core_edge_count
     return g
 
 
 def build_full(f: XorFormula) -> Graph:
-    """Core lift plus order gadgets: 4m + 2n + 3(n-1) vertices.
+    """Core lift plus order gadgets (sizes in VertexScheme.full_*_count).
 
     Gadget i contributes vertices i_l, i_r, i_s and the six edges
     (i_l,i_r), (i_r,i_s), (i_l,X_i^0), (i_l,X_i^1), (i_r,X_{i+1}^0),
-    (i_r,X_{i+1}^1), for a total of 12m + n + 6(n-1) edges.
+    (i_r,X_{i+1}^1).
     """
     if f.n < 2:
         raise ValueError("order gadgets need at least 2 variables")
@@ -175,37 +181,8 @@ def build_full(f: XorFormula) -> Graph:
         edges.add(tuple(sorted((ir, scheme.var_vertex(i + 1, 0)))))
         edges.add(tuple(sorted((ir, scheme.var_vertex(i + 1, 1)))))
     g = Graph.from_edges(scheme.full_vertex_count, edges)
-    assert g.vertex_count == 4 * f.m + 2 * f.n + 3 * (f.n - 1)
-    assert g.edge_count == 12 * f.m + f.n + 6 * (f.n - 1)
+    assert g.edge_count == scheme.full_edge_count
     return g
-
-
-def assignment_automorphism(f: XorFormula, assignment: Sequence[int]) -> List[int]:
-    """The vertex permutation of build_full(f) induced by a satisfying assignment.
-
-    Swaps X^0 and X^1 exactly where the assignment is 1, permutes each
-    clause gadget by the corresponding two-variable swap, and fixes the
-    order gadgets. Only defined when the assignment satisfies f.
-    """
-    if not f.is_homogeneous:
-        raise ValueError("assignment-induced automorphisms exist for homogeneous formulas only")
-    if not f.satisfied_by(assignment):
-        raise ValueError("assignment does not satisfy the formula")
-    scheme = VertexScheme(f.n, f.m)
-    perm = list(range(scheme.full_vertex_count))
-    for j in range(1, f.n + 1):
-        if assignment[j - 1]:
-            perm[scheme.var_vertex(j, 0)] = scheme.var_vertex(j, 1)
-            perm[scheme.var_vertex(j, 1)] = scheme.var_vertex(j, 0)
-    tag_of = {tag: idx for idx, tag in enumerate(CLAUSE_TAGS)}
-    for c, cl in enumerate(f.clauses, start=1):
-        # A satisfied clause has an even number of swapped variables, so
-        # xoring tags with the swap mask permutes the gadget's 4 tags.
-        swap = tuple(assignment[v - 1] for v in cl.vars)
-        for tag_index, tag in enumerate(CLAUSE_TAGS):
-            new_tag = tuple(t ^ s for t, s in zip(tag, swap))
-            perm[scheme.clause_vertex(c, tag_index)] = scheme.clause_vertex(c, tag_of[new_tag])
-    return perm
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:

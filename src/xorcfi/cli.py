@@ -13,6 +13,7 @@ from .pipeline import (
     GADGET_CORE,
     GADGET_FULL,
     PipelineConfig,
+    _atomic_write,
     build_graph,
     export_graph,
     generate,
@@ -41,13 +42,21 @@ def _budget(args) -> SolveBudget:
     return SolveBudget(max_decisions=args.budget_decisions, max_seconds=args.budget_seconds)
 
 
+def _config_error(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_sample(args) -> int:
+    try:
+        cfg = SampleConfig(n=args.n, m=args.m, ratio=args.ratio, seed=args.seed)
+    except ValueError as exc:
+        return _config_error(exc)
     args.out.mkdir(parents=True, exist_ok=True)
     for trial in range(args.count):
-        cfg = SampleConfig(n=args.n, m=args.m, ratio=args.ratio, seed=args.seed)
         f = sample_homogeneous(cfg, trial)
         path = args.out / f"n{args.n:04d}_s{args.seed}_t{trial:04d}.xcnf"
-        path.write_text(export_xor_dimacs(f), encoding="utf-8")
+        _atomic_write(path, export_xor_dimacs(f))
         print(path)
     return 0
 
@@ -62,25 +71,28 @@ def cmd_build(args) -> int:
             return 1
         g = build_graph(f, args.gadget)
         out_path = args.out / (Path(formula_path).stem + f".{args.format}")
-        out_path.write_text(export_graph(g, args.format), encoding="utf-8")
+        _atomic_write(out_path, export_graph(g, args.format))
         print(f"{out_path}  ({g.vertex_count} vertices, {g.edge_count} edges)")
     return 0
 
 
 def cmd_generate(args) -> int:
-    cfg = PipelineConfig(
-        n=args.n,
-        ratio=args.ratio,
-        m=args.m,
-        seed=args.seed,
-        trials=args.count,
-        gadget_mode=args.gadget,
-        gauss_threshold=args.gauss_threshold,
-        wl1_filter=args.wl1_filter,
-        solver_budget=_budget(args),
-        ir_budget=_budget(args),
-        formats=tuple(args.format),
-    )
+    try:
+        cfg = PipelineConfig(
+            n=args.n,
+            ratio=args.ratio,
+            m=args.m,
+            seed=args.seed,
+            trials=args.count,
+            gadget_mode=args.gadget,
+            gauss_threshold=args.gauss_threshold,
+            wl1_filter=args.wl1_filter,
+            solver_budget=_budget(args),
+            ir_budget=_budget(args),
+            formats=tuple(args.format),
+        )
+    except ValueError as exc:
+        return _config_error(exc)
     records = generate(cfg, args.out)
     print(f"accepted {len(records)}/{args.count} trials into {args.out}")
     for r in records:

@@ -127,25 +127,17 @@ def make_formula(n: int, raw: Iterable[Tuple[Iterable[int], int]]) -> XorFormula
 
     Rejects triples with repeated variables and pairs of clauses that
     share a variable set but disagree on rhs (a contradictory duplicate;
-    the samplers never emit these, so this only guards loaded input).
+    the sampler never emits these, so this only guards loaded input).
     """
     by_set = {}
     for vars_, rhs in raw:
         cl = XorClause.make(vars_, rhs)
-        if cl.vars[2] > n:
-            raise ValueError(f"clause {cl.vars} exceeds variable count {n}")
         prev = by_set.get(cl.vars)
         if prev is not None and prev != cl.rhs:
             raise ValueError(f"contradictory duplicate clauses on variables {cl.vars}")
         by_set[cl.vars] = cl.rhs
     clauses = tuple(sorted(XorClause(v, r) for v, r in by_set.items()))
     return XorFormula(n, clauses)
-
-
-def homogeneous_companion(f: XorFormula) -> XorFormula:
-    """Same variable sets, every right-hand side zeroed."""
-    clauses = tuple(sorted(XorClause(cl.vars, 0) for cl in f.clauses))
-    return XorFormula(f.n, clauses)
 
 
 def pin(f: XorFormula, i: int, value: int) -> PinnedSystem:
@@ -190,33 +182,6 @@ def is_uniquely_satisfiable(f: XorFormula) -> bool:
     return rank(h) == f.n
 
 
-def xor_clause_cnf_expansion(vars: Sequence[int], rhs: int) -> List[Tuple[int, ...]]:
-    """The 2^(k-1) CNF clauses forbidding the wrong-parity assignments."""
-    k = len(vars)
-    out = []
-    for pattern in range(1 << k):
-        if pattern.bit_count() & 1 == rhs:
-            continue  # this parity satisfies the xor; no clause forbids it
-        # Forbid the assignment where var i is True iff pattern bit i is set.
-        out.append(tuple(-v if (pattern >> i) & 1 else v for i, v in enumerate(vars)))
-    return out
-
-
-def nontrivial_solution_formula(f: XorFormula) -> CnfFormula:
-    """CNF satisfiable iff the homogeneous f has a solution other than all-zero.
-
-    Each x + y + z = 0 clause expands to its 4 parity clauses, and one
-    final clause is the disjunction of all n variables: 4m + 1 clauses.
-    """
-    if not f.is_homogeneous:
-        raise ValueError("nontrivial-solution encoding is defined for homogeneous formulas")
-    clauses: List[Tuple[int, ...]] = []
-    for cl in f.clauses:
-        clauses.extend(xor_clause_cnf_expansion(cl.vars, 0))
-    clauses.append(tuple(range(1, f.n + 1)))
-    return CnfFormula(f.n, tuple(clauses))
-
-
 # ---------------------------------------------------------------------------
 # DIMACS formats.
 #
@@ -241,21 +206,19 @@ def _ints(lineno: int, line: str, tokens: List[str]) -> List[int]:
         raise ValueError(f"line {lineno}: non-integer token in {line!r}") from None
 
 
-def _dimacs_records(text: str, kind: str, tags: Tuple[str, ...],
-                    check_count: bool = True) -> Tuple[int, List[Tuple[int, str, List[int]]]]:
+def _dimacs_records(text: str, kind: str, tag: str) -> Tuple[int, List[Tuple[int, List[int]]]]:
     """The header's first number and the body lines of a DIMACS-style file.
 
     Blank lines and lines starting with 'c' are skipped; the header is
-    'p <kind> <a> <b>'. A line '%' (the SATLIB end marker) ends the body
-    and whatever follows it is ignored. Every other line becomes
-    (lineno, tag, ints): tag is a leading word such as 'x' or 'e' (''
-    when the line starts with a number) and must be one of tags. For
+    'p <kind> <a> <b>' and may appear once. A line '%' (the SATLIB end
+    marker) ends the body and whatever follows it is ignored. Every
+    other line becomes (lineno, ints) and must start with tag, a leading
+    word such as 'x' or 'e' ('' for lines that start with a number). For
     kind 'cnf' each line ends in a 0 that is checked and dropped; edge
-    lines carry none. With check_count, b must equal the number of body
-    lines.
+    lines carry none. b must equal the number of body lines.
     """
     n = declared = None
-    records: List[Tuple[int, str, List[int]]] = []
+    records: List[Tuple[int, List[int]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -264,37 +227,33 @@ def _dimacs_records(text: str, kind: str, tags: Tuple[str, ...],
             break
         tokens = line.split()
         if line.startswith("p"):
+            if n is not None:
+                raise ValueError(f"line {lineno}: second DIMACS header")
             if len(tokens) != 4 or tokens[1] != kind:
                 raise ValueError(f"line {lineno}: bad DIMACS header {line!r}")
             n, declared = _ints(lineno, line, tokens[2:])
             continue
         if n is None:
             raise ValueError(f"line {lineno}: clause before header")
-        tag = tokens.pop(0) if tokens[0][0].isalpha() else ""
-        if tag not in tags:
+        if (tokens.pop(0) if tokens[0][0].isalpha() else "") != tag:
             raise ValueError(f"line {lineno}: unexpected line {line!r}")
         ints = _ints(lineno, line, tokens)
         if kind == "cnf":
             if not ints or ints[-1] != 0:
                 raise ValueError(f"line {lineno}: clause not 0-terminated")
             ints.pop()
-        records.append((lineno, tag, ints))
+        records.append((lineno, ints))
     if n is None:
         raise ValueError("missing DIMACS header")
-    if check_count and declared != len(records):
+    if declared != len(records):
         noun = "edges" if kind == "edge" else "clauses"
         raise ValueError(f"header declares {declared} {noun}, found {len(records)}")
     return n, records
 
 
-def _xor_equation(lits: List[int]) -> Tuple[Tuple[int, ...], int]:
-    """(variables, rhs) of an xor line: an odd number of negations means rhs 1."""
-    return tuple(abs(lit) for lit in lits), sum(1 for lit in lits if lit < 0) & 1
-
-
 def import_dimacs(text: str) -> CnfFormula:
-    n, records = _dimacs_records(text, "cnf", ("",))
-    return CnfFormula(n, tuple(tuple(lits) for _, _, lits in records))
+    n, records = _dimacs_records(text, "cnf", "")
+    return CnfFormula(n, tuple(tuple(lits) for _, lits in records))
 
 
 def export_xor_dimacs(f: XorFormula) -> str:
@@ -307,16 +266,7 @@ def export_xor_dimacs(f: XorFormula) -> str:
 
 
 def import_xor_dimacs(text: str) -> XorFormula:
-    n, records = _dimacs_records(text, "cnf", ("x",))
-    return make_formula(n, [_xor_equation(lits) for _, _, lits in records])
-
-
-def import_extended_dimacs(text: str) -> CnfFormula:
-    """Parse a mixed file: plain CNF clause lines plus 'x ...' xor lines.
-
-    The header's clause count is not checked.
-    """
-    n, records = _dimacs_records(text, "cnf", ("", "x"), check_count=False)
-    cnf = tuple(tuple(lits) for _, tag, lits in records if not tag)
-    xors = tuple(sorted(XorClause.make(*_xor_equation(lits)) for _, tag, lits in records if tag))
-    return CnfFormula(n, cnf, xors)
+    n, records = _dimacs_records(text, "cnf", "x")
+    # An odd number of negated literals means rhs 1.
+    return make_formula(n, [([abs(lit) for lit in lits], sum(lit < 0 for lit in lits) & 1)
+                            for _, lits in records])

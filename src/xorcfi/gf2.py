@@ -38,25 +38,6 @@ class Gf2Vector:
             raise IndexError(j)
         return (self.bits >> j) & 1
 
-    def to_tuple(self) -> Tuple[int, ...]:
-        return tuple((self.bits >> j) & 1 for j in range(self.n))
-
-    @classmethod
-    def from_bits(cls, entries: Iterable[int]) -> "Gf2Vector":
-        bits = 0
-        n = 0
-        for e in entries:
-            if e & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
 
 @dataclass(frozen=True)
 class Gf2Matrix:
@@ -74,30 +55,6 @@ class Gf2Matrix:
         for r in self.row_bits:
             if r < 0 or r >> self.cols:
                 raise ValueError("padding bits beyond cols must be zero")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "Gf2Matrix":
-        packed = []
-        width = 0
-        for row in rows:
-            bits = 0
-            k = 0
-            for e in row:
-                if e & 1:
-                    bits |= 1 << k
-                k += 1
-            width = max(width, k)
-            packed.append(bits)
-        if cols is None:
-            cols = width
-        return cls(len(packed), cols, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
 
 
 def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
@@ -220,14 +177,3 @@ def reduced_system(m: Gf2Matrix, b: Gf2Vector) -> Optional[List[Tuple[int, int]]
             continue
         out.append((coeffs, rhs))
     return out
-
-
-def mat_vec(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
-    """Matrix-vector product over GF(2)."""
-    if v.n != m.cols:
-        raise ValueError(f"dimension mismatch: matrix has {m.cols} cols, vector length {v.n}")
-    bits = 0
-    for i, row in enumerate(m.row_bits):
-        if (row & v.bits).bit_count() & 1:
-            bits |= 1 << i
-    return Gf2Vector(m.rows, bits)

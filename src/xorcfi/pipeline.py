@@ -167,9 +167,9 @@ def to_dimacs_graph(g: Graph) -> str:
 
 
 def from_dimacs_graph(text: str) -> Graph:
-    n, records = _dimacs_records(text, "edge", ("e",))
+    n, records = _dimacs_records(text, "edge", "e")
     edges = []
-    for lineno, _, ends in records:
+    for lineno, ends in records:
         if len(ends) != 2:
             raise ValueError(f"line {lineno}: edge line needs 2 endpoints, got {len(ends)}")
         edges.append((ends[0] - 1, ends[1] - 1))
@@ -498,12 +498,11 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
                               f"rank={r} n={f.n}"))
 
     expected = build_graph(f, record.gadget_mode)
+    scheme = VertexScheme(f.n, f.m)
     if record.gadget_mode == GADGET_FULL:
-        want_v = 4 * f.m + 2 * f.n + 3 * (f.n - 1)
-        want_e = 12 * f.m + f.n + 6 * (f.n - 1)
+        want_v, want_e = scheme.full_vertex_count, scheme.full_edge_count
     else:
-        want_v = 4 * f.m + 2 * f.n
-        want_e = 12 * f.m + f.n
+        want_v, want_e = scheme.core_vertex_count, scheme.core_edge_count
     checks.append(CheckResult("vertex_formula", record.vertices == want_v,
                               f"manifest {record.vertices}, formula {want_v}"))
     checks.append(CheckResult("edge_formula", record.edges == want_e,
@@ -524,7 +523,6 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
         checks.append(CheckResult(f"graph_{fmt}_edges", g.edge_count == want_e,
                                   f"file has {g.edge_count}"))
         checks.append(CheckResult(f"graph_{fmt}_matches_formula", g.edges == expected.edges))
-        scheme = VertexScheme(f.n, f.m)
         deg = g.degrees()
         clause_ok = all(
             deg[scheme.clause_vertex(c, t)] == 3 for c in range(1, f.m + 1) for t in range(4)

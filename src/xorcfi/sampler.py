@@ -18,9 +18,6 @@ import numpy as np
 
 from .formula import XorClause, XorFormula
 
-DIST_HOMOGENEOUS = "H"
-DIST_GENERAL = "F"
-
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -28,15 +25,13 @@ class SampleConfig:
     m: Optional[int] = None
     ratio: Optional[float] = None
     seed: int = 0
-    distribution: str = DIST_HOMOGENEOUS
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 variables")
         if self.m is None and self.ratio is None:
             raise ValueError("one of m or ratio is required")
-        if self.distribution not in (DIST_HOMOGENEOUS, DIST_GENERAL):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+        _check_u64(self.seed, "seed")
         m = self.effective_m
         if m < 1:
             raise ValueError("need at least 1 clause")
@@ -53,17 +48,18 @@ class SampleConfig:
 
     @property
     def max_clauses(self) -> int:
-        # Both distributions cap at one equation per variable triple: a
-        # formula cannot hold both x+y+z=0 and x+y+z=1.
         return math.comb(self.n, 3)
+
+
+def _check_u64(value: int, what: str) -> None:
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{what} must fit in 64 bits")
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Philox stream for one trial; streams never collide across trials."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    if not 0 <= trial < 2**64:
-        raise ValueError("trial index must fit in 64 bits")
+    _check_u64(seed, "seed")
+    _check_u64(trial, "trial index")
     return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
 
 
@@ -78,39 +74,15 @@ def _draw_triple(rng: np.random.Generator, n: int) -> tuple:
 
 def sample_homogeneous(cfg: SampleConfig, trial: int = 0) -> XorFormula:
     """m distinct 3-subsets drawn uniformly without replacement, all rhs 0."""
-    if cfg.distribution != DIST_HOMOGENEOUS:
-        raise ValueError("config is not for the homogeneous distribution")
     m = cfg.effective_m
     rng = trial_rng(cfg.seed, trial)
-    total = math.comb(cfg.n, 3)
-    if m > total // 2:
+    if m > cfg.max_clauses // 2:
         chosen = _shuffle_prefix_subsets(rng, cfg.n, m)
     else:
         chosen = set()
         while len(chosen) < m:
             chosen.add(_draw_triple(rng, cfg.n))
     clauses = tuple(sorted(XorClause(t, 0) for t in chosen))
-    return XorFormula(cfg.n, clauses)
-
-
-def sample_general(cfg: SampleConfig, trial: int = 0) -> XorFormula:
-    """m distinct equations (triple, rhs) drawn uniformly without replacement.
-
-    An equation contradicting an earlier draw (same triple, opposite rhs)
-    is skipped and redrawn, since such a pair cannot be represented as a
-    single formula.
-    """
-    if cfg.distribution != DIST_GENERAL:
-        raise ValueError("config is not for the general distribution")
-    m = cfg.effective_m
-    rng = trial_rng(cfg.seed, trial)
-    chosen = {}
-    while len(chosen) < m:
-        t = _draw_triple(rng, cfg.n)
-        rhs = int(rng.integers(0, 2))
-        if t not in chosen:
-            chosen[t] = rhs
-    clauses = tuple(sorted(XorClause(t, r) for t, r in chosen.items()))
     return XorFormula(cfg.n, clauses)
 
 

@@ -294,8 +294,8 @@ def nontrivial_query(f: XorFormula) -> CnfFormula:
     """The xor rows of f plus the all-variables disjunction clause.
 
     Satisfiable exactly when the homogeneous f has a nonzero solution;
-    this is the native-XOR form of the query (the pure-CNF expansion
-    lives in formula.nontrivial_solution_formula).
+    this is the native-XOR form of the query. The pure-CNF expansion,
+    4 parity clauses per xor row, is a test oracle in tests/oracles.py.
     """
     if not f.is_homogeneous:
         raise ValueError("nonzero-solution query is defined for homogeneous formulas")

@@ -1,0 +1,258 @@
+"""Reference implementations that the tests compare the program against.
+
+Each one is exhaustive or written for clarity rather than speed, and is
+meant for small inputs only. Tests import them with
+``from oracles import ...``: this directory has no ``__init__.py``, so
+pytest puts it on ``sys.path``.
+"""
+
+import itertools
+import math
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition, color_refine
+from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
+from xorcfi.formula import CnfFormula, XorFormula
+from xorcfi.gf2 import Gf2Matrix, Gf2Vector
+
+
+# -- GF(2) -------------------------------------------------------------------
+
+
+def matrix_from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> Gf2Matrix:
+    """A matrix from 0/1 entry lists; cols defaults to the longest row."""
+    packed = []
+    width = 0
+    for row in rows:
+        entries = list(row)
+        packed.append(sum(1 << k for k, e in enumerate(entries) if e & 1))
+        width = max(width, len(entries))
+    return Gf2Matrix(len(packed), width if cols is None else cols, tuple(packed))
+
+
+def mat_vec(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
+    """Matrix-vector product over GF(2)."""
+    if v.n != m.cols:
+        raise ValueError(f"dimension mismatch: matrix has {m.cols} cols, vector length {v.n}")
+    bits = 0
+    for i, row in enumerate(m.row_bits):
+        if (row & v.bits).bit_count() & 1:
+            bits |= 1 << i
+    return Gf2Vector(m.rows, bits)
+
+
+# -- formulas ----------------------------------------------------------------
+
+
+def brute_solutions(f: XorFormula) -> List[Tuple[int, ...]]:
+    """All satisfying assignments of f, each clause's parity evaluated directly."""
+    return [bits for bits in itertools.product((0, 1), repeat=f.n)
+            if all(sum(bits[v - 1] for v in cl.vars) & 1 == cl.rhs for cl in f.clauses)]
+
+
+def brute_sat(cnf: CnfFormula) -> bool:
+    """Satisfiability of the clauses plus xor rows, by a vectorized truth table."""
+    count = 1 << cnf.n
+    assignments = np.arange(count, dtype=np.int64)
+    ok = np.ones(count, dtype=bool)
+    for clause in cnf.clauses:
+        sat = np.zeros(count, dtype=bool)
+        for lit in clause:
+            bit = ((assignments >> (abs(lit) - 1)) & 1).astype(bool)
+            sat |= bit if lit > 0 else ~bit
+        ok &= sat
+    for xc in cnf.xors:
+        parity = np.zeros(count, dtype=np.int64)
+        for v in xc.vars:
+            parity ^= (assignments >> (v - 1)) & 1
+        ok &= parity == xc.rhs
+    return bool(ok.any())
+
+
+def xor_clause_cnf_expansion(vars: Sequence[int], rhs: int) -> List[Tuple[int, ...]]:
+    """The 2^(k-1) CNF clauses forbidding the wrong-parity assignments."""
+    out = []
+    for pattern in range(1 << len(vars)):
+        if pattern.bit_count() & 1 == rhs:
+            continue  # this parity satisfies the xor; no clause forbids it
+        # Forbid the assignment where var i is True iff pattern bit i is set.
+        out.append(tuple(-v if (pattern >> i) & 1 else v for i, v in enumerate(vars)))
+    return out
+
+
+def nontrivial_solution_formula(f: XorFormula) -> CnfFormula:
+    """Pure CNF satisfiable iff the homogeneous f has a nonzero solution.
+
+    Each x + y + z = 0 clause expands to its 4 parity clauses, and one
+    final clause is the disjunction of all n variables: 4m + 1 clauses.
+    """
+    if not f.is_homogeneous:
+        raise ValueError("nontrivial-solution encoding is defined for homogeneous formulas")
+    clauses: List[Tuple[int, ...]] = []
+    for cl in f.clauses:
+        clauses.extend(xor_clause_cnf_expansion(cl.vars, 0))
+    clauses.append(tuple(range(1, f.n + 1)))
+    return CnfFormula(f.n, tuple(clauses))
+
+
+# -- partitions and refinement -----------------------------------------------
+
+
+def cells(p: Partition) -> List[List[int]]:
+    """The cells of p in cell-id order, each in ascending order."""
+    out: List[List[int]] = [[] for _ in set(p.cell_of)]
+    for x, c in enumerate(p.cell_of):
+        out[c].append(x)
+    return out
+
+
+def refines(fine: Partition, coarse: Partition) -> bool:
+    """Whether every cell of fine lies inside one cell of coarse."""
+    target = {}
+    for x, c in enumerate(fine.cell_of):
+        if target.setdefault(c, coarse.cell_of[x]) != coarse.cell_of[x]:
+            return False
+    return True
+
+
+def individualize(g: Graph, p: Partition, v: int) -> Partition:
+    """Move v to its own cell, then re-refine."""
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"vertex {v} out of range")
+    labels = [2 * c + 1 for c in p.cell_of]
+    labels[v] -= 1
+    return color_refine(g, Partition.from_labels(labels))
+
+
+# -- automorphisms -----------------------------------------------------------
+
+
+def brute_force_automorphisms(g: Graph) -> AutReport:
+    """Exact automorphism group by checking every vertex permutation.
+
+    The orbit of x is {p(x)} over the whole group, so the orbits need no
+    generator closure.
+    """
+    v = g.vertex_count
+    if v > 10:
+        raise ValueError("brute force is guarded to graphs with at most 10 vertices")
+    auts = [p for p in itertools.permutations(range(v)) if is_automorphism(g, p)]
+    gens = [p for p in auts if any(p[i] != i for i in range(v))]
+    orbits = Partition.from_labels([min(p[x] for p in auts) for x in range(v)])
+    return AutReport(gens, len(auts), orbits, math.factorial(v), STATUS_COMPLETE)
+
+
+def assignment_automorphism(f: XorFormula, assignment: Sequence[int]) -> List[int]:
+    """The vertex permutation of build_full(f) induced by a satisfying assignment.
+
+    Swaps X^0 and X^1 exactly where the assignment is 1, permutes each
+    clause gadget by the corresponding two-variable swap, and fixes the
+    order gadgets. Only defined when the assignment satisfies f.
+    """
+    if not f.is_homogeneous:
+        raise ValueError("assignment-induced automorphisms exist for homogeneous formulas only")
+    if not f.satisfied_by(assignment):
+        raise ValueError("assignment does not satisfy the formula")
+    scheme = VertexScheme(f.n, f.m)
+    perm = list(range(scheme.full_vertex_count))
+    for j in range(1, f.n + 1):
+        if assignment[j - 1]:
+            perm[scheme.var_vertex(j, 0)] = scheme.var_vertex(j, 1)
+            perm[scheme.var_vertex(j, 1)] = scheme.var_vertex(j, 0)
+    tag_of = {tag: idx for idx, tag in enumerate(CLAUSE_TAGS)}
+    for c, cl in enumerate(f.clauses, start=1):
+        # A satisfied clause has an even number of swapped variables, so
+        # xoring tags with the swap mask permutes the gadget's 4 tags.
+        swap = tuple(assignment[v - 1] for v in cl.vars)
+        for tag_index, tag in enumerate(CLAUSE_TAGS):
+            new_tag = tuple(t ^ s for t, s in zip(tag, swap))
+            perm[scheme.clause_vertex(c, tag_index)] = scheme.clause_vertex(c, tag_of[new_tag])
+    return perm
+
+
+# -- k-dimensional Weisfeiler-Leman over V^k tuples --------------------------
+
+
+def _flat_index(tup: Sequence[int], v: int) -> int:
+    out = 0
+    for x in tup:
+        out = out * v + x
+    return out
+
+
+def wl_k(g: Graph, k: int, max_tuples: int = 300_000) -> Partition:
+    """Stable k-tuple partition under the substitution-count condition.
+
+    Tuples start on their ordered-induced-subgraph type (equalities,
+    adjacencies, vertex colors); a round recolors each tuple by the
+    multiset, over all vertices x, of the k-vector of colors obtained by
+    substituting x at each position. Elements of the result are tuples
+    in lexicographic order (flat index sum(u_i * V^(k-1-i))).
+    """
+    if k < 2:
+        raise ValueError("wl_k is defined for k >= 2")
+    v = g.vertex_count
+    total = v**k
+    if total > max_tuples:
+        raise BudgetExceededError(f"{total} tuples exceed the budget of {max_tuples}")
+    if v == 0:
+        return Partition(())
+
+    adj = np.zeros((v, v), dtype=np.int8)
+    for a, b in g.edges:
+        adj[a, b] = 1
+        adj[b, a] = 1
+    vcol = np.zeros(v, dtype=np.int64) if g.colors is None else np.asarray(g.colors, dtype=np.int64)
+
+    comps = np.indices((v,) * k).reshape(k, -1)
+    features = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            features.append((comps[i] == comps[j]).astype(np.int64))
+            features.append(adj[comps[i], comps[j]].astype(np.int64))
+    for i in range(k):
+        features.append(vcol[comps[i]])
+    _, colors = np.unique(np.stack(features, axis=1), axis=0, return_inverse=True)
+    colors = colors.reshape(-1).astype(np.int64)
+
+    # Substituting x at position i moves a flat index by (x - u_i) * v^(k-1-i).
+    vpow = np.array([v ** (k - 1 - i) for i in range(k)], dtype=np.int64)
+    base = [np.arange(total, dtype=np.int64) - comps[i] * vpow[i] for i in range(k)]
+
+    ncolors = int(colors.max()) + 1
+    sig = np.empty((total, v), dtype=np.int64)
+    while True:
+        if ncolors**k > 2**62:
+            raise BudgetExceededError("tuple-color signature would overflow packing")
+        sig.fill(0)
+        for i in range(k):
+            scale = ncolors ** (k - 1 - i)
+            for x in range(v):
+                sig[:, x] += colors[base[i] + x * vpow[i]] * scale
+        sig.sort(axis=1)
+        _, inv = np.unique(np.concatenate([colors[:, None], sig], axis=1),
+                           axis=0, return_inverse=True)
+        inv = inv.reshape(-1).astype(np.int64)
+        new_n = int(inv.max()) + 1
+        if new_n == ncolors:
+            break
+        colors = inv
+        ncolors = new_n
+    return Partition.from_labels(colors.tolist())
+
+
+def wl_indistinguishable(g: Graph, u: int, v: int, k: int, max_tuples: int = 300_000) -> bool:
+    """True when the constant tuples (u,...,u) and (v,...,v) share a cell.
+
+    k = 1 is the refinement level: plain color refinement must leave u
+    and v together.
+    """
+    if u == v:
+        return True
+    if k == 1:
+        return color_refine(g).same_cell(u, v)
+    part = wl_k(g, k, max_tuples=max_tuples)
+    n = g.vertex_count
+    return part.same_cell(_flat_index([u] * k, n), _flat_index([v] * k, n))

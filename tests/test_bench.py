@@ -6,6 +6,7 @@ import stat
 
 import pytest
 
+from xorcfi import bench
 from xorcfi.bench import (
     ADAPTERS,
     MISSING_SOLVER,
@@ -18,7 +19,6 @@ from xorcfi.bench import (
     results_csv,
     run_external,
     run_internal,
-    summarize,
     write_summary,
 )
 from xorcfi.cfi import Graph
@@ -133,9 +133,8 @@ def test_run_internal_timeout_records_limit():
 
 
 def test_empty_results_csv_has_header_only():
-    csv_text, report = summarize([])
-    assert csv_text.splitlines() == ["instance,n_vars,m,vertices,solver,time,status,nodes"]
-    assert report == "no data\n"
+    assert results_csv([]).splitlines() == ["instance,n_vars,m,vertices,solver,time,status,nodes"]
+    assert growth_report([]) == "no data\n"
 
 
 def res(instance, solver, vertices, nodes=None, time_s=1.0, status=STATUS_OK):
@@ -164,11 +163,22 @@ def test_csv_rows_sorted_by_instance_and_solver():
     assert keys == sorted(keys)
 
 
-def test_write_summary_files(tmp_path):
-    results = [res("a", "s", 10, nodes=4), res("b", "s", 20, nodes=16)]
+def test_write_summary_files(tmp_path, monkeypatch):
+    written = []
+    real_write = bench._atomic_write
+    monkeypatch.setattr(bench, "_atomic_write", lambda path, text: (
+        written.append(path.name), real_write(path, text)))
+    results = [res("a", "s", 10, nodes=4), res("b", "s", 20, nodes=16), res("b", "t", 20, time_s=2.0)]
     write_summary(results, tmp_path)
-    assert (tmp_path / "results.csv").exists()
-    assert (tmp_path / "growth.txt").exists()
-    dat = (tmp_path / "s.dat").read_text().splitlines()
-    assert dat[0] == "# vertices cost"
-    assert dat[1].startswith("10 ")
+    # The bytes the plain writes produced before they went through _atomic_write.
+    expected = {
+        "results.csv": b"instance,n_vars,m,vertices,solver,time,status,nodes\r\n"
+                       b"a,1,1,10,s,1.000000,OK,4\r\nb,1,1,20,s,1.000000,OK,16\r\n"
+                       b"b,1,1,20,t,2.000000,OK,\r\n",
+        "growth.txt": b"s: cost ratio 4.000 from 10 to 20 vertices (no fit)\n"
+                      b"t: 1 point(s), nothing to compare\n",
+        "s.dat": b"# vertices cost\n10 4.000000\n20 16.000000\n",
+        "t.dat": b"# vertices cost\n20 2.000000\n",
+    }
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
+    assert sorted(written) == sorted(expected)

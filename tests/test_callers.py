@@ -1,0 +1,64 @@
+"""No code without a caller: every function, class and non-dunder method
+defined in src/xorcfi is referenced by the program itself (src/, scripts/
+or perfbench/), not only by tests.
+
+A reference is a name, an attribute or an import in the parsed code, so
+strings and comments do not count; neither do references from inside the
+definition itself or from inside definitions found unused, so a helper
+reached only from dead code is reported with it. Names are matched bare:
+a method shares its references with every same-named definition.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Kept without a caller, one reason each.
+ALLOWED = {
+    "formula.import_dimacs": "plain `p cnf` reader, a file format README freezes",
+    "formula.export_dimacs": "plain `p cnf` writer, a file format README freezes",
+    "gf2.kernel_basis": "the null space, part of the GF(2) API README documents",
+}
+
+
+def uncalled_names():
+    defs, uses = [], defaultdict(list)
+    for path in sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}[type(node)]
+                uses[getattr(node, name).rsplit(".", 1)[-1]].append((path, node.lineno))
+        if path.parent != ROOT / "src" / "xorcfi":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{path.stem}.{node.name}", node.name, path, node.lineno, node.end_lineno))
+            for sub in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.endswith("__"):
+                    defs.append((f"{path.stem}.{node.name}.{sub.name}", sub.name, path,
+                                 sub.lineno, sub.end_lineno))
+    dead = set()
+    while True:
+        dead_spans = [(p, lo, hi) for qual, _, p, lo, hi in defs if qual in dead]
+        newly_dead = {
+            qual for qual, name, path, first, last in defs
+            if qual not in dead and all(
+                any(p == sp and lo <= i <= hi for sp, lo, hi in dead_spans + [(path, first, last)])
+                for p, i in uses[name])
+        }
+        if not newly_dead:
+            return sorted(dead)
+        dead |= newly_dead
+
+
+def test_every_name_in_src_has_a_caller():
+    missing = [q for q in uncalled_names() if q not in ALLOWED]
+    assert not missing, "called only from tests, or not at all: " + ", ".join(missing)
+
+
+def test_allowlist_is_short_and_current():
+    assert len(ALLOWED) <= 5
+    assert sorted(ALLOWED) == uncalled_names()

@@ -20,13 +20,9 @@ from xorcfi.canon import (
     STATUS_TIMEOUT,
     BudgetExceededError,
     Partition,
-    brute_force_automorphisms,
     color_refine,
-    individualize,
     ir_automorphisms,
     local_consistency,
-    wl_indistinguishable,
-    wl_k,
 )
 from xorcfi.cfi import Graph, build_core, build_full, incidence_graph
 from xorcfi.formula import make_formula, pin, to_matrix
@@ -34,6 +30,15 @@ from xorcfi.gf2 import rank
 from xorcfi.pipeline import PipelineConfig, build_graph, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import SolveBudget
+
+from oracles import (
+    brute_force_automorphisms,
+    cells,
+    individualize,
+    refines,
+    wl_indistinguishable,
+    wl_k,
+)
 
 
 def cycle(n):
@@ -64,7 +69,7 @@ def random_graph(rnd, n, p=0.5, colored=False):
 def test_partition_canonical_order():
     p = Partition.from_labels([5, 3, 5, 9, 3])
     assert p.cell_of == (0, 1, 0, 2, 1)
-    assert p.cells() == [[0, 2], [1, 4], [3]]
+    assert cells(p) == [[0, 2], [1, 4], [3]]
 
 
 def test_partition_rejects_noncanonical():
@@ -75,20 +80,20 @@ def test_partition_rejects_noncanonical():
 def test_partition_refines():
     fine = Partition.from_labels([0, 1, 2, 1])
     coarse = Partition.from_labels([0, 1, 0, 1])
-    assert fine.refines(coarse)
-    assert not coarse.refines(fine)
+    assert refines(fine, coarse)
+    assert not refines(coarse, fine)
 
 
 # -- color refinement ------------------------------------------------------
 
 
 def test_refine_cycle_single_cell():
-    assert color_refine(cycle(6)).num_cells == 1
+    assert len(cells(color_refine(cycle(6)))) == 1
 
 
 def test_refine_path3_endpoints_together():
     p = color_refine(path(3))
-    assert p.cells() == [[0, 2], [1]]
+    assert cells(p) == [[0, 2], [1]]
 
 
 def test_refine_output_is_stable():
@@ -105,7 +110,7 @@ def test_refine_refines_input():
         n = rnd.randint(2, 9)
         g = random_graph(rnd, n)
         initial = Partition.from_labels([rnd.randint(0, 2) for _ in range(n)])
-        assert color_refine(g, initial).refines(initial)
+        assert refines(color_refine(g, initial), initial)
 
 
 def test_refine_coarser_than_orbits():
@@ -113,7 +118,7 @@ def test_refine_coarser_than_orbits():
     for _ in range(25):
         g = random_graph(rnd, rnd.randint(2, 8))
         orbits = brute_force_automorphisms(g).orbit_partition
-        assert orbits.refines(color_refine(g))
+        assert refines(orbits, color_refine(g))
 
 
 def test_refine_respects_initial_colors():
@@ -193,14 +198,14 @@ def test_individualize_discrete_is_noop():
 def test_individualize_cycle_distance_classes():
     g = cycle(6)
     p = individualize(g, color_refine(g), 0)
-    assert sorted(len(c) for c in p.cells()) == [1, 1, 2, 2]
+    assert sorted(len(c) for c in cells(p)) == [1, 1, 2, 2]
     assert p.same_cell(1, 5) and p.same_cell(2, 4)
 
 
 def test_individualize_refines_input():
     g = cycle(8)
     base = color_refine(g)
-    assert individualize(g, base, 3).refines(base)
+    assert refines(individualize(g, base, 3), base)
 
 
 # -- IR automorphism search ------------------------------------------------
@@ -209,14 +214,14 @@ def test_individualize_refines_input():
 def test_k4_symmetric_group():
     rep = ir_automorphisms(complete(4))
     assert rep.group_size == 24
-    assert rep.orbit_partition.num_cells == 1
+    assert len(cells(rep.orbit_partition)) == 1
     assert rep.status == STATUS_COMPLETE
 
 
 def test_path3_reflection():
     rep = ir_automorphisms(path(3))
     assert rep.group_size == 2
-    assert rep.orbit_partition.cells() == [[0, 2], [1]]
+    assert cells(rep.orbit_partition) == [[0, 2], [1]]
 
 
 def test_ir_matches_brute_force_on_200_random_graphs():
@@ -420,7 +425,7 @@ def test_wl2_cycle_distance_classes():
                 assert part.cell_of[idx] == cell_by_dist[d], (u, v)
             else:
                 cell_by_dist[d] = part.cell_of[idx]
-    assert part.num_cells == 4
+    assert len(cells(part)) == 4
 
 
 def test_wl2_separates_what_refinement_separates():
@@ -442,7 +447,7 @@ def test_pair_orbits_refine_wl2():
         # Pair orbits come from applying every group element to every pair.
         perms = [
             p for p in itertools.permutations(range(n))
-            if all(g.has_edge(p[a], p[b]) == g.has_edge(a, b)
+            if all(((min(p[a], p[b]), max(p[a], p[b])) in g.edges) == ((a, b) in g.edges)
                    for a in range(n) for b in range(a + 1, n))
         ]
         labels = {}
@@ -453,7 +458,7 @@ def test_pair_orbits_refine_wl2():
         orbit_part = Partition.from_labels(
             [labels[(u, v)] for u in range(n) for v in range(n)]
         )
-        assert orbit_part.refines(part)
+        assert refines(orbit_part, part)
         assert auts.group_size == len(perms)
 
 

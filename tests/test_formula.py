@@ -13,13 +13,10 @@ from xorcfi.formula import (
     XorFormula,
     export_dimacs,
     export_xor_dimacs,
-    homogeneous_companion,
     import_dimacs,
-    import_extended_dimacs,
     import_xor_dimacs,
     is_uniquely_satisfiable,
     make_formula,
-    nontrivial_solution_formula,
     pin,
     to_matrix,
 )
@@ -27,22 +24,10 @@ from xorcfi.gf2 import kernel_basis, rank
 from xorcfi.pipeline import from_dimacs_graph
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
+from oracles import brute_sat, brute_solutions, nontrivial_solution_formula
+
 
 # -- oracles ---------------------------------------------------------------
-
-
-def eval_clause(triple, rhs, assignment):
-    a, b, c = triple
-    return (assignment[a - 1] ^ assignment[b - 1] ^ assignment[c - 1]) == rhs
-
-
-def brute_solutions(f):
-    """All satisfying assignments by direct clause evaluation."""
-    sols = []
-    for bits in itertools.product((0, 1), repeat=f.n):
-        if all(eval_clause(cl.vars, cl.rhs, bits) for cl in f.clauses):
-            sols.append(bits)
-    return sols
 
 
 def eval_cnf(cnf, assignment):
@@ -50,10 +35,6 @@ def eval_cnf(cnf, assignment):
         any((assignment[abs(l) - 1] == 1) == (l > 0) for l in clause)
         for clause in cnf.clauses
     )
-
-
-def cnf_satisfiable(cnf):
-    return any(eval_cnf(cnf, bits) for bits in itertools.product((0, 1), repeat=cnf.n))
 
 
 def formulas(max_n=8, homogeneous=True):
@@ -111,15 +92,6 @@ def test_clause_order_is_canonical():
     assert [cl.vars for cl in f.clauses] == [(1, 2, 3), (1, 2, 5), (2, 3, 4)]
 
 
-def test_homogeneous_companion():
-    f = make_formula(4, [((1, 2, 3), 1), ((1, 2, 4), 0), ((2, 3, 4), 1)])
-    comp = homogeneous_companion(f)
-    assert [cl.vars for cl in comp.clauses] == [cl.vars for cl in f.clauses]
-    assert comp.is_homogeneous
-    assert homogeneous_companion(comp) == comp
-    assert homogeneous_companion(COMPLETE) == COMPLETE
-
-
 # -- pinning ---------------------------------------------------------------
 
 
@@ -159,7 +131,7 @@ def test_to_matrix_single_clause():
     h, b = to_matrix(f)
     assert (h.rows, h.cols) == (1, 3)
     assert h.row_bits == (0b111,)
-    assert b.to_tuple() == (1,)
+    assert (b.n, b.bits) == (1, 0b1)
 
 
 def test_to_matrix_empty():
@@ -177,7 +149,7 @@ def test_to_matrix_pinned_appends_unit_row():
     h, b = to_matrix(pin(TWO_CLAUSE, 3, 1))
     assert h.rows == 3
     assert h.row_bits[2] == 0b100
-    assert b.to_tuple() == (0, 0, 1)
+    assert (b.n, b.bits) == (3, 0b100)
 
 
 # -- unique satisfiability -------------------------------------------------
@@ -246,11 +218,11 @@ def test_cnf_clause_count():
 def test_cnf_kernel_witness_satisfies():
     cnf = nontrivial_solution_formula(TWO_CLAUSE)
     assert eval_cnf(cnf, (0, 1, 1, 1))
-    assert cnf_satisfiable(cnf)
+    assert brute_sat(cnf)
 
 
 def test_cnf_unsat_for_complete_triples():
-    assert not cnf_satisfiable(nontrivial_solution_formula(COMPLETE))
+    assert not brute_sat(nontrivial_solution_formula(COMPLETE))
 
 
 def test_cnf_rejects_nonhomogeneous():
@@ -263,7 +235,7 @@ def test_cnf_rejects_nonhomogeneous():
 def test_cnf_satisfiable_iff_kernel_nonempty(f):
     h, _ = to_matrix(f)
     kernel_nonempty = len(kernel_basis(h)) > 0
-    assert cnf_satisfiable(nontrivial_solution_formula(f)) == kernel_nonempty
+    assert brute_sat(nontrivial_solution_formula(f)) == kernel_nonempty
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,14 +298,12 @@ def test_dimacs_errors_carry_line_context():
 DIMACS_PARSERS = {
     "cnf": import_dimacs,
     "xor": import_xor_dimacs,
-    "extended": import_extended_dimacs,
     "graph": from_dimacs_graph,
 }
 # Each parser's header (declared count left open) and two well-formed body lines.
 DIMACS_SHAPES = {
     "cnf": ("p cnf 4 {}", "1 -2 3 0", "-1 4 0"),
     "xor": ("p cnf 4 {}", "x 1 2 3 0", "x -2 3 4 0"),
-    "extended": ("p cnf 4 {}", "x 1 2 3 0", "-1 4 0"),
     "graph": ("p edge 4 {}", "e 1 2", "e 2 3"),
 }
 ALL_PARSERS = set(DIMACS_PARSERS)
@@ -345,11 +315,11 @@ def _second_token(line, token):
     return " ".join(tokens)
 
 
-# case -> (text built from a shape, the parsers that accept it). The
-# extended reader does not check the declared count, and edge lines
-# carry no 0 terminator. Against the readers' earlier separate
+# case -> (text built from a shape, the parsers that accept it). Edge
+# lines carry no 0 terminator. Against the readers' earlier separate
 # implementations, the graph reader used to accept edge lines before the
-# header, and every reader rejected the SATLIB '%' end marker.
+# header, and every reader rejected the SATLIB '%' end marker; until
+# second headers were rejected, a later header replaced the first.
 DIMACS_CASES = {
     "well_formed": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n", ALL_PARSERS),
     "comments_and_blank_lines": (
@@ -360,8 +330,10 @@ DIMACS_CASES = {
     "clause_before_header": (lambda h, a, b: f"{a}\n{h.format(2)}\n{b}\n", set()),
     "missing_0_terminator": (
         lambda h, a, b: f"{h.format(2)}\n{a.removesuffix(' 0')}\n{b}\n", {"graph"}),
-    "count_too_high": (lambda h, a, b: f"{h.format(3)}\n{a}\n{b}\n", {"extended"}),
-    "count_too_low": (lambda h, a, b: f"{h.format(1)}\n{a}\n{b}\n", {"extended"}),
+    "count_too_high": (lambda h, a, b: f"{h.format(3)}\n{a}\n{b}\n", set()),
+    "count_too_low": (lambda h, a, b: f"{h.format(1)}\n{a}\n{b}\n", set()),
+    "second_header": (
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n{h.replace(' 4 ', ' 9 ').format(2)}\n", set()),
     "unexpected_tag": (lambda h, a, b: f"{h.format(2)}\n{a}\nq 1 2 0\n", set()),
     "non_integer_header_token": (
         lambda h, a, b: f"{h.format(2).replace(' 4 ', ' three ')}\n{a}\n{b}\n", set()),
@@ -375,7 +347,7 @@ DIMACS_CASES = {
 LINE_CONTEXT_CASES = {
     "bad_header_field_count", "bad_header_kind", "clause_before_header",
     "missing_0_terminator", "unexpected_tag", "non_integer_header_token",
-    "non_integer_body_token",
+    "non_integer_body_token", "second_header",
 }
 
 

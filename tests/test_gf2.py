@@ -2,15 +2,16 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorcfi import gf2
 from xorcfi.formula import is_uniquely_satisfiable, pin, to_matrix
-from xorcfi.gf2 import Gf2Matrix, Gf2Vector, kernel_basis, mat_vec, rank, reduced_system, solve
-from xorcfi.sampler import DIST_GENERAL, SampleConfig, sample_general, sample_homogeneous
+from xorcfi.gf2 import Gf2Matrix, Gf2Vector, kernel_basis, rank, reduced_system, solve
+from xorcfi.sampler import SampleConfig, sample_homogeneous
+
+from oracles import mat_vec, matrix_from_rows
 
 
 # -- oracles ---------------------------------------------------------------
@@ -131,14 +132,14 @@ def matrices(max_rows=6, max_cols=8):
 
 # -- frozen examples -------------------------------------------------------
 
-COMPLETE_TRIPLES = Gf2Matrix.from_rows(
+COMPLETE_TRIPLES = matrix_from_rows(
     [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]]
 )
-DEPENDENT_ROWS = Gf2Matrix.from_rows([[1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1]], cols=4)
+DEPENDENT_ROWS = matrix_from_rows([[1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1]], cols=4)
 
 
 def test_rank_identity():
-    assert rank(Gf2Matrix.identity(3)) == 3
+    assert rank(Gf2Matrix(3, 3, (0b001, 0b010, 0b100))) == 3
 
 
 def test_rank_empty_matrix():
@@ -158,7 +159,7 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Gf2Matrix.identity(4)) == []
+    assert kernel_basis(Gf2Matrix(4, 4, (0b0001, 0b0010, 0b0100, 0b1000))) == []
 
 
 def test_kernel_complete_triples_empty():
@@ -169,7 +170,7 @@ def test_kernel_dependent_rows():
     basis = kernel_basis(DEPENDENT_ROWS)
     assert len(basis) == 2
     for v in basis:
-        assert mat_vec(DEPENDENT_ROWS, v).is_zero()
+        assert mat_vec(DEPENDENT_ROWS, v).bits == 0
     # The basis spans exactly the brute-force kernel.
     spanned = set()
     for c0, c1 in itertools.product((0, 1), repeat=2):
@@ -178,17 +179,17 @@ def test_kernel_dependent_rows():
 
 
 def test_solve_identity():
-    x = solve(Gf2Matrix.identity(3), Gf2Vector.from_bits([1, 0, 1]))
-    assert x.to_tuple() == (1, 0, 1)
+    x = solve(Gf2Matrix(3, 3, (0b001, 0b010, 0b100)), Gf2Vector(3, 0b101))
+    assert x == Gf2Vector(3, 0b101)
 
 
 def test_solve_homogeneous_is_zero():
     x = solve(DEPENDENT_ROWS, Gf2Vector(3, 0))
-    assert x is not None and x.is_zero()
+    assert x == Gf2Vector(4, 0)
 
 
 def test_solve_complete_triples_unique():
-    b = Gf2Vector.from_bits([1, 0, 0, 0])
+    b = Gf2Vector(4, 0b0001)
     sols = brute_solutions(COMPLETE_TRIPLES.row_bits, 4, b.bits)
     assert len(sols) == 1
     x = solve(COMPLETE_TRIPLES, b)
@@ -224,7 +225,7 @@ def test_rank_plus_nullity(m):
 def test_kernel_vectors_annihilate(m):
     basis = kernel_basis(m)
     for v in basis:
-        assert mat_vec(m, v).is_zero()
+        assert mat_vec(m, v).bits == 0
     assert len({v.bits for v in basis}) == len(basis)
     assert (1 << len(basis)) == len(brute_kernel(m.row_bits, m.cols))
 
@@ -293,13 +294,11 @@ def test_reducer_matches_reference_on_sampled_formulas(n):
     rng = random.Random(n)
     for ratio in (0.5, 1.0, 2.0):
         for seed in range(3 if n < 200 else 1):
-            cfg = SampleConfig(n=n, ratio=ratio, seed=seed)
-            general = replace(cfg, distribution=DIST_GENERAL)
-            for f in (sample_homogeneous(cfg), sample_general(general)):
-                h, b = to_matrix(f)
-                assert_matches_reference(h, [b] + consistent_and_random_rhs(h, rng))
-                ph, pb = to_matrix(pin(f, rng.randint(1, n), 1))
-                assert_matches_reference(ph, [pb])
+            f = sample_homogeneous(SampleConfig(n=n, ratio=ratio, seed=seed))
+            h, b = to_matrix(f)
+            assert_matches_reference(h, [b] + consistent_and_random_rhs(h, rng))
+            ph, pb = to_matrix(pin(f, rng.randint(1, n), 1))
+            assert_matches_reference(ph, [pb])
 
 
 def test_reducer_matches_reference_at_n1000():

@@ -1,5 +1,6 @@
 """Pipeline: file formats, filters, determinism, validation."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -341,9 +342,22 @@ def test_cli_generate_and_check(tmp_path):
     assert main(["check"] + manifests) == 0
 
 
-def test_cli_sample_then_build(tmp_path):
+# sha256 of what `sample` and `build` wrote before they went through _atomic_write.
+CLI_SAMPLE_BUILD_DIGESTS = {
+    "formulas/n0006_s4_t0000.xcnf": "98b168572cee3baaf9aefcdb4e77e2713995631cadd0a85c227739417509acdb",
+    "formulas/n0006_s4_t0001.xcnf": "470672d0e348f21cc5fbb8570ac9038f5fd25f30cd18bf29323007a49414b726",
+    "graphs/n0006_s4_t0000.dimacs": "1e635691fcc9ec893ec7e0d4f9230863630207f970df8225aacfe6c67273cb1c",
+    "graphs/n0006_s4_t0001.dimacs": "e8baec4483679239d4cf9dead78643707c4e7d801f60af1cd1241fbfb91b7a9d",
+}
+
+
+def test_cli_sample_then_build(tmp_path, monkeypatch):
+    from xorcfi import cli
     from xorcfi.cli import main
 
+    written = []
+    monkeypatch.setattr(cli, "_atomic_write", lambda path, text: (
+        written.append(path.relative_to(tmp_path).as_posix()), _atomic_write(path, text)))
     sample_dir = tmp_path / "formulas"
     assert main(["sample", "--n", "6", "--m", "8", "--seed", "4", "--count", "2",
                  "--out", str(sample_dir)]) == 0
@@ -356,6 +370,24 @@ def test_cli_sample_then_build(tmp_path):
     assert len(built) == 2
     g = from_dimacs_graph(built[0].read_text())
     assert g.vertex_count == 2 * 6 + 4 * 8
+    digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*") if p.is_file()}
+    assert digests == CLI_SAMPLE_BUILD_DIGESTS  # byte-identical, and no *.tmp left behind
+    assert sorted(written) == sorted(CLI_SAMPLE_BUILD_DIGESTS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--n", "2", "--ratio", "1"], "need at least 3 variables"),
+    (["generate", "--n", "10", "--ratio", "2", "--count", "0"], "need at least one trial"),
+    (["sample", "--n", "10", "--ratio", "2", "--seed", "-1"], "seed must fit in 64 bits"),
+])
+def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, message):
+    from xorcfi.cli import main
+
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "d").exists()
 
 
 # -- scripts ---------------------------------------------------------------

@@ -5,13 +5,7 @@ from collections import Counter
 
 import pytest
 
-from xorcfi.sampler import (
-    DIST_GENERAL,
-    SampleConfig,
-    sample_general,
-    sample_homogeneous,
-    trial_rng,
-)
+from xorcfi.sampler import SampleConfig, sample_homogeneous, trial_rng
 
 
 def test_forced_single_triple():
@@ -58,7 +52,7 @@ def test_m_bounds_validated():
     with pytest.raises(ValueError):
         SampleConfig(n=4, m=5, seed=0)
     with pytest.raises(ValueError):
-        SampleConfig(n=3, m=2, seed=0, distribution=DIST_GENERAL)
+        SampleConfig(n=3, m=2, seed=0)
     with pytest.raises(ValueError):
         SampleConfig(n=2, m=1, seed=0)
     with pytest.raises(ValueError):
@@ -71,30 +65,15 @@ def test_ratio_resolves_m():
     assert sample_homogeneous(cfg).m == 20
 
 
-def test_general_forced_and_deterministic():
-    cfg = SampleConfig(n=3, m=1, seed=5, distribution=DIST_GENERAL)
-    assert sample_general(cfg, 2) == sample_general(cfg, 2)
-    f = sample_general(cfg)
-    assert f.clauses[0].vars == (1, 2, 3)
-
-
-def test_general_no_contradictory_pairs():
-    for trial in range(30):
-        f = sample_general(SampleConfig(n=6, m=10, seed=77, distribution=DIST_GENERAL), trial)
-        assert len({cl.vars for cl in f.clauses}) == f.m
-
-
-def test_general_single_draw_uniform_over_equations():
-    # 2 * C(4,3) = 8 distinct equations on 4 variables; frequency of each
-    # over 10000 seeded draws stays within 0.01 of 1/8.
+def test_single_draw_uniform_over_triples():
+    # C(5,3) = 10 distinct triples on 5 variables; frequency of each over
+    # 10000 seeded draws stays within 0.01 of 1/10.
     counts = Counter()
     for trial in range(10000):
-        f = sample_general(SampleConfig(n=4, m=1, seed=2024, distribution=DIST_GENERAL), trial)
-        cl = f.clauses[0]
-        counts[(cl.vars, cl.rhs)] += 1
-    assert len(counts) == 8
+        counts[sample_homogeneous(SampleConfig(n=5, m=1, seed=2024), trial).clauses[0].vars] += 1
+    assert len(counts) == 10
     for count in counts.values():
-        assert abs(count / 10000 - 1 / 8) < 0.01
+        assert abs(count / 10000 - 1 / 10) < 0.01
 
 
 def test_seed_and_trial_must_fit_64_bits():
@@ -102,3 +81,7 @@ def test_seed_and_trial_must_fit_64_bits():
         trial_rng(-1, 0)
     with pytest.raises(ValueError):
         trial_rng(0, 2**64)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            SampleConfig(n=3, m=1, seed=seed)
+    SampleConfig(n=3, m=1, seed=2**64 - 1)

@@ -2,12 +2,11 @@
 
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorcfi import xorsat
-from xorcfi.formula import CnfFormula, XorClause, import_extended_dimacs, make_formula
+from xorcfi.formula import CnfFormula, XorClause, make_formula
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
     BUDGET_EXHAUSTED,
@@ -19,27 +18,10 @@ from xorcfi.xorsat import (
     solve,
 )
 
+from oracles import brute_sat
+
 
 # -- oracle ----------------------------------------------------------------
-
-
-def brute_verdict(cnf: CnfFormula) -> bool:
-    """Satisfiability by evaluating every assignment, vectorized."""
-    count = 1 << cnf.n
-    assignments = np.arange(count, dtype=np.int64)
-    ok = np.ones(count, dtype=bool)
-    for clause in cnf.clauses:
-        sat = np.zeros(count, dtype=bool)
-        for lit in clause:
-            bit = ((assignments >> (abs(lit) - 1)) & 1).astype(bool)
-            sat |= bit if lit > 0 else ~bit
-        ok &= sat
-    for xc in cnf.xors:
-        parity = np.zeros(count, dtype=np.int64)
-        for v in xc.vars:
-            parity ^= (assignments >> (v - 1)) & 1
-        ok &= parity == xc.rhs
-    return bool(ok.any())
 
 
 def check_model(cnf: CnfFormula, model) -> bool:
@@ -77,7 +59,7 @@ TWO_CLAUSE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0)])
 
 def test_unique_system_query_unsat_both_modes():
     query = nontrivial_query(COMPLETE)
-    assert not brute_verdict(query)
+    assert not brute_sat(query)
     for use_gauss in (False, True):
         stats = solve(query, use_gauss=use_gauss)
         assert stats.result == UNSAT
@@ -85,7 +67,7 @@ def test_unique_system_query_unsat_both_modes():
 
 def test_degenerate_system_query_sat_with_nonzero_model():
     query = nontrivial_query(TWO_CLAUSE)
-    assert brute_verdict(query)
+    assert brute_sat(query)
     for use_gauss in (False, True):
         stats = solve(query, use_gauss=use_gauss)
         assert stats.result == SAT
@@ -104,7 +86,7 @@ def test_verdict_agrees_with_brute_force_on_200_inputs():
     rnd = random.Random(424242)
     for i in range(200):
         cnf = random_inputs(rnd, n_max=16 if i % 4 == 0 else 10)
-        expected = brute_verdict(cnf)
+        expected = brute_sat(cnf)
         plain = solve(cnf, use_gauss=False)
         gauss = solve(cnf, use_gauss=True)
         assert plain.result == (SAT if expected else UNSAT), cnf
@@ -183,7 +165,7 @@ def test_gauss_mode_refutes_unsorted_contradictory_xor_rows():
     # CnfFormula keeps XOR rows as given, so they may be unsorted and contradict.
     cnf = CnfFormula(4, (), (XorClause((2, 3, 4), 0), XorClause((1, 2, 3), 1),
                              XorClause((1, 2, 3), 0)))
-    assert not brute_verdict(cnf)
+    assert not brute_sat(cnf)
     assert solve(cnf).result == UNSAT
     stats = solve(cnf, use_gauss=True)
     assert stats.result == UNSAT and stats.decisions == 0
@@ -218,15 +200,14 @@ def test_nontrivial_query_shape():
     assert q.xors == TWO_CLAUSE.clauses
 
 
-# -- format intake ---------------------------------------------------------
+# -- mixed input -----------------------------------------------------------
 
 
-def test_reads_extended_dimacs():
-    text = "p cnf 4 3\n1 2 3 4 0\nx 1 2 3 0\nx -1 2 4 0\n"
-    cnf = import_extended_dimacs(text)
-    assert cnf.clauses == ((1, 2, 3, 4),)
-    assert cnf.xors == (XorClause((1, 2, 3), 0), XorClause((1, 2, 4), 1))
-    assert solve(cnf).result == (SAT if brute_verdict(cnf) else UNSAT)
+def test_solves_mixed_cnf_and_xor_rows():
+    cnf = CnfFormula(4, ((1, 2, 3, 4),), (XorClause((1, 2, 3), 0), XorClause((1, 2, 4), 1)))
+    expected = SAT if brute_sat(cnf) else UNSAT
+    assert solve(cnf).result == expected
+    assert solve(cnf, use_gauss=True).result == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,7 +217,7 @@ def test_tautologies_and_duplicates_handled(rnd):
     clauses = [(1, -1, 2), (2, 2, -1), (min(n, 2),)]
     cnf = CnfFormula(n, tuple(tuple(c) for c in clauses))
     stats = solve(cnf)
-    assert (stats.result == SAT) == brute_verdict(cnf)
+    assert (stats.result == SAT) == brute_sat(cnf)
 
 
 # -- golden counters -------------------------------------------------------
