@@ -10,6 +10,7 @@ Example:
 import argparse
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from xorcfi.bench import run_internal, write_summary
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
                                instance=outcome.record.instance_id,
                                cell_strategy=args.cell_strategy,
                                max_nodes=args.max_nodes)
-            results.append(res.with_meta(n, m, g.vertex_count))
+            results.append(replace(res, n_vars=n, m=m, vertices=g.vertex_count))
             nodes.append(res.nodes)
             print(f"n={n} {outcome.record.instance_id}: {res.status} "
                   f"nodes={res.nodes} time={res.time_s:.2f}s")

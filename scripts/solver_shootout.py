@@ -15,6 +15,7 @@ Example:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from xorcfi.bench import run_external, run_internal, write_summary
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
                                    max_nodes=args.max_nodes)
             else:
                 res = run_external(solver, dre_path, timeout=args.timeout)
-            res = res.with_meta(record.n, record.m, record.vertices)
+            res = replace(res, n_vars=record.n, m=record.m, vertices=record.vertices)
             results.append(res)
             extra = f" ({res.error})" if res.error else ""
             print(f"{record.instance_id} {solver}: {res.status} "

@@ -48,11 +48,6 @@ class BenchResult:
     m: Optional[int] = None
     vertices: Optional[int] = None
 
-    def with_meta(self, n_vars: int, m: int, vertices: int) -> "BenchResult":
-        return BenchResult(self.instance, self.solver, self.version, self.time_s,
-                           self.status, self.group_size, self.nodes, self.error,
-                           n_vars, m, vertices)
-
 
 @dataclass(frozen=True)
 class SolverAdapter:
@@ -192,19 +187,23 @@ def _cost_of(r: BenchResult) -> Optional[float]:
     return None
 
 
-def growth_report(results: Sequence[BenchResult]) -> str:
-    """Per-solver log(cost) vs vertices fit; a ratio line below 3 points."""
-    lines = []
+def _cost_points(results: Sequence[BenchResult]) -> Dict[str, List[Tuple[int, float]]]:
+    """Each solver's sorted (vertices, cost) points; results lacking either are left out."""
     by_solver: Dict[str, List[Tuple[int, float]]] = {}
     for r in results:
         cost = _cost_of(r)
-        if cost is None or cost <= 0 or r.vertices is None:
+        if cost is not None and r.vertices is not None:
+            by_solver.setdefault(r.solver, []).append((r.vertices, cost))
+    return {solver: sorted(points) for solver, points in by_solver.items()}
+
+
+def growth_report(results: Sequence[BenchResult]) -> str:
+    """Per-solver log(cost) vs vertices fit; a ratio line below 3 points."""
+    lines = []
+    for solver, points in sorted(_cost_points(results).items()):
+        points = [(v, c) for v, c in points if c > 0]
+        if not points:
             continue
-        by_solver.setdefault(r.solver, []).append((r.vertices, cost))
-    if not by_solver:
-        return "no data\n"
-    for solver in sorted(by_solver):
-        points = sorted(by_solver[solver])
         if len(points) < 2:
             lines.append(f"{solver}: {len(points)} point(s), nothing to compare")
             continue
@@ -222,7 +221,7 @@ def growth_report(results: Sequence[BenchResult]) -> str:
             if slope > 0 else
             f"{solver}: log-cost slope {slope:.6f} per vertex over {len(points)} points (not growing)"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else "no data\n"
 
 
 def write_summary(results: Sequence[BenchResult], out_dir: Union[str, Path]) -> None:
@@ -231,12 +230,6 @@ def write_summary(results: Sequence[BenchResult], out_dir: Union[str, Path]) -> 
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "results.csv", results_csv(results))
     _atomic_write(out / "growth.txt", growth_report(results))
-    by_solver: Dict[str, List[Tuple[int, float]]] = {}
-    for r in results:
-        cost = _cost_of(r)
-        if cost is None or r.vertices is None:
-            continue
-        by_solver.setdefault(r.solver, []).append((r.vertices, cost))
-    for solver, points in by_solver.items():
-        body = "".join(f"{v} {c:.6f}\n" for v, c in sorted(points))
+    for solver, points in _cost_points(results).items():
+        body = "".join(f"{v} {c:.6f}\n" for v, c in points)
         _atomic_write(out / f"{solver}.dat", "# vertices cost\n" + body)

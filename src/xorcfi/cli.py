@@ -10,8 +10,9 @@ from typing import List, Optional
 
 from .formula import export_xor_dimacs, import_xor_dimacs
 from .pipeline import (
-    GADGET_CORE,
     GADGET_FULL,
+    GADGETS,
+    GRAPH_FILES,
     PipelineConfig,
     _atomic_write,
     build_graph,
@@ -38,7 +39,7 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 def _budget(args) -> SolveBudget:
     if args.budget_decisions is None and args.budget_seconds is None:
-        return SolveBudget(max_decisions=100_000)
+        return PipelineConfig.budget  # the field's default
     return SolveBudget(max_decisions=args.budget_decisions, max_seconds=args.budget_seconds)
 
 
@@ -87,8 +88,7 @@ def cmd_generate(args) -> int:
             gadget_mode=args.gadget,
             gauss_threshold=args.gauss_threshold,
             wl1_filter=args.wl1_filter,
-            solver_budget=_budget(args),
-            ir_budget=_budget(args),
+            budget=_budget(args),
             formats=tuple(args.format),
         )
     except ValueError as exc:
@@ -129,21 +129,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("build", help="lift formula files into graphs")
     p.add_argument("formula", nargs="+", help="xor-extension DIMACS files")
-    p.add_argument("--gadget", choices=[GADGET_FULL, GADGET_CORE], default=GADGET_FULL)
-    p.add_argument("--format", choices=["dre", "dimacs"], default="dre")
+    p.add_argument("--gadget", choices=GADGETS, default=GADGET_FULL)
+    p.add_argument("--format", choices=list(GRAPH_FILES), default="dre")
     _add_output_args(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("generate", help="run the full sample/filter/build pipeline")
     _add_sampling_args(p)
-    p.add_argument("--gadget", choices=[GADGET_FULL, GADGET_CORE], default=GADGET_FULL)
+    p.add_argument("--gadget", choices=GADGETS, default=GADGET_FULL)
     p.add_argument("--gauss-threshold", type=float, default=5.0,
                    help="minimum decision-cost ratio to accept")
     p.add_argument("--wl1-filter", action="store_true",
                    help="also require refinement to keep every X^0/X^1 pair together")
     p.add_argument("--budget-decisions", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--format", choices=["dre", "dimacs"], action="append",
+    p.add_argument("--format", choices=list(GRAPH_FILES), action="append",
                    default=None, help="graph format(s) to write (repeatable)")
     _add_output_args(p)
     p.set_defaults(func=cmd_generate)

@@ -72,9 +72,6 @@ class XorFormula:
     def is_homogeneous(self) -> bool:
         return all(cl.rhs == 0 for cl in self.clauses)
 
-    def satisfied_by(self, assignment: Sequence[int]) -> bool:
-        return all(cl.satisfied_by(assignment) for cl in self.clauses)
-
 
 @dataclass(frozen=True)
 class PinnedSystem:
@@ -97,9 +94,6 @@ class PinnedSystem:
     @property
     def n(self) -> int:
         return self.formula.n
-
-    def satisfied_by(self, assignment: Sequence[int]) -> bool:
-        return assignment[self.var - 1] == self.value and self.formula.satisfied_by(assignment)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union, get_type_hints
 
 from . import __version__
 from .canon import color_refine, ir_automorphisms
@@ -39,12 +38,14 @@ logger = logging.getLogger(__name__)
 
 GADGET_FULL = "full"
 GADGET_CORE = "core"
+GADGETS = (GADGET_FULL, GADGET_CORE)
 
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.txt"
 FORMULA_NAME = "formula.xcnf"
 DRE_NAME = "graph.dre"
 DIMACS_NAME = "graph.dimacs"
+GRAPH_FILES = {"dre": DRE_NAME, "dimacs": DIMACS_NAME}
 
 REJECT_PHI_SYMMETRIC = "phi_symmetric"
 REJECT_NOT_UNIQUE = "not_uniquely_satisfiable"
@@ -63,12 +64,11 @@ class PipelineConfig:
     gadget_mode: str = GADGET_FULL
     gauss_threshold: float = 5.0
     wl1_filter: bool = False
-    solver_budget: SolveBudget = SolveBudget(max_decisions=100_000)
-    ir_budget: SolveBudget = SolveBudget(max_decisions=50_000)
+    budget: SolveBudget = SolveBudget(max_decisions=100_000)  # IR filter and both DPLL runs
     formats: Tuple[str, ...] = ("dre",)
 
     def __post_init__(self):
-        if self.gadget_mode not in (GADGET_FULL, GADGET_CORE):
+        if self.gadget_mode not in GADGETS:
             raise ValueError(f"unknown gadget mode {self.gadget_mode!r}")
         m = self.sample_config.effective_m  # SampleConfig checks m or ratio and m <= C(n, 3)
         if m < self.n:
@@ -79,24 +79,21 @@ class PipelineConfig:
         if self.trials < 1:
             raise ValueError("need at least one trial")
         for fmt in self.formats:
-            if fmt not in ("dre", "dimacs"):
+            if fmt not in GRAPH_FILES:
                 raise ValueError(f"unknown graph format {fmt!r}")
-        if self.solver_budget.max_decisions is None and self.solver_budget.max_seconds is None:
-            raise ValueError("solver budget must be bounded")
-        if self.ir_budget.max_decisions is None and self.ir_budget.max_seconds is None:
-            raise ValueError("ir budget must be bounded")
+        if self.budget.max_decisions is None and self.budget.max_seconds is None:
+            raise ValueError("budget must be bounded")
 
     @property
     def sample_config(self) -> SampleConfig:
         return SampleConfig(n=self.n, m=self.m, ratio=self.ratio, seed=self.seed)
 
-    @property
-    def effective_m(self) -> int:
-        return self.sample_config.effective_m
-
 
 @dataclass(frozen=True)
 class InstanceRecord:
+    """One accepted instance. Its fields, in order, are the manifest's lines
+    after `schema_version`; file paths are relative to the batch directory."""
+
     instance_id: str
     n: int
     m: int
@@ -113,8 +110,11 @@ class InstanceRecord:
     formula_file: str
     graph_dre: Optional[str]
     graph_dimacs: Optional[str]
-    manifest_file: str
     tool_version: str
+
+    @property
+    def manifest_file(self) -> str:
+        return f"{self.instance_id}/{MANIFEST_NAME}"
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,8 @@ def from_dre(text: str) -> Graph:
                 edges.add((u, int(tok)))
         if terminated:
             break
+    else:
+        raise ValueError("dreadnaut body ends without its '.' terminator")
     return Graph.from_edges(n, edges)
 
 
@@ -227,87 +229,52 @@ def build_graph(f: XorFormula, gadget_mode: str) -> Graph:
 # Manifests.
 
 
-def _fmt_value(value) -> str:
-    if value is None:
-        return "skipped"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value) if math.isfinite(value) else ("inf" if value > 0 else "-inf")
-    return str(value)
+def _optional(codec, none_text: str):
+    write, read = codec
+    return (lambda v: none_text if v is None else write(v),
+            lambda s: None if s == none_text else read(s))
 
 
-MANIFEST_FIELDS = (
-    "schema_version", "instance_id", "n", "m", "seed", "trial", "gadget_mode",
-    "clause_digest", "phi_asymmetric", "uniquely_satisfiable", "gauss_ratio",
-    "wl1_nonseparating", "vertices", "edges", "formula_file", "graph_dre",
-    "graph_dimacs", "tool_version",
-)
+_BOOL_CODEC = (lambda v: "true" if v else "false", lambda s: s == "true")
+
+# (writer, reader) of each field type. None reads `skipped` for a filter
+# that did not run and `absent` for a file that was not written.
+_TYPE_CODECS = {
+    int: (str, int),
+    float: (repr, float),
+    str: (str, str),
+    bool: _BOOL_CODEC,
+    Optional[bool]: _optional(_BOOL_CODEC, "skipped"),
+    Optional[str]: _optional((str, str), "absent"),
+}
+_FIELD_TYPES = get_type_hints(InstanceRecord)
+_FIELD_CODECS = tuple((fld.name, *_TYPE_CODECS[_FIELD_TYPES[fld.name]])
+                      for fld in fields(InstanceRecord))
+MANIFEST_FIELDS = ("schema_version",) + tuple(name for name, _, _ in _FIELD_CODECS)
 
 
 def manifest_text(record: InstanceRecord) -> str:
-    values = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "instance_id": record.instance_id,
-        "n": record.n,
-        "m": record.m,
-        "seed": record.seed,
-        "trial": record.trial,
-        "gadget_mode": record.gadget_mode,
-        "clause_digest": record.clause_digest,
-        "phi_asymmetric": record.phi_asymmetric,
-        "uniquely_satisfiable": record.uniquely_satisfiable,
-        "gauss_ratio": record.gauss_ratio,
-        "wl1_nonseparating": record.wl1_nonseparating,
-        "vertices": record.vertices,
-        "edges": record.edges,
-        "formula_file": record.formula_file if record.formula_file else "absent",
-        "graph_dre": record.graph_dre if record.graph_dre else "absent",
-        "graph_dimacs": record.graph_dimacs if record.graph_dimacs else "absent",
-        "tool_version": record.tool_version,
-    }
-    return "".join(f"{key}: {_fmt_value(values[key])}\n" for key in MANIFEST_FIELDS)
+    lines = [f"schema_version: {MANIFEST_SCHEMA_VERSION}\n"]
+    lines += [f"{name}: {write(getattr(record, name))}\n" for name, write, _ in _FIELD_CODECS]
+    return "".join(lines)
 
 
-def parse_manifest(text: str, manifest_file: str = MANIFEST_NAME) -> InstanceRecord:
-    fields: Dict[str, str] = {}
+def parse_manifest(text: str) -> InstanceRecord:
+    values: Dict[str, str] = {}
     for ln in text.splitlines():
         if not ln.strip():
             continue
         key, _, value = ln.partition(":")
-        fields[key.strip()] = value.strip()
-    missing = [k for k in MANIFEST_FIELDS if k not in fields]
+        values[key.strip()] = value.strip()
+    missing = [k for k in MANIFEST_FIELDS if k not in values]
     if missing:
         raise ValueError(f"manifest missing fields: {missing}")
-    if int(fields["schema_version"]) != MANIFEST_SCHEMA_VERSION:
-        raise ValueError(f"unsupported manifest schema {fields['schema_version']}")
-
-    def tristate(s: str) -> Optional[bool]:
-        return None if s == "skipped" else s == "true"
-
-    def path_or_none(s: str) -> Optional[str]:
-        return None if s == "absent" else s
-
-    return InstanceRecord(
-        instance_id=fields["instance_id"],
-        n=int(fields["n"]),
-        m=int(fields["m"]),
-        seed=int(fields["seed"]),
-        trial=int(fields["trial"]),
-        gadget_mode=fields["gadget_mode"],
-        clause_digest=fields["clause_digest"],
-        phi_asymmetric=tristate(fields["phi_asymmetric"]),
-        uniquely_satisfiable=fields["uniquely_satisfiable"] == "true",
-        gauss_ratio=float(fields["gauss_ratio"]),
-        wl1_nonseparating=tristate(fields["wl1_nonseparating"]),
-        vertices=int(fields["vertices"]),
-        edges=int(fields["edges"]),
-        formula_file=fields["formula_file"],
-        graph_dre=path_or_none(fields["graph_dre"]),
-        graph_dimacs=path_or_none(fields["graph_dimacs"]),
-        manifest_file=manifest_file,
-        tool_version=fields["tool_version"],
-    )
+    if int(values["schema_version"]) != MANIFEST_SCHEMA_VERSION:
+        raise ValueError(f"unsupported manifest schema {values['schema_version']}")
+    record = InstanceRecord(**{name: read(values[name]) for name, _, read in _FIELD_CODECS})
+    if record.gadget_mode not in GADGETS:
+        raise ValueError(f"unknown gadget mode {record.gadget_mode!r}")
+    return record
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -351,7 +318,7 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
 
     phi_asymmetric: Optional[bool] = None
     if cfg.gadget_mode == GADGET_CORE:
-        verdict = phi_is_asymmetric(f, cfg.ir_budget)
+        verdict = phi_is_asymmetric(f, cfg.budget)
         if verdict is None:
             return TrialOutcome(trial, False, REJECT_BUDGET, None)
         if not verdict:
@@ -362,7 +329,7 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
     if not unique:
         return TrialOutcome(trial, False, REJECT_NOT_UNIQUE, None)
 
-    gap = gauss_ratio(f, budget=cfg.solver_budget)
+    gap = gauss_ratio(f, budget=cfg.budget)
     if gap.with_gauss.result == BUDGET_EXHAUSTED:
         return TrialOutcome(trial, False, REJECT_BUDGET, None)
     # The Gauss run decides the same question as the rank check.
@@ -378,12 +345,12 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         if not wl1:
             return TrialOutcome(trial, False, REJECT_WL1, None)
 
-    instance_id = f"n{cfg.n:04d}_m{cfg.effective_m:04d}_s{cfg.seed}_t{trial:04d}"
+    instance_id = f"n{cfg.n:04d}_m{f.m:04d}_s{cfg.seed}_t{trial:04d}"
     formula_text = export_xor_dimacs(f)
     record = InstanceRecord(
         instance_id=instance_id,
         n=cfg.n,
-        m=cfg.effective_m,
+        m=f.m,
         seed=cfg.seed,
         trial=trial,
         gadget_mode=cfg.gadget_mode,
@@ -397,21 +364,19 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         formula_file=f"{instance_id}/{FORMULA_NAME}",
         graph_dre=f"{instance_id}/{DRE_NAME}" if "dre" in cfg.formats else None,
         graph_dimacs=f"{instance_id}/{DIMACS_NAME}" if "dimacs" in cfg.formats else None,
-        manifest_file=f"{instance_id}/{MANIFEST_NAME}",
         tool_version=__version__,
     )
     return TrialOutcome(trial, True, None, record, f, g)
 
 
 def write_instance(record: InstanceRecord, f: XorFormula, g: Graph, out_dir: Union[str, Path]) -> None:
-    base = Path(out_dir) / record.instance_id
-    base.mkdir(parents=True, exist_ok=True)
-    _atomic_write(base / FORMULA_NAME, export_xor_dimacs(f))
-    if record.graph_dre is not None:
-        _atomic_write(base / DRE_NAME, to_dre(g))
-    if record.graph_dimacs is not None:
-        _atomic_write(base / DIMACS_NAME, to_dimacs_graph(g))
-    _atomic_write(base / MANIFEST_NAME, manifest_text(record))
+    out = Path(out_dir)
+    (out / record.manifest_file).parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write(out / record.formula_file, export_xor_dimacs(f))
+    for rel, export in ((record.graph_dre, to_dre), (record.graph_dimacs, to_dimacs_graph)):
+        if rel is not None:
+            _atomic_write(out / rel, export(g))
+    _atomic_write(out / record.manifest_file, manifest_text(record))
 
 
 def generate(cfg: PipelineConfig, out_dir: Union[str, Path]) -> List[InstanceRecord]:
@@ -497,18 +462,17 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     checks.append(CheckResult("rank_check", (r == f.n) == record.uniquely_satisfiable,
                               f"rank={r} n={f.n}"))
 
+    # The lifts assert their size against VertexScheme's count formulas.
     expected = build_graph(f, record.gadget_mode)
+    want_v, want_e = expected.vertex_count, expected.edge_count
     scheme = VertexScheme(f.n, f.m)
-    if record.gadget_mode == GADGET_FULL:
-        want_v, want_e = scheme.full_vertex_count, scheme.full_edge_count
-    else:
-        want_v, want_e = scheme.core_vertex_count, scheme.core_edge_count
     checks.append(CheckResult("vertex_formula", record.vertices == want_v,
                               f"manifest {record.vertices}, formula {want_v}"))
     checks.append(CheckResult("edge_formula", record.edges == want_e,
                               f"manifest {record.edges}, formula {want_e}"))
 
-    for rel, fmt in ((record.graph_dre, "dre"), (record.graph_dimacs, "dimacs")):
+    for fmt in GRAPH_FILES:
+        rel = getattr(record, f"graph_{fmt}")
         if rel is None:
             continue
         path = base / rel

@@ -8,13 +8,13 @@ pytest puts it on ``sys.path``.
 
 import itertools
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition, color_refine
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
-from xorcfi.formula import CnfFormula, XorFormula
+from xorcfi.formula import CnfFormula, PinnedSystem, XorFormula
 from xorcfi.gf2 import Gf2Matrix, Gf2Vector
 
 
@@ -44,6 +44,16 @@ def mat_vec(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
 
 
 # -- formulas ----------------------------------------------------------------
+
+
+def satisfies(system: Union[XorFormula, PinnedSystem], assignment: Sequence[int]) -> bool:
+    """Whether a formula, or a formula plus its pinned unit equation, holds.
+
+    assignment[j] is the value of variable j+1.
+    """
+    if isinstance(system, PinnedSystem):
+        return assignment[system.var - 1] == system.value and satisfies(system.formula, assignment)
+    return all(cl.satisfied_by(assignment) for cl in system.clauses)
 
 
 def brute_solutions(f: XorFormula) -> List[Tuple[int, ...]]:
@@ -153,7 +163,7 @@ def assignment_automorphism(f: XorFormula, assignment: Sequence[int]) -> List[in
     """
     if not f.is_homogeneous:
         raise ValueError("assignment-induced automorphisms exist for homogeneous formulas only")
-    if not f.satisfied_by(assignment):
+    if not satisfies(f, assignment):
         raise ValueError("assignment does not satisfy the formula")
     scheme = VertexScheme(f.n, f.m)
     perm = list(range(scheme.full_vertex_count))

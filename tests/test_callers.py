@@ -23,7 +23,7 @@ ALLOWED = {
 }
 
 
-def uncalled_names():
+def _definitions_and_uses():
     defs, uses = [], defaultdict(list)
     for path in sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -40,6 +40,20 @@ def uncalled_names():
                 if isinstance(sub, ast.FunctionDef) and not sub.name.endswith("__"):
                     defs.append((f"{path.stem}.{node.name}.{sub.name}", sub.name, path,
                                  sub.lineno, sub.end_lineno))
+    return defs, uses
+
+
+def shared_method_names():
+    """Each method name defined by more than one class, with those classes."""
+    classes = defaultdict(list)
+    for qual, name, *_ in _definitions_and_uses()[0]:
+        if qual.count(".") == 2:
+            classes[name].append(qual.rsplit(".", 1)[0])
+    return {name: quals for name, quals in classes.items() if len(quals) > 1}
+
+
+def uncalled_names():
+    defs, uses = _definitions_and_uses()
     dead = set()
     while True:
         dead_spans = [(p, lo, hi) for qual, _, p, lo, hi in defs if qual in dead]
@@ -57,6 +71,12 @@ def uncalled_names():
 def test_every_name_in_src_has_a_caller():
     missing = [q for q in uncalled_names() if q not in ALLOWED]
     assert not missing, "called only from tests, or not at all: " + ", ".join(missing)
+
+
+def test_no_method_name_is_defined_by_two_classes():
+    shared = shared_method_names()
+    assert not shared, "callers cannot be told apart: " + "; ".join(
+        f"{name} ({', '.join(quals)})" for name, quals in sorted(shared.items()))
 
 
 def test_allowlist_is_short_and_current():

@@ -16,7 +16,7 @@ from xorcfi.formula import make_formula, to_matrix
 from xorcfi.gf2 import rank
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import assignment_automorphism
+from oracles import assignment_automorphism, satisfies
 
 COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
 SINGLE = make_formula(3, [((1, 2, 3), 0)])
@@ -162,7 +162,7 @@ def test_every_satisfying_assignment_gives_automorphism():
     g = build_full(f)
     h, _ = to_matrix(f)
     sols = [
-        bits for bits in itertools.product((0, 1), repeat=f.n) if f.satisfied_by(bits)
+        bits for bits in itertools.product((0, 1), repeat=f.n) if satisfies(f, bits)
     ]
     assert len(sols) == 2 ** (f.n - rank(h))
     perms = set()

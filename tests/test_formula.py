@@ -24,7 +24,7 @@ from xorcfi.gf2 import kernel_basis, rank
 from xorcfi.pipeline import from_dimacs_graph
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import brute_sat, brute_solutions, nontrivial_solution_formula
+from oracles import brute_sat, brute_solutions, nontrivial_solution_formula, satisfies
 
 
 # -- oracles ---------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_clause_order_is_canonical():
 
 def test_pin_zero_keeps_satisfiable():
     p = pin(COMPLETE, 2, 0)
-    assert p.satisfied_by((0, 0, 0, 0))
+    assert satisfies(p, (0, 0, 0, 0))
 
 
 def test_pin_one_unsatisfiable_when_unique():
@@ -105,15 +105,15 @@ def test_pin_one_unsatisfiable_when_unique():
     for i in range(1, 5):
         p = pin(COMPLETE, i, 1)
         assert not any(
-            p.satisfied_by(bits) for bits in itertools.product((0, 1), repeat=4)
+            satisfies(p, bits) for bits in itertools.product((0, 1), repeat=4)
         )
 
 
 def test_pin_kernel_witness():
     # (0,1,1,1) lies in the kernel of the two-clause system.
-    assert TWO_CLAUSE.satisfied_by((0, 1, 1, 1))
+    assert satisfies(TWO_CLAUSE, (0, 1, 1, 1))
     p = pin(TWO_CLAUSE, 2, 1)
-    assert p.satisfied_by((0, 1, 1, 1))
+    assert satisfies(p, (0, 1, 1, 1))
 
 
 def test_pin_out_of_range():
@@ -197,7 +197,7 @@ def test_unused_variable_verdict_equals_rank_check(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(formulas(max_n=7))
 def test_zero_assignment_satisfies_homogeneous(f):
-    assert f.satisfied_by((0,) * f.n)
+    assert satisfies(f, (0,) * f.n)
 
 
 @settings(max_examples=80, deadline=None)

@@ -17,6 +17,7 @@ from xorcfi.formula import import_xor_dimacs
 from xorcfi.pipeline import (
     GADGET_CORE,
     GADGET_FULL,
+    MANIFEST_FIELDS,
     InstanceRecord,
     PipelineConfig,
     _atomic_write,
@@ -86,6 +87,16 @@ def test_dre_rejects_nonzero_labelling_origin():
             from_dre(head + "\n1 : 2.\n")
 
 
+def test_dre_rejects_every_proper_line_prefix():
+    rnd = random.Random(21)
+    for _ in range(5):
+        g = random_graph(rnd, rnd.randint(3, 12), p=0.5)
+        lines = to_dre(Graph.from_edges(g.vertex_count, g.edges | {(0, 1)})).splitlines(True)
+        for k in range(len(lines)):
+            with pytest.raises(ValueError):
+                from_dre("".join(lines[:k]))
+
+
 def test_dimacs_graph_rejects_garbage():
     with pytest.raises(ValueError):
         from_dimacs_graph("p edge 2 1\nq 1 2\n")
@@ -111,7 +122,7 @@ def test_config_rejects_subcritical_ratio():
 
 def test_config_accepts_ratio_one():
     cfg = PipelineConfig(n=4, m=4, seed=0)
-    assert cfg.effective_m == 4
+    assert cfg.sample_config.effective_m == 4
 
 
 def test_config_checks_sampling_parameters():
@@ -119,12 +130,12 @@ def test_config_checks_sampling_parameters():
         PipelineConfig(n=10)
     with pytest.raises(ValueError):
         PipelineConfig(n=5, m=11)  # only C(5, 3) = 10 distinct triples
-    assert PipelineConfig(n=5, m=10).effective_m == 10
+    assert PipelineConfig(n=5, m=10).sample_config.effective_m == 10
 
 
 def test_config_requires_bounded_budgets():
     with pytest.raises(ValueError):
-        PipelineConfig(n=6, m=8, solver_budget=SolveBudget())
+        PipelineConfig(n=6, m=8, budget=SolveBudget())
 
 
 # -- filters ---------------------------------------------------------------
@@ -264,16 +275,46 @@ def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# The manifest field set and order README freezes.
+README_MANIFEST_FIELDS = (
+    "schema_version", "instance_id", "n", "m", "seed", "trial", "gadget_mode",
+    "clause_digest", "phi_asymmetric", "uniquely_satisfiable", "gauss_ratio",
+    "wl1_nonseparating", "vertices", "edges", "formula_file", "graph_dre",
+    "graph_dimacs", "tool_version",
+)
+
+
+def test_manifest_fields_are_the_frozen_set():
+    assert MANIFEST_FIELDS == README_MANIFEST_FIELDS
+
+
 def test_manifest_round_trip():
     record = InstanceRecord(
         instance_id="n0010_m0015_s3_t0000", n=10, m=15, seed=3, trial=0,
         gadget_mode="full", clause_digest="sha256:abc", phi_asymmetric=None,
         uniquely_satisfiable=True, gauss_ratio=float("inf"), wl1_nonseparating=None,
         vertices=107, edges=244, formula_file="n0010_m0015_s3_t0000/formula.xcnf",
-        graph_dre="n0010_m0015_s3_t0000/graph.dre", graph_dimacs=None,
-        manifest_file="n0010_m0015_s3_t0000/manifest.txt", tool_version="0.1.0",
+        graph_dre="n0010_m0015_s3_t0000/graph.dre", graph_dimacs=None, tool_version="0.1.0",
     )
-    assert parse_manifest(manifest_text(record), record.manifest_file) == record
+    variants = [
+        (record, {"phi_asymmetric": "skipped", "wl1_nonseparating": "skipped",
+                  "graph_dimacs": "absent", "gauss_ratio": "inf", "uniquely_satisfiable": "true"}),
+        (replace(record, phi_asymmetric=True, wl1_nonseparating=False, gauss_ratio=2.5,
+                 graph_dre=None, graph_dimacs="n0010_m0015_s3_t0000/graph.dimacs"),
+         {"phi_asymmetric": "true", "wl1_nonseparating": "false", "gauss_ratio": "2.5",
+          "graph_dre": "absent"}),
+        (replace(record, phi_asymmetric=False, wl1_nonseparating=True, gadget_mode="core",
+                 uniquely_satisfiable=False, gauss_ratio=float("-inf")),
+         {"phi_asymmetric": "false", "wl1_nonseparating": "true", "gauss_ratio": "-inf",
+          "uniquely_satisfiable": "false"}),
+    ]
+    for rec, expected in variants:
+        text = manifest_text(rec)
+        lines = dict(ln.split(": ", 1) for ln in text.splitlines())
+        assert list(lines) == list(MANIFEST_FIELDS)
+        assert {key: lines[key] for key in expected} == expected
+        assert parse_manifest(text) == rec
+    assert record.manifest_file == "n0010_m0015_s3_t0000/manifest.txt"
 
 
 def test_validate_fresh_instance(tmp_path):
@@ -317,6 +358,18 @@ def test_validate_missing_file(tmp_path):
     (tmp_path / records[0].formula_file).unlink()
     report = validate(tmp_path / records[0].manifest_file)
     assert not report.ok
+
+
+def test_check_reports_unknown_gadget_mode_without_traceback(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    records = generate(cfg, tmp_path)
+    manifest = tmp_path / records[0].manifest_file
+    manifest.write_text(manifest.read_text().replace("gadget_mode: full", "gadget_mode: fancy"))
+    assert main(["check", str(manifest)]) == 1
+    out = capsys.readouterr().out
+    assert "<unreadable>: manifest_readable: FAIL  (unknown gadget mode 'fancy')\n" in out
 
 
 def test_index_lists_accepted_instances(tmp_path):
@@ -380,6 +433,10 @@ def test_cli_sample_then_build(tmp_path, monkeypatch):
     (["generate", "--n", "2", "--ratio", "1"], "need at least 3 variables"),
     (["generate", "--n", "10", "--ratio", "2", "--count", "0"], "need at least one trial"),
     (["sample", "--n", "10", "--ratio", "2", "--seed", "-1"], "seed must fit in 64 bits"),
+    (["generate", "--n", "10", "--ratio", "inf"], "ratio must be finite"),
+    (["generate", "--n", "10", "--ratio", "nan"], "ratio must be finite"),
+    (["sample", "--n", "10", "--ratio", "inf"], "ratio must be finite"),
+    (["sample", "--n", "10", "--ratio", "nan"], "ratio must be finite"),
 ])
 def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, message):
     from xorcfi.cli import main
