@@ -87,7 +87,6 @@ def cmd_generate(args) -> int:
             trials=args.count,
             gadget_mode=args.gadget,
             gauss_threshold=args.gauss_threshold,
-            wl1_filter=args.wl1_filter,
             budget=_budget(args),
             formats=tuple(args.format),
         )
@@ -139,8 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--gadget", choices=GADGETS, default=GADGET_FULL)
     p.add_argument("--gauss-threshold", type=float, default=5.0,
                    help="minimum decision-cost ratio to accept")
-    p.add_argument("--wl1-filter", action="store_true",
-                   help="also require refinement to keep every X^0/X^1 pair together")
     p.add_argument("--budget-decisions", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--format", choices=list(GRAPH_FILES), action="append",

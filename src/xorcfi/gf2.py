@@ -7,11 +7,10 @@ transposed once into one int per column (bit i = row i), the pivot of
 a column is the lowest set bit among the rows not yet used as pivots,
 and clearing it elsewhere is one xor into each later column the pivot
 row touches. The reduced row echelon form of a matrix is unique, so
-the pivot choice cannot change any result. Free variables are set to
-0, so solve() and kernel_basis() return canonical
-(reduced-echelon-derived) results. solve() reads its result off
-reduced_system(): in reduced echelon form each row's pivot is its
-lowest set bit.
+the pivot choice cannot change any result. kernel_basis() sets one
+free variable to 1 and the others to 0, so its basis is canonical, and
+reduced_system() returns the reduced augmented system that the Gauss
+presolve of xorsat propagates.
 """
 
 from __future__ import annotations
@@ -139,21 +138,6 @@ def kernel_basis(m: Gf2Matrix) -> List[Gf2Vector]:
                 bits |= 1 << pc
         basis.append(Gf2Vector(m.cols, bits))
     return basis
-
-
-def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
-    """Some x with m x = b, or None if inconsistent.
-
-    The returned x is canonical: all free variables are 0.
-    """
-    reduced = reduced_system(m, b)
-    if reduced is None:
-        return None
-    bits = 0
-    for coeffs, rhs in reduced:
-        if rhs:
-            bits |= coeffs & -coeffs  # the row's lowest set bit is its pivot column
-    return Gf2Vector(m.cols, bits)
 
 
 def reduced_system(m: Gf2Matrix, b: Gf2Vector) -> Optional[List[Tuple[int, int]]]:

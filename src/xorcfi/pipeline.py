@@ -3,10 +3,15 @@
 Per trial: draw a homogeneous formula from its own RNG stream, reject
 unless it survives the enabled filters (incidence-graph asymmetry in
 core-only mode, full rank, Gaussian decision-cost gap), build the lifted
-graph once, optionally reject it on a refinement non-separation check,
-and write formula + graph + manifest with a content digest. Everything
-written is a pure function of the config, so a rerun reproduces the
-tree byte for byte.
+graph once, and write formula + graph + manifest with a content digest.
+Everything written is a pure function of the config, so a rerun
+reproduces the tree byte for byte.
+
+No filter checks that colour refinement keeps each X^0/X^1 pair
+together: it does in every lift of every formula, because the partition
+into those pairs, each clause's 4 vertices and the single gadget
+vertices is equitable (tests/test_cfi.py checks it). The manifest's
+`wl1_nonseparating` field therefore always reads `skipped`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union, get_type_hints
 
 from . import __version__
-from .canon import color_refine, ir_automorphisms
+from .canon import ir_automorphisms
 from .cfi import Graph, VertexScheme, build_core, build_full, incidence_graph
 from .formula import (
     XorFormula,
@@ -50,7 +55,6 @@ GRAPH_FILES = {"dre": DRE_NAME, "dimacs": DIMACS_NAME}
 REJECT_PHI_SYMMETRIC = "phi_symmetric"
 REJECT_NOT_UNIQUE = "not_uniquely_satisfiable"
 REJECT_LOW_RATIO = "low_gauss_ratio"
-REJECT_WL1 = "wl1_separates"
 REJECT_BUDGET = "BUDGET"
 
 
@@ -63,7 +67,6 @@ class PipelineConfig:
     trials: int = 1
     gadget_mode: str = GADGET_FULL
     gauss_threshold: float = 5.0
-    wl1_filter: bool = False
     budget: SolveBudget = SolveBudget(max_decisions=100_000)  # IR filter and both DPLL runs
     formats: Tuple[str, ...] = ("dre",)
 
@@ -83,6 +86,12 @@ class PipelineConfig:
                 raise ValueError(f"unknown graph format {fmt!r}")
         if self.budget.max_decisions is None and self.budget.max_seconds is None:
             raise ValueError("budget must be bounded")
+        # A plain run stopped after d decisions shows a Gauss ratio of only
+        # d + 1, since the Gauss run refutes a full-rank query with 0 decisions.
+        d = self.budget.max_decisions
+        if d is not None and d + 1 < self.gauss_threshold:
+            raise ValueError(f"a budget of {d} decisions can show a gauss ratio of at most "
+                             f"{d + 1}, below the threshold {self.gauss_threshold:g}")
 
     @property
     def sample_config(self) -> SampleConfig:
@@ -104,7 +113,7 @@ class InstanceRecord:
     phi_asymmetric: Optional[bool]
     uniquely_satisfiable: bool
     gauss_ratio: float
-    wl1_nonseparating: Optional[bool]
+    wl1_nonseparating: Optional[bool]  # always None; kept since the field set is frozen
     vertices: int
     edges: int
     formula_file: str
@@ -207,16 +216,6 @@ def phi_is_asymmetric(f: XorFormula, budget: SolveBudget) -> Optional[bool]:
     return report.group_size == 1
 
 
-def wl1_keeps_pairs_together(f: XorFormula, g: Graph) -> bool:
-    """Whether refinement of f's lift g leaves every X^0/X^1 pair in one cell."""
-    scheme = VertexScheme(f.n, f.m)
-    part = color_refine(g)
-    return all(
-        part.same_cell(scheme.var_vertex(j, 0), scheme.var_vertex(j, 1))
-        for j in range(1, f.n + 1)
-    )
-
-
 def build_graph(f: XorFormula, gadget_mode: str) -> Graph:
     if gadget_mode == GADGET_FULL:
         return build_full(f)
@@ -235,7 +234,13 @@ def _optional(codec, none_text: str):
             lambda s: None if s == none_text else read(s))
 
 
-_BOOL_CODEC = (lambda v: "true" if v else "false", lambda s: s == "true")
+def _read_bool(s: str) -> bool:
+    if s not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {s!r}")
+    return s == "true"
+
+
+_BOOL_CODEC = (lambda v: "true" if v else "false", _read_bool)
 
 # (writer, reader) of each field type. None reads `skipped` for a filter
 # that did not run and `absent` for a file that was not written.
@@ -271,7 +276,13 @@ def parse_manifest(text: str) -> InstanceRecord:
         raise ValueError(f"manifest missing fields: {missing}")
     if int(values["schema_version"]) != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema {values['schema_version']}")
-    record = InstanceRecord(**{name: read(values[name]) for name, _, read in _FIELD_CODECS})
+    kwargs = {}
+    for name, _, read in _FIELD_CODECS:
+        try:
+            kwargs[name] = read(values[name])
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    record = InstanceRecord(**kwargs)
     if record.gadget_mode not in GADGETS:
         raise ValueError(f"unknown gadget mode {record.gadget_mode!r}")
     return record
@@ -339,12 +350,6 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         return TrialOutcome(trial, False, REJECT_LOW_RATIO, None)
 
     g = build_graph(f, cfg.gadget_mode)
-    wl1: Optional[bool] = None
-    if cfg.wl1_filter:
-        wl1 = wl1_keeps_pairs_together(f, g)
-        if not wl1:
-            return TrialOutcome(trial, False, REJECT_WL1, None)
-
     instance_id = f"n{cfg.n:04d}_m{f.m:04d}_s{cfg.seed}_t{trial:04d}"
     formula_text = export_xor_dimacs(f)
     record = InstanceRecord(
@@ -358,7 +363,7 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         phi_asymmetric=phi_asymmetric,
         uniquely_satisfiable=unique,
         gauss_ratio=gap.ratio,
-        wl1_nonseparating=wl1,
+        wl1_nonseparating=None,
         vertices=g.vertex_count,
         edges=g.edge_count,
         formula_file=f"{instance_id}/{FORMULA_NAME}",

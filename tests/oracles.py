@@ -12,10 +12,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition, color_refine
+from xorcfi import canon
+from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
 from xorcfi.formula import CnfFormula, PinnedSystem, XorFormula
-from xorcfi.gf2 import Gf2Matrix, Gf2Vector
+from xorcfi.gf2 import Gf2Matrix, Gf2Vector, reduced_system
 
 
 # -- GF(2) -------------------------------------------------------------------
@@ -41,6 +42,21 @@ def mat_vec(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
         if (row & v.bits).bit_count() & 1:
             bits |= 1 << i
     return Gf2Vector(m.rows, bits)
+
+
+def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
+    """Some x with m x = b, or None if inconsistent.
+
+    The returned x is canonical: all free variables are 0.
+    """
+    reduced = reduced_system(m, b)
+    if reduced is None:
+        return None
+    bits = 0
+    for coeffs, rhs in reduced:
+        if rhs:
+            bits |= coeffs & -coeffs  # the row's lowest set bit is its pivot column
+    return Gf2Vector(m.cols, bits)
 
 
 # -- formulas ----------------------------------------------------------------
@@ -108,6 +124,21 @@ def nontrivial_solution_formula(f: XorFormula) -> CnfFormula:
 
 
 # -- partitions and refinement -----------------------------------------------
+
+
+def same_cell(p: Partition, u: int, v: int) -> bool:
+    return p.cell_of[u] == p.cell_of[v]
+
+
+def color_refine(g: Graph, initial: Optional[Partition] = None) -> Partition:
+    """Coarsest stable refinement (1-WL) of initial, or of g's own colors.
+
+    The program refines from a graph's vertex colors only, so an initial
+    partition becomes the colors of a copy of g.
+    """
+    if initial is not None:
+        g = Graph(g.vertex_count, g.edges, initial.cell_of)
+    return canon.color_refine(g)
 
 
 def cells(p: Partition) -> List[List[int]]:
@@ -262,7 +293,7 @@ def wl_indistinguishable(g: Graph, u: int, v: int, k: int, max_tuples: int = 300
     if u == v:
         return True
     if k == 1:
-        return color_refine(g).same_cell(u, v)
+        return same_cell(color_refine(g), u, v)
     part = wl_k(g, k, max_tuples=max_tuples)
     n = g.vertex_count
-    return part.same_cell(_flat_index([u] * k, n), _flat_index([v] * k, n))
+    return same_cell(part, _flat_index([u] * k, n), _flat_index([v] * k, n))

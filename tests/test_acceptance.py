@@ -12,7 +12,6 @@ import time
 from xorcfi.canon import (
     CELL_FIRST_LARGEST,
     STATUS_COMPLETE,
-    color_refine,
     ir_automorphisms,
     local_consistency,
 )
@@ -34,7 +33,9 @@ from oracles import (
     brute_force_automorphisms,
     brute_sat,
     brute_solutions,
+    color_refine,
     nontrivial_solution_formula,
+    same_cell,
     wl_indistinguishable,
 )
 
@@ -127,7 +128,7 @@ def test_a4_refinement_non_separation():
             checked += 1
             if local_consistency(pin(f, i, 1), 6, max_states=state_budget):
                 qualifying.append((f, i))
-                if not part.same_cell(scheme.var_vertex(i, 0), scheme.var_vertex(i, 1)):
+                if not same_cell(part, scheme.var_vertex(i, 0), scheme.var_vertex(i, 1)):
                     failures += 1
     elapsed = time.monotonic() - t0
     print(f"A4 PASS: coverage {len(qualifying)}/{checked} (instance, i) pairs "

@@ -6,7 +6,9 @@ A reference is a name, an attribute or an import in the parsed code, so
 strings and comments do not count; neither do references from inside the
 definition itself or from inside definitions found unused, so a helper
 reached only from dead code is reported with it. Names are matched bare:
-a method shares its references with every same-named definition.
+a definition shares its references with every same-named one, so two
+modules may not define one top-level name and two classes may not
+define one method name.
 """
 
 import ast
@@ -43,13 +45,14 @@ def _definitions_and_uses():
     return defs, uses
 
 
-def shared_method_names():
-    """Each method name defined by more than one class, with those classes."""
-    classes = defaultdict(list)
+def shared_names(depth):
+    """Each name defined by more than one owner, with those owners: modules
+    for top-level names (depth 1), classes for method names (depth 2)."""
+    owners = defaultdict(list)
     for qual, name, *_ in _definitions_and_uses()[0]:
-        if qual.count(".") == 2:
-            classes[name].append(qual.rsplit(".", 1)[0])
-    return {name: quals for name, quals in classes.items() if len(quals) > 1}
+        if qual.count(".") == depth:
+            owners[name].append(qual.rsplit(".", 1)[0])
+    return {name: quals for name, quals in owners.items() if len(quals) > 1}
 
 
 def uncalled_names():
@@ -73,10 +76,18 @@ def test_every_name_in_src_has_a_caller():
     assert not missing, "called only from tests, or not at all: " + ", ".join(missing)
 
 
-def test_no_method_name_is_defined_by_two_classes():
-    shared = shared_method_names()
+def _assert_unshared(depth):
+    shared = shared_names(depth)
     assert not shared, "callers cannot be told apart: " + "; ".join(
         f"{name} ({', '.join(quals)})" for name, quals in sorted(shared.items()))
+
+
+def test_no_top_level_name_is_defined_by_two_modules():
+    _assert_unshared(1)
+
+
+def test_no_method_name_is_defined_by_two_classes():
+    _assert_unshared(2)
 
 
 def test_allowlist_is_short_and_current():

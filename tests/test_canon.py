@@ -20,7 +20,6 @@ from xorcfi.canon import (
     STATUS_TIMEOUT,
     BudgetExceededError,
     Partition,
-    color_refine,
     ir_automorphisms,
     local_consistency,
 )
@@ -34,8 +33,10 @@ from xorcfi.xorsat import SolveBudget
 from oracles import (
     brute_force_automorphisms,
     cells,
+    color_refine,
     individualize,
     refines,
+    same_cell,
     wl_indistinguishable,
     wl_k,
 )
@@ -124,7 +125,7 @@ def test_refine_coarser_than_orbits():
 def test_refine_respects_initial_colors():
     g = cycle(4)
     p = color_refine(g, Partition.from_labels([0, 0, 0, 1]))
-    assert not p.same_cell(0, 3)
+    assert not same_cell(p, 0, 3)
 
 
 def reference_refine(colors, csr):
@@ -172,7 +173,7 @@ def test_refine_matches_unique_reference():
         graphs += 1
         csr = canon._Csr(g)
         v = g.vertex_count
-        start = canon._initial_colors(g, None)
+        start = canon._initial_colors(g)
         stable = reference_refine(start, csr)
         colorings = [start, np.array([rnd.randint(0, 3) for _ in range(v)], dtype=np.int64)]
         if v:
@@ -199,7 +200,7 @@ def test_individualize_cycle_distance_classes():
     g = cycle(6)
     p = individualize(g, color_refine(g), 0)
     assert sorted(len(c) for c in cells(p)) == [1, 1, 2, 2]
-    assert p.same_cell(1, 5) and p.same_cell(2, 4)
+    assert same_cell(p, 1, 5) and same_cell(p, 2, 4)
 
 
 def test_individualize_refines_input():
@@ -433,7 +434,7 @@ def test_wl2_separates_what_refinement_separates():
     base = color_refine(g)
     for u in range(4):
         for v in range(4):
-            if not base.same_cell(u, v):
+            if not same_cell(base, u, v):
                 assert not wl_indistinguishable(g, u, v, 2)
 
 

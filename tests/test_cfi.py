@@ -1,6 +1,11 @@
-"""Lifted-graph constructions: counts, gadget wiring, induced symmetry."""
+"""Lifted-graph constructions: counts, gadget wiring, induced symmetry,
+and the equitable partition that hides each variable's pair from
+colour refinement."""
 
 import itertools
+import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +21,7 @@ from xorcfi.formula import make_formula, to_matrix
 from xorcfi.gf2 import rank
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import assignment_automorphism, satisfies
+from oracles import assignment_automorphism, color_refine, same_cell, satisfies
 
 COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
 SINGLE = make_formula(3, [((1, 2, 3), 0)])
@@ -152,6 +157,67 @@ def test_full_requires_two_variables():
     build_full(f)
     with pytest.raises(ValueError):
         build_full(make_formula(1, []))
+
+
+# -- colour refinement never splits a variable's pair ----------------------
+#
+# In either lift of any formula, the partition into the X^0/X^1 pairs, each
+# clause's 4 vertices and the single gadget vertices is equitable: a clause
+# vertex meets one vertex of each of its 3 pairs, X^0 and X^1 each meet 2 of
+# the 4 vertices of every clause on their variable, and a gadget vertex
+# meets both vertices of a pair. Colour refinement returns the coarsest
+# equitable partition, so it never splits a pair.
+
+
+def pair_clause_gadget_cells(scheme, vertex_count):
+    """A cell label per vertex: its pair, its clause, or itself (gadgets)."""
+    labels = list(range(vertex_count))
+    for j in range(1, scheme.n + 1):
+        labels[scheme.var_vertex(j, 1)] = scheme.var_vertex(j, 0)
+    for c in range(1, scheme.m + 1):
+        for t in range(1, 4):
+            labels[scheme.clause_vertex(c, t)] = scheme.clause_vertex(c, 0)
+    return labels
+
+
+def is_equitable(g, labels):
+    """Whether the vertices of each cell have equally many neighbours in every cell."""
+    counts = [Counter() for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        counts[u][labels[v]] += 1
+        counts[v][labels[u]] += 1
+    profile = {}
+    return all(profile.setdefault(labels[x], counts[x]) == counts[x] for x in range(g.vertex_count))
+
+
+def theorem_corpus(formulas=500):
+    """Seeded formulas at n = 3..40, half homogeneous samples and half
+    make_formula systems with random right-hand sides."""
+    rnd = random.Random(20261018)
+    for i in range(formulas):
+        n = rnd.randint(3, 40)
+        m = rnd.randint(1, min(2 * n, math.comb(n, 3)))
+        if i % 2:
+            yield sample_homogeneous(SampleConfig(n=n, m=m, seed=rnd.getrandbits(32)))
+        else:
+            rhs = {tuple(sorted(rnd.sample(range(1, n + 1), 3))): rnd.randint(0, 1)
+                   for _ in range(m)}
+            yield make_formula(n, rhs.items())
+
+
+def test_refinement_keeps_every_pair_together_in_both_lifts():
+    lifts = 0
+    for f in theorem_corpus():
+        scheme = VertexScheme(f.n, f.m)
+        for build in (build_core, build_full):
+            g = build(f)
+            lifts += 1
+            where = f"{build.__name__} of n={f.n} m={f.m}"
+            assert is_equitable(g, pair_clause_gadget_cells(scheme, g.vertex_count)), where
+            part = color_refine(g)
+            assert all(same_cell(part, scheme.var_vertex(j, 0), scheme.var_vertex(j, 1))
+                       for j in range(1, f.n + 1)), where
+    assert lifts >= 1000
 
 
 # -- assignment-induced automorphisms --------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from xorcfi import gf2
 from xorcfi.formula import is_uniquely_satisfiable, pin, to_matrix
-from xorcfi.gf2 import Gf2Matrix, Gf2Vector, kernel_basis, rank, reduced_system, solve
+from xorcfi.gf2 import Gf2Matrix, Gf2Vector, kernel_basis, rank, reduced_system
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import mat_vec, matrix_from_rows
+from oracles import mat_vec, matrix_from_rows, solve
 
 
 # -- oracles ---------------------------------------------------------------

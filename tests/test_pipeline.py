@@ -34,7 +34,6 @@ from xorcfi.pipeline import (
     to_dimacs_graph,
     to_dre,
     validate,
-    wl1_keeps_pairs_together,
 )
 from xorcfi.formula import is_uniquely_satisfiable
 from xorcfi.sampler import SampleConfig, sample_homogeneous
@@ -159,11 +158,10 @@ def test_filter_order_cannot_change_accept_set():
             "phi": lambda f=f: phi_is_asymmetric(f, budget) is True,
             "unique": lambda f=f: is_uniquely_satisfiable(f),
             "gauss": lambda f=f: gauss_ratio(f, budget).ratio >= threshold,
-            "wl1": lambda f=f: wl1_keeps_pairs_together(f, build_graph(f, GADGET_CORE)),
         }
-        orderings = [("phi", "unique", "gauss", "wl1"),
-                     ("wl1", "gauss", "unique", "phi"),
-                     ("unique", "wl1", "phi", "gauss")]
+        orderings = [("phi", "unique", "gauss"),
+                     ("gauss", "unique", "phi"),
+                     ("unique", "phi", "gauss")]
         verdicts = []
         for order in orderings:
             verdicts.append(all(checks[name]() for name in order))
@@ -194,14 +192,13 @@ def _spy(monkeypatch, name, calls):
 
 
 @pytest.mark.parametrize("gadget_mode", [GADGET_FULL, GADGET_CORE])
-@pytest.mark.parametrize("wl1_filter", [False, True])
 def test_one_graph_build_per_accepted_trial_and_one_rank_per_check(
-        tmp_path, monkeypatch, gadget_mode, wl1_filter):
+        tmp_path, monkeypatch, gadget_mode):
     calls = []
     for name in ("build_core", "build_full", "rank"):
         _spy(monkeypatch, name, calls)
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=1, gadget_mode=gadget_mode,
-                         wl1_filter=wl1_filter, gauss_threshold=1.0)
+                         gauss_threshold=1.0)
     records = generate(cfg, tmp_path)
     assert len(records) == 1
     assert calls == [f"build_{gadget_mode}"]
@@ -315,6 +312,13 @@ def test_manifest_round_trip():
         assert {key: lines[key] for key in expected} == expected
         assert parse_manifest(text) == rec
     assert record.manifest_file == "n0010_m0015_s3_t0000/manifest.txt"
+    # A boolean reads only `true` or `false`; an optional one also `skipped`.
+    text = manifest_text(record)
+    for field, value in [("uniquely_satisfiable", "yes"), ("phi_asymmetric", "maybe"),
+                         ("wl1_nonseparating", "yes"), ("uniquely_satisfiable", "skipped")]:
+        line = next(ln for ln in text.splitlines() if ln.startswith(f"{field}: "))
+        with pytest.raises(ValueError, match=f"^{field}: expected true or false, got '{value}'$"):
+            parse_manifest(text.replace(line, f"{field}: {value}"))
 
 
 def test_validate_fresh_instance(tmp_path):
@@ -360,16 +364,29 @@ def test_validate_missing_file(tmp_path):
     assert not report.ok
 
 
-def test_check_reports_unknown_gadget_mode_without_traceback(tmp_path, capsys):
+def _check_edited_manifest(tmp_path, capsys, old, new):
+    """`xorcfi check` output on a fresh manifest with one line edited."""
     from xorcfi.cli import main
 
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
     records = generate(cfg, tmp_path)
     manifest = tmp_path / records[0].manifest_file
-    manifest.write_text(manifest.read_text().replace("gadget_mode: full", "gadget_mode: fancy"))
+    manifest.write_text(manifest.read_text().replace(old, new))
     assert main(["check", str(manifest)]) == 1
-    out = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+def test_check_reports_unknown_gadget_mode_without_traceback(tmp_path, capsys):
+    out = _check_edited_manifest(tmp_path, capsys, "gadget_mode: full", "gadget_mode: fancy")
     assert "<unreadable>: manifest_readable: FAIL  (unknown gadget mode 'fancy')\n" in out
+
+
+def test_check_reports_a_non_boolean_as_unreadable(tmp_path, capsys):
+    out = _check_edited_manifest(tmp_path, capsys, "uniquely_satisfiable: true",
+                                 "uniquely_satisfiable: yes")
+    assert out == ("<unreadable>: manifest_readable: FAIL  "
+                   "(uniquely_satisfiable: expected true or false, got 'yes')\n"
+                   "0/1 instances valid\n")
 
 
 def test_index_lists_accepted_instances(tmp_path):
@@ -437,6 +454,8 @@ def test_cli_sample_then_build(tmp_path, monkeypatch):
     (["generate", "--n", "10", "--ratio", "nan"], "ratio must be finite"),
     (["sample", "--n", "10", "--ratio", "inf"], "ratio must be finite"),
     (["sample", "--n", "10", "--ratio", "nan"], "ratio must be finite"),
+    (["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "0"],
+     "a budget of 0 decisions can show a gauss ratio of at most 1, below the threshold 5"),
 ])
 def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, message):
     from xorcfi.cli import main
