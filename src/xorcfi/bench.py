@@ -25,7 +25,6 @@ import numpy as np
 from .canon import CELL_FIRST_SMALLEST, STATUS_COMPLETE, ir_automorphisms
 from .cfi import Graph
 from .pipeline import _atomic_write, from_dre, to_dimacs_graph
-from .xorsat import SolveBudget
 
 STATUS_OK = "OK"
 STATUS_TIMEOUT = "TIMEOUT"
@@ -146,9 +145,9 @@ def run_internal(
     max_nodes: Optional[int] = None,
 ) -> BenchResult:
     """IR solver run; node count is the machine-independent cost."""
-    budget = SolveBudget(max_decisions=max_nodes, max_seconds=timeout)
     start = time.monotonic()
-    report = ir_automorphisms(g, budget=budget, cell_strategy=cell_strategy)
+    report = ir_automorphisms(g, max_nodes=max_nodes, max_seconds=timeout,
+                              cell_strategy=cell_strategy)
     elapsed = time.monotonic() - start
     if report.status == STATUS_COMPLETE:
         return BenchResult(instance, "internal-ir", "0", elapsed, STATUS_OK,

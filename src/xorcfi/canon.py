@@ -30,7 +30,6 @@ import numpy as np
 
 from .cfi import Graph, is_automorphism
 from .formula import PinnedSystem, XorFormula, to_matrix
-from .xorsat import SolveBudget
 
 CELL_FIRST_SMALLEST = "first-smallest"
 CELL_FIRST_LARGEST = "first-largest"
@@ -172,11 +171,9 @@ def color_refine(g: Graph) -> Partition:
 
 
 class _SearchBudget:
-    def __init__(self, budget: Optional[SolveBudget]):
-        self.max_nodes = None if budget is None else budget.max_decisions
-        self.deadline = None
-        if budget is not None and budget.max_seconds is not None:
-            self.deadline = time.monotonic() + budget.max_seconds
+    def __init__(self, max_nodes: Optional[int], max_seconds: Optional[float]):
+        self.max_nodes = max_nodes
+        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
         self.nodes = 0
 
     def tick(self) -> None:
@@ -253,25 +250,28 @@ def _target_cell(colors: np.ndarray, strategy: str) -> np.ndarray:
 
 def ir_automorphisms(
     g: Graph,
-    budget: Optional[SolveBudget] = None,
+    max_nodes: Optional[int] = None,
+    max_seconds: Optional[float] = None,
     cell_strategy: str = CELL_FIRST_SMALLEST,
 ) -> AutReport:
     """Automorphism generators, exact group size and orbits via IR search.
 
     search_nodes counts backtrack-tree nodes and is the hardness
     statistic; it is deterministic for a fixed input and strategy.
-    budget.max_decisions, when set, bounds the node count; on exhaustion
-    the report is flagged TIMEOUT and carries whatever was found, and
-    group_size is then a lower bound. first_path_depth counts the levels
-    of the leftmost path and refine_rounds the refinement rounds of the
-    whole search, the root refinement included.
+    max_nodes, when set, bounds the node count, and max_seconds the wall
+    time (for measurement runs only: where it stops depends on the
+    machine). On exhaustion the report is flagged TIMEOUT and carries
+    whatever was found, and group_size is then a lower bound.
+    first_path_depth counts the levels of the leftmost path and
+    refine_rounds the refinement rounds of the whole search, the root
+    refinement included.
     """
     v = g.vertex_count
     if v == 0:
         return AutReport([], 1, Partition(()), 0, STATUS_COMPLETE)
     csr = _Csr(g)
     root = _refine(_initial_colors(g), csr)
-    tracker = _SearchBudget(budget)
+    tracker = _SearchBudget(max_nodes, max_seconds)
     gens: List[Tuple[int, ...]] = []
     gen_set: Set[Tuple[int, ...]] = set()
     first_leaf: List[Optional[np.ndarray]] = [None]

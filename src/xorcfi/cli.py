@@ -21,7 +21,6 @@ from .pipeline import (
     validate,
 )
 from .sampler import SampleConfig, sample_homogeneous
-from .xorsat import SolveBudget
 
 
 def _add_sampling_args(p: argparse.ArgumentParser) -> None:
@@ -35,12 +34,6 @@ def _add_sampling_args(p: argparse.ArgumentParser) -> None:
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, required=True, help="output directory")
-
-
-def _budget(args) -> SolveBudget:
-    if args.budget_decisions is None and args.budget_seconds is None:
-        return PipelineConfig.budget  # the field's default
-    return SolveBudget(max_decisions=args.budget_decisions, max_seconds=args.budget_seconds)
 
 
 def _config_error(exc: ValueError) -> int:
@@ -67,10 +60,10 @@ def cmd_build(args) -> int:
     for formula_path in args.formula:
         try:
             f = import_xor_dimacs(Path(formula_path).read_text(encoding="utf-8"))
+            g = build_graph(f, args.gadget)
         except (OSError, ValueError) as exc:
             print(f"error: {formula_path}: {exc}", file=sys.stderr)
             return 1
-        g = build_graph(f, args.gadget)
         out_path = args.out / (Path(formula_path).stem + f".{args.format}")
         _atomic_write(out_path, export_graph(g, args.format))
         print(f"{out_path}  ({g.vertex_count} vertices, {g.edge_count} edges)")
@@ -87,8 +80,8 @@ def cmd_generate(args) -> int:
             trials=args.count,
             gadget_mode=args.gadget,
             gauss_threshold=args.gauss_threshold,
-            budget=_budget(args),
-            formats=tuple(args.format),
+            budget=args.budget_decisions,
+            formats=tuple(args.format or PipelineConfig.formats),
         )
     except ValueError as exc:
         return _config_error(exc)
@@ -136,12 +129,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("generate", help="run the full sample/filter/build pipeline")
     _add_sampling_args(p)
     p.add_argument("--gadget", choices=GADGETS, default=GADGET_FULL)
-    p.add_argument("--gauss-threshold", type=float, default=5.0,
-                   help="minimum decision-cost ratio to accept")
-    p.add_argument("--budget-decisions", type=int, default=None)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--gauss-threshold", type=float, default=PipelineConfig.gauss_threshold,
+                   help="minimum decision-cost ratio to accept (default %(default)s)")
+    p.add_argument("--budget-decisions", type=int, default=PipelineConfig.budget,
+                   help="decisions per DPLL run and nodes of the IR filter (default %(default)s)")
     p.add_argument("--format", choices=list(GRAPH_FILES), action="append",
-                   default=None, help="graph format(s) to write (repeatable)")
+                   help="graph format(s) to write (repeatable)")
     _add_output_args(p)
     p.set_defaults(func=cmd_generate)
 
@@ -152,8 +145,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    if getattr(args, "format", None) is None and args.command == "generate":
-        args.format = ["dre"]
     return args.func(args)
 
 

@@ -4,8 +4,12 @@ Per trial: draw a homogeneous formula from its own RNG stream, reject
 unless it survives the enabled filters (incidence-graph asymmetry in
 core-only mode, full rank, Gaussian decision-cost gap), build the lifted
 graph once, and write formula + graph + manifest with a content digest.
-Everything written is a pure function of the config, so a rerun
-reproduces the tree byte for byte.
+
+The config's one budget counts work, never seconds: decisions per DPLL
+run and nodes of the IR search in the asymmetry filter. A plain run that
+spends it scores an infinite Gauss ratio; an IR search that spends it
+rejects the trial as BUDGET. So everything written is a pure function of
+the config, and a rerun reproduces the tree byte for byte.
 
 No filter checks that colour refinement keeps each X^0/X^1 pair
 together: it does in every lift of every formula, because the partition
@@ -37,7 +41,7 @@ from .formula import (
 )
 from .gf2 import rank
 from .sampler import SampleConfig, sample_homogeneous
-from .xorsat import BUDGET_EXHAUSTED, SolveBudget, UNSAT, gauss_ratio
+from .xorsat import UNSAT, gauss_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +71,7 @@ class PipelineConfig:
     trials: int = 1
     gadget_mode: str = GADGET_FULL
     gauss_threshold: float = 5.0
-    budget: SolveBudget = SolveBudget(max_decisions=100_000)  # IR filter and both DPLL runs
+    budget: int = 100_000  # decisions per DPLL run and nodes of the IR filter
     formats: Tuple[str, ...] = ("dre",)
 
     def __post_init__(self):
@@ -84,14 +88,13 @@ class PipelineConfig:
         for fmt in self.formats:
             if fmt not in GRAPH_FILES:
                 raise ValueError(f"unknown graph format {fmt!r}")
-        if self.budget.max_decisions is None and self.budget.max_seconds is None:
-            raise ValueError("budget must be bounded")
-        # A plain run stopped after d decisions shows a Gauss ratio of only
-        # d + 1, since the Gauss run refutes a full-rank query with 0 decisions.
-        d = self.budget.max_decisions
-        if d is not None and d + 1 < self.gauss_threshold:
-            raise ValueError(f"a budget of {d} decisions can show a gauss ratio of at most "
-                             f"{d + 1}, below the threshold {self.gauss_threshold:g}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        # A plain run stopped after B decisions shows a Gauss ratio of only
+        # B + 1, since the Gauss run refutes a full-rank query with 0 decisions.
+        if self.budget + 1 < self.gauss_threshold:
+            raise ValueError(f"a budget of {self.budget} decisions can show a gauss ratio of at "
+                             f"most {self.budget + 1}, below the threshold {self.gauss_threshold:g}")
 
     @property
     def sample_config(self) -> SampleConfig:
@@ -208,9 +211,9 @@ def import_graph(text: str, format: str) -> Graph:
 # can only change cost, never the accept set).
 
 
-def phi_is_asymmetric(f: XorFormula, budget: SolveBudget) -> Optional[bool]:
-    """None means the search ran out of budget before deciding."""
-    report = ir_automorphisms(incidence_graph(f), budget=budget)
+def phi_is_asymmetric(f: XorFormula, max_nodes: int) -> Optional[bool]:
+    """None means the search ran out of nodes before deciding."""
+    report = ir_automorphisms(incidence_graph(f), max_nodes=max_nodes)
     if report.status != "COMPLETE":
         return None
     return report.group_size == 1
@@ -340,10 +343,10 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
     if not unique:
         return TrialOutcome(trial, False, REJECT_NOT_UNIQUE, None)
 
-    gap = gauss_ratio(f, budget=cfg.budget)
-    if gap.with_gauss.result == BUDGET_EXHAUSTED:
-        return TrialOutcome(trial, False, REJECT_BUDGET, None)
-    # The Gauss run decides the same question as the rank check.
+    gap = gauss_ratio(f, max_decisions=cfg.budget)
+    # The Gauss run decides the same question as the rank check. A full-rank
+    # query reduces to n unit rows that refute at level 0, so no decision
+    # budget can stop it.
     if gap.with_gauss.result != UNSAT:
         raise AssertionError("rank check and SAT cross-check disagree")
     if not gap.ratio >= cfg.gauss_threshold:
@@ -468,7 +471,11 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
                               f"rank={r} n={f.n}"))
 
     # The lifts assert their size against VertexScheme's count formulas.
-    expected = build_graph(f, record.gadget_mode)
+    try:
+        expected = build_graph(f, record.gadget_mode)
+    except ValueError as exc:
+        checks.append(CheckResult("formula_lifts", False, str(exc)))
+        return ValidationReport(record.instance_id, tuple(checks))
     want_v, want_e = expected.vertex_count, expected.edge_count
     scheme = VertexScheme(f.n, f.m)
     checks.append(CheckResult("vertex_formula", record.vertices == want_v,

@@ -15,7 +15,7 @@ cost gap against the plain run comes from.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formula import CnfFormula, XorFormula, to_matrix
@@ -24,18 +24,6 @@ from .gf2 import reduced_system
 SAT = "SAT"
 UNSAT = "UNSAT"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
-
-
-@dataclass(frozen=True)
-class SolveBudget:
-    max_decisions: Optional[int] = None
-    max_seconds: Optional[float] = None
-
-    def __post_init__(self):
-        if self.max_decisions is not None and self.max_decisions < 0:
-            raise ValueError("max_decisions must be >= 0")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be > 0")
 
 
 @dataclass
@@ -190,11 +178,7 @@ class _Solver:
 
     # -- search --------------------------------------------------------------
 
-    def run(self, budget: Optional[SolveBudget]) -> SolveStats:
-        start = time.monotonic()
-        deadline = None if budget is None or budget.max_seconds is None else start + budget.max_seconds
-        max_dec = None if budget is None else budget.max_decisions
-
+    def run(self, max_decisions: Optional[int], start: float) -> SolveStats:
         def make_stats(result: str, model=None) -> SolveStats:
             return SolveStats(result, self.decisions, self.propagations, self.conflicts,
                               time.monotonic() - start, model)
@@ -220,14 +204,12 @@ class _Solver:
         # (trail mark, branch var, values left to try)
         stack: List[Tuple[int, int, List[int]]] = []
         while True:
-            if deadline is not None and time.monotonic() > deadline:
-                return make_stats(BUDGET_EXHAUSTED)
             var = self._pick_branch_var()
             if var is None:
                 model = tuple(self.assign[v] if self.assign[v] is not None else 0
                               for v in range(1, self.n + 1))
                 return make_stats(SAT, model)
-            if max_dec is not None and self.decisions >= max_dec:
+            if max_decisions is not None and self.decisions >= max_decisions:
                 return make_stats(BUDGET_EXHAUSTED)
             self.decisions += 1
             stack.append((len(self.trail), var, [1]))
@@ -255,18 +237,18 @@ def _verify_model(input: CnfFormula, model: Sequence[int]) -> bool:
     return True
 
 
-def solve(input: CnfFormula, use_gauss: bool = False, budget: Optional[SolveBudget] = None) -> SolveStats:
+def solve(input: CnfFormula, use_gauss: bool = False, max_decisions: Optional[int] = None) -> SolveStats:
     """Decide the CNF-plus-XOR input; stats carry the decision cost.
 
     With use_gauss the XOR rows are replaced by their reduced echelon
     form first (refuting outright if inconsistent); DPLL then works on
-    the CNF part plus the reduced rows. Both elapsed and the time
-    budget cover the elimination.
+    the CNF part plus the reduced rows. max_decisions, when set, stops
+    the search with BUDGET_EXHAUSTED before its next decision; elapsed
+    covers the elimination.
     """
+    start = time.monotonic()
     xors: List[Tuple[Tuple[int, ...], int]] = [(xc.vars, xc.rhs) for xc in input.xors]
-    presolve = 0.0
     if use_gauss and xors:
-        start = time.monotonic()
         reduced = reduced_system(*to_matrix(input))
         if reduced is None:
             return SolveStats(UNSAT, 0, 0, 1, time.monotonic() - start)
@@ -278,16 +260,10 @@ def solve(input: CnfFormula, use_gauss: bool = False, budget: Optional[SolveBudg
                 vs.append(low.bit_length())  # bit j is variable j + 1
                 coeffs ^= low
             xors.append((tuple(vs), rhs))
-        presolve = time.monotonic() - start
-        if budget is not None and budget.max_seconds is not None:
-            if presolve >= budget.max_seconds:
-                return SolveStats(BUDGET_EXHAUSTED, 0, 0, 0, presolve)
-            budget = replace(budget, max_seconds=budget.max_seconds - presolve)
-    solver = _Solver(input.n, input.clauses, xors)
-    stats = solver.run(budget)
+    stats = _Solver(input.n, input.clauses, xors).run(max_decisions, start)
     if stats.result == SAT:
         assert stats.model is not None and _verify_model(input, stats.model)
-    return replace(stats, elapsed=stats.elapsed + presolve)
+    return stats
 
 
 def nontrivial_query(f: XorFormula) -> CnfFormula:
@@ -311,7 +287,7 @@ class GaussGap:
     without_gauss: SolveStats
 
 
-def gauss_ratio(f: XorFormula, budget: Optional[SolveBudget] = None) -> GaussGap:
+def gauss_ratio(f: XorFormula, max_decisions: Optional[int] = None) -> GaussGap:
     """cost(no gauss) / cost(gauss) on the nonzero-solution query for f.
 
     Cost is the decision count; elapsed times ride along in the stats.
@@ -321,8 +297,8 @@ def gauss_ratio(f: XorFormula, budget: Optional[SolveBudget] = None) -> GaussGap
     satisfiable f, so both runs refute.
     """
     query = nontrivial_query(f)
-    with_gauss = solve(query, use_gauss=True, budget=budget)
-    without_gauss = solve(query, use_gauss=False, budget=budget)
+    with_gauss = solve(query, use_gauss=True, max_decisions=max_decisions)
+    without_gauss = solve(query, use_gauss=False, max_decisions=max_decisions)
     if without_gauss.result == BUDGET_EXHAUSTED:
         ratio = float("inf")
     elif with_gauss.result == BUDGET_EXHAUSTED:

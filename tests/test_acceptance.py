@@ -27,7 +27,7 @@ from xorcfi.pipeline import (
     run_trial,
 )
 from xorcfi.sampler import SampleConfig, sample_homogeneous
-from xorcfi.xorsat import SAT, UNSAT, SolveBudget, solve
+from xorcfi.xorsat import SAT, UNSAT, solve
 
 from oracles import (
     brute_force_automorphisms,
@@ -220,12 +220,11 @@ def test_a7_hardness_growth():
             if not outcome.accepted:
                 continue
             g = build_graph(outcome.formula, "core")
-            budget = SolveBudget(max_decisions=3_000_000, max_seconds=120)
-            rep = ir_automorphisms(g, budget=budget)
+            rep = ir_automorphisms(g, max_nodes=3_000_000, max_seconds=120)
             assert rep.status == STATUS_COMPLETE
             nodes.append(rep.search_nodes)
             if not strategy_differs:
-                other = ir_automorphisms(g, budget=budget,
+                other = ir_automorphisms(g, max_nodes=3_000_000, max_seconds=120,
                                          cell_strategy=CELL_FIRST_LARGEST)
                 if other.status == STATUS_COMPLETE and other.search_nodes != rep.search_nodes:
                     strategy_differs = True

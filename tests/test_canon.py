@@ -28,7 +28,6 @@ from xorcfi.formula import make_formula, pin, to_matrix
 from xorcfi.gf2 import rank
 from xorcfi.pipeline import PipelineConfig, build_graph, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
-from xorcfi.xorsat import SolveBudget
 
 from oracles import (
     brute_force_automorphisms,
@@ -266,7 +265,7 @@ def test_ir_cell_strategy_changes_search():
 def test_ir_timeout_flagged():
     f = sample_homogeneous(SampleConfig(n=12, m=12, seed=8))
     g = build_full(f)
-    rep = ir_automorphisms(g, budget=SolveBudget(max_decisions=2))
+    rep = ir_automorphisms(g, max_nodes=2)
     assert rep.status == STATUS_TIMEOUT
     assert rep.search_nodes <= 3
 
@@ -347,7 +346,7 @@ def test_ir_timeout_group_size_is_lower_bound():
         full = ir_automorphisms(g)
         assert full.status == STATUS_COMPLETE
         for cap in range(1, full.search_nodes):
-            rep = ir_automorphisms(g, budget=SolveBudget(max_decisions=cap))
+            rep = ir_automorphisms(g, max_nodes=cap)
             assert rep.status == STATUS_TIMEOUT
             assert 1 <= rep.group_size <= full.group_size
             assert rep.first_path_depth <= full.first_path_depth

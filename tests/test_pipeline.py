@@ -1,5 +1,6 @@
 """Pipeline: file formats, filters, determinism, validation."""
 
+import csv
 import hashlib
 import os
 import random
@@ -22,6 +23,7 @@ from xorcfi.pipeline import (
     PipelineConfig,
     _atomic_write,
     build_graph,
+    clause_digest,
     export_graph,
     from_dimacs_graph,
     from_dre,
@@ -37,7 +39,7 @@ from xorcfi.pipeline import (
 )
 from xorcfi.formula import is_uniquely_satisfiable
 from xorcfi.sampler import SampleConfig, sample_homogeneous
-from xorcfi.xorsat import SAT, SolveBudget, gauss_ratio
+from xorcfi.xorsat import SAT, gauss_ratio
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -132,9 +134,10 @@ def test_config_checks_sampling_parameters():
     assert PipelineConfig(n=5, m=10).sample_config.effective_m == 10
 
 
-def test_config_requires_bounded_budgets():
-    with pytest.raises(ValueError):
-        PipelineConfig(n=6, m=8, budget=SolveBudget())
+def test_config_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        PipelineConfig(n=6, m=8, budget=-1)
+    assert PipelineConfig(n=6, m=8, budget=0, gauss_threshold=1.0).budget == 0
 
 
 # -- filters ---------------------------------------------------------------
@@ -150,7 +153,7 @@ def test_forced_complete_triples_accepted():
 
 
 def test_filter_order_cannot_change_accept_set():
-    budget = SolveBudget(max_decisions=100_000)
+    budget = 100_000
     threshold = 2.0
     for trial in range(12):
         f = sample_homogeneous(SampleConfig(n=8, m=12, seed=55), trial)
@@ -171,8 +174,8 @@ def test_filter_order_cannot_change_accept_set():
 def test_run_trial_raises_when_gauss_run_contradicts_rank_check(monkeypatch):
     real = pipeline.gauss_ratio
 
-    def gap_reporting_sat(f, budget=None):
-        gap = real(f, budget=budget)
+    def gap_reporting_sat(f, max_decisions=None):
+        gap = real(f, max_decisions=max_decisions)
         return replace(gap, with_gauss=replace(gap.with_gauss, result=SAT))
 
     monkeypatch.setattr(pipeline, "gauss_ratio", gap_reporting_sat)
@@ -230,8 +233,7 @@ def test_core_mode_requires_asymmetric_incidence(tmp_path):
     for rec in records:
         assert rec.phi_asymmetric is True
         f = import_xor_dimacs((tmp_path / rec.formula_file).read_text())
-        budget = SolveBudget(max_decisions=100_000)
-        assert phi_is_asymmetric(f, budget) is True
+        assert phi_is_asymmetric(f, 100_000) is True
         assert rec.vertices == 4 * rec.m + 2 * rec.n
 
 
@@ -389,6 +391,23 @@ def test_check_reports_a_non_boolean_as_unreadable(tmp_path, capsys):
                    "0/1 instances valid\n")
 
 
+def test_check_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    record = generate(cfg, tmp_path)[0]
+    formula_text = "p cnf 1 0\n"
+    (tmp_path / record.formula_file).write_text(formula_text)
+    manifest = tmp_path / record.manifest_file
+    manifest.write_text(manifest_text(replace(record, n=1, m=0,
+                                              clause_digest=clause_digest(formula_text))))
+    assert main(["check", str(manifest)]) == 1
+    out = capsys.readouterr().out
+    assert (f"{record.instance_id}: formula_lifts: FAIL  "
+            "(order gadgets need at least 2 variables)\n") in out
+    assert out.endswith("0/1 instances valid\n")
+
+
 def test_index_lists_accepted_instances(tmp_path):
     cfg = PipelineConfig(n=9, m=14, seed=6, trials=5, gauss_threshold=1.0)
     records = generate(cfg, tmp_path)
@@ -410,6 +429,23 @@ def test_cli_generate_and_check(tmp_path):
     manifests = sorted(str(p) for p in out.glob("*/manifest.txt"))
     assert manifests
     assert main(["check"] + manifests) == 0
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_cli_generate_is_byte_deterministic_when_plain_runs_exhaust_the_budget(tmp_path):
+    from xorcfi.cli import main
+
+    argv = ["generate", "--n", "20", "--ratio", "2", "--seed", "7", "--count", "20",
+            "--budget-decisions", "2", "--gauss-threshold", "1"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    tree = _tree(tmp_path / "a")
+    assert tree == _tree(tmp_path / "b")
+    assert any(rel.endswith("/manifest.txt") and b"\ngauss_ratio: inf\n" in text
+               for rel, text in tree.items())
 
 
 # sha256 of what `sample` and `build` wrote before they went through _atomic_write.
@@ -446,6 +482,17 @@ def test_cli_sample_then_build(tmp_path, monkeypatch):
     assert sorted(written) == sorted(CLI_SAMPLE_BUILD_DIGESTS)
 
 
+def test_cli_build_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    formula = tmp_path / "one.xcnf"
+    formula.write_text("p cnf 1 0\n")
+    assert main(["build", str(formula), "--gadget", "full", "--out", str(tmp_path / "d")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {formula}: order gadgets need at least 2 variables\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--n", "2", "--ratio", "1"], "need at least 3 variables"),
     (["generate", "--n", "10", "--ratio", "2", "--count", "0"], "need at least one trial"),
@@ -456,6 +503,8 @@ def test_cli_sample_then_build(tmp_path, monkeypatch):
     (["sample", "--n", "10", "--ratio", "nan"], "ratio must be finite"),
     (["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "0"],
      "a budget of 0 decisions can show a gauss ratio of at most 1, below the threshold 5"),
+    (["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "-1"],
+     "budget must be >= 0, got -1"),
 ])
 def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, message):
     from xorcfi.cli import main
@@ -466,17 +515,44 @@ def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, mes
     assert not (tmp_path / "d").exists()
 
 
+def test_cli_generate_has_no_seconds_budget(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "20", "--ratio", "2", "--budget-seconds", "1",
+              "--out", str(tmp_path / "d")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget-seconds 1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 # -- scripts ---------------------------------------------------------------
 
 
-def test_hardness_growth_script_toy_run(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "hardness_growth.py"
+def _run_script(name, *args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
     env = dict(os.environ, PYTHONPATH=str(Path(xorcfi.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, str(script), "--ns", "10", "--ratio", "1.0", "--count", "1",
-         "--gadget", "core", "--max-trials", "200", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    return subprocess.run([sys.executable, str(script), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_hardness_growth_script_toy_run(tmp_path):
+    proc = _run_script("hardness_growth.py", "--ns", "10", "--ratio", "1.0", "--count", "1",
+                       "--gadget", "core", "--max-trials", "200", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results.csv").is_file()
     assert (tmp_path / "growth.txt").is_file()
+
+
+def test_solver_shootout_script_toy_run(tmp_path):
+    batch = tmp_path / "batch"
+    records = generate(PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0), batch)
+    assert records
+    proc = _run_script("solver_shootout.py", str(batch), "--solvers", "internal",
+                       "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["instance"] for r in rows] == [r.instance_id for r in records]
+    assert all(r["solver"] == "internal-ir" and r["status"] == "OK" and int(r["nodes"]) > 0
+               for r in rows)
