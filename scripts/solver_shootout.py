@@ -4,7 +4,7 @@ internal IR solver, producing the comparison CSV and growth report.
 
 External solvers (dreadnaut/Traces, nauty, bliss, conauto) are used when
 their binaries are on PATH; missing ones degrade to ERROR rows and the
-batch keeps going.
+batch keeps going, and so does a manifest that cannot be read.
 
 Example:
     xorcfi generate --n 30 --ratio 1.0 --seed 5000 --count 50 \
@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from xorcfi.bench import run_external, run_internal, write_summary
+from xorcfi.bench import STATUS_ERROR, BenchResult, run_external, run_internal, write_summary
 from xorcfi.pipeline import from_dre, parse_manifest
 
 def main(argv=None) -> int:
@@ -37,7 +37,15 @@ def main(argv=None) -> int:
         return 1
     results = []
     for manifest_path in manifests:
-        record = parse_manifest(manifest_path.read_text(encoding="utf-8"))
+        try:
+            record = parse_manifest(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            instance = manifest_path.parent.name
+            for solver in args.solvers:
+                results.append(BenchResult(instance, solver, "unknown", 0.0, STATUS_ERROR,
+                                           error=str(exc)))
+                print(f"{instance} {solver}: {STATUS_ERROR} (unreadable manifest: {exc})")
+            continue
         if record.graph_dre is None:
             print(f"{record.instance_id}: no .dre file, skipped", file=sys.stderr)
             continue

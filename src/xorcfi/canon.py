@@ -20,11 +20,11 @@ leftmost path (McKay & Piperno, Practical Graph Isomorphism II, 2014).
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -361,66 +361,67 @@ def local_consistency(
 ) -> bool:
     """Whether the assignment game on f admits endless consistent play.
 
-    Computes the greatest family of consistent partial assignments on at
-    most k variables that is closed under restriction and extension (any
-    assignment below size k extends to any requested variable inside the
-    family); nonempty exactly when the empty assignment survives.
+    The game keeps the greatest family of consistent partial assignments
+    on at most k variables that is closed under restriction and
+    extension (any assignment below size k extends to any requested
+    variable inside the family); play is endless exactly when the empty
+    assignment survives. f is affine, so that family is closed under the
+    Mal'tsev operation x^y^z, and its survivors on each variable set V
+    are the solutions of the parity rows implied on V. The fixpoint
+    therefore runs over row spans, which is exact, not an approximation:
+    span[V] takes in the rows of each V - {x} (restriction) and the rows
+    of each V + {x} with x eliminated (extension). A row holds its
+    right-hand side at bit n, so the row 1 << n reads 0 = 1, and once any
+    set implies it, the projections carry it down to the empty set.
+    max_states bounds the size of the assignment game, not this work, so
+    that the same calls are refused as by an enumerating checker.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = f.n
     h, b = to_matrix(f)
-    constraints = [(row, (b.bits >> i) & 1) for i, row in enumerate(h.row_bits)]
     keff = min(k, n)
     est = _estimated_states(n, keff)
     if est > max_states:
         raise BudgetExceededError(f"about {est} game states exceed the budget of {max_states}")
 
-    alive: Set[Tuple[int, int]] = set()
-    for size in range(keff + 1):
-        for combo in itertools.combinations(range(n), size):
-            vmask = 0
-            for x in combo:
-                vmask |= 1 << x
-            inside = [(cm, r) for cm, r in constraints if cm & ~vmask == 0]
-            for bits in range(1 << size):
-                amask = 0
-                for pos, x in enumerate(combo):
-                    if (bits >> pos) & 1:
-                        amask |= 1 << x
-                if all((amask & cm).bit_count() & 1 == r for cm, r in inside):
-                    alive.add((vmask, amask))
+    contradiction = 1 << n
+    spans: Dict[int, Dict[int, int]] = {}  # variable set -> {lowest set bit: row}
+    # First in, first out, each set queued once: on pinned n=12 systems at
+    # k=6 this reaches 0 = 1 in about a quarter of the steps of a stack.
+    work: Deque[int] = deque()
+    queued: Set[int] = set()
 
-    dead: List[Tuple[int, int]] = []
+    def add(vmask: int, rows: Iterable[int]) -> bool:
+        """Adds rows to span[vmask]; False once it implies 0 = 1."""
+        basis = spans.setdefault(vmask, {})
+        before = len(basis)
+        for r in rows:
+            while r:
+                low = r & -r
+                if low not in basis:
+                    basis[low] = r
+                    break
+                r ^= basis[low]
+        if len(basis) > before and vmask not in queued:
+            queued.add(vmask)
+            work.append(vmask)
+        return contradiction not in basis
 
-    def kill(state: Tuple[int, int]) -> None:
-        if state in alive:
-            alive.discard(state)
-            dead.append(state)
-
-    # Seed: states below size k missing both extensions at some variable.
-    for vmask, amask in list(alive):
-        if vmask.bit_count() >= keff:
-            continue
+    for i, row in enumerate(h.row_bits):
+        if row.bit_count() <= keff and not add(row, [row | ((b.bits >> i) & 1) << n]):
+            return False
+    while work:
+        vmask = work.popleft()
+        queued.discard(vmask)
+        rows = list(spans[vmask].values())
+        below_k = vmask.bit_count() < keff
         for x in range(n):
             bit = 1 << x
             if vmask & bit:
-                continue
-            if (vmask | bit, amask) not in alive and (vmask | bit, amask | bit) not in alive:
-                kill((vmask, amask))
-                break
-
-    while dead:
-        vmask, amask = dead.pop()
-        for x in range(n):
-            bit = 1 << x
-            if vmask & bit:
-                # Parent loses this extension; dies if the sibling is gone too.
-                parent = (vmask & ~bit, amask & ~bit)
-                if parent in alive and (vmask, amask ^ bit) not in alive:
-                    kill(parent)
-            else:
-                # Supersets of a dead state die (closure under restriction).
-                kill((vmask | bit, amask))
-                kill((vmask | bit, amask | bit))
-    return (0, 0) in alive
+                first = next((r for r in rows if r & bit), 0)
+                if not add(vmask ^ bit, [r ^ first if r & bit else r for r in rows if r != first]):
+                    return False
+            elif below_k and not add(vmask | bit, rows):
+                return False
+    return True

@@ -56,14 +56,16 @@ def cmd_sample(args) -> int:
 
 
 def cmd_build(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
+    graphs = []
     for formula_path in args.formula:
         try:
             f = import_xor_dimacs(Path(formula_path).read_text(encoding="utf-8"))
-            g = build_graph(f, args.gadget)
+            graphs.append((formula_path, build_graph(f, args.gadget)))
         except (OSError, ValueError) as exc:
             print(f"error: {formula_path}: {exc}", file=sys.stderr)
             return 1
+    args.out.mkdir(parents=True, exist_ok=True)
+    for formula_path, g in graphs:
         out_path = args.out / (Path(formula_path).stem + f".{args.format}")
         _atomic_write(out_path, export_graph(g, args.format))
         print(f"{out_path}  ({g.vertex_count} vertices, {g.edge_count} edges)")

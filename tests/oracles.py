@@ -8,14 +8,14 @@ pytest puts it on ``sys.path``.
 
 import itertools
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from xorcfi import canon
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
-from xorcfi.formula import CnfFormula, PinnedSystem, XorFormula
+from xorcfi.formula import CnfFormula, PinnedSystem, XorFormula, to_matrix
 from xorcfi.gf2 import Gf2Matrix, Gf2Vector, reduced_system
 
 
@@ -297,3 +297,70 @@ def wl_indistinguishable(g: Graph, u: int, v: int, k: int, max_tuples: int = 300
     part = wl_k(g, k, max_tuples=max_tuples)
     n = g.vertex_count
     return same_cell(part, _flat_index([u] * k, n), _flat_index([v] * k, n))
+
+
+# -- pebble game ---------------------------------------------------------------
+
+
+def enumerating_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) -> bool:
+    """canon.local_consistency by enumerating every partial assignment.
+
+    Computes the greatest family of consistent partial assignments on at
+    most k variables that is closed under restriction and extension (any
+    assignment below size k extends to any requested variable inside the
+    family); nonempty exactly when the empty assignment survives. Costs
+    one state per assignment, about sum_j C(n, j) 2^j of them.
+    """
+    n = f.n
+    h, b = to_matrix(f)
+    constraints = [(row, (b.bits >> i) & 1) for i, row in enumerate(h.row_bits)]
+    keff = min(k, n)
+
+    alive: Set[Tuple[int, int]] = set()
+    for size in range(keff + 1):
+        for combo in itertools.combinations(range(n), size):
+            vmask = 0
+            for x in combo:
+                vmask |= 1 << x
+            inside = [(cm, r) for cm, r in constraints if cm & ~vmask == 0]
+            for bits in range(1 << size):
+                amask = 0
+                for pos, x in enumerate(combo):
+                    if (bits >> pos) & 1:
+                        amask |= 1 << x
+                if all((amask & cm).bit_count() & 1 == r for cm, r in inside):
+                    alive.add((vmask, amask))
+
+    dead: List[Tuple[int, int]] = []
+
+    def kill(state: Tuple[int, int]) -> None:
+        if state in alive:
+            alive.discard(state)
+            dead.append(state)
+
+    # Seed: states below size k missing both extensions at some variable.
+    for vmask, amask in list(alive):
+        if vmask.bit_count() >= keff:
+            continue
+        for x in range(n):
+            bit = 1 << x
+            if vmask & bit:
+                continue
+            if (vmask | bit, amask) not in alive and (vmask | bit, amask | bit) not in alive:
+                kill((vmask, amask))
+                break
+
+    while dead:
+        vmask, amask = dead.pop()
+        for x in range(n):
+            bit = 1 << x
+            if vmask & bit:
+                # Parent loses this extension; dies if the sibling is gone too.
+                parent = (vmask & ~bit, amask & ~bit)
+                if parent in alive and (vmask, amask ^ bit) not in alive:
+                    kill(parent)
+            else:
+                # Supersets of a dead state die (closure under restriction).
+                kill((vmask | bit, amask))
+                kill((vmask | bit, amask | bit))
+    return (0, 0) in alive

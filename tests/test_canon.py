@@ -33,6 +33,7 @@ from oracles import (
     brute_force_automorphisms,
     cells,
     color_refine,
+    enumerating_local_consistency,
     individualize,
     refines,
     same_cell,
@@ -579,6 +580,28 @@ def test_consistency_antitone_in_k():
         results = [local_consistency(p, k) for k in range(1, n + 1)]
         # Once false, false for every larger k.
         assert results == sorted(results, reverse=True)
+
+
+def test_row_span_checker_matches_enumerating_checker():
+    # Seed 2208 is A4's and the benchmark's; at n=12 only k <= 2 is
+    # consistent, so the n=20 pins supply the consistent cases at k=3.
+    def outcomes(f, ks):
+        seen = []
+        for i in range(1, f.n + 1):
+            for k in ks:
+                p = pin(f, i, 1)
+                got = local_consistency(p, k)
+                assert got == enumerating_local_consistency(p, k), (f.n, i, k)
+                seen.append(got)
+        return seen
+
+    small = []
+    for trial in range(3):
+        small += outcomes(sample_homogeneous(SampleConfig(n=12, ratio=2.0, seed=2208), trial),
+                          range(1, 7))
+    assert True in small and False in small
+    large = outcomes(sample_homogeneous(SampleConfig(n=20, ratio=2.0, seed=2208)), [3])
+    assert True in large and False in large
 
 
 def test_consistency_budget_refusal():

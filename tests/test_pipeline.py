@@ -14,7 +14,7 @@ import pytest
 import xorcfi
 from xorcfi import pipeline
 from xorcfi.cfi import Graph
-from xorcfi.formula import import_xor_dimacs
+from xorcfi.formula import export_xor_dimacs, import_xor_dimacs
 from xorcfi.pipeline import (
     GADGET_CORE,
     GADGET_FULL,
@@ -493,6 +493,18 @@ def test_cli_build_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
         "", f"error: {formula}: order gadgets need at least 2 variables\n")
 
 
+def test_cli_build_writes_nothing_when_a_formula_fails(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    good = tmp_path / "good.xcnf"
+    good.write_text(export_xor_dimacs(sample_homogeneous(SampleConfig(n=6, m=8, seed=4))))
+    missing = tmp_path / "missing.xcnf"
+    assert main(["build", str(good), str(missing), "--out", str(tmp_path / "d")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {missing}: ")
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--n", "2", "--ratio", "1"], "need at least 3 variables"),
     (["generate", "--n", "10", "--ratio", "2", "--count", "0"], "need at least one trial"),
@@ -544,15 +556,31 @@ def test_hardness_growth_script_toy_run(tmp_path):
     assert (tmp_path / "growth.txt").is_file()
 
 
-def test_solver_shootout_script_toy_run(tmp_path):
+def _shootout(tmp_path, edit=lambda manifests: None):
+    """The toy batch's records and the script's results.csv rows on it."""
     batch = tmp_path / "batch"
     records = generate(PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0), batch)
-    assert records
+    assert len(records) >= 2
+    edit([batch / r.manifest_file for r in records])
     proc = _run_script("solver_shootout.py", str(batch), "--solvers", "internal",
                        "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "out" / "results.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        return records, list(csv.DictReader(fh))
+
+
+def test_solver_shootout_script_toy_run(tmp_path):
+    records, rows = _shootout(tmp_path)
     assert [r["instance"] for r in rows] == [r.instance_id for r in records]
     assert all(r["solver"] == "internal-ir" and r["status"] == "OK" and int(r["nodes"]) > 0
                for r in rows)
+
+
+def test_solver_shootout_script_reports_an_unreadable_manifest(tmp_path):
+    def break_first(manifests):
+        text = manifests[0].read_text()
+        manifests[0].write_text(text.replace("gadget_mode: full", "gadget_mode: fancy"))
+
+    records, rows = _shootout(tmp_path, break_first)
+    assert [(r["instance"], r["status"]) for r in rows] == (
+        [(records[0].instance_id, "ERROR")] + [(r.instance_id, "OK") for r in records[1:]])
