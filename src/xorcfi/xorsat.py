@@ -6,6 +6,14 @@ occurrences in the shortest active constraints, ties broken by variable
 index, and tries value 0 before 1, so runs are deterministic and the
 decision count is a machine-independent cost.
 
+Propagation keeps per-constraint counters in Python lists. The branch
+pick reads the assignment bytes through numpy: before its first pick
+the solver flattens its clauses and XOR rows into one incidence of
+(variable, polarity, constraint) entries, and each pick is a few
+bincounts over it, not a Python rescan of every constraint. A run that
+propagation refutes at level 0, like every Gauss-side refutation,
+never builds the incidence.
+
 With use_gauss the XOR rows are eliminated up front over GF(2); an
 inconsistent XOR part refutes immediately and a full-rank part turns
 into unit rows that propagate everything at level 0. This is where the
@@ -16,7 +24,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .formula import CnfFormula, XorFormula, to_matrix
 from .gf2 import reduced_system
@@ -24,6 +35,12 @@ from .gf2 import reduced_system
 SAT = "SAT"
 UNSAT = "UNSAT"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
+
+UNASSIGNED = 0xFF  # the value byte of a variable without a value
+NO_POLARITY = 2  # the polarity of an XOR row entry, which no value matches
+
+# Entry variables, entry polarities, entry constraints, assignment view.
+Incidence = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -49,7 +66,8 @@ class _Solver:
             self.clauses.append(tuple(sorted(lit_set, key=abs)))
         self.xors = [(tuple(vs), rhs & 1) for vs, rhs in xors]
 
-        self.assign: List[Optional[int]] = [None] * (n + 1)
+        # Value of each variable, UNASSIGNED if none; numpy reads it in place.
+        self.assign = bytearray([UNASSIGNED]) * (n + 1)
         self.trail: List[int] = []
         # CNF bookkeeping: count of true / false literals per clause.
         self.n_true = [0] * len(self.clauses)
@@ -73,108 +91,115 @@ class _Solver:
 
     # -- assignment plumbing -------------------------------------------------
 
-    def _set(self, var: int, value: int) -> bool:
-        """Assign and update counters; False on immediate conflict."""
-        self.assign[var] = value
-        self.trail.append(var)
-        ok = True
-        for idx, pol in self.occ_cnf[var]:
-            if pol == value:
-                self.n_true[idx] += 1
-            else:
-                self.n_false[idx] += 1
-                if self.n_true[idx] == 0 and self.n_false[idx] == len(self.clauses[idx]):
-                    ok = False
-        for idx in self.occ_xor[var]:
-            self.x_unassigned[idx] -= 1
-            self.x_acc[idx] ^= value
-            if self.x_unassigned[idx] == 0 and self.x_acc[idx] != self.xors[idx][1]:
-                ok = False
-        return ok
-
-    def _unset(self, var: int) -> None:
-        value = self.assign[var]
-        self.assign[var] = None
-        for idx, pol in self.occ_cnf[var]:
-            if pol == value:
-                self.n_true[idx] -= 1
-            else:
-                self.n_false[idx] -= 1
-        for idx in self.occ_xor[var]:
-            self.x_unassigned[idx] += 1
-            self.x_acc[idx] ^= value
-
     def _backtrack_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            self._unset(self.trail.pop())
+        """Unassign the trail above mark and restore the counters."""
+        assign, trail = self.assign, self.trail
+        n_true, n_false, occ_cnf = self.n_true, self.n_false, self.occ_cnf
+        x_unassigned, x_acc, occ_xor = self.x_unassigned, self.x_acc, self.occ_xor
+        while len(trail) > mark:
+            var = trail.pop()
+            value = assign[var]
+            assign[var] = UNASSIGNED
+            for idx, pol in occ_cnf[var]:
+                if pol == value:
+                    n_true[idx] -= 1
+                else:
+                    n_false[idx] -= 1
+            for idx in occ_xor[var]:
+                x_unassigned[idx] += 1
+                x_acc[idx] ^= value
 
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
-        """Assign pending (var, value) pairs to fixpoint; False on conflict."""
+        """Assign pending (var, value) pairs to fixpoint; False on conflict.
+
+        Each assignment updates the counters of the constraints it occurs
+        in and queues the last free entry of each one it leaves unit:
+        clauses first, then XOR rows, each in occurrence order.
+        """
+        assign, trail = self.assign, self.trail
+        clauses, n_true, n_false, occ_cnf = self.clauses, self.n_true, self.n_false, self.occ_cnf
+        xors, x_unassigned, x_acc, occ_xor = self.xors, self.x_unassigned, self.x_acc, self.occ_xor
         queue = list(pending)
         while queue:
             var, value = queue.pop()
-            if self.assign[var] is not None:
-                if self.assign[var] != value:
+            if assign[var] != UNASSIGNED:
+                if assign[var] != value:
                     self.conflicts += 1
                     return False
                 continue
-            if not self._set(var, value):
+            assign[var] = value
+            trail.append(var)
+            ok = True
+            for idx, pol in occ_cnf[var]:
+                if pol == value:
+                    n_true[idx] += 1
+                    continue
+                n_false[idx] += 1
+                if n_true[idx]:
+                    continue
+                cl = clauses[idx]
+                free = len(cl) - n_false[idx]
+                if free == 0:
+                    ok = False
+                elif free == 1:
+                    for lit in cl:
+                        if assign[abs(lit)] == UNASSIGNED:
+                            queue.append((abs(lit), 1 if lit > 0 else 0))
+                            break
+            for idx in occ_xor[var]:
+                left = x_unassigned[idx] = x_unassigned[idx] - 1
+                acc = x_acc[idx] = x_acc[idx] ^ value
+                if left == 1:
+                    for v in xors[idx][0]:
+                        if assign[v] == UNASSIGNED:
+                            queue.append((v, xors[idx][1] ^ acc))
+                            break
+                elif left == 0 and acc != xors[idx][1]:
+                    ok = False
+            if not ok:
                 self.conflicts += 1
                 return False
             self.propagations += 1
-            for idx, _pol in self.occ_cnf[var]:
-                cl = self.clauses[idx]
-                if self.n_true[idx] == 0 and self.n_false[idx] == len(cl) - 1:
-                    for lit in cl:
-                        if self.assign[abs(lit)] is None:
-                            queue.append((abs(lit), 1 if lit > 0 else 0))
-                            break
-            for idx in self.occ_xor[var]:
-                if self.x_unassigned[idx] == 1:
-                    vs, rhs = self.xors[idx]
-                    for v in vs:
-                        if self.assign[v] is None:
-                            queue.append((v, rhs ^ self.x_acc[idx]))
-                            break
         return True
 
     # -- branching -----------------------------------------------------------
 
-    def _pick_branch_var(self) -> Optional[int]:
-        """Most occurrences among the shortest active constraints."""
-        best_len = None
-        for idx, cl in enumerate(self.clauses):
-            if self.n_true[idx] > 0:
-                continue
-            length = len(cl) - self.n_false[idx]
-            if length == 0:
-                continue
-            if best_len is None or length < best_len:
-                best_len = length
-        for idx in range(len(self.xors)):
-            length = self.x_unassigned[idx]
-            if length == 0:
-                continue
-            if best_len is None or length < best_len:
-                best_len = length
-        if best_len is None:
+    def _build_incidence(self) -> Incidence:
+        """One entry per clause literal and per XOR row variable: its
+        variable, its polarity (NO_POLARITY for a row, which no value
+        matches) and its constraint, clauses first; plus the view of
+        assign."""
+        constraints = self.clauses + [vs for vs, _ in self.xors]
+        sizes = [len(c) for c in constraints]
+        entries = np.array(list(chain.from_iterable(constraints)), dtype=np.intp)
+        n_lits = sum(sizes[:len(self.clauses)])
+        pol = np.full(entries.size, NO_POLARITY, dtype=np.uint8)
+        pol[:n_lits] = entries[:n_lits] > 0
+        con = np.repeat(np.arange(len(sizes)), sizes)
+        return np.abs(entries), pol, con, np.frombuffer(self.assign, dtype=np.uint8)
+
+    def _pick_branch_var(self, incidence: Incidence) -> Optional[int]:
+        """Most occurrences among the shortest active constraints.
+
+        A constraint's length is its count of unassigned entries; it is
+        active while that is positive and, for a clause, no literal is
+        true. Each variable scores one per unassigned entry in an active
+        constraint of the least length; argmax returns the first
+        maximum, so ties go to the lower index.
+        """
+        var, pol, con, assign = incidence
+        values = assign[var]
+        free = values == UNASSIGNED
+        size = len(self.clauses) + len(self.xors)
+        length = np.bincount(con[free], minlength=size)
+        length[con[values == pol]] = 0  # satisfied clauses are inactive
+        active = length[length > 0]
+        if not active.size:
             return None
-        scores: Dict[int, int] = {}
-        for idx, cl in enumerate(self.clauses):
-            if self.n_true[idx] > 0 or len(cl) - self.n_false[idx] != best_len:
-                continue
-            for lit in cl:
-                if self.assign[abs(lit)] is None:
-                    scores[abs(lit)] = scores.get(abs(lit), 0) + 1
-        for idx, (vs, _) in enumerate(self.xors):
-            if self.x_unassigned[idx] != best_len:
-                continue
-            for v in vs:
-                if self.assign[v] is None:
-                    scores[v] = scores.get(v, 0) + 1
-        return min(scores, key=lambda v: (-scores[v], v))
+        shortest = free & (length[con] == active.min())
+        return int(np.bincount(var[shortest], minlength=self.n + 1).argmax())
 
     # -- search --------------------------------------------------------------
 
@@ -201,12 +226,13 @@ class _Solver:
         if not self._propagate(units):
             return make_stats(UNSAT)
 
+        incidence = self._build_incidence()
         # (trail mark, branch var, values left to try)
         stack: List[Tuple[int, int, List[int]]] = []
         while True:
-            var = self._pick_branch_var()
+            var = self._pick_branch_var(incidence)
             if var is None:
-                model = tuple(self.assign[v] if self.assign[v] is not None else 0
+                model = tuple(self.assign[v] if self.assign[v] != UNASSIGNED else 0
                               for v in range(1, self.n + 1))
                 return make_stats(SAT, model)
             if max_decisions is not None and self.decisions >= max_decisions:

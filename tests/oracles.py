@@ -8,7 +8,7 @@ pytest puts it on ``sys.path``.
 
 import itertools
 import math
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partit
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
 from xorcfi.formula import CnfFormula, PinnedSystem, XorFormula, to_matrix
 from xorcfi.gf2 import Gf2Matrix, Gf2Vector, reduced_system
+from xorcfi.xorsat import UNASSIGNED
 
 
 # -- GF(2) -------------------------------------------------------------------
@@ -121,6 +122,51 @@ def nontrivial_solution_formula(f: XorFormula) -> CnfFormula:
         clauses.extend(xor_clause_cnf_expansion(cl.vars, 0))
     clauses.append(tuple(range(1, f.n + 1)))
     return CnfFormula(f.n, tuple(clauses))
+
+
+# -- DPLL branching ----------------------------------------------------------
+
+
+def rescan_branch_var(solver) -> Optional[int]:
+    """The branch variable of an xorsat._Solver, by rescanning every clause
+    and XOR row of its current state.
+
+    The variable with the most occurrences among the shortest active
+    constraints, ties broken by the lower index; None when no constraint
+    is active. A clause is active while none of its literals is true; a
+    constraint's length is its count of unassigned entries.
+    """
+    best_len = None
+    for idx, cl in enumerate(solver.clauses):
+        if solver.n_true[idx] > 0:
+            continue
+        length = len(cl) - solver.n_false[idx]
+        if length == 0:
+            continue
+        if best_len is None or length < best_len:
+            best_len = length
+    for idx in range(len(solver.xors)):
+        length = solver.x_unassigned[idx]
+        if length == 0:
+            continue
+        if best_len is None or length < best_len:
+            best_len = length
+    if best_len is None:
+        return None
+    scores: Dict[int, int] = {}
+    for idx, cl in enumerate(solver.clauses):
+        if solver.n_true[idx] > 0 or len(cl) - solver.n_false[idx] != best_len:
+            continue
+        for lit in cl:
+            if solver.assign[abs(lit)] == UNASSIGNED:
+                scores[abs(lit)] = scores.get(abs(lit), 0) + 1
+    for idx, (vs, _) in enumerate(solver.xors):
+        if solver.x_unassigned[idx] != best_len:
+            continue
+        for v in vs:
+            if solver.assign[v] == UNASSIGNED:
+                scores[v] = scores.get(v, 0) + 1
+    return min(scores, key=lambda v: (-scores[v], v))
 
 
 # -- partitions and refinement -----------------------------------------------

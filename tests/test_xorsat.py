@@ -1,6 +1,9 @@
 """DPLL solver against a vectorized truth-table oracle."""
 
+import functools
+import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,7 @@ from xorcfi.xorsat import (
     solve,
 )
 
-from oracles import brute_sat
+from oracles import brute_sat, nontrivial_solution_formula, rescan_branch_var
 
 
 # -- oracle ----------------------------------------------------------------
@@ -230,3 +233,67 @@ def test_solve_counters_match_golden_n200(key):
     s = solve(nontrivial_query(f), use_gauss=use_gauss)
     ones = None if s.model is None else tuple(i + 1 for i, v in enumerate(s.model) if v)
     assert (s.result, s.decisions, s.propagations, s.conflicts, ones) == GOLDEN_N200[key]
+
+
+# The scale workload's accepted trial: an n=1000, m=2000 query whose plain
+# run reaches its decision budget, recorded before the numpy branch pick.
+SCALE_SEED = 1868515624530699897
+GOLDEN_SCALE = (BUDGET_EXHAUSTED, 4096, 242749, 4088)
+
+
+@functools.lru_cache(maxsize=None)
+def _scale_query():
+    return nontrivial_query(sample_homogeneous(SampleConfig(n=1000, ratio=2.0, seed=SCALE_SEED)))
+
+
+def test_plain_run_counters_match_golden_at_budget():
+    s = solve(_scale_query(), max_decisions=4096)
+    assert (s.result, s.decisions, s.propagations, s.conflicts) == GOLDEN_SCALE
+
+
+# -- branching against the rescan oracle -----------------------------------
+
+
+def _with_tautologies_and_duplicates(rnd, cnf):
+    if cnf.n < 2:
+        return cnf
+    a, b = rnd.sample(range(1, cnf.n + 1), 2)
+    extra = ((a, -a, b), (b, b, -a), (-b, a, -b))
+    return CnfFormula(cnf.n, cnf.clauses + extra, cnf.xors)
+
+
+def _branch_corpus():
+    """(input, use_gauss, max_decisions) triples."""
+    rnd = random.Random(20261018)
+    for i in range(600):
+        cnf = random_inputs(rnd)
+        if i % 2:
+            cnf = _with_tautologies_and_duplicates(rnd, cnf)
+        yield cnf, i % 3 == 0, None
+    for i in range(24):
+        f = sample_homogeneous(SampleConfig(n=8 + i % 12, ratio=1.0 + (i % 5) / 4, seed=300 + i))
+        yield nontrivial_solution_formula(f), False, None
+    for i in range(200):
+        n = 8 + (i * 13) % 53
+        f = sample_homogeneous(SampleConfig(n=n, ratio=1.0 + (i % 9) / 8, seed=900 + i))
+        for use_gauss in (False, True):
+            yield nontrivial_query(f), use_gauss, 4 if i % 10 == 9 else None
+    yield _scale_query(), False, 64
+
+
+def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
+    picks = []
+    numpy_pick = xorsat._Solver._pick_branch_var
+
+    def checked_pick(solver, incidence):
+        var = numpy_pick(solver, incidence)
+        assert var == rescan_branch_var(solver)
+        picks.append(var)
+        return var
+
+    monkeypatch.setattr(xorsat._Solver, "_pick_branch_var", checked_pick)
+    outcomes = Counter()
+    for cnf, use_gauss, budget in _branch_corpus():
+        outcomes[solve(cnf, use_gauss=use_gauss, max_decisions=budget).result] += 1
+    assert set(outcomes) == {SAT, UNSAT, BUDGET_EXHAUSTED}, outcomes
+    assert sum(v is not None for v in picks) > 1000
