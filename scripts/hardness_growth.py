@@ -14,7 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from xorcfi.bench import run_internal, write_summary
-from xorcfi.pipeline import PipelineConfig, run_trial
+from xorcfi.canon import CELL_FIRST_LARGEST, CELL_FIRST_SMALLEST
+from xorcfi.pipeline import GADGET_CORE, GADGETS, PipelineConfig, run_trial
 
 
 def main(argv=None) -> int:
@@ -23,13 +24,13 @@ def main(argv=None) -> int:
     parser.add_argument("--ratio", type=float, default=1.0)
     parser.add_argument("--count", type=int, default=5, help="accepted instances per n")
     parser.add_argument("--seed", type=int, default=5000)
-    parser.add_argument("--gadget", choices=["full", "core"], default="core")
+    parser.add_argument("--gadget", choices=GADGETS, default=GADGET_CORE)
     parser.add_argument("--gauss-threshold", type=float, default=1.0)
     parser.add_argument("--max-trials", type=int, default=500)
     parser.add_argument("--max-nodes", type=int, default=5_000_000)
     parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--cell-strategy", default="first-smallest",
-                        choices=["first-smallest", "first-largest"])
+    parser.add_argument("--cell-strategy", default=CELL_FIRST_SMALLEST,
+                        choices=[CELL_FIRST_SMALLEST, CELL_FIRST_LARGEST])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 

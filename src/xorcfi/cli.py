@@ -44,6 +44,8 @@ def _config_error(exc: ValueError) -> int:
 def cmd_sample(args) -> int:
     try:
         cfg = SampleConfig(n=args.n, m=args.m, ratio=args.ratio, seed=args.seed)
+        if args.count < 1:
+            raise ValueError("need at least one trial")
     except ValueError as exc:
         return _config_error(exc)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import secrets
 from dataclasses import dataclass, fields
@@ -90,6 +91,8 @@ class PipelineConfig:
                 raise ValueError(f"unknown graph format {fmt!r}")
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if math.isnan(self.gauss_threshold):
+            raise ValueError("gauss threshold must be a number, got nan")
         # A plain run stopped after B decisions shows a Gauss ratio of only
         # B + 1, since the Gauss run refutes a full-rank query with 0 decisions.
         if self.budget + 1 < self.gauss_threshold:

@@ -8,7 +8,8 @@ pytest puts it on ``sys.path``.
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -410,3 +411,58 @@ def enumerating_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) ->
                 kill((vmask | bit, amask))
                 kill((vmask | bit, amask | bit))
     return (0, 0) in alive
+
+
+def row_span_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) -> bool:
+    """canon.local_consistency as a fixpoint over the row span of each
+    variable set, without the game-state budget.
+
+    The game's greatest family is closed under the Mal'tsev operation
+    x^y^z, since f is affine, so its survivors on each set V of at most k
+    variables are the solutions of the parity rows implied on V. span[V]
+    takes in the rows of each V - {x} (restriction) and the rows of each
+    V + {x} with x eliminated (extension). A row holds its right-hand
+    side at bit n, so the row 1 << n reads 0 = 1, and once any set
+    implies it, the projections carry it down to the empty set.
+    """
+    n = f.n
+    h, b = to_matrix(f)
+    keff = min(k, n)
+    contradiction = 1 << n
+    spans: Dict[int, Dict[int, int]] = {}  # variable set -> {lowest set bit: row}
+    work: Deque[int] = deque()
+    queued: Set[int] = set()
+
+    def add(vmask: int, rows: Iterable[int]) -> bool:
+        """Adds rows to span[vmask]; False once it implies 0 = 1."""
+        basis = spans.setdefault(vmask, {})
+        before = len(basis)
+        for r in rows:
+            while r:
+                low = r & -r
+                if low not in basis:
+                    basis[low] = r
+                    break
+                r ^= basis[low]
+        if len(basis) > before and vmask not in queued:
+            queued.add(vmask)
+            work.append(vmask)
+        return contradiction not in basis
+
+    for i, row in enumerate(h.row_bits):
+        if row.bit_count() <= keff and not add(row, [row | ((b.bits >> i) & 1) << n]):
+            return False
+    while work:
+        vmask = work.popleft()
+        queued.discard(vmask)
+        rows = list(spans[vmask].values())
+        below_k = vmask.bit_count() < keff
+        for x in range(n):
+            bit = 1 << x
+            if vmask & bit:
+                first = next((r for r in rows if r & bit), 0)
+                if not add(vmask ^ bit, [r ^ first if r & bit else r for r in rows if r != first]):
+                    return False
+            elif below_k and not add(vmask | bit, rows):
+                return False
+    return True

@@ -36,6 +36,7 @@ from oracles import (
     enumerating_local_consistency,
     individualize,
     refines,
+    row_span_local_consistency,
     same_cell,
     wl_indistinguishable,
     wl_k,
@@ -582,7 +583,7 @@ def test_consistency_antitone_in_k():
         assert results == sorted(results, reverse=True)
 
 
-def test_row_span_checker_matches_enumerating_checker():
+def test_xor_closure_checker_matches_enumerating_checker():
     # Seed 2208 is A4's and the benchmark's; at n=12 only k <= 2 is
     # consistent, so the n=20 pins supply the consistent cases at k=3.
     def outcomes(f, ks):
@@ -602,6 +603,24 @@ def test_row_span_checker_matches_enumerating_checker():
     assert True in small and False in small
     large = outcomes(sample_homogeneous(SampleConfig(n=20, ratio=2.0, seed=2208)), [3])
     assert True in large and False in large
+
+
+def test_xor_closure_checker_matches_row_span_checker():
+    # Every pin of the first accepted formula at n=20 and n=30, where the
+    # enumerating oracle is too slow. Some pins stay 3-consistent and
+    # none 4-consistent, so both outcomes are compared.
+    consistent = {}
+    for n, ratio in ((20, 2.0), (30, 1.5)):
+        cfg = PipelineConfig(n=n, ratio=ratio, seed=2208, gauss_threshold=1)
+        f = next(o.formula for o in (run_trial(cfg, t) for t in itertools.count()) if o.accepted)
+        for k in (3, 4):
+            outcomes = []
+            for i in range(1, n + 1):
+                p = pin(f, i, 1)
+                outcomes.append(local_consistency(p, k))
+                assert outcomes[-1] == row_span_local_consistency(p, k), (n, i, k)
+            consistent[n, k] = outcomes.count(True)
+    assert consistent == {(20, 3): 2, (20, 4): 0, (30, 3): 11, (30, 4): 0}
 
 
 def test_consistency_budget_refusal():

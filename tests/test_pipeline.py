@@ -517,6 +517,10 @@ def test_cli_build_writes_nothing_when_a_formula_fails(tmp_path, capsys):
      "a budget of 0 decisions can show a gauss ratio of at most 1, below the threshold 5"),
     (["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "-1"],
      "budget must be >= 0, got -1"),
+    (["generate", "--n", "12", "--ratio", "2", "--gauss-threshold", "nan"],
+     "gauss threshold must be a number, got nan"),
+    (["sample", "--n", "10", "--ratio", "2", "--count", "0"], "need at least one trial"),
+    (["sample", "--n", "10", "--ratio", "2", "--count", "-3"], "need at least one trial"),
 ])
 def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, message):
     from xorcfi.cli import main
