@@ -387,15 +387,13 @@ def local_consistency(
     if k < 1:
         raise ValueError("k must be >= 1")
     n = f.n
-    h, b = to_matrix(f)
     keff = min(k, n)
     est = _estimated_states(n, keff)
     if est > max_states:
         raise BudgetExceededError(f"about {est} game states exceed the budget of {max_states}")
 
     contradiction = 1 << n
-    seen = {row | ((b.bits >> i) & 1) << n
-            for i, row in enumerate(h.row_bits) if row.bit_count() <= keff}
+    seen = {r for r in to_matrix(f) if (r & ~contradiction).bit_count() <= keff}
     heap = [((r & ~contradiction).bit_count(), r) for r in seen]
     heapq.heapify(heap)
     derived: List[Tuple[int, int]] = []  # (row, its variables)

@@ -33,6 +33,8 @@ class Graph:
     colors: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex count must be >= 0, got {self.vertex_count}")
         for u, v in self.edges:
             if not (0 <= u < v < self.vertex_count):
                 raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")

@@ -58,17 +58,23 @@ def cmd_sample(args) -> int:
 
 
 def cmd_build(args) -> int:
+    out_paths = [args.out / (Path(p).stem + f".{args.format}") for p in args.formula]
+    for i, out_path in enumerate(out_paths):
+        if out_path in out_paths[:i]:
+            first = args.formula[out_paths.index(out_path)]
+            print(f"error: {first} and {args.formula[i]} would both write {out_path}",
+                  file=sys.stderr)
+            return 1
     graphs = []
     for formula_path in args.formula:
         try:
             f = import_xor_dimacs(Path(formula_path).read_text(encoding="utf-8"))
-            graphs.append((formula_path, build_graph(f, args.gadget)))
+            graphs.append(build_graph(f, args.gadget))
         except (OSError, ValueError) as exc:
             print(f"error: {formula_path}: {exc}", file=sys.stderr)
             return 1
     args.out.mkdir(parents=True, exist_ok=True)
-    for formula_path, g in graphs:
-        out_path = args.out / (Path(formula_path).stem + f".{args.format}")
+    for out_path, g in zip(out_paths, graphs):
         _atomic_write(out_path, export_graph(g, args.format))
         print(f"{out_path}  ({g.vertex_count} vertices, {g.edge_count} edges)")
     return 0

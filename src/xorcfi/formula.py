@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .gf2 import Gf2Matrix, Gf2Vector, rank
+from .gf2 import rank
 
 
 @dataclass(frozen=True, order=True)
@@ -105,6 +105,8 @@ class CnfFormula:
     xors: Tuple[XorClause, ...] = ()
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("variable count must be >= 0")
         for cl in self.clauses:
             if len(cl) == 0:
                 raise ValueError("empty CNF clause at construction")
@@ -139,27 +141,22 @@ def pin(f: XorFormula, i: int, value: int) -> PinnedSystem:
     return PinnedSystem(f, i, value)
 
 
-def to_matrix(f: Union[XorFormula, PinnedSystem, CnfFormula]) -> Tuple[Gf2Matrix, Gf2Vector]:
-    """One row per clause in canonical order; column j holds variable j+1.
+def to_matrix(f: Union[XorFormula, PinnedSystem, CnfFormula]) -> Tuple[int, ...]:
+    """One parity row per clause in canonical order, as gf2 packs them:
+    bit j holds variable j+1 and bit n the right-hand side.
 
     For a pinned system the unit row comes last. For a CNF formula the
     rows are its XOR rows in stored order, which need not be sorted or
     consistent.
     """
+    n = f.n
     if isinstance(f, PinnedSystem):
-        base, rhs = to_matrix(f.formula)
-        rows = base.row_bits + (1 << (f.var - 1),)
-        b_bits = rhs.bits | (f.value << base.rows)
-        return Gf2Matrix(base.rows + 1, base.cols, rows), Gf2Vector(base.rows + 1, b_bits)
+        return to_matrix(f.formula) + (1 << (f.var - 1) | f.value << n,)
     rows = []
-    b_bits = 0
-    for idx, cl in enumerate(f.xors if isinstance(f, CnfFormula) else f.clauses):
-        bits = 0
-        for v in cl.vars:
-            bits |= 1 << (v - 1)
-        rows.append(bits)
-        b_bits |= cl.rhs << idx
-    return Gf2Matrix(len(rows), f.n, tuple(rows)), Gf2Vector(len(rows), b_bits)
+    for cl in f.xors if isinstance(f, CnfFormula) else f.clauses:
+        a, b, c = cl.vars
+        rows.append(1 << (a - 1) | 1 << (b - 1) | 1 << (c - 1) | cl.rhs << n)
+    return tuple(rows)
 
 
 def is_uniquely_satisfiable(f: XorFormula) -> bool:
@@ -172,8 +169,7 @@ def is_uniquely_satisfiable(f: XorFormula) -> bool:
         raise ValueError("unique-satisfiability check is defined for homogeneous formulas")
     if len({v for cl in f.clauses for v in cl.vars}) < f.n:
         return False
-    h, _ = to_matrix(f)
-    return rank(h) == f.n
+    return rank(to_matrix(f), f.n) == f.n
 
 
 # ---------------------------------------------------------------------------

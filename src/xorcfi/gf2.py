@@ -1,59 +1,23 @@
-"""Dense linear algebra over GF(2) with bit-packed rows.
+"""Linear algebra over GF(2) on parity rows packed into Python ints.
 
-A matrix row is a single Python int: bit j holds the entry in column j,
-so a row XOR is one arbitrary-precision xor. All reductions go through
-one Gauss-Jordan elimination that works column-major: the rows are
-transposed once into one int per column (bit i = row i), the pivot of
-a column is the lowest set bit among the rows not yet used as pivots,
-and clearing it elsewhere is one xor into each later column the pivot
-row touches. The reduced row echelon form of a matrix is unique, so
-the pivot choice cannot change any result. kernel_basis() sets one
-free variable to 1 and the others to 0, so its basis is canonical, and
-reduced_system() returns the reduced augmented system that the Gauss
-presolve of xorsat propagates.
+A row over n variables is one int: bit j holds the coefficient of
+variable j+1 and bit n the right-hand side, so the row 1 << n reads
+0 = 1 and a row XOR is one arbitrary-precision xor. formula.to_matrix
+produces rows in this form and every consumer takes them unchanged.
+
+All reductions go through one Gauss-Jordan elimination that works
+column-major: the rows are transposed once into one int per column
+(bit i = row i), the pivot of a column is the lowest set bit among the
+rows not yet used as pivots, and clearing it elsewhere is one xor into
+each later column the pivot row touches. The reduced row echelon form
+of a matrix is unique, so the pivot choice cannot change any result.
+rank() counts the pivots; reduced_system() returns the reduced system
+that the Gauss presolve of xorsat propagates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class Gf2Vector:
-    """A length-n bit vector packed into one int (bit j = coordinate j)."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vector length must be >= 0")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("padding bits beyond length must be zero")
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise IndexError(j)
-        return (self.bits >> j) & 1
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """rows x cols matrix over GF(2); row_bits[i] packs row i."""
-
-    rows: int
-    cols: int
-    row_bits: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be >= 0")
-        if len(self.row_bits) != self.rows:
-            raise ValueError("row_bits length must equal rows")
-        for r in self.row_bits:
-            if r < 0 or r >> self.cols:
-                raise ValueError("padding bits beyond cols must be zero")
 
 
 def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
@@ -113,51 +77,18 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
     return [work[i] for i in order], pivots
 
 
-def rank(m: Gf2Matrix) -> int:
-    """Rank of m over GF(2); m itself is never mutated."""
-    _, pivots = _rref(m.row_bits, m.cols)
-    return len(pivots)
+def rank(rows: Iterable[int], cols: int) -> int:
+    """Rank over GF(2) of the coefficients below bit cols; the bits at
+    cols and above (a right-hand side) are ignored."""
+    return len(_rref(rows, cols)[1])
 
 
-def kernel_basis(m: Gf2Matrix) -> List[Gf2Vector]:
-    """Canonical basis of the null space {x : m x = 0}.
+def reduced_system(rows: Iterable[int], cols: int) -> Optional[List[int]]:
+    """The nonzero rows of the reduced row echelon form, right-hand side
+    at bit cols; None when the system is inconsistent (0 = 1 among them).
 
-    One basis vector per free column, in ascending free-column order;
-    the free coordinate is set to 1 and pivot coordinates are read off
-    the reduced echelon form.
+    A full-rank consistent system reduces to unit rows.
     """
-    work, pivots = _rref(m.row_bits, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for idx, pc in enumerate(pivots):
-            if (work[idx] >> free) & 1:
-                bits |= 1 << pc
-        basis.append(Gf2Vector(m.cols, bits))
-    return basis
-
-
-def reduced_system(m: Gf2Matrix, b: Gf2Vector) -> Optional[List[Tuple[int, int]]]:
-    """RREF of the augmented system [m | b] as (row_bits, rhs) pairs.
-
-    Returns None when the system is inconsistent; zero rows are dropped,
-    so a full-rank system reduces to unit rows.
-    """
-    if b.n != m.rows:
-        raise ValueError(f"dimension mismatch: matrix has {m.rows} rows, vector length {b.n}")
-    aug = [m.row_bits[i] | (((b.bits >> i) & 1) << m.cols) for i in range(m.rows)]
-    work, pivots = _rref(aug, m.cols)
-    col_mask = (1 << m.cols) - 1
-    out = []
-    for row in work:
-        coeffs = row & col_mask
-        rhs = (row >> m.cols) & 1
-        if coeffs == 0:
-            if rhs:
-                return None
-            continue
-        out.append((coeffs, rhs))
-    return out
+    work, _ = _rref(rows, cols)
+    out = [row for row in work if row]
+    return None if 1 << cols in out else out

@@ -468,8 +468,7 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     checks.append(CheckResult("formula_shape", f.n == record.n and f.m == record.m,
                               f"n={f.n} m={f.m}"))
 
-    h, _ = to_matrix(f)
-    r = rank(h)
+    r = rank(to_matrix(f), f.n)
     checks.append(CheckResult("rank_check", (r == f.n) == record.uniquely_satisfiable,
                               f"rank={r} n={f.n}"))
 

@@ -31,6 +31,8 @@ class SampleConfig:
             raise ValueError("need at least 3 variables")
         if self.m is None and self.ratio is None:
             raise ValueError("one of m or ratio is required")
+        if self.m is not None and self.ratio is not None:
+            raise ValueError("give m or ratio, not both")
         if self.ratio is not None and not math.isfinite(self.ratio):
             raise ValueError("ratio must be finite")
         _check_u64(self.seed, "seed")

@@ -56,7 +56,10 @@ class SolveStats:
 class _Solver:
     """One-shot DPLL instance over normalized constraints."""
 
-    def __init__(self, n: int, cnf: Sequence[Tuple[int, ...]], xors: Sequence[Tuple[Tuple[int, ...], int]]):
+    def __init__(self, n: int, cnf: Sequence[Tuple[int, ...]], rows: Sequence[int]):
+        """rows are parity rows as gf2 packs them (bit j is variable j+1,
+        bit n the right-hand side); each is kept as (its variables in
+        ascending order, rhs)."""
         self.n = n
         self.clauses: List[Tuple[int, ...]] = []
         for cl in cnf:
@@ -64,7 +67,16 @@ class _Solver:
             if any(-l in lit_set for l in lit_set):
                 continue  # tautology
             self.clauses.append(tuple(sorted(lit_set, key=abs)))
-        self.xors = [(tuple(vs), rhs & 1) for vs, rhs in xors]
+        self.xors: List[Tuple[Tuple[int, ...], int]] = []
+        for row in rows:
+            rhs = row >> n
+            coeffs = row ^ rhs << n
+            vs = []
+            while coeffs:
+                low = coeffs & -coeffs
+                vs.append(low.bit_length())
+                coeffs ^= low
+            self.xors.append((tuple(vs), rhs))
 
         # Value of each variable, UNASSIGNED if none; numpy reads it in place.
         self.assign = bytearray([UNASSIGNED]) * (n + 1)
@@ -273,20 +285,12 @@ def solve(input: CnfFormula, use_gauss: bool = False, max_decisions: Optional[in
     covers the elimination.
     """
     start = time.monotonic()
-    xors: List[Tuple[Tuple[int, ...], int]] = [(xc.vars, xc.rhs) for xc in input.xors]
-    if use_gauss and xors:
-        reduced = reduced_system(*to_matrix(input))
-        if reduced is None:
+    rows = to_matrix(input)
+    if use_gauss:
+        rows = reduced_system(rows, input.n)
+        if rows is None:
             return SolveStats(UNSAT, 0, 0, 1, time.monotonic() - start)
-        xors = []
-        for coeffs, rhs in reduced:
-            vs = []
-            while coeffs:
-                low = coeffs & -coeffs
-                vs.append(low.bit_length())  # bit j is variable j + 1
-                coeffs ^= low
-            xors.append((tuple(vs), rhs))
-    stats = _Solver(input.n, input.clauses, xors).run(max_decisions, start)
+    stats = _Solver(input.n, input.clauses, rows).run(max_decisions, start)
     if stats.result == SAT:
         assert stats.model is not None and _verify_model(input, stats.model)
     return stats

@@ -13,52 +13,67 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, 
 
 import numpy as np
 
-from xorcfi import canon
+from xorcfi import canon, gf2
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
 from xorcfi.formula import CnfFormula, PinnedSystem, XorFormula, to_matrix
-from xorcfi.gf2 import Gf2Matrix, Gf2Vector, reduced_system
+from xorcfi.gf2 import reduced_system
 from xorcfi.xorsat import UNASSIGNED
 
 
 # -- GF(2) -------------------------------------------------------------------
 
 
-def matrix_from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> Gf2Matrix:
-    """A matrix from 0/1 entry lists; cols defaults to the longest row."""
-    packed = []
-    width = 0
-    for row in rows:
-        entries = list(row)
-        packed.append(sum(1 << k for k, e in enumerate(entries) if e & 1))
-        width = max(width, len(entries))
-    return Gf2Matrix(len(packed), width if cols is None else cols, tuple(packed))
+def matrix_from_rows(rows: Iterable[Iterable[int]]) -> List[int]:
+    """Packed rows from 0/1 entry lists: entry k of a row is its bit k."""
+    return [sum(1 << k for k, e in enumerate(row) if e & 1) for row in rows]
 
 
-def mat_vec(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
-    """Matrix-vector product over GF(2)."""
-    if v.n != m.cols:
-        raise ValueError(f"dimension mismatch: matrix has {m.cols} cols, vector length {v.n}")
+def mat_vec(rows: Iterable[int], x: int) -> int:
+    """The parity of each row on x over GF(2), bit i for row i; the bits
+    of a row above those of x play no part."""
     bits = 0
-    for i, row in enumerate(m.row_bits):
-        if (row & v.bits).bit_count() & 1:
+    for i, row in enumerate(rows):
+        if (row & x).bit_count() & 1:
             bits |= 1 << i
-    return Gf2Vector(m.rows, bits)
+    return bits
 
 
-def solve(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
-    """Some x with m x = b, or None if inconsistent.
+def solve(rows: Iterable[int], cols: int) -> Optional[int]:
+    """Some x below bit cols on which each row's parity is its bit cols,
+    or None if there is none.
 
     The returned x is canonical: all free variables are 0.
     """
-    reduced = reduced_system(m, b)
+    reduced = reduced_system(rows, cols)
     if reduced is None:
         return None
-    bits = 0
-    for coeffs, rhs in reduced:
-        if rhs:
-            bits |= coeffs & -coeffs  # the row's lowest set bit is its pivot column
-    return Gf2Vector(m.cols, bits)
+    x = 0
+    for row in reduced:
+        if row >> cols & 1:
+            x |= row & -row  # the row's lowest set bit is its pivot column
+    return x
+
+
+def kernel_basis(rows: Iterable[int], cols: int) -> List[int]:
+    """Canonical basis of {x below bit cols : every row has even parity
+    on x}; the bits of a row at cols and above are ignored.
+
+    One basis vector per free column, in ascending free-column order;
+    the free coordinate is set to 1 and pivot coordinates are read off
+    the reduced echelon form.
+    """
+    work, pivots = gf2._rref(rows, cols)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        bits = 1 << free
+        for row, pc in zip(work, pivots):
+            if row >> free & 1:
+                bits |= 1 << pc
+        basis.append(bits)
+    return basis
 
 
 # -- formulas ----------------------------------------------------------------
@@ -359,8 +374,7 @@ def enumerating_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) ->
     one state per assignment, about sum_j C(n, j) 2^j of them.
     """
     n = f.n
-    h, b = to_matrix(f)
-    constraints = [(row, (b.bits >> i) & 1) for i, row in enumerate(h.row_bits)]
+    constraints = [(row & ~(1 << n), row >> n) for row in to_matrix(f)]
     keff = min(k, n)
 
     alive: Set[Tuple[int, int]] = set()
@@ -426,7 +440,6 @@ def row_span_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) -> bo
     implies it, the projections carry it down to the empty set.
     """
     n = f.n
-    h, b = to_matrix(f)
     keff = min(k, n)
     contradiction = 1 << n
     spans: Dict[int, Dict[int, int]] = {}  # variable set -> {lowest set bit: row}
@@ -449,8 +462,9 @@ def row_span_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) -> bo
             work.append(vmask)
         return contradiction not in basis
 
-    for i, row in enumerate(h.row_bits):
-        if row.bit_count() <= keff and not add(row, [row | ((b.bits >> i) & 1) << n]):
+    for row in to_matrix(f):
+        vmask = row & ~contradiction
+        if vmask.bit_count() <= keff and not add(vmask, [row]):
             return False
     while work:
         vmask = work.popleft()

@@ -21,7 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "formula.import_dimacs": "plain `p cnf` reader, a file format README freezes",
     "formula.export_dimacs": "plain `p cnf` writer, a file format README freezes",
-    "gf2.kernel_basis": "the null space, part of the GF(2) API README documents",
 }
 
 

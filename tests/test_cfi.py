@@ -226,11 +226,10 @@ def test_refinement_keeps_every_pair_together_in_both_lifts():
 def test_every_satisfying_assignment_gives_automorphism():
     f = make_formula(5, [((1, 2, 3), 0), ((2, 3, 4), 0), ((3, 4, 5), 0)])
     g = build_full(f)
-    h, _ = to_matrix(f)
     sols = [
         bits for bits in itertools.product((0, 1), repeat=f.n) if satisfies(f, bits)
     ]
-    assert len(sols) == 2 ** (f.n - rank(h))
+    assert len(sols) == 2 ** (f.n - rank(to_matrix(f), f.n))
     perms = set()
     for bits in sols:
         perm = assignment_automorphism(f, bits)

@@ -20,11 +20,11 @@ from xorcfi.formula import (
     pin,
     to_matrix,
 )
-from xorcfi.gf2 import kernel_basis, rank
+from xorcfi.gf2 import rank
 from xorcfi.pipeline import from_dimacs_graph
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import brute_sat, brute_solutions, nontrivial_solution_formula, satisfies
+from oracles import brute_sat, brute_solutions, kernel_basis, nontrivial_solution_formula, satisfies
 
 
 # -- oracles ---------------------------------------------------------------
@@ -127,29 +127,28 @@ def test_pin_out_of_range():
 
 
 def test_to_matrix_single_clause():
-    f = make_formula(3, [((1, 2, 3), 1)])
-    h, b = to_matrix(f)
-    assert (h.rows, h.cols) == (1, 3)
-    assert h.row_bits == (0b111,)
-    assert (b.n, b.bits) == (1, 0b1)
+    # Bits 0-2 hold variables 1-3 and bit n = 3 the right-hand side.
+    assert to_matrix(make_formula(3, [((1, 2, 3), 1)])) == (0b1111,)
+    assert to_matrix(make_formula(3, [((1, 2, 3), 0)])) == (0b0111,)
 
 
 def test_to_matrix_empty():
-    h, b = to_matrix(make_formula(5, []))
-    assert (h.rows, h.cols) == (0, 5)
-    assert b.n == 0
+    assert to_matrix(make_formula(5, [])) == ()
 
 
 def test_to_matrix_complete_triples():
-    h, _ = to_matrix(COMPLETE)
-    assert h.row_bits == (0b0111, 0b1011, 0b1101, 0b1110)
+    assert to_matrix(COMPLETE) == (0b0111, 0b1011, 0b1101, 0b1110)
 
 
 def test_to_matrix_pinned_appends_unit_row():
-    h, b = to_matrix(pin(TWO_CLAUSE, 3, 1))
-    assert h.rows == 3
-    assert h.row_bits[2] == 0b100
-    assert (b.n, b.bits) == (3, 0b100)
+    rows = to_matrix(pin(TWO_CLAUSE, 3, 1))
+    assert rows == to_matrix(TWO_CLAUSE) + (0b1_0100,)
+    assert to_matrix(pin(TWO_CLAUSE, 3, 0))[-1] == 0b0100
+
+
+def test_to_matrix_cnf_keeps_stored_xor_rows():
+    cnf = CnfFormula(4, ((1, -2),), (XorClause((2, 3, 4), 0), XorClause((1, 2, 3), 1)))
+    assert to_matrix(cnf) == (0b0_1110, 0b1_0111)
 
 
 # -- unique satisfiability -------------------------------------------------
@@ -175,7 +174,7 @@ def test_unique_iff_single_brute_solution(f):
 def test_unused_variable_verdict_equals_rank_check(monkeypatch):
     real_rank = formula.rank
     ranks = []
-    monkeypatch.setattr(formula, "rank", lambda h: ranks.append(h) or real_rank(h))
+    monkeypatch.setattr(formula, "rank", lambda rows, cols: ranks.append(rows) or real_rank(rows, cols))
     checked = unused = 0
     for n in (3, 5, 12, 30, 100):
         for ratio in (0.5, 1.0, 2.0, 3.0):
@@ -184,12 +183,11 @@ def test_unused_variable_verdict_equals_rank_check(monkeypatch):
                 f = sample_homogeneous(SampleConfig(n=n, m=m, seed=seed))
                 # The same clauses over one more variable, which none of them uses.
                 for g in (f, XorFormula(n + 1, f.clauses)):
-                    h, _ = to_matrix(g)
                     has_unused = len({v for cl in g.clauses for v in cl.vars}) < g.n
                     checked += 1
                     unused += has_unused
                     before = len(ranks)
-                    assert is_uniquely_satisfiable(g) == (real_rank(h) == g.n)
+                    assert is_uniquely_satisfiable(g) == (real_rank(to_matrix(g), g.n) == g.n)
                     assert len(ranks) == before + (not has_unused)
     assert 0 < unused < checked
 
@@ -203,8 +201,7 @@ def test_zero_assignment_satisfies_homogeneous(f):
 @settings(max_examples=80, deadline=None)
 @given(formulas(max_n=7))
 def test_solution_count_is_two_power_nullity(f):
-    h, _ = to_matrix(f)
-    assert len(brute_solutions(f)) == 2 ** (f.n - rank(h))
+    assert len(brute_solutions(f)) == 2 ** (f.n - rank(to_matrix(f), f.n))
 
 
 # -- nonzero-solution CNF --------------------------------------------------
@@ -233,8 +230,7 @@ def test_cnf_rejects_nonhomogeneous():
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_n=6))
 def test_cnf_satisfiable_iff_kernel_nonempty(f):
-    h, _ = to_matrix(f)
-    kernel_nonempty = len(kernel_basis(h)) > 0
+    kernel_nonempty = len(kernel_basis(to_matrix(f), f.n)) > 0
     assert brute_sat(nontrivial_solution_formula(f)) == kernel_nonempty
 
 
@@ -248,9 +244,8 @@ def test_cnf_cross_checked_with_solver():
     from xorcfi.xorsat import SAT, solve
 
     for f in (COMPLETE, TWO_CLAUSE, make_formula(5, [((1, 2, 3), 0), ((3, 4, 5), 0)])):
-        h, _ = to_matrix(f)
         verdict = solve(nontrivial_solution_formula(f))
-        assert (verdict.result == SAT) == (len(kernel_basis(h)) > 0)
+        assert (verdict.result == SAT) == (len(kernel_basis(to_matrix(f), f.n)) > 0)
 
 
 # -- DIMACS ----------------------------------------------------------------
@@ -319,7 +314,8 @@ def _second_token(line, token):
 # lines carry no 0 terminator. Against the readers' earlier separate
 # implementations, the graph reader used to accept edge lines before the
 # header, and every reader rejected the SATLIB '%' end marker; until
-# second headers were rejected, a later header replaced the first.
+# second headers were rejected, a later header replaced the first. The
+# graph and plain CNF readers once accepted a negative count.
 DIMACS_CASES = {
     "well_formed": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n", ALL_PARSERS),
     "comments_and_blank_lines": (
@@ -339,6 +335,7 @@ DIMACS_CASES = {
         lambda h, a, b: f"{h.format(2).replace(' 4 ', ' three ')}\n{a}\n{b}\n", set()),
     "non_integer_body_token": (
         lambda h, a, b: f"{h.format(2)}\n{a}\n{_second_token(b, 'a')}\n", set()),
+    "negative_count": (lambda h, a, b: f"{h.replace(' 4 ', ' -4 ').format(0)}\n", set()),
     "satlib_end_marker": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n%\n0\n\n", ALL_PARSERS),
     "end_marker_ends_body": (
         lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n%\n0\n{a}\nnot dimacs\n", ALL_PARSERS),

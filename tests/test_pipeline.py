@@ -98,6 +98,12 @@ def test_dre_rejects_every_proper_line_prefix():
                 from_dre("".join(lines[:k]))
 
 
+def test_dre_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        from_dre("n=-5 $=0 g\n.\n")
+    assert from_dre("n=0 $=0 g\n.\n").vertex_count == 0
+
+
 def test_dimacs_graph_rejects_garbage():
     with pytest.raises(ValueError):
         from_dimacs_graph("p edge 2 1\nq 1 2\n")
@@ -132,6 +138,8 @@ def test_config_checks_sampling_parameters():
     with pytest.raises(ValueError):
         PipelineConfig(n=5, m=11)  # only C(5, 3) = 10 distinct triples
     assert PipelineConfig(n=5, m=10).sample_config.effective_m == 10
+    with pytest.raises(ValueError, match="give m or ratio, not both"):
+        PipelineConfig(n=10, m=10, ratio=3.0)
 
 
 def test_config_rejects_negative_budget():
@@ -503,6 +511,22 @@ def test_cli_build_writes_nothing_when_a_formula_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {missing}: ")
     assert not (tmp_path / "d").exists()
+
+
+def test_cli_build_refuses_two_formulas_with_one_output_name(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    paths = []
+    for sub, n in (("a", 8), ("c", 9)):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.xcnf")
+        paths[-1].write_text(export_xor_dimacs(sample_homogeneous(SampleConfig(n=n, m=n, seed=4))))
+    out = tmp_path / "d"
+    assert main(["build", str(paths[0]), str(paths[1]), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {paths[0]} and {paths[1]} would both write {out / 'x.dre'}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -57,6 +57,8 @@ def test_m_bounds_validated():
         SampleConfig(n=2, m=1, seed=0)
     with pytest.raises(ValueError):
         SampleConfig(n=5, seed=0)
+    with pytest.raises(ValueError, match="give m or ratio, not both"):
+        SampleConfig(n=10, m=10, ratio=3.0)
 
 
 def test_ratio_resolves_m():
