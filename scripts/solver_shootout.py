@@ -4,7 +4,8 @@ internal IR solver, producing the comparison CSV and growth report.
 
 External solvers (dreadnaut/Traces, nauty, bliss, conauto) are used when
 their binaries are on PATH; missing ones degrade to ERROR rows and the
-batch keeps going, and so does a manifest that cannot be read.
+batch keeps going, and so does a manifest or a .dre file that cannot be
+read.
 
 Example:
     xorcfi generate --n 30 --ratio 1.0 --seed 5000 --count 50 \
@@ -51,13 +52,18 @@ def main(argv=None) -> int:
             continue
         dre_path = args.batch_dir / record.graph_dre
         for solver in args.solvers:
-            if solver == "internal":
-                g = from_dre(dre_path.read_text(encoding="utf-8"))
-                res = run_internal(g, timeout=args.timeout,
-                                   instance=record.instance_id,
-                                   max_nodes=args.max_nodes)
-            else:
+            if solver != "internal":
                 res = run_external(solver, dre_path, timeout=args.timeout)
+            else:
+                try:
+                    g = from_dre(dre_path.read_text(encoding="utf-8"))
+                except (OSError, ValueError) as exc:
+                    res = BenchResult(record.instance_id, solver, "unknown", 0.0, STATUS_ERROR,
+                                      error=str(exc))
+                else:
+                    res = run_internal(g, timeout=args.timeout,
+                                       instance=record.instance_id,
+                                       max_nodes=args.max_nodes)
             res = replace(res, n_vars=record.n, m=record.m, vertices=record.vertices)
             results.append(res)
             extra = f" ({res.error})" if res.error else ""

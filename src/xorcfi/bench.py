@@ -2,8 +2,9 @@
 
 External solvers run as child processes with a wall-clock timeout; a
 timed-out run records the limit itself as its time, so timed-out points
-sit on the timeout line when plotted. Missing binaries degrade to an
-ERROR result and the batch continues. Instance files are never touched.
+sit on the timeout line when plotted. Missing binaries and unreadable
+instance files degrade to an ERROR result and the batch continues.
+Instance files are never touched.
 """
 
 from __future__ import annotations
@@ -108,7 +109,10 @@ def run_external(solver: str, dre_file: Union[str, Path], timeout: float) -> Ben
         argv = [adapter.binary]
         stdin_text = (adapter.prelude + "\n" if adapter.prelude else "") + dre_text + "x\nq\n"
     else:
-        graph = from_dre(dre_text)
+        try:
+            graph = from_dre(dre_text)
+        except ValueError as exc:
+            return BenchResult(instance, solver, "unknown", 0.0, STATUS_ERROR, error=str(exc))
         tmp = tempfile.NamedTemporaryFile("w", suffix=".dimacs", delete=False, encoding="utf-8")
         tmp.write(to_dimacs_graph(graph))
         tmp.close()
@@ -144,7 +148,9 @@ def run_internal(
     cell_strategy: str = CELL_FIRST_SMALLEST,
     max_nodes: Optional[int] = None,
 ) -> BenchResult:
-    """IR solver run; node count is the machine-independent cost."""
+    """IR solver run; node count is the machine-independent cost. A search
+    stopped by the clock records the limit as its time, one stopped by its
+    node cap (search_nodes > max_nodes) its elapsed time."""
     start = time.monotonic()
     report = ir_automorphisms(g, max_nodes=max_nodes, max_seconds=timeout,
                               cell_strategy=cell_strategy)
@@ -152,7 +158,8 @@ def run_internal(
     if report.status == STATUS_COMPLETE:
         return BenchResult(instance, "internal-ir", "0", elapsed, STATUS_OK,
                            group_size=report.group_size, nodes=report.search_nodes)
-    recorded = float(timeout) if timeout is not None else elapsed
+    node_capped = max_nodes is not None and report.search_nodes > max_nodes
+    recorded = elapsed if timeout is None or node_capped else float(timeout)
     return BenchResult(instance, "internal-ir", "0", recorded, STATUS_TIMEOUT,
                        nodes=report.search_nodes)
 

@@ -11,11 +11,15 @@ The IR automorphism search follows the classic scheme: the leftmost
 root-to-leaf path fixes a reference labeling, every other leaf proposes
 the permutation onto it, verified automorphisms prune target cells by
 orbits, and subtrees off the leftmost path unwind as soon as they
-produce one automorphism. There is deliberately no node-invariant
-pruning and no component factoring: wrong branches pay for their whole
-subtree, so the node count directly reflects how long refinement keeps
-branches looking alike. The group order is the orbit product along the
-leftmost path (McKay & Piperno, Practical Graph Isomorphism II, 2014).
+produce one automorphism. Each search node is a generator that yields
+its children one at a time and is sent back whether each child's subtree
+found an automorphism; a loop drives a stack of these suspended nodes,
+so the search keeps its recursive shape without Python recursion. There
+is deliberately no node-invariant pruning and no component factoring:
+wrong branches pay for their whole subtree, so the node count directly
+reflects how long refinement keeps branches looking alike. The group
+order is the orbit product along the leftmost path (McKay & Piperno,
+Practical Graph Isomorphism II, 2014).
 """
 
 from __future__ import annotations
@@ -170,39 +174,6 @@ def color_refine(g: Graph) -> Partition:
 # Individualization-refinement automorphism search.
 
 
-class _SearchBudget:
-    def __init__(self, max_nodes: Optional[int], max_seconds: Optional[float]):
-        self.max_nodes = max_nodes
-        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
-        self.nodes = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetHit
-        if self.deadline is not None and (self.nodes & 0x3F) == 0 and time.monotonic() > self.deadline:
-            raise _BudgetHit
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-class _Node:
-    """An inner search node: its target cell and the members tried so far."""
-
-    __slots__ = ("colors", "prefix", "is_left", "members", "next", "covered", "found")
-
-    def __init__(self, colors: np.ndarray, prefix: List[int], is_left: bool, members: List[int]):
-        self.colors = colors
-        self.prefix = prefix
-        self.is_left = is_left
-        self.members = members
-        self.next = 0
-        self.covered: Set[int] = set()
-        self.found = False
-
-
 def _orbit_closure(seed: Set[int], gens: List[Tuple[int, ...]], prefix: List[int]) -> Set[int]:
     fixers = [p for p in gens if all(p[x] == x for x in prefix)]
     if not fixers:
@@ -270,71 +241,68 @@ def ir_automorphisms(
     if v == 0:
         return AutReport([], 1, Partition(()), 0, STATUS_COMPLETE)
     csr = _Csr(g)
-    root = _refine(_initial_colors(g), csr)
-    tracker = _SearchBudget(max_nodes, max_seconds)
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    nodes = 0
     gens: List[Tuple[int, ...]] = []
-    gen_set: Set[Tuple[int, ...]] = set()
-    first_leaf: List[Optional[np.ndarray]] = [None]
+    first_leaf: Optional[np.ndarray] = None
     left: List[int] = []  # vertex individualized at each level of the leftmost path
-    stack: List[_Node] = []
 
-    def leaf(colors: np.ndarray) -> bool:
-        order = np.argsort(colors)
-        if first_leaf[0] is None:
-            first_leaf[0] = order.copy()
-            return False
-        perm = np.empty(v, dtype=np.int64)
-        perm[first_leaf[0]] = order
-        cand = tuple(int(x) for x in perm)
-        if all(cand[i] == i for i in range(v)) or cand in gen_set:
-            return False
-        if is_automorphism(g, cand):
-            gens.append(cand)
-            gen_set.add(cand)
-            return True
-        return False
-
-    def enter(colors: np.ndarray, prefix: List[int], is_left: bool) -> Optional[bool]:
-        """Count a node; a leaf returns its verdict, an inner node is stacked."""
-        tracker.tick()
+    def node(colors: np.ndarray, prefix: List[int], is_left: bool):
+        """One search node; it returns whether its subtree found an
+        automorphism, and is sent that verdict for each child it yields."""
+        nonlocal nodes, first_leaf, left
+        if is_left:
+            left = prefix
+        nodes += 1
+        if (max_nodes is not None and nodes > max_nodes
+                or deadline is not None and (nodes & 0x3F) == 0 and time.monotonic() > deadline):
+            raise BudgetExceededError
         if int(colors.max()) + 1 == v:
-            return leaf(colors)
-        members = [int(x) for x in _target_cell(colors, cell_strategy)]
-        stack.append(_Node(colors, prefix, is_left, members))
-        return None
-
-    # Depth-first over the explicit stack. A node's result is whether its
-    # subtree produced a new automorphism; a subtree off the leftmost path
-    # unwinds as soon as it has one.
-    status = STATUS_COMPLETE
-    try:
-        done = enter(root, [], True)
-        while stack:
-            top = stack[-1]
-            if done is not None:
-                top.found = top.found or done
-                done = None
-                if not top.is_left and top.found:
-                    stack.pop()
-                    done = True
-                    continue
-                top.covered = _orbit_closure(top.covered | {top.members[top.next - 1]},
-                                             gens, top.prefix)
-            while top.next < len(top.members) and top.members[top.next] in top.covered:
-                top.next += 1
-            if top.next == len(top.members):
-                stack.pop()
-                done = top.found
+            order = np.argsort(colors)
+            if is_left:
+                first_leaf = order
+                return False
+            # Refinement keeps the order of cells and puts the vertex it
+            # individualizes first in its cell, so two leaves of one search
+            # never order the vertices alike: no candidate is the identity
+            # or a generator found before.
+            perm = np.empty(v, dtype=np.int64)
+            perm[first_leaf] = order
+            cand = tuple(perm.tolist())
+            if is_automorphism(g, cand):
+                gens.append(cand)
+                return True
+            return False
+        cell = _target_cell(colors, cell_strategy).tolist()
+        covered: Set[int] = set()
+        found = False
+        for w in cell:
+            if w in covered:
                 continue
-            w = top.members[top.next]
-            top.next += 1
-            child_is_left = top.is_left and top.next == 1
-            if child_is_left:
-                left.append(w)
-            child = top.colors * 2 + 1
+            child = colors * 2 + 1
             child[w] -= 1
-            done = enter(_refine(child, csr), top.prefix + [w], child_is_left)
-    except _BudgetHit:
+            child_found = yield _refine(child, csr), prefix + [w], is_left and w == cell[0]
+            # Off the leftmost path a subtree unwinds at its first automorphism.
+            if child_found and not is_left:
+                return True
+            found = found or child_found
+            covered = _orbit_closure(covered | {w}, gens, prefix)
+        return found
+
+    # Depth-first over a stack of suspended nodes, so that deep searches
+    # need no Python recursion.
+    status = STATUS_COMPLETE
+    stack = [node(_refine(_initial_colors(g), csr), [], True)]
+    result = None  # what the top node is sent: None to start it, else its child's verdict
+    try:
+        while stack:
+            try:
+                stack.append(node(*stack[-1].send(result)))
+                result = None
+            except StopIteration as stop:
+                stack.pop()
+                result = stop.value
+    except BudgetExceededError:
         status = STATUS_TIMEOUT
     # |Aut| = product over the leftmost path of |orbit of w_i| under the
     # stabilizer of w_0..w_{i-1}. On TIMEOUT the generators found so far
@@ -342,7 +310,7 @@ def ir_automorphisms(
     order = 1
     for i, w in enumerate(left):
         order *= len(_orbit_closure({w}, gens, left[:i]))
-    return AutReport(gens, order, _orbits_from_generators(v, gens), tracker.nodes, status,
+    return AutReport(gens, order, _orbits_from_generators(v, gens), nodes, status,
                      first_path_depth=len(left), refine_rounds=csr.rounds)
 
 

@@ -101,6 +101,27 @@ def test_failing_solver_reports_error(tmp_path, scratch_adapters):
     assert "exit 3" in res.error
 
 
+def test_bad_dre_is_an_error_before_a_dimacs_solver_starts(tmp_path, monkeypatch):
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    marker = tmp_path / "started"
+    fake = bindir / "bliss"
+    fake.write_text(f"#!/bin/sh\ntouch {marker}\necho '|Aut| = 1'\n")
+    fake.chmod(fake.stat().st_mode | stat.S_IEXEC)
+    monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
+    empty = tmp_path / "empty.dre"
+    empty.write_text("")
+    res = run_external("bliss", empty, timeout=10)
+    assert (res.status, res.error) == (STATUS_ERROR, "missing dreadnaut header")
+    res = run_external("bliss", tmp_path / "absent.dre", timeout=10)
+    assert res.status == STATUS_ERROR
+    assert "absent.dre" in res.error
+    assert not marker.exists()
+    # The same fake does start on a well-formed file.
+    assert run_external("bliss", write_dre(tmp_path, K4), timeout=10).status == STATUS_OK
+    assert marker.exists()
+
+
 def test_run_internal_k4():
     res = run_internal(K4, instance="k4")
     assert res.status == STATUS_OK
@@ -122,10 +143,18 @@ def test_run_internal_deterministic_nodes():
 
 
 def test_run_internal_timeout_records_limit():
+    # The clock is read every 64 nodes, so a zero limit stops the search there.
+    matching = Graph.from_edges(120, [(2 * i, 2 * i + 1) for i in range(60)])
+    res = run_internal(matching, timeout=0.0)
+    assert (res.status, res.nodes, res.time_s) == (STATUS_TIMEOUT, 64, 0.0)
+    assert res.group_size is None
+
+
+def test_run_internal_node_cap_records_elapsed():
     g = build_graph(COMPLETE, "full")
     res = run_internal(g, timeout=9.0, max_nodes=1)
-    assert res.status == STATUS_TIMEOUT
-    assert res.time_s == 9.0
+    assert (res.status, res.nodes) == (STATUS_TIMEOUT, 2)
+    assert 0.0 < res.time_s < 9.0
     assert res.group_size is None
 
 

@@ -16,6 +16,7 @@ import xorcfi
 from xorcfi import canon
 from xorcfi.canon import (
     CELL_FIRST_LARGEST,
+    CELL_FIRST_SMALLEST,
     STATUS_COMPLETE,
     STATUS_TIMEOUT,
     BudgetExceededError,
@@ -341,8 +342,13 @@ def test_ir_group_size_matches_sympy():
     assert nontrivial >= 20
 
 
+def budget_graphs():
+    return {"complete(6)": complete(6), "matching(4)": matching(4),
+            "full_lift": build_full(sample_homogeneous(SampleConfig(n=8, m=6, seed=2)))}
+
+
 def test_ir_timeout_group_size_is_lower_bound():
-    for g in (complete(6), matching(4), build_full(sample_homogeneous(SampleConfig(n=8, m=6, seed=2)))):
+    for g in budget_graphs().values():
         full = ir_automorphisms(g)
         assert full.status == STATUS_COMPLETE
         for cap in range(1, full.search_nodes):
@@ -350,6 +356,79 @@ def test_ir_timeout_group_size_is_lower_bound():
             assert rep.status == STATUS_TIMEOUT
             assert 1 <= rep.group_size <= full.group_size
             assert rep.first_path_depth <= full.first_path_depth
+
+
+# Each budgeted search of a budget_graphs() graph, for max_nodes = 1, 2, ...
+# up to one below its full node count: (search_nodes, first_path_depth,
+# refine_rounds, group_size, len(generators)), every one a TIMEOUT.
+GOLDEN_BUDGETED = {
+    "complete(6)": [
+        (2, 1, 2, 1, 0), (3, 2, 3, 1, 0), (4, 3, 4, 1, 0), (5, 4, 5, 1, 0),
+        (6, 5, 5, 1, 0), (7, 5, 5, 1, 0), (8, 5, 6, 2, 1), (9, 5, 6, 2, 1),
+        (10, 5, 7, 6, 2), (11, 5, 8, 6, 2), (12, 5, 8, 6, 2), (13, 5, 9, 24, 3),
+        (14, 5, 10, 24, 3), (15, 5, 11, 24, 3), (16, 5, 11, 24, 3), (17, 5, 12, 120, 4),
+        (18, 5, 13, 120, 4), (19, 5, 14, 120, 4), (20, 5, 15, 120, 4), (21, 5, 15, 120, 4),
+    ],
+    "matching(4)": [
+        (2, 1, 3, 1, 0), (3, 2, 5, 1, 0), (4, 3, 7, 1, 0), (5, 4, 7, 1, 0),
+        (6, 4, 7, 1, 0), (7, 4, 9, 2, 1), (8, 4, 9, 2, 1), (9, 4, 11, 4, 2),
+        (10, 4, 11, 4, 2), (11, 4, 13, 8, 3), (12, 4, 15, 8, 3), (13, 4, 15, 8, 3),
+        (14, 4, 17, 16, 4), (15, 4, 19, 16, 4), (16, 4, 19, 16, 4), (17, 4, 21, 48, 5),
+        (18, 4, 23, 48, 5), (19, 4, 25, 48, 5), (20, 4, 25, 48, 5), (21, 4, 27, 96, 6),
+        (22, 4, 29, 96, 6), (23, 4, 31, 96, 6), (24, 4, 31, 96, 6),
+    ],
+    "full_lift": [
+        (2, 1, 7, 1, 0), (3, 2, 9, 1, 0), (4, 3, 12, 1, 0), (5, 4, 17, 1, 0),
+        (6, 4, 22, 1, 0), (7, 4, 25, 2, 1), (8, 4, 30, 2, 1), (9, 4, 32, 2, 1),
+        (10, 4, 35, 2, 1), (11, 4, 40, 2, 1), (12, 4, 43, 2, 1), (13, 4, 48, 2, 1),
+        (14, 4, 49, 2, 1), (15, 4, 51, 2, 1), (16, 4, 54, 2, 1), (17, 4, 59, 2, 1),
+    ],
+}
+
+
+def test_ir_budgeted_searches_match_golden():
+    for name, g in budget_graphs().items():
+        got = []
+        for cap in range(1, ir_automorphisms(g).search_nodes):
+            rep = ir_automorphisms(g, max_nodes=cap)
+            got.append((rep.status, rep.search_nodes, rep.first_path_depth, rep.refine_rounds,
+                        rep.group_size, len(rep.generators)))
+        assert got == [(STATUS_TIMEOUT,) + row for row in GOLDEN_BUDGETED[name]], name
+    # The clock is read every 64 nodes, so a zero limit stops the search there.
+    rep = ir_automorphisms(matching(60), max_seconds=0.0)
+    assert (rep.status, rep.search_nodes) == (STATUS_TIMEOUT, 64)
+
+
+def test_ir_leaves_never_propose_the_identity_or_a_repeat(monkeypatch):
+    proposed = []
+    real = canon.is_automorphism
+
+    def spy(g, perm):
+        proposed.append(perm)
+        return real(g, perm)
+
+    monkeypatch.setattr(canon, "is_automorphism", spy)
+    rnd = random.Random(12345)  # the graphs of test_ir_matches_brute_force_on_200_random_graphs
+    graphs = [random_graph(rnd, rnd.randint(2, 8), colored=(i % 5 == 0)) for i in range(200)]
+    graphs += [g for g, _ in symmetric_corpus()]
+    graphs += [f(n) for n in range(2, 10) for f in (cycle, path, complete, matching)]
+    graphs += [build_full(sample_homogeneous(SampleConfig(n=8, m=6, seed=seed)))
+               for seed, _, _ in GOLDEN_FULL_NODES]
+    # Asymmetric lifts: no automorphism cuts their search short, so every
+    # leaf off the leftmost path proposes a candidate.
+    for n, expected in GOLDEN_CORE_NODES.items():
+        cfg = PipelineConfig(n=n, m=n, seed=5000, trials=400, gadget_mode="core",
+                             gauss_threshold=1.0)
+        graphs += [build_graph(run_trial(cfg, trial).formula, "core") for trial, _, _ in expected]
+    total = 0
+    for g in graphs:
+        for strategy in (CELL_FIRST_SMALLEST, CELL_FIRST_LARGEST):
+            proposed.clear()
+            ir_automorphisms(g, cell_strategy=strategy)
+            assert tuple(range(g.vertex_count)) not in proposed
+            assert len(set(proposed)) == len(proposed)
+            total += len(proposed)
+    assert total > 1000
 
 
 def test_ir_search_deeper_than_recursion_limit():

@@ -612,3 +612,15 @@ def test_solver_shootout_script_reports_an_unreadable_manifest(tmp_path):
     records, rows = _shootout(tmp_path, break_first)
     assert [(r["instance"], r["status"]) for r in rows] == (
         [(records[0].instance_id, "ERROR")] + [(r.instance_id, "OK") for r in records[1:]])
+
+
+def test_solver_shootout_script_reports_a_missing_or_malformed_dre(tmp_path):
+    def break_two(manifests):
+        (manifests[0].parent / pipeline.DRE_NAME).unlink()
+        (manifests[1].parent / pipeline.DRE_NAME).write_text("")
+
+    records, rows = _shootout(tmp_path, break_two)
+    assert [(r["instance"], r["status"]) for r in rows] == (
+        [(r.instance_id, "ERROR") for r in records[:2]]
+        + [(r.instance_id, "OK") for r in records[2:]])
+    assert len(records) > 2
