@@ -19,8 +19,22 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from xorcfi.bench import STATUS_ERROR, BenchResult, run_external, run_internal, write_summary
+from xorcfi.bench import (
+    INTERNAL_SOLVER,
+    STATUS_ERROR,
+    BenchResult,
+    run_external,
+    run_internal,
+    write_summary,
+)
 from xorcfi.pipeline import from_dre, parse_manifest
+
+
+def result_name(solver: str) -> str:
+    """A solver's name in results.csv: `--solvers internal` writes its rows
+    under the name that run_internal gives them."""
+    return INTERNAL_SOLVER if solver == "internal" else solver
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -43,8 +57,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             instance = manifest_path.parent.name
             for solver in args.solvers:
-                results.append(BenchResult(instance, solver, "unknown", 0.0, STATUS_ERROR,
-                                           error=str(exc)))
+                results.append(BenchResult(instance, result_name(solver), "unknown", 0.0,
+                                           STATUS_ERROR, error=str(exc)))
                 print(f"{instance} {solver}: {STATUS_ERROR} (unreadable manifest: {exc})")
             continue
         if record.graph_dre is None:
@@ -58,8 +72,8 @@ def main(argv=None) -> int:
                 try:
                     g = from_dre(dre_path.read_text(encoding="utf-8"))
                 except (OSError, ValueError) as exc:
-                    res = BenchResult(record.instance_id, solver, "unknown", 0.0, STATUS_ERROR,
-                                      error=str(exc))
+                    res = BenchResult(record.instance_id, result_name(solver), "unknown", 0.0,
+                                      STATUS_ERROR, error=str(exc))
                 else:
                     res = run_internal(g, timeout=args.timeout,
                                        instance=record.instance_id,

@@ -33,6 +33,8 @@ STATUS_ERROR = "ERROR"
 
 MISSING_SOLVER = "MISSING_SOLVER"
 
+INTERNAL_SOLVER = "internal-ir"  # the solver column of run_internal's rows
+
 
 @dataclass(frozen=True)
 class BenchResult:
@@ -156,11 +158,11 @@ def run_internal(
                               cell_strategy=cell_strategy)
     elapsed = time.monotonic() - start
     if report.status == STATUS_COMPLETE:
-        return BenchResult(instance, "internal-ir", "0", elapsed, STATUS_OK,
+        return BenchResult(instance, INTERNAL_SOLVER, "0", elapsed, STATUS_OK,
                            group_size=report.group_size, nodes=report.search_nodes)
     node_capped = max_nodes is not None and report.search_nodes > max_nodes
     recorded = elapsed if timeout is None or node_capped else float(timeout)
-    return BenchResult(instance, "internal-ir", "0", recorded, STATUS_TIMEOUT,
+    return BenchResult(instance, INTERNAL_SOLVER, "0", recorded, STATUS_TIMEOUT,
                        nodes=report.search_nodes)
 
 

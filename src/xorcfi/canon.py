@@ -25,6 +25,7 @@ Practical Graph Isomorphism II, 2014).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -90,22 +91,20 @@ class AutReport:
 
 
 class _Csr:
+    """Adjacency rows of g, each edge listed from both ends. The order of
+    neighbours within a row is arbitrary: _refine sorts each row."""
+
     def __init__(self, g: Graph):
         self.v = g.vertex_count
-        deg = np.zeros(self.v, dtype=np.int64)
-        for u, w in g.edges:
-            deg[u] += 1
-            deg[w] += 1
+        ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
+                           count=2 * len(g.edges)).reshape(-1, 2)
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        order = np.argsort(src, kind="stable")
+        self.nbrs = np.concatenate((ends[:, 1], ends[:, 0]))[order]
+        self.row_of = src[order]
+        deg = np.bincount(src, minlength=self.v)
         self.indptr = np.zeros(self.v + 1, dtype=np.int64)
         np.cumsum(deg, out=self.indptr[1:])
-        self.nbrs = np.zeros(len(g.edges) * 2, dtype=np.int64)
-        fill = self.indptr[:-1].copy()
-        for u, w in g.edges:
-            self.nbrs[fill[u]] = w
-            fill[u] += 1
-            self.nbrs[fill[w]] = u
-            fill[w] += 1
-        self.row_of = np.repeat(np.arange(self.v, dtype=np.int64), deg)
         self.pos = np.arange(len(self.nbrs), dtype=np.int64) - self.indptr[self.row_of]
         self.max_deg = int(deg.max()) if self.v else 0
         self.rounds = 0
@@ -114,15 +113,15 @@ class _Csr:
 def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
     """Coarsest stable refinement; returns dense ids in invariant order.
 
-    A round gives each vertex the row (own color, sorted neighbor
-    colors, -1 padding) and the id of that row's rank among the distinct
-    rows, exactly the ids of np.unique(rows, axis=0, return_inverse=True).
+    colors must be dense: int64 ids 0..k-1, each held by some vertex, as
+    _initial_colors and the search's child colourings are. A round gives
+    each vertex the row (own color, sorted neighbor colors, -1 padding)
+    and the id of that row's rank among the distinct rows, exactly the
+    ids of np.unique(rows, axis=0, return_inverse=True).
     """
     v = csr.v
     if v == 0:
         return colors
-    _, inv = np.unique(colors, return_inverse=True)
-    colors = inv.reshape(-1).astype(np.int64)
     ncolors = int(colors.max()) + 1
     width = csr.max_deg + 1
     mat = np.full((v, width), -1, dtype=np.int64)
@@ -152,8 +151,10 @@ def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
 
 
 def _initial_colors(g: Graph) -> np.ndarray:
+    """g's vertex colors as dense ids in the order of the color values."""
     if g.colors is not None:
-        return np.asarray(g.colors, dtype=np.int64)
+        _, inv = np.unique(np.asarray(g.colors, dtype=np.int64), return_inverse=True)
+        return inv.reshape(-1).astype(np.int64)
     return np.zeros(g.vertex_count, dtype=np.int64)
 
 
@@ -200,11 +201,35 @@ def _orbits_from_generators(n: int, gens: List[Tuple[int, ...]]) -> Partition:
         return x
 
     for p in gens:
-        for x in range(n):
-            rx, ry = find(x), find(p[x])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    return Partition.from_labels([find(x) for x in range(n)])
+        for x, y in enumerate(p):
+            if x != y:  # only the points a generator moves join two orbits
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+    # Links point down, so each root is the least point of its orbit and
+    # a point's parent comes before it: one ascending pass numbers the
+    # orbits in order of their least points.
+    cell_of: List[int] = []
+    orbits = 0
+    for x, r in enumerate(parent):
+        if r == x:
+            cell_of.append(orbits)
+            orbits += 1
+        else:
+            cell_of.append(cell_of[r])
+    return Partition(tuple(cell_of))
+
+
+def _individualized(colors: np.ndarray, w: int) -> np.ndarray:
+    """The dense colouring that puts w in a cell of its own, just before
+    the rest of its cell: w keeps its cell's id, and the rest of that cell
+    and every later cell move up by one. These are the ids that np.unique
+    gives the colouring 2c+1 with w at 2c. w's cell must hold another
+    vertex."""
+    cw = colors[w]
+    child = colors + (colors >= cw)
+    child[w] = cw
+    return child
 
 
 def _target_cell(colors: np.ndarray, strategy: str) -> np.ndarray:
@@ -279,9 +304,8 @@ def ir_automorphisms(
         for w in cell:
             if w in covered:
                 continue
-            child = colors * 2 + 1
-            child[w] -= 1
-            child_found = yield _refine(child, csr), prefix + [w], is_left and w == cell[0]
+            child_found = yield (_refine(_individualized(colors, w), csr), prefix + [w],
+                                 is_left and w == cell[0])
             # Off the leftmost path a subtree unwinds at its first automorphism.
             if child_found and not is_left:
                 return True

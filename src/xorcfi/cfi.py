@@ -48,7 +48,7 @@ class Graph:
         edges: Iterable[Tuple[int, int]],
         colors: Optional[Sequence[int]] = None,
     ) -> "Graph":
-        norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        norm = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         return cls(vertex_count, norm, None if colors is None else tuple(colors))
 
     @property
@@ -118,14 +118,9 @@ def incidence_graph(f: XorFormula) -> Graph:
     if not f.is_homogeneous:
         raise ValueError("incidence graph is defined for homogeneous formulas")
     n = f.n
-    edges = set()
-    for c, cl in enumerate(f.clauses, start=1):
-        for v in cl.vars:
-            edges.add((v - 1, n + c - 1))
-    colors = tuple([0] * n + [1] * f.m)
-    g = Graph.from_edges(n + f.m, edges, colors)
-    deg = g.degrees()
-    assert all(deg[n + c - 1] == 3 for c in range(1, f.m + 1))
+    edges = frozenset((v - 1, n + c) for c, cl in enumerate(f.clauses) for v in cl.vars)
+    g = Graph(n + f.m, edges, tuple([0] * n + [1] * f.m))
+    assert g.edge_count == 3 * f.m  # every clause vertex has degree 3
     return g
 
 
@@ -140,6 +135,20 @@ def _clause_literal_patterns(rhs: int) -> List[Tuple[int, int, int]]:
     return [tuple(b ^ t for b, t in zip(base, tag)) for tag in CLAUSE_TAGS]
 
 
+def _core_edges(f: XorFormula, scheme: VertexScheme) -> set:
+    """The core lift's edges, each as (smaller, larger) endpoint: every
+    variable vertex lies below every clause vertex."""
+    edges = set()
+    for j in range(1, f.n + 1):
+        edges.add((scheme.var_vertex(j, 0), scheme.var_vertex(j, 1)))
+    for c, cl in enumerate(f.clauses, start=1):
+        for tag_index, pattern in enumerate(_clause_literal_patterns(cl.rhs)):
+            cv = scheme.clause_vertex(c, tag_index)
+            for k, var in enumerate(cl.vars):
+                edges.add((scheme.var_vertex(var, 1 - pattern[k]), cv))
+    return edges
+
+
 def build_core(f: XorFormula) -> Graph:
     """The lift without order gadgets (sizes in VertexScheme.core_*_count).
 
@@ -149,15 +158,7 @@ def build_core(f: XorFormula) -> Graph:
     it holds the negated one; every X^0-X^1 pair is joined by an edge.
     """
     scheme = VertexScheme(f.n, f.m)
-    edges = set()
-    for j in range(1, f.n + 1):
-        edges.add((scheme.var_vertex(j, 0), scheme.var_vertex(j, 1)))
-    for c, cl in enumerate(f.clauses, start=1):
-        for tag_index, pattern in enumerate(_clause_literal_patterns(cl.rhs)):
-            cv = scheme.clause_vertex(c, tag_index)
-            for k, var in enumerate(cl.vars):
-                edges.add(tuple(sorted((cv, scheme.var_vertex(var, 1 - pattern[k])))))
-    g = Graph.from_edges(scheme.core_vertex_count, edges)
+    g = Graph(scheme.core_vertex_count, frozenset(_core_edges(f, scheme)))
     assert g.edge_count == scheme.core_edge_count
     return g
 
@@ -172,17 +173,17 @@ def build_full(f: XorFormula) -> Graph:
     if f.n < 2:
         raise ValueError("order gadgets need at least 2 variables")
     scheme = VertexScheme(f.n, f.m)
-    core = build_core(f)
-    edges = set(core.edges)
+    edges = _core_edges(f, scheme)
+    # Gadget vertices lie above every variable vertex.
     for i in range(1, f.n):
         il, ir, s = scheme.gadget_left(i), scheme.gadget_right(i), scheme.gadget_stub(i)
         edges.add((il, ir))
         edges.add((ir, s))
         edges.add((scheme.var_vertex(i, 0), il))
         edges.add((scheme.var_vertex(i, 1), il))
-        edges.add(tuple(sorted((ir, scheme.var_vertex(i + 1, 0)))))
-        edges.add(tuple(sorted((ir, scheme.var_vertex(i + 1, 1)))))
-    g = Graph.from_edges(scheme.full_vertex_count, edges)
+        edges.add((scheme.var_vertex(i + 1, 0), ir))
+        edges.add((scheme.var_vertex(i + 1, 1), ir))
+    g = Graph(scheme.full_vertex_count, frozenset(edges))
     assert g.edge_count == scheme.full_edge_count
     return g
 
@@ -195,6 +196,6 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
         return False
     for u, v in g.edges:
         pu, pv = perm[u], perm[v]
-        if (min(pu, pv), max(pu, pv)) not in g.edges:
+        if ((pu, pv) if pu < pv else (pv, pu)) not in g.edges:
             return False
     return True

@@ -54,15 +54,18 @@ class XorFormula:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("variable count must be >= 0")
-        seen_sets = {}
+        # Sorted order puts clauses on one variable set next to each other,
+        # so one pass over neighbouring (vars, rhs) keys checks both rules.
+        prev = ((0, 0, 0), 0)
         for cl in self.clauses:
+            key = (cl.vars, cl.rhs)
             if cl.vars[2] > self.n:
                 raise ValueError(f"clause {cl.vars} exceeds variable count {self.n}")
-            if cl.vars in seen_sets and seen_sets[cl.vars] != cl.rhs:
+            if key[0] == prev[0] and key[1] != prev[1]:
                 raise ValueError(f"contradictory duplicate clauses on variables {cl.vars}")
-            seen_sets[cl.vars] = cl.rhs
-        if tuple(sorted(self.clauses)) != self.clauses:
-            raise ValueError("clauses must be in canonical sorted order")
+            if key < prev:
+                raise ValueError("clauses must be in canonical sorted order")
+            prev = key
 
     @property
     def m(self) -> int:
@@ -132,8 +135,7 @@ def make_formula(n: int, raw: Iterable[Tuple[Iterable[int], int]]) -> XorFormula
         if prev is not None and prev != cl.rhs:
             raise ValueError(f"contradictory duplicate clauses on variables {cl.vars}")
         by_set[cl.vars] = cl.rhs
-    clauses = tuple(sorted(XorClause(v, r) for v, r in by_set.items()))
-    return XorFormula(n, clauses)
+    return XorFormula(n, tuple(XorClause(v, r) for v, r in sorted(by_set.items())))
 
 
 def pin(f: XorFormula, i: int, value: int) -> PinnedSystem:

@@ -67,27 +67,32 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
 
 
-def _draw_triple(rng: np.random.Generator, n: int) -> tuple:
-    while True:
-        a = int(rng.integers(1, n + 1))
-        b = int(rng.integers(1, n + 1))
-        c = int(rng.integers(1, n + 1))
-        if a != b and a != c and b != c:
-            return tuple(sorted((a, b, c)))
-
-
 def sample_homogeneous(cfg: SampleConfig, trial: int = 0) -> XorFormula:
-    """m distinct 3-subsets drawn uniformly without replacement, all rhs 0."""
-    m = cfg.effective_m
+    """m distinct 3-subsets drawn uniformly without replacement, all rhs 0.
+
+    Triples are drawn three integers at a time and a triple with a
+    repeated variable is redrawn. The draws come in blocks of rows from
+    one rng.integers call, which reads the stream exactly as that many
+    single draws; the draws of a block left over once m triples are
+    chosen are never used.
+    """
+    n, m = cfg.n, cfg.effective_m
     rng = trial_rng(cfg.seed, trial)
     if m > cfg.max_clauses // 2:
-        chosen = _shuffle_prefix_subsets(rng, cfg.n, m)
+        chosen = _shuffle_prefix_subsets(rng, n, m)
     else:
         chosen = set()
         while len(chosen) < m:
-            chosen.add(_draw_triple(rng, cfg.n))
-    clauses = tuple(sorted(XorClause(t, 0) for t in chosen))
-    return XorFormula(cfg.n, clauses)
+            # Over-draw so that one block usually suffices; any block size
+            # gives the same formula.
+            rows = rng.integers(1, n + 1, size=(2 * (m - len(chosen)) + 16, 3))
+            rows.sort(axis=1)
+            rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])]
+            for t in map(tuple, rows.tolist()):
+                chosen.add(t)
+                if len(chosen) == m:
+                    break
+    return XorFormula(n, tuple(XorClause(t, 0) for t in sorted(chosen)))
 
 
 def _shuffle_prefix_subsets(rng: np.random.Generator, n: int, m: int):

@@ -16,8 +16,9 @@ import numpy as np
 from xorcfi import canon, gf2
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
-from xorcfi.formula import CnfFormula, PinnedSystem, XorFormula, to_matrix
+from xorcfi.formula import CnfFormula, PinnedSystem, XorClause, XorFormula, to_matrix
 from xorcfi.gf2 import reduced_system
+from xorcfi.sampler import SampleConfig, _shuffle_prefix_subsets, trial_rng
 from xorcfi.xorsat import UNASSIGNED
 
 
@@ -138,6 +139,29 @@ def nontrivial_solution_formula(f: XorFormula) -> CnfFormula:
         clauses.extend(xor_clause_cnf_expansion(cl.vars, 0))
     clauses.append(tuple(range(1, f.n + 1)))
     return CnfFormula(f.n, tuple(clauses))
+
+
+def _draw_triple(rng: np.random.Generator, n: int) -> Tuple[int, int, int]:
+    while True:
+        a = int(rng.integers(1, n + 1))
+        b = int(rng.integers(1, n + 1))
+        c = int(rng.integers(1, n + 1))
+        if a != b and a != c and b != c:
+            return tuple(sorted((a, b, c)))
+
+
+def sample_per_draw(cfg: SampleConfig, trial: int = 0) -> XorFormula:
+    """sampler.sample_homogeneous with one rng.integers call per draw and
+    the clauses sorted as dataclasses, as it was before it drew in blocks."""
+    m = cfg.effective_m
+    rng = trial_rng(cfg.seed, trial)
+    if m > cfg.max_clauses // 2:
+        chosen = _shuffle_prefix_subsets(rng, cfg.n, m)
+    else:
+        chosen = set()
+        while len(chosen) < m:
+            chosen.add(_draw_triple(rng, cfg.n))
+    return XorFormula(cfg.n, tuple(sorted(XorClause(t, 0) for t in chosen)))
 
 
 # -- DPLL branching ----------------------------------------------------------

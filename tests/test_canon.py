@@ -168,7 +168,29 @@ def refinement_corpus():
         yield build_full(f)
 
 
+def test_csr_rows_hold_each_vertex_neighbours():
+    for g in refinement_corpus():
+        csr = canon._Csr(g)
+        nbrs = [[] for _ in range(g.vertex_count)]
+        for u, w in g.edges:
+            nbrs[u].append(w)
+            nbrs[w].append(u)
+        assert csr.max_deg == max(map(len, nbrs), default=0)
+        for x, want in enumerate(nbrs):
+            lo, hi = csr.indptr[x], csr.indptr[x + 1]
+            assert sorted(csr.nbrs[lo:hi].tolist()) == sorted(want)
+            assert csr.row_of[lo:hi].tolist() == [x] * len(want)
+            assert csr.pos[lo:hi].tolist() == list(range(len(want)))
+
+
+def dense(colors):
+    """The ids np.unique gives colors: 0..k-1 in the order of the values."""
+    return np.unique(colors, return_inverse=True)[1].reshape(-1).astype(np.int64)
+
+
 def test_refine_matches_unique_reference():
+    # _refine takes dense colourings only; the reference densifies its own
+    # input, so it runs on the raw colouring.
     rnd = random.Random(7)
     graphs = 0
     for g in refinement_corpus():
@@ -184,9 +206,39 @@ def test_refine_matches_unique_reference():
             child[rnd.randrange(v)] -= 1
             colorings.append(child)
         for colors in colorings:
-            got = canon._refine(colors.copy(), csr)
+            got = canon._refine(dense(colors), csr)
             assert np.array_equal(got, reference_refine(colors.copy(), csr))
     assert graphs >= 300
+
+
+def test_individualized_is_the_dense_form_of_the_odd_even_split():
+    rnd = random.Random(11)
+    checked = 0
+    for g in refinement_corpus():
+        csr = canon._Csr(g)
+        stable = canon._refine(canon._initial_colors(g), csr)
+        shared = np.flatnonzero(np.bincount(stable)[stable] > 1).tolist()
+        for w in rnd.sample(shared, min(3, len(shared))):
+            split = stable * 2 + 1
+            split[w] -= 1
+            assert np.array_equal(canon._individualized(stable, w), dense(split))
+            checked += 1
+    assert checked >= 300
+
+
+def test_orbits_from_generators_match_orbit_closure():
+    rnd = random.Random(13)
+    for _ in range(300):
+        n = rnd.randint(1, 30)
+        gens = []
+        for _ in range(rnd.randint(0, 3)):
+            perm = list(range(n))
+            moved = rnd.sample(range(n), rnd.randint(0, n))
+            for x, y in zip(moved, rnd.sample(moved, len(moved))):
+                perm[x] = y
+            gens.append(tuple(perm))
+        want = Partition.from_labels(min(canon._orbit_closure({x}, gens, [])) for x in range(n))
+        assert canon._orbits_from_generators(n, gens) == want
 
 
 # -- individualization -----------------------------------------------------

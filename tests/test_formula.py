@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,28 @@ def test_make_formula_rejects_repeated_variable():
 def test_make_formula_rejects_contradictory_duplicate():
     with pytest.raises(ValueError):
         make_formula(4, [((1, 2, 3), 0), ((1, 2, 3), 1)])
+
+
+def test_formula_accepts_exactly_sorted_clauses_without_contradictions():
+    rnd = random.Random(3)
+    triples = list(itertools.combinations(range(1, 6), 3))
+    accepted = 0
+    for _ in range(2000):
+        clauses = tuple(XorClause(rnd.choice(triples), rnd.randint(0, 1))
+                        for _ in range(rnd.randint(0, 5)))
+        if rnd.random() < 0.5:
+            clauses = tuple(sorted(clauses))
+        rhs = {}
+        contradictory = any(rhs.setdefault(cl.vars, cl.rhs) != cl.rhs for cl in clauses)
+        valid = not contradictory and tuple(sorted(clauses)) == clauses
+        try:
+            XorFormula(5, clauses)
+        except ValueError:
+            assert not valid, clauses
+        else:
+            assert valid, clauses
+            accepted += 1
+    assert 200 < accepted < 1800
 
 
 def test_clause_order_is_canonical():

@@ -610,8 +610,9 @@ def test_solver_shootout_script_reports_an_unreadable_manifest(tmp_path):
         manifests[0].write_text(text.replace("gadget_mode: full", "gadget_mode: fancy"))
 
     records, rows = _shootout(tmp_path, break_first)
-    assert [(r["instance"], r["status"]) for r in rows] == (
-        [(records[0].instance_id, "ERROR")] + [(r.instance_id, "OK") for r in records[1:]])
+    assert [(r["instance"], r["solver"], r["status"]) for r in rows] == (
+        [(records[0].instance_id, "internal-ir", "ERROR")]
+        + [(r.instance_id, "internal-ir", "OK") for r in records[1:]])
 
 
 def test_solver_shootout_script_reports_a_missing_or_malformed_dre(tmp_path):
@@ -620,7 +621,7 @@ def test_solver_shootout_script_reports_a_missing_or_malformed_dre(tmp_path):
         (manifests[1].parent / pipeline.DRE_NAME).write_text("")
 
     records, rows = _shootout(tmp_path, break_two)
-    assert [(r["instance"], r["status"]) for r in rows] == (
-        [(r.instance_id, "ERROR") for r in records[:2]]
-        + [(r.instance_id, "OK") for r in records[2:]])
+    assert [(r["instance"], r["solver"], r["status"]) for r in rows] == (
+        [(r.instance_id, "internal-ir", "ERROR") for r in records[:2]]
+        + [(r.instance_id, "internal-ir", "OK") for r in records[2:]])
     assert len(records) > 2

@@ -7,6 +7,8 @@ import pytest
 
 from xorcfi.sampler import SampleConfig, sample_homogeneous, trial_rng
 
+from oracles import sample_per_draw
+
 
 def test_forced_single_triple():
     f = sample_homogeneous(SampleConfig(n=3, m=1, seed=7))
@@ -87,3 +89,20 @@ def test_seed_and_trial_must_fit_64_bits():
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
             SampleConfig(n=3, m=1, seed=seed)
     SampleConfig(n=3, m=1, seed=2**64 - 1)
+
+
+def test_block_draws_match_one_draw_per_call():
+    # Small n and m near C(n,3)/2 make repeated variables and repeated
+    # triples frequent, so blocks end mid-way and are drawn again; m just
+    # above C(n,3)/2 takes the Fisher-Yates path.
+    grid = []
+    for n in (3, 4, 5, 6, 12, 30):
+        half = math.comb(n, 3) // 2
+        grid += [(n, m) for m in {1, max(1, half - 1), max(1, half), half + 1, n}
+                 if m <= math.comb(n, 3)]
+    grid += [(100, 100), (100, 400), (100, 2000), (1000, 1000), (1000, 2000)]
+    for n, m in grid:
+        for seed in (0, 5000, 2**64 - 1):
+            for trial in range(4):
+                cfg = SampleConfig(n=n, m=m, seed=seed)
+                assert sample_homogeneous(cfg, trial) == sample_per_draw(cfg, trial), (n, m, seed, trial)
