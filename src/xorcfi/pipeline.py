@@ -1,15 +1,18 @@
 """End-to-end instance generation: sample, filter, lift, export.
 
 Per trial: draw a homogeneous formula from its own RNG stream, reject
-unless it survives the enabled filters (incidence-graph asymmetry in
-core-only mode, full rank, Gaussian decision-cost gap), build the lifted
-graph once, and write formula + graph + manifest with a content digest.
+unless it survives the enabled filters, cheapest first (full rank, then
+incidence-graph asymmetry in core-only mode, then the Gaussian
+decision-cost gap), build the lifted graph once, and write formula +
+graph + manifest with a content digest. A trial's reject reason is the
+first filter it fails.
 
 The config's one budget counts work, never seconds: decisions per DPLL
 run and nodes of the IR search in the asymmetry filter. A plain run that
 spends it scores an infinite Gauss ratio; an IR search that spends it
-rejects the trial as BUDGET. So everything written is a pure function of
-the config, and a rerun reproduces the tree byte for byte.
+rejects the trial as BUDGET, which only a uniquely satisfiable formula can
+reach. So everything written is a pure function of the config, and a
+rerun reproduces the tree byte for byte.
 
 No filter checks that colour refinement keeps each X^0/X^1 pair
 together: it does in every lift of every formula, because the partition
@@ -333,6 +336,11 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
     """All filters for one trial; no files are written here."""
     f = sample_homogeneous(cfg.sample_config, trial)
 
+    # Cheapest filter first: the rank check settles most trials before the
+    # IR search runs.
+    if not is_uniquely_satisfiable(f):
+        return TrialOutcome(trial, False, REJECT_NOT_UNIQUE, None)
+
     phi_asymmetric: Optional[bool] = None
     if cfg.gadget_mode == GADGET_CORE:
         verdict = phi_is_asymmetric(f, cfg.budget)
@@ -341,10 +349,6 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         if not verdict:
             return TrialOutcome(trial, False, REJECT_PHI_SYMMETRIC, None)
         phi_asymmetric = True
-
-    unique = is_uniquely_satisfiable(f)
-    if not unique:
-        return TrialOutcome(trial, False, REJECT_NOT_UNIQUE, None)
 
     gap = gauss_ratio(f, max_decisions=cfg.budget)
     # The Gauss run decides the same question as the rank check. A full-rank
@@ -367,7 +371,7 @@ def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
         gadget_mode=cfg.gadget_mode,
         clause_digest=clause_digest(formula_text),
         phi_asymmetric=phi_asymmetric,
-        uniquely_satisfiable=unique,
+        uniquely_satisfiable=True,
         gauss_ratio=gap.ratio,
         wl1_nonseparating=None,
         vertices=g.vertex_count,

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -177,6 +178,45 @@ def test_filter_order_cannot_change_accept_set():
         for order in orderings:
             verdicts.append(all(checks[name]() for name in order))
         assert len(set(verdicts)) == 1
+
+
+def _first_failing_filter(f, cfg):
+    """Every filter on f, none skipped; the reason of the first that fails."""
+    unique = is_uniquely_satisfiable(f)
+    phi = phi_is_asymmetric(f, cfg.budget)
+    gap = gauss_ratio(f, cfg.budget).ratio >= cfg.gauss_threshold
+    for passed, reason in ((unique, pipeline.REJECT_NOT_UNIQUE),
+                           (phi is not None, pipeline.REJECT_BUDGET),
+                           (phi is not False, pipeline.REJECT_PHI_SYMMETRIC),
+                           (gap, pipeline.REJECT_LOW_RATIO)):
+        if not passed:
+            return reason
+    return None
+
+
+@pytest.mark.parametrize("cfg, expected", [
+    # The hard regime's first trials.
+    (PipelineConfig(n=30, ratio=1, seed=5000, trials=60, gadget_mode=GADGET_CORE,
+                    gauss_threshold=1.0),
+     {pipeline.REJECT_NOT_UNIQUE: 56, pipeline.REJECT_PHI_SYMMETRIC: 1, None: 3}),
+    # The default threshold: every filter rejects some trial.
+    (PipelineConfig(n=8, m=10, seed=31, trials=60, gadget_mode=GADGET_CORE),
+     {pipeline.REJECT_NOT_UNIQUE: 8, pipeline.REJECT_PHI_SYMMETRIC: 3,
+      pipeline.REJECT_LOW_RATIO: 48, None: 1}),
+    # No IR node to spend: every uniquely satisfiable trial runs out.
+    (PipelineConfig(n=30, ratio=1, seed=5000, trials=60, gadget_mode=GADGET_CORE,
+                    budget=0, gauss_threshold=1.0),
+     {pipeline.REJECT_NOT_UNIQUE: 56, pipeline.REJECT_BUDGET: 4}),
+])
+def test_reject_reason_is_the_first_failing_filter_cheapest_first(cfg, expected):
+    reasons = []
+    for trial in range(cfg.trials):
+        outcome = run_trial(cfg, trial)
+        reason = _first_failing_filter(sample_homogeneous(cfg.sample_config, trial), cfg)
+        assert outcome.accepted == (reason is None)
+        assert outcome.reject_reason == reason
+        reasons.append(reason)
+    assert Counter(reasons) == expected
 
 
 def test_run_trial_raises_when_gauss_run_contradicts_rank_check(monkeypatch):
