@@ -20,7 +20,7 @@ from .pipeline import (
     generate,
     validate,
 )
-from .sampler import SampleConfig, sample_homogeneous
+from .sampler import SampleConfig, draws
 
 
 def _add_sampling_args(p: argparse.ArgumentParser) -> None:
@@ -49,10 +49,9 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         return _config_error(exc)
     args.out.mkdir(parents=True, exist_ok=True)
-    for trial in range(args.count):
-        f = sample_homogeneous(cfg, trial)
-        path = args.out / f"n{args.n:04d}_s{args.seed}_t{trial:04d}.xcnf"
-        _atomic_write(path, export_xor_dimacs(f))
+    for draw in draws(cfg, range(args.count)):
+        path = args.out / f"n{args.n:04d}_s{args.seed}_t{draw.trial:04d}.xcnf"
+        _atomic_write(path, export_xor_dimacs(draw.formula()))
         print(path)
     return 0
 

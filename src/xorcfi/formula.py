@@ -33,9 +33,10 @@ class XorClause:
 
     @classmethod
     def make(cls, vars: Iterable[int], rhs: int) -> "XorClause":
-        vs = tuple(sorted(vars))
+        given = tuple(vars)
+        vs = tuple(sorted(given))
         if len(vs) != 3 or len(set(vs)) != 3:
-            raise ValueError(f"clause needs 3 distinct variables, got {tuple(vars)}")
+            raise ValueError(f"clause needs 3 distinct variables, got {given}")
         return cls(vs, rhs & 1)
 
     def satisfied_by(self, assignment: Sequence[int]) -> bool:
@@ -154,24 +155,32 @@ def to_matrix(f: Union[XorFormula, PinnedSystem, CnfFormula]) -> Tuple[int, ...]
     n = f.n
     if isinstance(f, PinnedSystem):
         return to_matrix(f.formula) + (1 << (f.var - 1) | f.value << n,)
-    rows = []
-    for cl in f.xors if isinstance(f, CnfFormula) else f.clauses:
-        a, b, c = cl.vars
-        rows.append(1 << (a - 1) | 1 << (b - 1) | 1 << (c - 1) | cl.rhs << n)
-    return tuple(rows)
+    clauses = f.xors if isinstance(f, CnfFormula) else f.clauses
+    return pack_rows(n, ((cl.vars, cl.rhs) for cl in clauses))
+
+
+def pack_rows(n: int, clauses: Iterable[Tuple[Sequence[int], int]]) -> Tuple[int, ...]:
+    """The parity rows of (vars, rhs) pairs over n variables, in order."""
+    return tuple(1 << (a - 1) | 1 << (b - 1) | 1 << (c - 1) | rhs << n
+                 for (a, b, c), rhs in clauses)
 
 
 def is_uniquely_satisfiable(f: XorFormula) -> bool:
-    """True iff the all-zero assignment is the only solution (rank = n).
-
-    A variable in no clause is a kernel vector on its own, so rank < n
-    is settled without an elimination.
-    """
+    """True iff the all-zero assignment is the only solution (rank = n)."""
     if not f.is_homogeneous:
         raise ValueError("unique-satisfiability check is defined for homogeneous formulas")
-    if len({v for cl in f.clauses for v in cl.vars}) < f.n:
+    return has_full_rank(f.n, [cl.vars for cl in f.clauses])
+
+
+def has_full_rank(n: int, triples: Sequence[Sequence[int]]) -> bool:
+    """True iff the homogeneous equations on these triples have rank n.
+
+    A variable in no triple is a kernel vector on its own, so rank < n
+    is settled without an elimination.
+    """
+    if len({v for t in triples for v in t}) < n:
         return False
-    return rank(to_matrix(f), f.n) == f.n
+    return rank(pack_rows(n, ((t, 0) for t in triples)), n) == n
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """End-to-end instance generation: sample, filter, lift, export.
 
-Per trial: draw a homogeneous formula from its own RNG stream, reject
-unless it survives the enabled filters, cheapest first (full rank, then
-incidence-graph asymmetry in core-only mode, then the Gaussian
-decision-cost gap), build the lifted graph once, and write formula +
-graph + manifest with a content digest. A trial's reject reason is the
-first filter it fails.
+Per trial: draw m distinct triples from the trial's own RNG stream,
+reject unless they survive the enabled filters, cheapest first (full
+rank, then incidence-graph asymmetry in core-only mode, then the
+Gaussian decision-cost gap), build the lifted graph once, and write
+formula + graph + manifest with a content digest. A trial's reject
+reason is the first filter it fails.
+
+`generate` screens its trials a chunk at a time (sampler.draws), so the
+rank check runs on packed rows built straight from each trial's triples:
+a trial that leaves a variable uncovered or lacks full rank is rejected
+before any formula object exists. `run_trial` on its own screens a chunk
+of one trial, so both take the same path.
 
 The config's one budget counts work, never seconds: decisions per DPLL
 run and nodes of the IR search in the asymmetry filter. A plain run that
@@ -39,12 +45,12 @@ from .formula import (
     XorFormula,
     _dimacs_records,
     export_xor_dimacs,
+    has_full_rank,
     import_xor_dimacs,
-    is_uniquely_satisfiable,
     to_matrix,
 )
 from .gf2 import rank
-from .sampler import SampleConfig, sample_homogeneous
+from .sampler import SampleConfig, TrialDraw, draws, screen
 from .xorsat import UNSAT, gauss_ratio
 
 logger = logging.getLogger(__name__)
@@ -332,14 +338,19 @@ class TrialOutcome:
     graph: Optional[Graph] = None
 
 
-def run_trial(cfg: PipelineConfig, trial: int) -> TrialOutcome:
-    """All filters for one trial; no files are written here."""
-    f = sample_homogeneous(cfg.sample_config, trial)
+def run_trial(cfg: PipelineConfig, trial: Union[int, TrialDraw]) -> TrialOutcome:
+    """All filters for one trial, given by its index or by its draw from
+    sampler.screen; no files are written here."""
+    if isinstance(trial, TrialDraw):
+        draw, trial = trial, trial.trial
+    else:
+        [draw] = screen(cfg.sample_config, range(trial, trial + 1))
 
     # Cheapest filter first: the rank check settles most trials before the
-    # IR search runs.
-    if not is_uniquely_satisfiable(f):
+    # formula is built and the IR search runs.
+    if not (draw.covers_all and has_full_rank(cfg.n, draw.triples.tolist())):
         return TrialOutcome(trial, False, REJECT_NOT_UNIQUE, None)
+    f = draw.formula()
 
     phi_asymmetric: Optional[bool] = None
     if cfg.gadget_mode == GADGET_CORE:
@@ -400,16 +411,16 @@ def generate(cfg: PipelineConfig, out_dir: Union[str, Path]) -> List[InstanceRec
     out.mkdir(parents=True, exist_ok=True)
     records: List[InstanceRecord] = []
     rejects: List[Tuple[int, str]] = []
-    for trial in range(cfg.trials):
-        outcome = run_trial(cfg, trial)
+    for draw in draws(cfg.sample_config, range(cfg.trials)):
+        outcome = run_trial(cfg, draw)
         if not outcome.accepted:
-            logger.info("trial %d rejected: %s", trial, outcome.reject_reason)
-            rejects.append((trial, outcome.reject_reason))
+            logger.info("trial %d rejected: %s", draw.trial, outcome.reject_reason)
+            rejects.append((draw.trial, outcome.reject_reason))
             continue
         record = outcome.record
         write_instance(record, outcome.formula, outcome.graph, out)
         records.append(record)
-        logger.info("trial %d accepted as %s", trial, record.instance_id)
+        logger.info("trial %d accepted as %s", draw.trial, record.instance_id)
     index_lines = [
         f"# schema_version: {MANIFEST_SCHEMA_VERSION}",
         f"# trials: {cfg.trials} accepted: {len(records)} rejected: {len(rejects)}",

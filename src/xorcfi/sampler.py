@@ -5,6 +5,15 @@ keyed with the 128-bit value (seed << 64) | trial, so every trial owns
 an independent stream and byte-identical reruns only need (seed, trial).
 Only Generator.integers() is drawn from, to keep the stream easy to
 reimplement elsewhere.
+
+Trials are drawn a chunk at a time. One Philox bit generator is re-keyed
+to each trial of the chunk, which reads the same stream as a new one, and
+gives it one block of draws; numpy operations over the whole chunk then
+pick each trial's triples and check that they cover every variable.
+A trial whose block holds too few distinct triples, every trial of the
+dense Fisher-Yates case, and every trial of an n too large for int64
+triple codes, takes the sequential draw from its stream's start.
+Sampling a single trial is a chunk of one.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -60,15 +69,132 @@ def _check_u64(value: int, what: str) -> None:
         raise ValueError(f"{what} must fit in 64 bits")
 
 
-def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
-    """Philox stream for one trial; streams never collide across trials."""
+# Draw rows screened per chunk: enough to amortise numpy's per-call cost
+# over many hard-regime trials, few enough that memory does not grow with
+# the trial count. A trial needing more rows is a chunk on its own.
+_CHUNK_ROWS = 1 << 13
+
+
+def trial_rng(seed: int, trial: int = 0,
+              reuse: Optional[np.random.Generator] = None) -> np.random.Generator:
+    """Philox stream for one trial; streams never collide across trials.
+
+    With `reuse`, that generator's Philox is re-keyed and its counter and
+    buffers reset, which reads the same stream as a new generator at a
+    fraction of the cost of building one.
+    """
     _check_u64(seed, "seed")
     _check_u64(trial, "trial index")
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([trial, seed], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
+
+
+@dataclass(frozen=True)
+class TrialDraw:
+    """One trial's m distinct triples, before any formula object exists.
+
+    `triples` is an (m, 3) int64 array: each row a strictly increasing
+    triple of 1-based variables, the rows in ascending order, which is
+    the formula's clause order.
+    """
+
+    trial: int
+    n: int
+    triples: np.ndarray
+    covers_all: bool  # every variable occurs in some triple
+
+    def formula(self) -> XorFormula:
+        return XorFormula(self.n, tuple(XorClause(t, 0) for t in map(tuple, self.triples.tolist())))
+
+
+def chunks(cfg: SampleConfig, trials: range) -> Iterator[range]:
+    """trials cut into consecutive chunks of about _CHUNK_ROWS draw rows."""
+    step = max(1, _CHUNK_ROWS // _block_rows(cfg.effective_m))
+    for start in range(0, len(trials), step):
+        yield trials[start:start + step]
+
+
+def draws(cfg: SampleConfig, trials: range) -> Iterator[TrialDraw]:
+    """The draws of trials in order, screened a chunk at a time."""
+    for chunk in chunks(cfg, trials):
+        yield from screen(cfg, chunk)
+
+
+def screen(cfg: SampleConfig, trials: range) -> List[TrialDraw]:
+    """The draws of a chunk of trials, in trial order."""
+    n, m = cfg.n, cfg.effective_m
+    triples = np.empty((len(trials), m, 3), np.int64)
+    rng = None
+    dense = m > cfg.max_clauses // 2
+    # Blocks are screened as int64 triple codes in base n + 1 (see
+    # _first_distinct); above that range every trial is drawn sequentially.
+    if dense or (n + 1) ** 3 >= 2**63:
+        redraw = range(len(trials))
+    else:
+        blocks = np.empty((len(trials), _block_rows(m), 3), np.int64)
+        for i, trial in enumerate(trials):
+            rng = trial_rng(cfg.seed, trial, rng)
+            blocks[i] = rng.integers(1, n + 1, size=blocks.shape[1:])
+        redraw = _first_distinct(blocks, n, triples)
+    for i in redraw:
+        rng = trial_rng(cfg.seed, trials[i], rng)
+        chosen = _shuffle_prefix_subsets(rng, n, m) if dense else _draw_sequential(rng, n, m)
+        triples[i] = sorted(chosen)
+    used = np.sort(triples.reshape(len(trials), -1), axis=1)
+    covers_all = ((used[:, 1:] != used[:, :-1]).sum(axis=1) == n - 1).tolist()
+    return [TrialDraw(trial, n, triples[i], covers_all[i]) for i, trial in enumerate(trials)]
 
 
 def sample_homogeneous(cfg: SampleConfig, trial: int = 0) -> XorFormula:
-    """m distinct 3-subsets drawn uniformly without replacement, all rhs 0.
+    """m distinct 3-subsets drawn uniformly without replacement, all rhs 0."""
+    return screen(cfg, range(trial, trial + 1))[0].formula()
+
+
+def _block_rows(m: int) -> int:
+    # Over-draw so that one block usually holds m distinct triples; the
+    # sequential draw takes its first block of the same size.
+    return 2 * m + 16
+
+
+def _first_distinct(blocks: np.ndarray, n: int, out: np.ndarray) -> List[int]:
+    """Write each trial's first m distinct triples of its block into out,
+    sorted; return the trials whose block holds fewer than m.
+
+    A triple is its row sorted; a row with a repeated variable is skipped,
+    and so is a repeat of an earlier triple of the same block. Triples are
+    compared as codes a·(n+1)² + b·(n+1) + c, which order them as tuples.
+    """
+    m, base = out.shape[1], n + 1
+    blocks.sort(axis=2)
+    a, b, c = blocks.transpose(2, 0, 1)
+    code = (a * base + b) * base + c
+    by_trial = np.arange(len(code))[:, None]
+    order = np.argsort(code, axis=1, kind="stable")
+    ranked = code[by_trial, order]
+    new = np.ones(code.shape, bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.empty_like(new)
+    first[by_trial, order] = new
+    first &= (a != b) & (b != c)
+    count = first.cumsum(axis=1)
+    full = count[:, -1] >= m
+    chosen = np.sort(code[full][(first & (count <= m))[full]].reshape(-1, m), axis=1)
+    rest, out[full, :, 2] = np.divmod(chosen, base)
+    out[full, :, 0], out[full, :, 1] = np.divmod(rest, base)
+    return np.flatnonzero(~full).tolist()
+
+
+def _draw_sequential(rng: np.random.Generator, n: int, m: int):
+    """The m triples of one trial by rejection, from its stream's start.
 
     Triples are drawn three integers at a time and a triple with a
     repeated variable is redrawn. The draws come in blocks of rows from
@@ -76,23 +202,16 @@ def sample_homogeneous(cfg: SampleConfig, trial: int = 0) -> XorFormula:
     single draws; the draws of a block left over once m triples are
     chosen are never used.
     """
-    n, m = cfg.n, cfg.effective_m
-    rng = trial_rng(cfg.seed, trial)
-    if m > cfg.max_clauses // 2:
-        chosen = _shuffle_prefix_subsets(rng, n, m)
-    else:
-        chosen = set()
-        while len(chosen) < m:
-            # Over-draw so that one block usually suffices; any block size
-            # gives the same formula.
-            rows = rng.integers(1, n + 1, size=(2 * (m - len(chosen)) + 16, 3))
-            rows.sort(axis=1)
-            rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])]
-            for t in map(tuple, rows.tolist()):
-                chosen.add(t)
-                if len(chosen) == m:
-                    break
-    return XorFormula(n, tuple(XorClause(t, 0) for t in sorted(chosen)))
+    chosen = set()
+    while len(chosen) < m:
+        rows = rng.integers(1, n + 1, size=(_block_rows(m - len(chosen)), 3))
+        rows.sort(axis=1)
+        rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])]
+        for t in map(tuple, rows.tolist()):
+            chosen.add(t)
+            if len(chosen) == m:
+                break
+    return chosen
 
 
 def _shuffle_prefix_subsets(rng: np.random.Generator, n: int, m: int):

@@ -83,6 +83,11 @@ def test_make_formula_rejects_repeated_variable():
         make_formula(4, [((1, 1, 2), 0)])
 
 
+def test_clause_make_reports_an_iterator_input_in_full():
+    with pytest.raises(ValueError, match=r"got \(1, 1, 2\)"):
+        XorClause.make(iter([1, 1, 2]), 0)
+
+
 def test_make_formula_rejects_contradictory_duplicate():
     with pytest.raises(ValueError):
         make_formula(4, [((1, 2, 3), 0), ((1, 2, 3), 1)])

@@ -39,7 +39,7 @@ from xorcfi.pipeline import (
     validate,
 )
 from xorcfi.formula import is_uniquely_satisfiable
-from xorcfi.sampler import SampleConfig, sample_homogeneous
+from xorcfi.sampler import SampleConfig, chunks, sample_homogeneous
 from xorcfi.xorsat import SAT, gauss_ratio
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -194,7 +194,7 @@ def _first_failing_filter(f, cfg):
     return None
 
 
-@pytest.mark.parametrize("cfg, expected", [
+FILTER_CASES = [
     # The hard regime's first trials.
     (PipelineConfig(n=30, ratio=1, seed=5000, trials=60, gadget_mode=GADGET_CORE,
                     gauss_threshold=1.0),
@@ -207,7 +207,10 @@ def _first_failing_filter(f, cfg):
     (PipelineConfig(n=30, ratio=1, seed=5000, trials=60, gadget_mode=GADGET_CORE,
                     budget=0, gauss_threshold=1.0),
      {pipeline.REJECT_NOT_UNIQUE: 56, pipeline.REJECT_BUDGET: 4}),
-])
+]
+
+
+@pytest.mark.parametrize("cfg, expected", FILTER_CASES)
 def test_reject_reason_is_the_first_failing_filter_cheapest_first(cfg, expected):
     reasons = []
     for trial in range(cfg.trials):
@@ -217,6 +220,21 @@ def test_reject_reason_is_the_first_failing_filter_cheapest_first(cfg, expected)
         assert outcome.reject_reason == reason
         reasons.append(reason)
     assert Counter(reasons) == expected
+
+
+@pytest.mark.parametrize("cfg", [cfg for cfg, _ in FILTER_CASES])
+def test_chunked_generate_gives_the_per_trial_verdicts(cfg, tmp_path):
+    # Enough trials for a whole chunk and some of the next.
+    cfg = replace(cfg, trials=len(next(chunks(cfg.sample_config, range(10**6)))) + 20)
+    assert len(list(chunks(cfg.sample_config, range(cfg.trials)))) == 2
+    records = generate(cfg, tmp_path)
+    outcomes = [run_trial(cfg, trial) for trial in range(cfg.trials)]
+    index = (tmp_path / "index.txt").read_text(encoding="utf-8").splitlines()
+    rejected = [ln.removeprefix("# rejected trial ").split(": ") for ln in index
+                if ln.startswith("# rejected trial ")]
+    assert rejected == [[str(o.trial), o.reject_reason] for o in outcomes if not o.accepted]
+    assert records == [o.record for o in outcomes if o.accepted]
+    assert rejected
 
 
 def test_run_trial_raises_when_gauss_run_contradicts_rank_check(monkeypatch):

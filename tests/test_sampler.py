@@ -3,9 +3,10 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from xorcfi.sampler import SampleConfig, sample_homogeneous, trial_rng
+from xorcfi.sampler import SampleConfig, chunks, sample_homogeneous, screen, trial_rng
 
 from oracles import sample_per_draw
 
@@ -106,3 +107,81 @@ def test_block_draws_match_one_draw_per_call():
             for trial in range(4):
                 cfg = SampleConfig(n=n, m=m, seed=seed)
                 assert sample_homogeneous(cfg, trial) == sample_per_draw(cfg, trial), (n, m, seed, trial)
+
+
+def _short_first_blocks(cfg, trials):
+    """The trials whose first block of 2m + 16 rows holds fewer than m
+    distinct triples, counted one row at a time."""
+    m = cfg.effective_m
+    short = []
+    for trial in trials:
+        rows = trial_rng(cfg.seed, trial).integers(1, cfg.n + 1, size=(2 * m + 16, 3))
+        if len({tuple(sorted(r)) for r in rows.tolist() if len(set(r)) == 3}) < m:
+            short.append(trial)
+    return short
+
+
+def test_screen_matches_per_draw_oracle_on_whole_chunks():
+    # Every batch spans two chunks, a whole one and one trial more. At
+    # m = C(n,3)/2 some first blocks fall short, so those trials are drawn
+    # again one triple at a time; m just above it takes Fisher-Yates. The
+    # last two sizes are the largest n whose triple codes fit in int64 and
+    # the smallest whose do not, so that every trial is drawn sequentially.
+    grid = [(n, m) for n in (5, 6, 7, 12, 30, 100, 1000) for m in (n, 2 * n)
+            if m <= math.comb(n, 3) // 2]
+    grid += [(6, 10), (7, 17), (5, 6), (6, 11), (7, 18), (12, 111), (30, 2031)]
+    grid += [(2**21 - 2, 2), (2**21, 2)]
+    for n, m in grid:
+        for seed in (0, 5000, 2**64 - 1):
+            cfg = SampleConfig(n=n, m=m, seed=seed)
+            step = len(next(chunks(cfg, range(10**9))))
+            parts = list(chunks(cfg, range(step + 1)))
+            assert [len(c) for c in parts] == [step, 1]
+            draws = [d for chunk in parts for d in screen(cfg, chunk)]
+            assert [d.trial for d in draws] == list(range(step + 1))
+            for d in draws:
+                f = sample_per_draw(cfg, d.trial)
+                assert d.formula() == f, (n, m, seed, d.trial)
+                assert d.triples.tolist() == [list(cl.vars) for cl in f.clauses]
+                assert d.covers_all == (len({v for cl in f.clauses for v in cl.vars}) == n)
+            if (n, m) == (6, 10):
+                assert _short_first_blocks(cfg, range(step + 1))
+
+
+def test_one_trial_is_a_chunk_of_one():
+    cfg = SampleConfig(n=30, m=30, seed=5000)
+    for d in screen(cfg, range(40)):
+        assert sample_homogeneous(cfg, d.trial) == d.formula()
+        [alone] = screen(cfg, range(d.trial, d.trial + 1))
+        assert alone.triples.tolist() == d.triples.tolist()
+
+
+def test_rekeyed_stream_checks_64_bits():
+    cfg = SampleConfig(n=30, m=30, seed=2**64 - 1)
+    with pytest.raises(ValueError, match="trial index must fit in 64 bits"):
+        screen(cfg, range(2**64 - 2, 2**64 + 1))
+    rng = trial_rng(0, 0)
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        trial_rng(2**64, 0, rng)
+    with pytest.raises(ValueError, match="trial index must fit in 64 bits"):
+        trial_rng(0, -1, rng)
+
+
+def test_rekeying_leaks_no_state():
+    # A bounded integers call leaves half of a 64-bit word buffered; the
+    # re-keyed generator must not read it.
+    used = trial_rng(1, 2)
+    used.integers(1, 31, size=5)
+    assert used.bit_generator.state["has_uint32"] == 1
+    fresh = trial_rng(5000, 7).integers(1, 31, size=(40, 3))
+    assert (trial_rng(5000, 7, used).integers(1, 31, size=(40, 3)) == fresh).all()
+
+    # Generators of their own draw unchanged around screen calls.
+    cfg = SampleConfig(n=30, m=30, seed=5000)
+    ours, reference = trial_rng(5000, 3), trial_rng(5000, 3)
+    parts = []
+    for chunk in chunks(cfg, range(300)):
+        parts.append(ours.integers(1, 31, size=(50, 3)))
+        screen(cfg, chunk)
+    drawn = np.concatenate(parts)
+    assert (drawn == reference.integers(1, 31, size=drawn.shape)).all()
