@@ -16,6 +16,7 @@ from pathlib import Path
 from xorcfi.bench import run_internal, write_summary
 from xorcfi.canon import CELL_FIRST_LARGEST, CELL_FIRST_SMALLEST
 from xorcfi.pipeline import GADGET_CORE, GADGETS, PipelineConfig, run_trial
+from xorcfi.sampler import draws
 
 
 def main(argv=None) -> int:
@@ -41,10 +42,11 @@ def main(argv=None) -> int:
                              gadget_mode=args.gadget,
                              gauss_threshold=args.gauss_threshold)
         nodes = []
-        trial = 0
-        while len(nodes) < args.count and trial < args.max_trials:
-            outcome = run_trial(cfg, trial)
-            trial += 1
+        # Trials are drawn a chunk at a time, like generate draws them.
+        for draw in draws(cfg.sample_config, range(args.max_trials)):
+            if len(nodes) >= args.count:
+                break
+            outcome = run_trial(cfg, draw)
             if not outcome.accepted:
                 continue
             g = outcome.graph

@@ -11,6 +11,16 @@ column-major: the rows are transposed once into one int per column
 rows not yet used as pivots, and clearing it elsewhere is one xor into
 each later column the pivot row touches. The reduced row echelon form
 of a matrix is unique, so the pivot choice cannot change any result.
+
+Pivot rows are sparse, so most later columns miss any one pivot bit.
+The elimination therefore defers its updates a block of _BLOCK pivot
+columns at a time, as blocked (M4RI-style) GF(2) elimination does: the
+columns inside the block are updated at once, because the next pivot
+is read from them, and each later column is tested once against the
+OR of the block's pivot bits. A column that misses it is untouched by
+the whole block; a column that hits replays the block's xors in pivot
+order, exactly the xors the one-pivot-at-a-time loop would make.
+
 rank() counts the pivots; reduced_system() returns the reduced system
 that the Gauss presolve of xorsat propagates.
 """
@@ -18,6 +28,11 @@ that the Gauss presolve of xorsat propagates.
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
+
+
+# Pivot columns per deferred block; measured fastest at 16-32 on n=1000,
+# m=2000 systems, while 64 is slower.
+_BLOCK = 32
 
 
 def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
@@ -29,9 +44,19 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
     then the others in input order, which are zero below bit cols.
 
     The work is column-major: column j is one int whose bit i is row i.
-    The pivot of column c is its lowest row not yet used as a pivot,
-    and clearing c in the other rows is one xor into each later column
-    that the pivot row touches.
+    The pivot of column c is its lowest row not yet used as a pivot, p,
+    and clearing c in the other rows, others = col[c] ^ p, is one xor of
+    others into each later column that holds p.
+
+    Those xors are deferred past the end of a block of _BLOCK pivot
+    columns. Inside the block they are made at once; after it, each
+    later column x (those at cols and above included) is tested once
+    against P, the OR of the block's pivot bits p. Only the bits p of x
+    decide whether an xor hits x, and they change only when one does,
+    so an x that misses P is untouched by the block; an x that hits
+    replays `if x & p: x ^= others` for the block's pivots in order,
+    which is the eager loop's sequence of xors on x. The last block
+    (the only one when cols <= _BLOCK) is the eager loop itself.
     """
     rows = list(row_bits)
     width = max(cols, max(rows, default=0).bit_length())
@@ -45,20 +70,41 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
     free = (1 << len(rows)) - 1
     pivots: List[int] = []
     order: List[int] = []  # pivot row indices, then the remaining rows
-    for c in range(cols):
-        cand = col[c] & free
-        if not cand:
-            continue
-        p = cand & -cand
-        others = col[c] ^ p
-        if others:
-            for j in range(c + 1, width):
-                if col[j] & p:
-                    col[j] ^= others
-        col[c] = 0  # a unit column; its one bit goes back in below
-        free ^= p
-        pivots.append(c)
-        order.append(p.bit_length() - 1)
+    for start in range(0, cols, _BLOCK):
+        stop = min(start + _BLOCK, cols)
+        # The last block has no pivot column after it to defer to, so it
+        # updates every later column at once, as the eager loop does.
+        last = stop == cols
+        reach = width if last else stop
+        ops: List[Tuple[int, int]] = []  # (p, others) where others is nonzero
+        hit = 0  # P: the OR of those p; a pivot with no others xors nothing
+        for c in range(start, stop):
+            cand = col[c] & free
+            if not cand:
+                continue
+            p = cand & -cand
+            others = col[c] ^ p
+            if others:
+                for j in range(c + 1, reach):
+                    if col[j] & p:
+                        col[j] ^= others
+                if not last:
+                    ops.append((p, others))
+                    hit |= p
+            col[c] = 0  # a unit column; its one bit goes back in below
+            free ^= p
+            pivots.append(c)
+            order.append(p.bit_length() - 1)
+            if not free:
+                break
+        if hit:
+            for j in range(stop, width):
+                x = col[j]
+                if x & hit:
+                    for p, others in ops:
+                        if x & p:
+                            x ^= others
+                    col[j] = x
         if not free:
             break
     work = [0] * len(rows)

@@ -77,6 +77,58 @@ def kernel_basis(rows: Iterable[int], cols: int) -> List[int]:
     return basis
 
 
+def column_major_rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
+    """gf2._rref without deferred blocks: each pivot's xors go into every
+    later column at once. Same contract and output as gf2._rref.
+
+    Column j is one int whose bit i is row i. The pivot of column c is
+    its lowest row not yet used as a pivot, and clearing c in the other
+    rows is one xor into each later column that the pivot row touches.
+    """
+    rows = list(row_bits)
+    width = max(cols, max(rows, default=0).bit_length())
+    col = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            col[low.bit_length() - 1] |= bit
+            row ^= low
+    free = (1 << len(rows)) - 1
+    pivots: List[int] = []
+    order: List[int] = []  # pivot row indices, then the remaining rows
+    for c in range(cols):
+        cand = col[c] & free
+        if not cand:
+            continue
+        p = cand & -cand
+        others = col[c] ^ p
+        if others:
+            for j in range(c + 1, width):
+                if col[j] & p:
+                    col[j] ^= others
+        col[c] = 0  # a unit column; its one bit goes back in below
+        free ^= p
+        pivots.append(c)
+        order.append(p.bit_length() - 1)
+        if not free:
+            break
+    work = [0] * len(rows)
+    for i, c in zip(order, pivots):
+        work[i] = 1 << c
+    for j, x in enumerate(col):
+        bit = 1 << j
+        while x:
+            low = x & -x
+            work[low.bit_length() - 1] |= bit
+            x ^= low
+    while free:
+        low = free & -free
+        order.append(low.bit_length() - 1)
+        free ^= low
+    return [work[i] for i in order], pivots
+
+
 # -- formulas ----------------------------------------------------------------
 
 

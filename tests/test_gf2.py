@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorcfi import gf2
-from xorcfi.formula import is_uniquely_satisfiable, pin, to_matrix
+from xorcfi.formula import has_full_rank, is_uniquely_satisfiable, pin, to_matrix
 from xorcfi.gf2 import rank, reduced_system
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import kernel_basis, mat_vec, matrix_from_rows, solve
+from oracles import column_major_rref, kernel_basis, mat_vec, matrix_from_rows, solve
 
 
 # -- oracles ---------------------------------------------------------------
@@ -327,3 +327,100 @@ def test_reducer_matches_reference_at_n1000():
     expected = reference_results(rows, 1000, bs)
     assert expected[0] == 1000 and expected[2][1] == (None, None)
     assert public_results(rows, 1000, bs) == expected
+
+
+# -- deferred blocks against the one-pivot-at-a-time reducers --------------
+
+BLOCKS = (1, 2, 3, 5, gf2._BLOCK)
+N1000_SEEDS = (1868515624530699897, 3, 11, 2024)
+
+
+def coefficient_rows(rng, rows, cols, rank_bound=None):
+    """rows random rows below bit cols, spanning at most rank_bound
+    dimensions when one is given."""
+    if rank_bound is None:
+        return [rng.getrandbits(cols) if cols else 0 for _ in range(rows)]
+    basis = [rng.getrandbits(cols) for _ in range(rank_bound)]
+    out = []
+    for _ in range(rows):
+        row = 0
+        for v in basis:
+            if rng.getrandbits(1):
+                row ^= v
+        out.append(row)
+    return out
+
+
+def block_boundary_matrices(rng, block):
+    """(name, rows, cols) with cols at 0 and at block - 1, block, block + 1
+    and 2 block + 1, in tall, square, wide, rank-deficient and empty shapes."""
+    for cols in sorted({0, max(block - 1, 0), block, block + 1, 2 * block + 1}):
+        yield "empty", [], cols
+        yield "tall", coefficient_rows(rng, cols + rng.randint(1, 4), cols), cols
+        yield "square", coefficient_rows(rng, cols, cols), cols
+        if cols >= 2:
+            yield "wide", coefficient_rows(rng, rng.randint(1, cols - 1), cols), cols
+            yield "rank_deficient", coefficient_rows(
+                rng, cols + 2, cols, rng.randint(0, cols - 1)), cols
+
+
+def assert_blocked_matches(rows, cols, consistent):
+    """_rref equals the column-major oracle in full. It equals the row-major
+    reference in pivots and in the rows below bit cols; above bit cols as
+    well when every carried column is in the span of the coefficient
+    columns, the one case where those bits are a function of the matrix."""
+    work, pivots = gf2._rref(rows, cols)
+    assert (work, pivots) == column_major_rref(rows, cols)
+    ref_work, ref_pivots = reference_rref(rows, cols)
+    assert pivots == ref_pivots
+    mask = (1 << cols) - 1
+    if consistent:
+        assert work == ref_work
+    else:
+        assert [w & mask for w in work] == [w & mask for w in ref_work]
+    assert all(w & mask == 0 for w in work[len(pivots):])
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_blocked_reducer_matches_oracles_across_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(gf2, "_BLOCK", block)
+    rng = random.Random(block)
+    inconsistent = 0
+    for _ in range(4):
+        for shape, rows, cols in block_boundary_matrices(rng, block):
+            assert_blocked_matches(rows, cols, consistent=True)
+            x = rng.getrandbits(cols) if cols else 0
+            consistent_rhs, random_rhs = mat_vec(rows, x), rng.getrandbits(len(rows))
+            assert_blocked_matches(with_rhs(rows, cols, consistent_rhs), cols, consistent=True)
+            system = with_rhs(rows, cols, random_rhs)
+            ok = reduced_system(system, cols) is not None
+            inconsistent += not ok
+            assert_blocked_matches(system, cols, consistent=ok)
+            # Carried bits above the rhs: three random ones, and an identity
+            # block that records which input rows each output row combines.
+            carried = [r | rng.getrandbits(3) << (cols + 1) for r in system]
+            assert_blocked_matches(carried, cols, consistent=False)
+            tagged = [r | 1 << (cols + i) for i, r in enumerate(rows)]
+            assert_blocked_matches(tagged, cols, consistent=False)
+            # A pivot row combines pivot input rows only, and the rows past
+            # the pivots are the other input rows in input order, each plus
+            # some pivot input rows.
+            work, pivots = gf2._rref(tagged, cols)
+            used = 0
+            for w in work[:len(pivots)]:
+                used |= w >> cols
+            assert used.bit_count() == len(pivots)
+            own = [w >> cols & ~used for w in work[len(pivots):]]
+            assert own == [1 << i for i in range(len(rows)) if not used >> i & 1]
+    assert inconsistent > 0
+
+
+@pytest.mark.parametrize("seed", N1000_SEEDS)
+def test_full_rank_at_n1000_matches_the_column_major_oracle(seed):
+    f = sample_homogeneous(SampleConfig(n=1000, m=2000, seed=seed))
+    triples = [cl.vars for cl in f.clauses]
+    rows = list(to_matrix(f))
+    oracle_rank = len(column_major_rref(rows, 1000)[1])
+    assert has_full_rank(1000, triples) == (oracle_rank == 1000)
+    system = with_rhs(rows, 1000, random.Random(seed).getrandbits(len(rows)))
+    assert gf2._rref(system, 1000) == column_major_rref(system, 1000)
