@@ -2,10 +2,12 @@
 
 Color refinement runs vectorized: each round sorts every vertex's
 neighbor colors and ranks the rows (own color, sorted neighbor colors)
-lexicographically. Cell ids produced this way depend only on the
-refinement history, never on vertex numbering, which is what the
-individualization-refinement search needs to match up cells across
-branches.
+lexicographically. The rows are held as big-endian unsigned integers
+viewed as one opaque byte string per vertex, so a single argsort of the
+byte strings ranks them in lexicographic order (see _Csr and _refine).
+Cell ids produced this way depend only on the refinement history, never
+on vertex numbering, which is what the individualization-refinement
+search needs to match up cells across branches.
 
 The IR automorphism search follows the classic scheme: the leftmost
 root-to-leaf path fixes a reference labeling, every other leaf proposes
@@ -79,7 +81,6 @@ class Partition:
 class AutReport:
     generators: List[Tuple[int, ...]]
     group_size: int
-    orbit_partition: Partition
     search_nodes: int
     status: str
     first_path_depth: int = 0
@@ -91,8 +92,17 @@ class AutReport:
 
 
 class _Csr:
-    """Adjacency rows of g, each edge listed from both ends. The order of
-    neighbours within a row is arbitrary: _refine sorts each row."""
+    """Adjacency rows of g, each edge listed from both ends, and the
+    buffer in which _refine ranks them. The order of neighbours within a
+    row is arbitrary: _refine sorts each row.
+
+    mat holds one row per vertex: its own color, then its sorted neighbor
+    colors plus one, then zeros up to max_deg + 1 entries. Its dtype is
+    the smallest unsigned type that holds v, big-endian, so rows holds
+    each row as one opaque byte string whose byte order is the
+    lexicographic order of its entries. Every round writes the same
+    cells, so the zero padding, written once here, stays in place.
+    """
 
     def __init__(self, g: Graph):
         self.v = g.vertex_count
@@ -108,6 +118,17 @@ class _Csr:
         self.pos = np.arange(len(self.nbrs), dtype=np.int64) - self.indptr[self.row_of]
         self.max_deg = int(deg.max()) if self.v else 0
         self.rounds = 0
+        width = self.max_deg + 1
+        # Rows are contiguous in CSR order and colors are below v, so
+        # sorting row*v + color sorts each row's neighbor colors in place,
+        # whatever the number of colors.
+        self.base = self.row_of * self.v
+        # Where each neighbor entry goes in mat.reshape(-1): its row, one
+        # column past its position.
+        self.cells = self.row_of * width + self.pos + 1
+        dtype = np.min_scalar_type(self.v).newbyteorder(">")
+        self.mat = np.zeros((self.v, width), dtype=dtype)
+        self.rows = self.mat.view(np.dtype((np.void, width * dtype.itemsize))).reshape(-1)
 
 
 def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
@@ -118,29 +139,34 @@ def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
     each vertex the row (own color, sorted neighbor colors, -1 padding)
     and the id of that row's rank among the distinct rows, exactly the
     ids of np.unique(rows, axis=0, return_inverse=True).
+
+    The rows are ranked as csr.rows, one argsort of byte strings. Entries
+    are unsigned and big-endian, so two rows compare byte by byte as
+    their entries compare in order. Neighbor entries are shifted up by
+    one, so the zero padding sorts below every real entry, as -1 did,
+    and a row that is a proper prefix of another still sorts first. This
+    relies on numpy ordering unstructured void scalars bytewise in
+    argsort and comparing void arrays elementwise with !=; both were
+    tested with numpy 2.4.6.
     """
     v = csr.v
     if v == 0:
         return colors
     ncolors = int(colors.max()) + 1
-    width = csr.max_deg + 1
-    mat = np.full((v, width), -1, dtype=np.int64)
-    cols = csr.pos + 1
     while ncolors < v:
         csr.rounds += 1
-        # Rows are contiguous in CSR order, so sorting row*ncolors + color
-        # sorts each row's neighbor colors in place.
-        base = csr.row_of * ncolors
-        key = base + colors[csr.nbrs]
+        key = colors[csr.nbrs] + csr.base
         key.sort()
-        mat[:, 0] = colors
-        mat[csr.row_of, cols] = key - base
-        order = np.lexsort(mat.T[::-1])
-        ranked = mat[order]
+        key -= csr.base
+        key += 1
+        csr.mat[:, 0] = colors
+        csr.mat.reshape(-1)[csr.cells] = key
+        order = csr.rows.argsort(kind="stable")
+        ranked = csr.rows[order]
         step = np.empty(v, dtype=np.int64)
         step[0] = 0
-        step[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-        np.cumsum(step, out=step)
+        step[1:] = ranked[1:] != ranked[:-1]
+        step.cumsum(out=step)
         new_n = int(step[-1]) + 1
         colors = np.empty(v, dtype=np.int64)
         colors[order] = step
@@ -191,35 +217,6 @@ def _orbit_closure(seed: Set[int], gens: List[Tuple[int, ...]], prefix: List[int
     return seen
 
 
-def _orbits_from_generators(n: int, gens: List[Tuple[int, ...]]) -> Partition:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in gens:
-        for x, y in enumerate(p):
-            if x != y:  # only the points a generator moves join two orbits
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    # Links point down, so each root is the least point of its orbit and
-    # a point's parent comes before it: one ascending pass numbers the
-    # orbits in order of their least points.
-    cell_of: List[int] = []
-    orbits = 0
-    for x, r in enumerate(parent):
-        if r == x:
-            cell_of.append(orbits)
-            orbits += 1
-        else:
-            cell_of.append(cell_of[r])
-    return Partition(tuple(cell_of))
-
-
 def _individualized(colors: np.ndarray, w: int) -> np.ndarray:
     """The dense colouring that puts w in a cell of its own, just before
     the rest of its cell: w keeps its cell's id, and the rest of that cell
@@ -250,7 +247,10 @@ def ir_automorphisms(
     max_seconds: Optional[float] = None,
     cell_strategy: str = CELL_FIRST_SMALLEST,
 ) -> AutReport:
-    """Automorphism generators, exact group size and orbits via IR search.
+    """Automorphism generators and exact group size via IR search.
+
+    The report carries no orbit partition; the orbits are those of the
+    group the generators generate.
 
     search_nodes counts backtrack-tree nodes and is the hardness
     statistic; it is deterministic for a fixed input and strategy.
@@ -264,7 +264,7 @@ def ir_automorphisms(
     """
     v = g.vertex_count
     if v == 0:
-        return AutReport([], 1, Partition(()), 0, STATUS_COMPLETE)
+        return AutReport([], 1, 0, STATUS_COMPLETE)
     csr = _Csr(g)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     nodes = 0
@@ -334,7 +334,7 @@ def ir_automorphisms(
     order = 1
     for i, w in enumerate(left):
         order *= len(_orbit_closure({w}, gens, left[:i]))
-    return AutReport(gens, order, _orbits_from_generators(v, gens), nodes, status,
+    return AutReport(gens, order, nodes, status,
                      first_path_depth=len(left), refine_rounds=csr.rounds)
 
 

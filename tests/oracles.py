@@ -308,8 +308,9 @@ def individualize(g: Graph, p: Partition, v: int) -> Partition:
 # -- automorphisms -----------------------------------------------------------
 
 
-def brute_force_automorphisms(g: Graph) -> AutReport:
-    """Exact automorphism group by checking every vertex permutation.
+def brute_force_automorphisms(g: Graph) -> Tuple[AutReport, Partition]:
+    """Exact automorphism group by checking every vertex permutation, and
+    its orbits.
 
     The orbit of x is {p(x)} over the whole group, so the orbits need no
     generator closure.
@@ -320,7 +321,37 @@ def brute_force_automorphisms(g: Graph) -> AutReport:
     auts = [p for p in itertools.permutations(range(v)) if is_automorphism(g, p)]
     gens = [p for p in auts if any(p[i] != i for i in range(v))]
     orbits = Partition.from_labels([min(p[x] for p in auts) for x in range(v)])
-    return AutReport(gens, len(auts), orbits, math.factorial(v), STATUS_COMPLETE)
+    return AutReport(gens, len(auts), math.factorial(v), STATUS_COMPLETE), orbits
+
+
+def orbits_from_generators(n: int, gens: List[Tuple[int, ...]]) -> Partition:
+    """The orbits of the group that gens generate on 0..n-1, by union-find."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in gens:
+        for x, y in enumerate(p):
+            if x != y:  # only the points a generator moves join two orbits
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+    # Links point down, so each root is the least point of its orbit and
+    # a point's parent comes before it: one ascending pass numbers the
+    # orbits in order of their least points.
+    cell_of: List[int] = []
+    orbits = 0
+    for x, r in enumerate(parent):
+        if r == x:
+            cell_of.append(orbits)
+            orbits += 1
+        else:
+            cell_of.append(cell_of[r])
+    return Partition(tuple(cell_of))
 
 
 def assignment_automorphism(f: XorFormula, assignment: Sequence[int]) -> List[int]:

@@ -36,6 +36,7 @@ from oracles import (
     color_refine,
     enumerating_local_consistency,
     individualize,
+    orbits_from_generators,
     refines,
     row_span_local_consistency,
     same_cell,
@@ -120,7 +121,7 @@ def test_refine_coarser_than_orbits():
     rnd = random.Random(3)
     for _ in range(25):
         g = random_graph(rnd, rnd.randint(2, 8))
-        orbits = brute_force_automorphisms(g).orbit_partition
+        _, orbits = brute_force_automorphisms(g)
         assert refines(orbits, color_refine(g))
 
 
@@ -188,27 +189,88 @@ def dense(colors):
     return np.unique(colors, return_inverse=True)[1].reshape(-1).astype(np.int64)
 
 
-def test_refine_matches_unique_reference():
+def check_refine(g, colorings):
     # _refine takes dense colourings only; the reference densifies its own
     # input, so it runs on the raw colouring.
+    csr = canon._Csr(g)
+    for colors in colorings:
+        got = canon._refine(dense(colors), csr)
+        assert np.array_equal(got, reference_refine(colors.copy(), csr))
+
+
+def test_refine_matches_unique_reference():
     rnd = random.Random(7)
     graphs = 0
     for g in refinement_corpus():
         graphs += 1
-        csr = canon._Csr(g)
         v = g.vertex_count
         start = canon._initial_colors(g)
-        stable = reference_refine(start, csr)
         colorings = [start, np.array([rnd.randint(0, 3) for _ in range(v)], dtype=np.int64)]
         if v:
             # Individualize one vertex of the stable coloring, as the search does.
-            child = stable * 2 + 1
+            child = reference_refine(start, canon._Csr(g)) * 2 + 1
             child[rnd.randrange(v)] -= 1
             colorings.append(child)
-        for colors in colorings:
-            got = canon._refine(dense(colors), csr)
-            assert np.array_equal(got, reference_refine(colors.copy(), csr))
+        check_refine(g, colorings)
     assert graphs >= 300
+
+
+def ends_apart(v):
+    """A dense colouring with v - 1 colours. On path(v) the two ends share
+    colour 0, so only their neighbours' entries, 2 and v - 1, rank them;
+    v - 1 is the largest entry a round can write."""
+    colors = np.arange(v, dtype=np.int64)
+    colors[v - 1] = 0
+    return colors
+
+
+def one_shared(rnd, v):
+    """A random dense colouring with v - 1 colours."""
+    return np.array(rnd.sample(range(v - 1), v - 1) + [rnd.randrange(v - 1)], dtype=np.int64)
+
+
+def test_refine_matches_reference_across_entry_widths():
+    # Entries take one byte up to v = 255 and two from v = 256; a round
+    # writes entries up to v - 1, so v = 257 is the first size whose
+    # entries need the second byte.
+    rnd = random.Random(29)
+    for v in (255, 256, 257):
+        chords = [(u, w) for u in range(v) for w in range(u + 2, v) if rnd.random() < 2 / v]
+        for g in (path(v), Graph.from_edges(v, [(i, i + 1) for i in range(v - 1)] + chords)):
+            spread = np.array([rnd.randrange(v) for _ in range(v)], dtype=np.int64)
+            check_refine(g, [canon._initial_colors(g), ends_apart(v), one_shared(rnd, v), spread])
+
+
+def test_refine_matches_reference_past_two_byte_entries():
+    # Disjoint paths and cycles of a few lengths keep the degree at most
+    # 2 and the rounds few, so the reference stays cheap at v > 65 536.
+    edges, v = [], 0
+    while v < 65_600:
+        length = 3 + v % 7
+        edges += [(v + i, v + i + 1) for i in range(length - 1)]
+        if v % 3:
+            edges.append((v, v + length - 1))
+        v += length
+    g = Graph.from_edges(v, edges)
+    rnd = random.Random(31)
+    spread = np.array([rnd.randrange(v) for _ in range(v)], dtype=np.int64)
+    check_refine(g, [canon._initial_colors(g), one_shared(rnd, v), spread])
+
+
+def test_refine_ranks_a_row_before_its_extensions():
+    # Hub k is joined to k leaves. Every hub has colour 1 and every leaf
+    # colour 0, so the hubs' rows are 1 followed by k zeros: each is a
+    # proper prefix of the next, and only the padding orders them.
+    hubs, edges = 6, []
+    v = hubs
+    for k in range(1, hubs + 1):
+        edges += [(k - 1, v + j) for j in range(k)]
+        v += k
+    colors = np.array([1] * hubs + [0] * (v - hubs), dtype=np.int64)
+    g = Graph.from_edges(v, edges, colors.tolist())
+    check_refine(g, [colors, 1 - colors])
+    hub_ids = canon._refine(colors, canon._Csr(g))[:hubs]
+    assert np.all(np.diff(hub_ids) > 0)
 
 
 def test_individualized_is_the_dense_form_of_the_odd_even_split():
@@ -238,7 +300,7 @@ def test_orbits_from_generators_match_orbit_closure():
                 perm[x] = y
             gens.append(tuple(perm))
         want = Partition.from_labels(min(canon._orbit_closure({x}, gens, [])) for x in range(n))
-        assert canon._orbits_from_generators(n, gens) == want
+        assert orbits_from_generators(n, gens) == want
 
 
 # -- individualization -----------------------------------------------------
@@ -269,14 +331,14 @@ def test_individualize_refines_input():
 def test_k4_symmetric_group():
     rep = ir_automorphisms(complete(4))
     assert rep.group_size == 24
-    assert len(cells(rep.orbit_partition)) == 1
+    assert len(cells(orbits_from_generators(4, rep.generators))) == 1
     assert rep.status == STATUS_COMPLETE
 
 
 def test_path3_reflection():
     rep = ir_automorphisms(path(3))
     assert rep.group_size == 2
-    assert cells(rep.orbit_partition) == [[0, 2], [1]]
+    assert cells(orbits_from_generators(3, rep.generators)) == [[0, 2], [1]]
 
 
 def test_ir_matches_brute_force_on_200_random_graphs():
@@ -284,10 +346,10 @@ def test_ir_matches_brute_force_on_200_random_graphs():
     for i in range(200):
         g = random_graph(rnd, rnd.randint(2, 8), colored=(i % 5 == 0))
         a = ir_automorphisms(g)
-        b = brute_force_automorphisms(g)
+        b, b_orbits = brute_force_automorphisms(g)
         assert a.status == STATUS_COMPLETE
         assert a.group_size == b.group_size
-        assert a.orbit_partition == b.orbit_partition
+        assert orbits_from_generators(g.vertex_count, a.generators) == b_orbits
         for perm in a.generators:
             assert sorted(perm) == list(range(g.vertex_count))
 
@@ -512,7 +574,7 @@ def test_ir_report_observability():
     # path individualizes three vertices before the coloring is discrete.
     rep = ir_automorphisms(complete(4))
     assert (rep.search_nodes, rep.first_path_depth, rep.refine_rounds) == (10, 3, 6)
-    assert brute_force_automorphisms(path(3)).refine_rounds == 0
+    assert brute_force_automorphisms(path(3))[0].refine_rounds == 0
 
 
 def test_ir_search_does_not_import_sympy():
@@ -574,7 +636,7 @@ def test_pair_orbits_refine_wl2():
         n = rnd.randint(2, 6)
         g = random_graph(rnd, n)
         part = wl_k(g, 2)
-        auts = brute_force_automorphisms(g)
+        auts, _ = brute_force_automorphisms(g)
         # Pair orbits come from applying every group element to every pair.
         perms = [
             p for p in itertools.permutations(range(n))

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from xorcfi.sampler import SampleConfig, chunks, sample_homogeneous, screen, trial_rng
+from xorcfi.sampler import SampleConfig, chunks, draws, sample_homogeneous, screen, trial_rng
 
 from oracles import sample_per_draw
 
@@ -72,10 +72,11 @@ def test_ratio_resolves_m():
 
 def test_single_draw_uniform_over_triples():
     # C(5,3) = 10 distinct triples on 5 variables; frequency of each over
-    # 10000 seeded draws stays within 0.01 of 1/10.
+    # 10000 seeded draws stays within 0.01 of 1/10. draws gives each trial
+    # the clause sample_homogeneous gives it, at the chunked cost.
     counts = Counter()
-    for trial in range(10000):
-        counts[sample_homogeneous(SampleConfig(n=5, m=1, seed=2024), trial).clauses[0].vars] += 1
+    for draw in draws(SampleConfig(n=5, m=1, seed=2024), range(10000)):
+        counts[tuple(draw.triples[0].tolist())] += 1
     assert len(counts) == 10
     for count in counts.values():
         assert abs(count / 10000 - 1 / 10) < 0.01
