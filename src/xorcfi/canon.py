@@ -31,7 +31,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -47,34 +47,6 @@ STATUS_TIMEOUT = "TIMEOUT"
 
 class BudgetExceededError(RuntimeError):
     """Raised when an exact computation refuses to start or continue."""
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered partition of 0..len(cell_of)-1; cell ids are dense and
-    assigned in order of each cell's minimum element."""
-
-    cell_of: Tuple[int, ...]
-
-    def __post_init__(self):
-        seen: Dict[int, int] = {}
-        for x, c in enumerate(self.cell_of):
-            if c not in seen:
-                if c != len(seen):
-                    raise ValueError("cell ids must appear in order of minimum element")
-                seen[c] = x
-        if seen and set(seen) != set(range(len(seen))):
-            raise ValueError("cell ids must be dense from 0")
-
-    @classmethod
-    def from_labels(cls, labels: Iterable) -> "Partition":
-        order: Dict = {}
-        out = []
-        for lab in labels:
-            if lab not in order:
-                order[lab] = len(order)
-            out.append(order[lab])
-        return cls(tuple(out))
 
 
 @dataclass
@@ -184,17 +156,15 @@ def _initial_colors(g: Graph) -> np.ndarray:
     return np.zeros(g.vertex_count, dtype=np.int64)
 
 
-def color_refine(g: Graph) -> Partition:
-    """Coarsest stable refinement of g's vertex colors (1-WL).
+def color_refine(g: Graph) -> np.ndarray:
+    """Coarsest stable refinement of g's vertex colors (1-WL), as dense
+    cell ids in invariant order.
 
     Vertices stay together only when they agree, cell by cell, on their
-    neighbor counts. The result is unique, so the output is independent
-    of any processing order. The IR search calls _refine directly; this
-    entry point is what the benchmark's set-up probe and the test
-    oracles call.
+    neighbor counts. The IR search calls _refine directly; this entry
+    point is the benchmark set-up probe's warm-up call.
     """
-    colors = _refine(_initial_colors(g), _Csr(g))
-    return Partition.from_labels(colors.tolist())
+    return _refine(_initial_colors(g), _Csr(g))
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +199,15 @@ def _individualized(colors: np.ndarray, w: int) -> np.ndarray:
     return child
 
 
-def _target_cell(colors: np.ndarray, strategy: str) -> np.ndarray:
+# Cell strategy -> how it picks among the non-singleton cell sizes. Both
+# return the first extreme, so ties go to the cell of the lowest id.
+_CELL_PICKS = {CELL_FIRST_SMALLEST: np.argmin, CELL_FIRST_LARGEST: np.argmax}
+
+
+def _target_cell(colors: np.ndarray, pick) -> np.ndarray:
     sizes = np.bincount(colors)
     nonsingle = np.where(sizes > 1)[0]
-    if strategy == CELL_FIRST_SMALLEST:
-        best = nonsingle[np.argmin(sizes[nonsingle])]
-    elif strategy == CELL_FIRST_LARGEST:
-        best = nonsingle[np.argmax(sizes[nonsingle])]
-    else:
-        raise ValueError(f"unknown cell strategy {strategy!r}")
+    best = nonsingle[pick(sizes[nonsingle])]
     return np.where(colors == best)[0]
 
 
@@ -262,6 +232,9 @@ def ir_automorphisms(
     refine_rounds the refinement rounds of the whole search, the root
     refinement included.
     """
+    pick = _CELL_PICKS.get(cell_strategy)
+    if pick is None:
+        raise ValueError(f"unknown cell strategy {cell_strategy!r}")
     v = g.vertex_count
     if v == 0:
         return AutReport([], 1, 0, STATUS_COMPLETE)
@@ -298,7 +271,7 @@ def ir_automorphisms(
                 gens.append(cand)
                 return True
             return False
-        cell = _target_cell(colors, cell_strategy).tolist()
+        cell = _target_cell(colors, pick).tolist()
         covered: Set[int] = set()
         found = False
         for w in cell:

@@ -10,8 +10,7 @@ reason is the first filter it fails.
 `generate` screens its trials a chunk at a time (sampler.draws), so the
 rank check runs on packed rows built straight from each trial's triples:
 a trial that leaves a variable uncovered or lacks full rank is rejected
-before any formula object exists. `run_trial` on its own screens a chunk
-of one trial, so both take the same path.
+before any formula object exists.
 
 The config's one budget counts work, never seconds: decisions per DPLL
 run and nodes of the IR search in the asymmetry filter. A plain run that
@@ -50,7 +49,7 @@ from .formula import (
     to_matrix,
 )
 from .gf2 import rank
-from .sampler import SampleConfig, TrialDraw, draws, screen
+from .sampler import SampleConfig, TrialDraw, draws
 from .xorsat import UNSAT, gauss_ratio
 
 logger = logging.getLogger(__name__)
@@ -338,13 +337,10 @@ class TrialOutcome:
     graph: Optional[Graph] = None
 
 
-def run_trial(cfg: PipelineConfig, trial: Union[int, TrialDraw]) -> TrialOutcome:
-    """All filters for one trial, given by its index or by its draw from
-    sampler.screen; no files are written here."""
-    if isinstance(trial, TrialDraw):
-        draw, trial = trial, trial.trial
-    else:
-        [draw] = screen(cfg.sample_config, range(trial, trial + 1))
+def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
+    """All filters for one trial, given by its draw from sampler.screen;
+    no files are written here."""
+    trial = draw.trial
 
     # Cheapest filter first: the rank check settles most trials before the
     # formula is built and the IR search runs.
@@ -516,12 +512,15 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
         checks.append(CheckResult(f"graph_{fmt}_edges", g.edge_count == want_e,
                                   f"file has {g.edge_count}"))
         checks.append(CheckResult(f"graph_{fmt}_matches_formula", g.edges == expected.edges))
-        deg = g.degrees()
-        clause_ok = all(
+        # The degree checks index the lift's vertex numbers, so they run only
+        # on a file of the lift's size and fail on any other.
+        sized = g.vertex_count == want_v
+        deg = g.degrees() if sized else None
+        clause_ok = sized and all(
             deg[scheme.clause_vertex(c, t)] == 3 for c in range(1, f.m + 1) for t in range(4)
         )
         checks.append(CheckResult(f"graph_{fmt}_clause_degrees", clause_ok))
         if record.gadget_mode == GADGET_FULL:
-            stub_ok = all(deg[scheme.gadget_stub(i)] == 1 for i in range(1, f.n))
+            stub_ok = sized and all(deg[scheme.gadget_stub(i)] == 1 for i in range(1, f.n))
             checks.append(CheckResult(f"graph_{fmt}_stub_degrees", stub_ok))
     return ValidationReport(record.instance_id, tuple(checks))

@@ -220,20 +220,15 @@ class _Solver:
             return SolveStats(result, self.decisions, self.propagations, self.conflicts,
                               time.monotonic() - start, model)
 
-        # Level-0 units.
+        # Level-0 units. No constraint is empty: CnfFormula refuses empty
+        # clauses, and every row has a variable, since formula rows have 3
+        # and reduced_system drops zero rows and refutes 0 = 1 itself.
         units: List[Tuple[int, int]] = []
-        for idx, cl in enumerate(self.clauses):
-            if len(cl) == 0:
-                self.conflicts += 1
-                return make_stats(UNSAT)
+        for cl in self.clauses:
             if len(cl) == 1:
                 units.append((abs(cl[0]), 1 if cl[0] > 0 else 0))
         for vs, rhs in self.xors:
-            if len(vs) == 0:
-                if rhs:
-                    self.conflicts += 1
-                    return make_stats(UNSAT)
-            elif len(vs) == 1:
+            if len(vs) == 1:
                 units.append((vs[0], rhs))
         if not self._propagate(units):
             return make_stats(UNSAT)

@@ -9,16 +9,18 @@ pytest puts it on ``sys.path``.
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from xorcfi import canon, gf2
-from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError, Partition
+from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
 from xorcfi.formula import CnfFormula, PinnedSystem, XorClause, XorFormula, to_matrix
 from xorcfi.gf2 import reduced_system
-from xorcfi.sampler import SampleConfig, _shuffle_prefix_subsets, trial_rng
+from xorcfi.pipeline import PipelineConfig
+from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
 from xorcfi.xorsat import UNASSIGNED
 
 
@@ -216,6 +218,12 @@ def sample_per_draw(cfg: SampleConfig, trial: int = 0) -> XorFormula:
     return XorFormula(cfg.n, tuple(sorted(XorClause(t, 0) for t in chosen)))
 
 
+def trial_draw(cfg: PipelineConfig, trial: int) -> TrialDraw:
+    """The draw of one trial of cfg, screened on its own, which is what
+    pipeline.run_trial takes."""
+    return screen(cfg.sample_config, range(trial, trial + 1))[0]
+
+
 # -- DPLL branching ----------------------------------------------------------
 
 
@@ -264,6 +272,34 @@ def rescan_branch_var(solver) -> Optional[int]:
 # -- partitions and refinement -----------------------------------------------
 
 
+@dataclass(frozen=True)
+class Partition:
+    """Ordered partition of 0..len(cell_of)-1; cell ids are dense and
+    assigned in order of each cell's minimum element."""
+
+    cell_of: Tuple[int, ...]
+
+    def __post_init__(self):
+        seen: Dict[int, int] = {}
+        for x, c in enumerate(self.cell_of):
+            if c not in seen:
+                if c != len(seen):
+                    raise ValueError("cell ids must appear in order of minimum element")
+                seen[c] = x
+        if seen and set(seen) != set(range(len(seen))):
+            raise ValueError("cell ids must be dense from 0")
+
+    @classmethod
+    def from_labels(cls, labels: Iterable) -> "Partition":
+        order: Dict = {}
+        out = []
+        for lab in labels:
+            if lab not in order:
+                order[lab] = len(order)
+            out.append(order[lab])
+        return cls(tuple(out))
+
+
 def same_cell(p: Partition, u: int, v: int) -> bool:
     return p.cell_of[u] == p.cell_of[v]
 
@@ -276,7 +312,7 @@ def color_refine(g: Graph, initial: Optional[Partition] = None) -> Partition:
     """
     if initial is not None:
         g = Graph(g.vertex_count, g.edges, initial.cell_of)
-    return canon.color_refine(g)
+    return Partition.from_labels(canon.color_refine(g).tolist())
 
 
 def cells(p: Partition) -> List[List[int]]:

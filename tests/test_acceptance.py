@@ -38,6 +38,7 @@ from oracles import (
     nontrivial_solution_formula,
     orbits_from_generators,
     same_cell,
+    trial_draw,
     wl_indistinguishable,
 )
 
@@ -113,7 +114,7 @@ def test_a4_refinement_non_separation():
     instances = []
     trial = 0
     while len(instances) < 20 and trial < cfg.trials:
-        outcome = run_trial(cfg, trial)
+        outcome = run_trial(cfg, trial_draw(cfg, trial))
         trial += 1
         if outcome.accepted:
             instances.append(outcome.formula)
@@ -216,7 +217,7 @@ def test_a7_hardness_growth():
         nodes = []
         trial = 0
         while len(nodes) < 5 and trial < cfg.trials:
-            outcome = run_trial(cfg, trial)
+            outcome = run_trial(cfg, trial_draw(cfg, trial))
             trial += 1
             if not outcome.accepted:
                 continue

@@ -1,6 +1,7 @@
 """No code without a caller: every function, class and non-dunder method
 defined in src/xorcfi is referenced by the program itself (src/, scripts/
-or perfbench/), not only by tests.
+or perfbench/), not only by tests; and every xorcfi name that scripts/ and
+perfbench/ read still exists.
 
 A reference is a name, an attribute or an import in the parsed code, so
 strings and comments do not count; neither do references from inside the
@@ -12,6 +13,8 @@ define one method name.
 """
 
 import ast
+import functools
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -92,3 +95,55 @@ def test_no_method_name_is_defined_by_two_classes():
 def test_allowlist_is_short_and_current():
     assert len(ALLOWED) <= 5
     assert sorted(ALLOWED) == uncalled_names()
+
+
+XORCFI_MODULES = {"xorcfi"} | {f"xorcfi.{p.stem}" for p in (ROOT / "src" / "xorcfi").glob("*.py")
+                                if p.stem != "__init__"}
+
+
+def xorcfi_reads():
+    """(path, line, dotted name) of each xorcfi name that perfbench/*.py and
+    scripts/*.py read in code: each name a `from xorcfi... import` takes,
+    and each attribute read off a name bound to an xorcfi module. Strings
+    and comments that name a function do not count."""
+    reads = []
+    for path in sorted(p for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the xorcfi module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name in XORCFI_MODULES:
+                        modules[alias.asname or "xorcfi"] = alias.name if alias.asname else "xorcfi"
+            elif isinstance(node, ast.ImportFrom) and node.module in XORCFI_MODULES:
+                for alias in node.names:
+                    dotted = f"{node.module}.{alias.name}"
+                    reads.append((path, node.lineno, dotted))
+                    if dotted in XORCFI_MODULES:
+                        modules[alias.asname or alias.name] = dotted
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                parts = [node.attr]
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    parts.append(base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in modules:
+                    reads.append((path, node.lineno, ".".join([modules[base.id]] + parts[::-1])))
+    return reads
+
+
+def test_every_xorcfi_name_that_scripts_and_perfbench_read_exists():
+    reads = xorcfi_reads()
+    names = {dotted for _, _, dotted in reads}
+    # The reads are really found: the set-up probe's warm-up and a script's trial loop.
+    assert {"xorcfi.canon.color_refine", "xorcfi.pipeline.run_trial"} <= names
+    for name in XORCFI_MODULES:
+        importlib.import_module(name)
+    missing = []
+    for path, line, dotted in reads:
+        try:
+            functools.reduce(getattr, dotted.split(".")[1:], importlib.import_module("xorcfi"))
+        except AttributeError:
+            missing.append(f"{path.relative_to(ROOT)}:{line}: {dotted}")
+    assert not missing, "read but not defined: " + ", ".join(missing)

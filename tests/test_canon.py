@@ -14,13 +14,13 @@ import pytest
 
 import xorcfi
 from xorcfi import canon
+from xorcfi.bench import run_internal
 from xorcfi.canon import (
     CELL_FIRST_LARGEST,
     CELL_FIRST_SMALLEST,
     STATUS_COMPLETE,
     STATUS_TIMEOUT,
     BudgetExceededError,
-    Partition,
     ir_automorphisms,
     local_consistency,
 )
@@ -31,6 +31,7 @@ from xorcfi.pipeline import PipelineConfig, build_graph, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
 from oracles import (
+    Partition,
     brute_force_automorphisms,
     cells,
     color_refine,
@@ -40,6 +41,7 @@ from oracles import (
     refines,
     row_span_local_consistency,
     same_cell,
+    trial_draw,
     wl_indistinguishable,
     wl_k,
 )
@@ -378,6 +380,17 @@ def test_ir_cell_strategy_changes_search():
     assert small.group_size == large.group_size
 
 
+def test_ir_rejects_an_unknown_cell_strategy_before_any_search():
+    # The coloured path refines to discrete at the root, so its search
+    # never picks a target cell; the empty graph never refines at all.
+    discrete = Graph.from_edges(3, [(0, 1), (1, 2)], colors=[0, 1, 2])
+    for g in (discrete, path(3), Graph.from_edges(0, [])):
+        with pytest.raises(ValueError, match="unknown cell strategy 'bogus'"):
+            ir_automorphisms(g, cell_strategy="bogus")
+        with pytest.raises(ValueError, match="unknown cell strategy 'bogus'"):
+            run_internal(g, cell_strategy="bogus")
+
+
 def test_ir_timeout_flagged():
     f = sample_homogeneous(SampleConfig(n=12, m=12, seed=8))
     g = build_full(f)
@@ -404,7 +417,7 @@ def test_ir_node_counts_match_golden_core_lifts():
         got = []
         trial = 0
         while len(got) < len(expected):
-            outcome = run_trial(cfg, trial)
+            outcome = run_trial(cfg, trial_draw(cfg, trial))
             if outcome.accepted:
                 g = build_graph(outcome.formula, "core")
                 got.append((trial, ir_automorphisms(g).search_nodes,
@@ -533,7 +546,8 @@ def test_ir_leaves_never_propose_the_identity_or_a_repeat(monkeypatch):
     for n, expected in GOLDEN_CORE_NODES.items():
         cfg = PipelineConfig(n=n, m=n, seed=5000, trials=400, gadget_mode="core",
                              gauss_threshold=1.0)
-        graphs += [build_graph(run_trial(cfg, trial).formula, "core") for trial, _, _ in expected]
+        graphs += [build_graph(run_trial(cfg, trial_draw(cfg, trial)).formula, "core")
+                   for trial, _, _ in expected]
     total = 0
     for g in graphs:
         for strategy in (CELL_FIRST_SMALLEST, CELL_FIRST_LARGEST):
@@ -803,7 +817,8 @@ def test_xor_closure_checker_matches_row_span_checker():
     consistent = {}
     for n, ratio in ((20, 2.0), (30, 1.5)):
         cfg = PipelineConfig(n=n, ratio=ratio, seed=2208, gauss_threshold=1)
-        f = next(o.formula for o in (run_trial(cfg, t) for t in itertools.count()) if o.accepted)
+        f = next(o.formula for o in (run_trial(cfg, trial_draw(cfg, t)) for t in itertools.count())
+                 if o.accepted)
         for k in (3, 4):
             outcomes = []
             for i in range(1, n + 1):

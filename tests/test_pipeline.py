@@ -42,6 +42,8 @@ from xorcfi.formula import is_uniquely_satisfiable
 from xorcfi.sampler import SampleConfig, chunks, sample_homogeneous
 from xorcfi.xorsat import SAT, gauss_ratio
 
+from oracles import trial_draw
+
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
@@ -154,7 +156,7 @@ def test_config_rejects_negative_budget():
 
 def test_forced_complete_triples_accepted():
     cfg = PipelineConfig(n=4, m=4, seed=1, trials=1, gauss_threshold=1.0)
-    outcome = run_trial(cfg, 0)
+    outcome = run_trial(cfg, trial_draw(cfg, 0))
     assert outcome.accepted
     assert outcome.record.vertices == 33
     assert outcome.record.edges == 70
@@ -214,7 +216,7 @@ FILTER_CASES = [
 def test_reject_reason_is_the_first_failing_filter_cheapest_first(cfg, expected):
     reasons = []
     for trial in range(cfg.trials):
-        outcome = run_trial(cfg, trial)
+        outcome = run_trial(cfg, trial_draw(cfg, trial))
         reason = _first_failing_filter(sample_homogeneous(cfg.sample_config, trial), cfg)
         assert outcome.accepted == (reason is None)
         assert outcome.reject_reason == reason
@@ -228,7 +230,7 @@ def test_chunked_generate_gives_the_per_trial_verdicts(cfg, tmp_path):
     cfg = replace(cfg, trials=len(next(chunks(cfg.sample_config, range(10**6)))) + 20)
     assert len(list(chunks(cfg.sample_config, range(cfg.trials)))) == 2
     records = generate(cfg, tmp_path)
-    outcomes = [run_trial(cfg, trial) for trial in range(cfg.trials)]
+    outcomes = [run_trial(cfg, trial_draw(cfg, trial)) for trial in range(cfg.trials)]
     index = (tmp_path / "index.txt").read_text(encoding="utf-8").splitlines()
     rejected = [ln.removeprefix("# rejected trial ").split(": ") for ln in index
                 if ln.startswith("# rejected trial ")]
@@ -247,7 +249,7 @@ def test_run_trial_raises_when_gauss_run_contradicts_rank_check(monkeypatch):
     monkeypatch.setattr(pipeline, "gauss_ratio", gap_reporting_sat)
     cfg = PipelineConfig(n=4, m=4, seed=1, trials=1, gauss_threshold=1.0)
     with pytest.raises(AssertionError, match="disagree"):
-        run_trial(cfg, 0)
+        run_trial(cfg, trial_draw(cfg, 0))
 
 
 def _spy(monkeypatch, name, calls):
@@ -471,6 +473,20 @@ def test_check_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
     out = capsys.readouterr().out
     assert (f"{record.instance_id}: formula_lifts: FAIL  "
             "(order gadgets need at least 2 variables)\n") in out
+    assert out.endswith("0/1 instances valid\n")
+
+
+def test_check_reports_a_graph_file_smaller_than_the_lift(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    record = generate(cfg, tmp_path)[0]
+    (tmp_path / record.graph_dre).write_text("n=4 $=0 g\n0 : 1.\n")
+    assert main(["check", str(tmp_path / record.manifest_file)]) == 1
+    out = capsys.readouterr().out
+    assert f"{record.instance_id}: graph_dre_vertices: FAIL  (file has 4)\n" in out
+    for check in ("clause_degrees", "stub_degrees"):
+        assert f"{record.instance_id}: graph_dre_{check}: FAIL\n" in out
     assert out.endswith("0/1 instances valid\n")
 
 
