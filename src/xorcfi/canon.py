@@ -27,7 +27,6 @@ Practical Graph Isomorphism II, 2014).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -64,9 +63,9 @@ class AutReport:
 
 
 class _Csr:
-    """Adjacency rows of g, each edge listed from both ends, and the
-    buffer in which _refine ranks them. The order of neighbours within a
-    row is arbitrary: _refine sorts each row.
+    """Adjacency rows of g, read from its edge array with each edge listed
+    from both ends, and the buffer in which _refine ranks them. _refine
+    sorts each row, so the order of neighbours within a row is free.
 
     mat holds one row per vertex: its own color, then its sorted neighbor
     colors plus one, then zeros up to max_deg + 1 entries. Its dtype is
@@ -78,8 +77,7 @@ class _Csr:
 
     def __init__(self, g: Graph):
         self.v = g.vertex_count
-        ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.int64,
-                           count=2 * len(g.edges)).reshape(-1, 2)
+        ends = g.edge_array
         src = np.concatenate((ends[:, 0], ends[:, 1]))
         order = np.argsort(src, kind="stable")
         self.nbrs = np.concatenate((ends[:, 1], ends[:, 0]))[order]

@@ -7,14 +7,23 @@ Three graphs per formula:
     of consecutive variables, which pins the variable order and kills
     all automorphisms except those induced by satisfying assignments.
 
+A Graph holds its edges as one canonical int64 (E, 2) array: each row
+(u, v) has u < v, and the rows are sorted and distinct. The lifts
+compute their rows in numpy straight from the clause triples, and the
+exporters and importers of pipeline.py read and write that array.
+
 Vertex numbering is frozen (see VertexScheme) so exports are
 byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .formula import XorFormula
 
@@ -23,44 +32,88 @@ from .formula import XorFormula
 # the clause's base literal pattern.
 CLAUSE_TAGS: Tuple[Tuple[int, int, int], ...] = ((0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1))
 
+# _LITERAL_PATTERNS[rhs, tag_index, k] is 1 when the clause's k-th
+# variable (ascending order) appears negated at that gadget vertex. The
+# base vertex carries the clause itself; for rhs 1 the smallest variable
+# is the negated one.
+_LITERAL_PATTERNS = np.array([(0, 0, 0), (1, 0, 0)])[:, None, :] ^ np.array(CLAUSE_TAGS)[None, :, :]
 
-@dataclass(frozen=True)
+# Sorting rows by the key u * vertex_count + v stays exact in int64.
+_MAX_VERTICES = 1 << 31
+
+# A vertex id, or a numpy array of them.
+_Ids = Union[int, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph on vertices 0..vertex_count-1."""
+    """Undirected simple graph on vertices 0..vertex_count-1.
+
+    The constructor takes edge_array as (E, 2) integer rows in any order
+    and orientation, and keeps it canonical and read-only: int64 rows
+    (u, v) with u < v, sorted, without duplicates. A reversed or repeated
+    row is the same edge; a self-loop or a vertex out of range is a
+    ValueError. Graph.from_edges takes the edges as (u, v) pairs.
+    """
 
     vertex_count: int
-    edges: FrozenSet[Tuple[int, int]]
+    edge_array: np.ndarray
     colors: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.vertex_count}")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
-        if self.colors is not None and len(self.colors) != self.vertex_count:
+        n = self.vertex_count
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        if n > _MAX_VERTICES:
+            raise ValueError(f"vertex count must be at most 2^31, got {n}")
+        ends = np.asarray(self.edge_array, dtype=np.int64)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"edge array must have shape (E, 2), got {ends.shape}")
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        bad = (lo < 0) | (hi >= n) | (lo == hi)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"bad edge ({lo[i]}, {hi[i]}) for {n} vertices")
+        key = lo * n + hi
+        key.sort()
+        distinct = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=distinct[1:])
+        key = key[distinct]
+        rows = np.empty((len(key), 2), dtype=np.int64)
+        np.divmod(key, n, out=(rows[:, 0], rows[:, 1]))
+        rows.flags.writeable = False
+        object.__setattr__(self, "edge_array", rows)
+        if self.colors is not None and len(self.colors) != n:
             raise ValueError("colors must cover every vertex")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.vertex_count == other.vertex_count and self.colors == other.colors
+                and np.array_equal(self.edge_array, other.edge_array))
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edge_array.tobytes(), self.colors))
 
     @classmethod
     def from_edges(
         cls,
         vertex_count: int,
-        edges: Iterable[Tuple[int, int]],
+        edges: Union[np.ndarray, Iterable[Tuple[int, int]]],
         colors: Optional[Sequence[int]] = None,
     ) -> "Graph":
-        norm = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        return cls(vertex_count, norm, None if colors is None else tuple(colors))
+        """The graph on edges given as (u, v) pairs or as (E, 2) rows."""
+        ends = edges if isinstance(edges, np.ndarray) else np.array(list(edges)).reshape(-1, 2)
+        return cls(vertex_count, ends, None if colors is None else tuple(colors))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
-    def degrees(self) -> List[int]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+    @cached_property
+    def edges(self) -> FrozenSet[Tuple[int, int]]:
+        """The edges as (u, v) tuples with u < v, built on first read."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
 
 @dataclass(frozen=True)
@@ -72,25 +125,26 @@ class VertexScheme:
         2n + 4(c-1) + tag_index
     order gadget i in 1..n-1: i_l -> 2n+4m+3(i-1), i_r -> +1, i_s -> +2
 
-    The vertex and edge counts of both lifts are defined here only.
+    The id methods take ints or numpy arrays of them alike. The vertex
+    and edge counts of both lifts are defined here only.
     """
 
     n: int
     m: int
 
-    def var_vertex(self, j: int, bit: int) -> int:
+    def var_vertex(self, j: _Ids, bit: _Ids) -> _Ids:
         return 2 * (j - 1) + bit
 
-    def clause_vertex(self, c: int, tag_index: int) -> int:
+    def clause_vertex(self, c: _Ids, tag_index: _Ids) -> _Ids:
         return 2 * self.n + 4 * (c - 1) + tag_index
 
-    def gadget_left(self, i: int) -> int:
+    def gadget_left(self, i: _Ids) -> _Ids:
         return 2 * self.n + 4 * self.m + 3 * (i - 1)
 
-    def gadget_right(self, i: int) -> int:
+    def gadget_right(self, i: _Ids) -> _Ids:
         return self.gadget_left(i) + 1
 
-    def gadget_stub(self, i: int) -> int:
+    def gadget_stub(self, i: _Ids) -> _Ids:
         return self.gadget_left(i) + 2
 
     @property
@@ -110,6 +164,14 @@ class VertexScheme:
         return self.core_edge_count + 6 * (self.n - 1)
 
 
+def _clause_arrays(f: XorFormula) -> Tuple[np.ndarray, np.ndarray]:
+    """The clauses' variables as (m, 3) rows and their right-hand sides."""
+    triples = np.fromiter(itertools.chain.from_iterable(cl.vars for cl in f.clauses),
+                          dtype=np.int64, count=3 * f.m).reshape(-1, 3)
+    rhs = np.fromiter((cl.rhs for cl in f.clauses), dtype=np.int64, count=f.m)
+    return triples, rhs
+
+
 def incidence_graph(f: XorFormula) -> Graph:
     """Bipartite clause/variable incidence graph, colored by side.
 
@@ -118,35 +180,25 @@ def incidence_graph(f: XorFormula) -> Graph:
     if not f.is_homogeneous:
         raise ValueError("incidence graph is defined for homogeneous formulas")
     n = f.n
-    edges = frozenset((v - 1, n + c) for c, cl in enumerate(f.clauses) for v in cl.vars)
-    g = Graph(n + f.m, edges, tuple([0] * n + [1] * f.m))
+    triples, _ = _clause_arrays(f)
+    ends = np.empty((f.m, 3, 2), dtype=np.int64)
+    ends[..., 0] = triples - 1
+    ends[..., 1] = np.arange(n, n + f.m)[:, None]
+    g = Graph.from_edges(n + f.m, ends.reshape(-1, 2), [0] * n + [1] * f.m)
     assert g.edge_count == 3 * f.m  # every clause vertex has degree 3
     return g
 
 
-def _clause_literal_patterns(rhs: int) -> List[Tuple[int, int, int]]:
-    """Negation pattern of each of the 4 gadget vertices of a clause.
-
-    Bit k is 1 when the clause's k-th variable (ascending order) appears
-    negated at that vertex. The base vertex carries the clause itself;
-    for rhs 1 the smallest variable is the negated one.
-    """
-    base = (1, 0, 0) if rhs else (0, 0, 0)
-    return [tuple(b ^ t for b, t in zip(base, tag)) for tag in CLAUSE_TAGS]
-
-
-def _core_edges(f: XorFormula, scheme: VertexScheme) -> set:
-    """The core lift's edges, each as (smaller, larger) endpoint: every
-    variable vertex lies below every clause vertex."""
-    edges = set()
-    for j in range(1, f.n + 1):
-        edges.add((scheme.var_vertex(j, 0), scheme.var_vertex(j, 1)))
-    for c, cl in enumerate(f.clauses, start=1):
-        for tag_index, pattern in enumerate(_clause_literal_patterns(cl.rhs)):
-            cv = scheme.clause_vertex(c, tag_index)
-            for k, var in enumerate(cl.vars):
-                edges.add((scheme.var_vertex(var, 1 - pattern[k]), cv))
-    return edges
+def _core_ends(f: XorFormula, scheme: VertexScheme) -> np.ndarray:
+    """The core lift's edges as rows in no particular order: each
+    X^0-X^1 pair, then each clause vertex with its 3 variable vertices."""
+    triples, rhs = _clause_arrays(f)
+    pairs = scheme.var_vertex(np.arange(1, f.n + 1)[:, None], np.arange(2))
+    clause_rows = np.empty((f.m, 4, 3, 2), dtype=np.int64)
+    clause_rows[..., 0] = scheme.var_vertex(triples[:, None, :], 1 - _LITERAL_PATTERNS[rhs])
+    clause_rows[..., 1] = scheme.clause_vertex(np.arange(1, f.m + 1)[:, None, None],
+                                               np.arange(4)[:, None])
+    return np.concatenate((pairs, clause_rows.reshape(-1, 2)))
 
 
 def build_core(f: XorFormula) -> Graph:
@@ -158,7 +210,7 @@ def build_core(f: XorFormula) -> Graph:
     it holds the negated one; every X^0-X^1 pair is joined by an edge.
     """
     scheme = VertexScheme(f.n, f.m)
-    g = Graph(scheme.core_vertex_count, frozenset(_core_edges(f, scheme)))
+    g = Graph.from_edges(scheme.core_vertex_count, _core_ends(f, scheme))
     assert g.edge_count == scheme.core_edge_count
     return g
 
@@ -173,29 +225,32 @@ def build_full(f: XorFormula) -> Graph:
     if f.n < 2:
         raise ValueError("order gadgets need at least 2 variables")
     scheme = VertexScheme(f.n, f.m)
-    edges = _core_edges(f, scheme)
-    # Gadget vertices lie above every variable vertex.
-    for i in range(1, f.n):
-        il, ir, s = scheme.gadget_left(i), scheme.gadget_right(i), scheme.gadget_stub(i)
-        edges.add((il, ir))
-        edges.add((ir, s))
-        edges.add((scheme.var_vertex(i, 0), il))
-        edges.add((scheme.var_vertex(i, 1), il))
-        edges.add((scheme.var_vertex(i + 1, 0), ir))
-        edges.add((scheme.var_vertex(i + 1, 1), ir))
-    g = Graph(scheme.full_vertex_count, frozenset(edges))
+    # Row k of gadget i, in this order: (i_l,i_r), (i_l,X_i^0), (i_l,X_i^1),
+    # (i_r,i_s), (i_r,X_{i+1}^0), (i_r,X_{i+1}^1).
+    i, bits = np.arange(1, f.n)[:, None], np.arange(2)
+    ir = scheme.gadget_right(i)
+    gadget_rows = np.empty((f.n - 1, 6, 2), dtype=np.int64)
+    gadget_rows[:, :3, 0] = scheme.gadget_left(i)
+    gadget_rows[:, 3:, 0] = ir
+    gadget_rows[:, :, 1] = np.concatenate((ir, scheme.var_vertex(i, bits), scheme.gadget_stub(i),
+                                           scheme.var_vertex(i + 1, bits)), axis=1)
+    ends = np.concatenate((_core_ends(f, scheme), gadget_rows.reshape(-1, 2)))
+    g = Graph.from_edges(scheme.full_vertex_count, ends)
     assert g.edge_count == scheme.full_edge_count
     return g
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
-    """Edge- and color-preserving check, done edge by edge."""
+    """Edge- and color-preserving check, done edge by edge on the set view
+    g.edges: a non-automorphism usually fails on one of its first edges,
+    sooner than a whole-array comparison of the permuted rows finishes."""
     if sorted(perm) != list(range(g.vertex_count)):
         return False
     if g.colors is not None and any(g.colors[perm[v]] != g.colors[v] for v in range(g.vertex_count)):
         return False
-    for u, v in g.edges:
+    edges = g.edges
+    for u, v in edges:
         pu, pv = perm[u], perm[v]
-        if ((pu, pv) if pu < pv else (pv, pu)) not in g.edges:
+        if ((pu, pv) if pu < pv else (pv, pu)) not in edges:
             return False
     return True

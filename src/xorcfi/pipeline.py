@@ -12,6 +12,13 @@ rank check runs on packed rows built straight from each trial's triples:
 a trial that leaves a variable uncovered or lacks full rank is rejected
 before any formula object exists.
 
+Graphs travel as cfi.Graph's canonical edge array. The writers group its
+sorted rows into text, the readers parse a file into rows and let
+Graph.from_edges canonicalise them, and `validate` compares the re-read
+rows with a fresh lift's and takes its degree checks from one bincount.
+An accepted trial's formula text is made once, for its digest and its
+file.
+
 The config's one budget counts work, never seconds: decisions per DPLL
 run and nodes of the IR search in the asymmetry filter. A plain run that
 spends it scores an infinite Gauss ratio; an IR search that spends it
@@ -36,6 +43,8 @@ import secrets
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union, get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .canon import ir_automorphisms
@@ -145,18 +154,28 @@ class InstanceRecord:
 
 
 def to_dre(g: Graph) -> str:
-    """dreadnaut text: each edge emitted once from its smaller endpoint."""
-    higher: List[List[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in sorted(g.edges):
-        higher[u].append(v)
+    """dreadnaut text: each edge emitted once from its smaller endpoint,
+    one row per run of equal first entries in the sorted edge rows."""
+    rows = g.edge_array
     lines = [f"n={g.vertex_count} $=0 g"]
-    body = [f"{v} : {' '.join(str(w) for w in sorted(ws))}" for v, ws in enumerate(higher) if ws]
-    if not body:
+    if not len(rows):
         lines.append(".")
     else:
-        lines.extend(f"{row};" for row in body[:-1])
-        lines.append(f"{body[-1]}.")
+        us, vs = rows.T.tolist()
+        ends = list(map(str, vs))
+        bounds = [0, *(np.flatnonzero(rows[1:, 0] != rows[:-1, 0]) + 1).tolist(), len(rows)]
+        body = [f"{us[a]} : {' '.join(ends[a:b])}" for a, b in zip(bounds, bounds[1:])]
+        lines.append(";\n".join(body) + ".")
     return "\n".join(lines) + "\n"
+
+
+def _vertex_ids(values: List) -> np.ndarray:
+    """Parsed vertex ids, given as ints or decimal strings, as int64; an
+    id too large for int64 is out of range of every graph."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("vertex id out of range") from None
 
 
 def from_dre(text: str) -> Graph:
@@ -168,37 +187,40 @@ def from_dre(text: str) -> Graph:
     for tok in head[1:]:
         if tok.startswith("$") and tok.lstrip("$=") != "0":
             raise ValueError(f"labelling origin {tok!r} is not supported; vertices are 0-based")
-    edges = set()
+    heads: List[str] = []
+    counts: List[int] = []
+    tokens: List[str] = []
     for ln in lines[1:]:
         terminated = ln.endswith(".")
         ln = ln.rstrip(".;").strip()
         if ln:
             left, _, right = ln.partition(":")
-            u = int(left)
-            for tok in right.split():
-                edges.add((u, int(tok)))
+            heads.append(left)
+            ws = right.split()
+            counts.append(len(ws))
+            tokens += ws
         if terminated:
             break
     else:
         raise ValueError("dreadnaut body ends without its '.' terminator")
-    return Graph.from_edges(n, edges)
+    ends = np.empty((len(tokens), 2), dtype=np.int64)
+    ends[:, 0] = np.repeat(_vertex_ids(heads), counts)
+    ends[:, 1] = _vertex_ids(tokens)
+    return Graph.from_edges(n, ends)
 
 
 def to_dimacs_graph(g: Graph) -> str:
-    lines = [f"p edge {g.vertex_count} {g.edge_count}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    rows = g.edge_array
+    body = ("e %d %d\n" * len(rows)) % tuple((rows + 1).reshape(-1).tolist())
+    return f"p edge {g.vertex_count} {len(rows)}\n" + body
 
 
 def from_dimacs_graph(text: str) -> Graph:
     n, records = _dimacs_records(text, "edge", "e")
-    edges = []
     for lineno, ends in records:
         if len(ends) != 2:
             raise ValueError(f"line {lineno}: edge line needs 2 endpoints, got {len(ends)}")
-        edges.append((ends[0] - 1, ends[1] - 1))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, _vertex_ids([ends for _, ends in records]).reshape(-1, 2) - 1)
 
 
 def export_graph(g: Graph, format: str) -> str:
@@ -334,6 +356,7 @@ class TrialOutcome:
     reject_reason: Optional[str]
     record: Optional[InstanceRecord]
     formula: Optional[XorFormula] = None
+    formula_text: Optional[str] = None  # export_xor_dimacs(formula), made once
     graph: Optional[Graph] = None
 
 
@@ -388,13 +411,14 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
         graph_dimacs=f"{instance_id}/{DIMACS_NAME}" if "dimacs" in cfg.formats else None,
         tool_version=__version__,
     )
-    return TrialOutcome(trial, True, None, record, f, g)
+    return TrialOutcome(trial, True, None, record, f, formula_text, g)
 
 
-def write_instance(record: InstanceRecord, f: XorFormula, g: Graph, out_dir: Union[str, Path]) -> None:
+def write_instance(record: InstanceRecord, formula_text: str, g: Graph,
+                   out_dir: Union[str, Path]) -> None:
     out = Path(out_dir)
     (out / record.manifest_file).parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / record.formula_file, export_xor_dimacs(f))
+    _atomic_write(out / record.formula_file, formula_text)
     for rel, export in ((record.graph_dre, to_dre), (record.graph_dimacs, to_dimacs_graph)):
         if rel is not None:
             _atomic_write(out / rel, export(g))
@@ -414,7 +438,7 @@ def generate(cfg: PipelineConfig, out_dir: Union[str, Path]) -> List[InstanceRec
             rejects.append((draw.trial, outcome.reject_reason))
             continue
         record = outcome.record
-        write_instance(record, outcome.formula, outcome.graph, out)
+        write_instance(record, outcome.formula_text, outcome.graph, out)
         records.append(record)
         logger.info("trial %d accepted as %s", draw.trial, record.instance_id)
     index_lines = [
@@ -491,6 +515,7 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
         return ValidationReport(record.instance_id, tuple(checks))
     want_v, want_e = expected.vertex_count, expected.edge_count
     scheme = VertexScheme(f.n, f.m)
+    clause_vertices = scheme.clause_vertex(np.arange(1, f.m + 1)[:, None], np.arange(4))
     checks.append(CheckResult("vertex_formula", record.vertices == want_v,
                               f"manifest {record.vertices}, formula {want_v}"))
     checks.append(CheckResult("edge_formula", record.edges == want_e,
@@ -511,16 +536,15 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
                                   f"file has {g.vertex_count}"))
         checks.append(CheckResult(f"graph_{fmt}_edges", g.edge_count == want_e,
                                   f"file has {g.edge_count}"))
-        checks.append(CheckResult(f"graph_{fmt}_matches_formula", g.edges == expected.edges))
+        checks.append(CheckResult(f"graph_{fmt}_matches_formula",
+                                  np.array_equal(g.edge_array, expected.edge_array)))
         # The degree checks index the lift's vertex numbers, so they run only
         # on a file of the lift's size and fail on any other.
         sized = g.vertex_count == want_v
-        deg = g.degrees() if sized else None
-        clause_ok = sized and all(
-            deg[scheme.clause_vertex(c, t)] == 3 for c in range(1, f.m + 1) for t in range(4)
-        )
+        deg = np.bincount(g.edge_array.reshape(-1), minlength=want_v) if sized else None
+        clause_ok = sized and bool((deg[clause_vertices] == 3).all())
         checks.append(CheckResult(f"graph_{fmt}_clause_degrees", clause_ok))
         if record.gadget_mode == GADGET_FULL:
-            stub_ok = sized and all(deg[scheme.gadget_stub(i)] == 1 for i in range(1, f.n))
+            stub_ok = sized and bool((deg[scheme.gadget_stub(np.arange(1, f.n))] == 1).all())
             checks.append(CheckResult(f"graph_{fmt}_stub_degrees", stub_ok))
     return ValidationReport(record.instance_id, tuple(checks))

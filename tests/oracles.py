@@ -269,6 +269,87 @@ def rescan_branch_var(solver) -> Optional[int]:
     return min(scores, key=lambda v: (-scores[v], v))
 
 
+# -- lifted graphs and their text formats ------------------------------------
+#
+# The lifts and exporters as they were written over sets of (u, v) tuples,
+# one vertex id at a time, before cfi and pipeline computed them on edge
+# arrays.
+
+
+def degrees(g: Graph) -> List[int]:
+    deg = [0] * g.vertex_count
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+# The frozen tag order of the clause gadget's 4 vertices, written out
+# again here so that a change to cfi.CLAUSE_TAGS shows against it.
+FROZEN_CLAUSE_TAGS = ((0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1))
+
+
+def clause_literal_patterns(rhs: int) -> List[Tuple[int, int, int]]:
+    """Negation pattern of each of the 4 gadget vertices of a clause.
+
+    Bit k is 1 when the clause's k-th variable (ascending order) appears
+    negated at that vertex. The base vertex carries the clause itself;
+    for rhs 1 the smallest variable is the negated one.
+    """
+    base = (1, 0, 0) if rhs else (0, 0, 0)
+    return [tuple(b ^ t for b, t in zip(base, tag)) for tag in FROZEN_CLAUSE_TAGS]
+
+
+def lift_edge_set(f: XorFormula, gadget_mode: str) -> Set[Tuple[int, int]]:
+    """The edges of f's core or full lift, each as (smaller, larger)."""
+    scheme = VertexScheme(f.n, f.m)
+    edges = set()
+    for j in range(1, f.n + 1):
+        edges.add((scheme.var_vertex(j, 0), scheme.var_vertex(j, 1)))
+    for c, cl in enumerate(f.clauses, start=1):
+        for tag_index, pattern in enumerate(clause_literal_patterns(cl.rhs)):
+            cv = scheme.clause_vertex(c, tag_index)
+            for k, var in enumerate(cl.vars):
+                edges.add((scheme.var_vertex(var, 1 - pattern[k]), cv))
+    if gadget_mode == "full":
+        for i in range(1, f.n):
+            il, ir, s = scheme.gadget_left(i), scheme.gadget_right(i), scheme.gadget_stub(i)
+            edges.add((il, ir))
+            edges.add((ir, s))
+            edges.add((scheme.var_vertex(i, 0), il))
+            edges.add((scheme.var_vertex(i, 1), il))
+            edges.add((scheme.var_vertex(i + 1, 0), ir))
+            edges.add((scheme.var_vertex(i + 1, 1), ir))
+    return edges
+
+
+def incidence_edge_set(f: XorFormula) -> Set[Tuple[int, int]]:
+    """Variable j is vertex j-1; clause c is vertex n+c-1."""
+    return {(v - 1, f.n + c) for c, cl in enumerate(f.clauses) for v in cl.vars}
+
+
+def dre_text(g: Graph) -> str:
+    """dreadnaut text: each edge emitted once from its smaller endpoint."""
+    higher: List[List[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in sorted(g.edges):
+        higher[u].append(v)
+    lines = [f"n={g.vertex_count} $=0 g"]
+    body = [f"{v} : {' '.join(str(w) for w in sorted(ws))}" for v, ws in enumerate(higher) if ws]
+    if not body:
+        lines.append(".")
+    else:
+        lines.extend(f"{row};" for row in body[:-1])
+        lines.append(f"{body[-1]}.")
+    return "\n".join(lines) + "\n"
+
+
+def dimacs_graph_text(g: Graph) -> str:
+    lines = [f"p edge {g.vertex_count} {g.edge_count}"]
+    for u, v in sorted(g.edges):
+        lines.append(f"e {u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"
+
+
 # -- partitions and refinement -----------------------------------------------
 
 
@@ -311,7 +392,7 @@ def color_refine(g: Graph, initial: Optional[Partition] = None) -> Partition:
     partition becomes the colors of a copy of g.
     """
     if initial is not None:
-        g = Graph(g.vertex_count, g.edges, initial.cell_of)
+        g = Graph(g.vertex_count, g.edge_array, initial.cell_of)
     return Partition.from_labels(canon.color_refine(g).tolist())
 
 

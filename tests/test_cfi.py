@@ -7,7 +7,9 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xorcfi.cfi import (
     Graph,
@@ -19,9 +21,20 @@ from xorcfi.cfi import (
 )
 from xorcfi.formula import make_formula, to_matrix
 from xorcfi.gf2 import rank
+from xorcfi.pipeline import to_dimacs_graph, to_dre
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import assignment_automorphism, color_refine, same_cell, satisfies
+from oracles import (
+    assignment_automorphism,
+    color_refine,
+    degrees,
+    dimacs_graph_text,
+    dre_text,
+    incidence_edge_set,
+    lift_edge_set,
+    same_cell,
+    satisfies,
+)
 
 COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
 SINGLE = make_formula(3, [((1, 2, 3), 0)])
@@ -44,13 +57,13 @@ def test_incidence_single_clause_is_star():
 def test_incidence_clause_vertices_have_degree_3():
     f = sample_homogeneous(SampleConfig(n=9, m=15, seed=3))
     g = incidence_graph(f)
-    deg = g.degrees()
+    deg = degrees(g)
     assert all(deg[f.n + c] == 3 for c in range(f.m))
 
 
 def test_incidence_complete_triples_variable_degrees():
     g = incidence_graph(COMPLETE)
-    deg = g.degrees()
+    deg = degrees(g)
     assert all(deg[j] == 3 for j in range(4))
 
 
@@ -111,7 +124,7 @@ def test_degree_classification():
     f = sample_homogeneous(SampleConfig(n=10, m=20, seed=5))
     g = build_full(f)
     s = VertexScheme(f.n, f.m)
-    deg = g.degrees()
+    deg = degrees(g)
     for c in range(1, f.m + 1):
         for t in range(4):
             assert deg[s.clause_vertex(c, t)] == 3
@@ -157,6 +170,74 @@ def test_full_requires_two_variables():
     build_full(f)
     with pytest.raises(ValueError):
         build_full(make_formula(1, []))
+
+
+# -- the array lifts and exporters against the set-based oracles -----------
+
+
+def assert_lifts_match_oracles(f):
+    """Each lift's rows are the sorted oracle edge set, and its dre and
+    DIMACS text equal the oracle exporters' byte for byte."""
+    scheme = VertexScheme(f.n, f.m)
+    lifts = [(build_core(f), lift_edge_set(f, "core"), scheme.core_vertex_count)]
+    if f.n >= 2:
+        lifts.append((build_full(f), lift_edge_set(f, "full"), scheme.full_vertex_count))
+    if f.is_homogeneous:
+        lifts.append((incidence_graph(f), incidence_edge_set(f), f.n + f.m))
+    for g, want, vertex_count in lifts:
+        assert g.vertex_count == vertex_count
+        assert g.edge_array.tolist() == [list(e) for e in sorted(want)]
+        assert g.edges == want
+        assert to_dre(g) == dre_text(g)
+        assert to_dimacs_graph(g) == dimacs_graph_text(g)
+
+
+def oracle_corpus():
+    """Seeded formulas at every n = 3..60: a homogeneous sample, a
+    make_formula system with random right-hand sides, and one without
+    clauses at a few n."""
+    rnd = random.Random(20261019)
+    for n in range(3, 61):
+        m = rnd.randint(1, min(2 * n, math.comb(n, 3)))
+        yield sample_homogeneous(SampleConfig(n=n, m=m, seed=rnd.randrange(1 << 32)))
+        triples = rnd.sample(list(itertools.combinations(range(1, n + 1), 3)), m) if n <= 20 else [
+            tuple(rnd.sample(range(1, n + 1), 3)) for _ in range(m)]
+        yield make_formula(n, [(t, rnd.randint(0, 1)) for t in dict.fromkeys(
+            tuple(sorted(t)) for t in triples)])
+        if n % 20 == 3:
+            yield make_formula(n, [])
+
+
+def test_array_lifts_match_set_oracles_on_seeded_formulas():
+    kinds = Counter()
+    for f in oracle_corpus():
+        assert_lifts_match_oracles(f)
+        kinds[f.is_homogeneous] += 1
+    assert kinds[True] >= 58 and kinds[False] >= 50
+
+
+@st.composite
+def xor_formulas(draw):
+    n = draw(st.integers(3, 60))
+    homogeneous = draw(st.booleans())
+    clauses = draw(st.dictionaries(
+        st.frozensets(st.integers(1, n), min_size=3, max_size=3),
+        st.just(0) if homogeneous else st.integers(0, 1),
+        max_size=2 * n))
+    return make_formula(n, list(clauses.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(xor_formulas())
+def test_array_lifts_match_set_oracles_on_random_formulas(f):
+    assert_lifts_match_oracles(f)
+
+
+def test_array_lifts_match_set_oracles_on_the_scale_formula():
+    """The scale regime's accepted formula: n=1000, m=2000, full gadget."""
+    f = sample_homogeneous(SampleConfig(n=1000, ratio=2, seed=1868515624530699897))
+    assert f.m == 2000
+    assert_lifts_match_oracles(f)
 
 
 # -- colour refinement never splits a variable's pair ----------------------
@@ -251,7 +332,13 @@ def test_unsatisfying_assignment_rejected():
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 1)}))
+    for rows in ([[1, 1]], [[0, 3]], [[-1, 2]], [0, 1, 2]):
+        with pytest.raises(ValueError):
+            Graph(3, np.array(rows))
+    # The constructor keeps its rows canonical: reversed and repeated rows
+    # merge, and the rows are sorted.
+    g = Graph(3, np.array([[2, 1], [1, 0], [0, 1], [1, 2]]))
+    assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 1)], colors=[0])

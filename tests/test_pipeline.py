@@ -42,7 +42,7 @@ from xorcfi.formula import is_uniquely_satisfiable
 from xorcfi.sampler import SampleConfig, chunks, sample_homogeneous
 from xorcfi.xorsat import SAT, gauss_ratio
 
-from oracles import trial_draw
+from oracles import degrees, trial_draw
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -112,6 +112,55 @@ def test_dimacs_graph_rejects_garbage():
         from_dimacs_graph("p edge 2 1\nq 1 2\n")
     with pytest.raises(ValueError):
         from_dre("0 : 1;\n")
+
+
+def test_importers_merge_a_reversed_duplicate_edge():
+    for g in (from_dre("n=3 $=0 g\n0 : 1 2;\n1 : 0;\n2 : 0 0.\n"),
+              from_dimacs_graph("p edge 3 4\ne 1 2\ne 2 1\ne 1 3\ne 3 1\n")):
+        assert g.vertex_count == 3 and g.edge_count == 2
+        assert g.edges == {(0, 1), (0, 2)}
+
+
+def test_importers_reject_bad_vertices():
+    bad_dre = {
+        "self-loop": "n=3 $=0 g\n0 : 1;\n1 : 1.\n",
+        "out of range": "n=3 $=0 g\n0 : 3.\n",
+        "negative": "n=3 $=0 g\n0 : -1.\n",
+        "negative row": "n=3 $=0 g\n-1 : 2.\n",
+        "beyond int64": "n=3 $=0 g\n0 : 99999999999999999999.\n",
+    }
+    bad_dimacs = {
+        "self-loop": "p edge 3 1\ne 2 2\n",
+        "out of range": "p edge 3 1\ne 1 4\n",
+        "negative": "p edge 3 1\ne -1 2\n",
+        "vertex 0": "p edge 3 1\ne 0 1\n",
+        "beyond int64": "p edge 3 1\ne 1 99999999999999999999\n",
+    }
+    for cases, parse in ((bad_dre, from_dre), (bad_dimacs, from_dimacs_graph)):
+        for name, text in cases.items():
+            with pytest.raises(ValueError):
+                parse(text)
+
+
+def test_importers_round_trip_empty_and_isolated_tail_vertices():
+    for g in (Graph.from_edges(0, []), Graph.from_edges(4, []), Graph.from_edges(7, [(0, 1), (1, 2)])):
+        for fmt in ("dre", "dimacs"):
+            back = import_graph(export_graph(g, fmt), fmt)
+            assert back.vertex_count == g.vertex_count
+            assert back.edges == g.edges
+
+
+def test_check_reports_a_graph_file_with_a_self_loop(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    record = generate(cfg, tmp_path)[0]
+    path = tmp_path / record.graph_dre
+    path.write_text(path.read_text().replace("0 : ", "0 : 0 ", 1))
+    assert main(["check", str(tmp_path / record.manifest_file)]) == 1
+    out = capsys.readouterr().out
+    assert f"{record.instance_id}: graph_dre: FAIL" in out
+    assert out.endswith("0/1 instances valid\n")
 
 
 @pytest.mark.skipif(__import__("shutil").which("dreadnaut") is None,
@@ -290,7 +339,7 @@ def test_accepted_records_satisfy_invariants(tmp_path):
         assert rec.edges == 12 * rec.m + rec.n + 6 * (rec.n - 1)
         assert rec.gauss_ratio >= cfg.gauss_threshold
         g = build_graph(f, GADGET_FULL)
-        deg = g.degrees()
+        deg = degrees(g)
         assert min(deg[2 * j] for j in range(rec.n)) >= 4
 
 
