@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,11 +49,12 @@ _Ids = Union[int, np.ndarray]
 class Graph:
     """Undirected simple graph on vertices 0..vertex_count-1.
 
-    The constructor takes edge_array as (E, 2) integer rows in any order
-    and orientation, and keeps it canonical and read-only: int64 rows
-    (u, v) with u < v, sorted, without duplicates. A reversed or repeated
-    row is the same edge; a self-loop or a vertex out of range is a
-    ValueError. Graph.from_edges takes the edges as (u, v) pairs.
+    The constructor takes edge_array as an (E, 2) integer array or as
+    any iterable of (u, v) pairs, in any order and orientation, and keeps
+    it canonical and read-only: int64 rows (u, v) with u < v, sorted,
+    without duplicates. A reversed or repeated row is the same edge; a
+    self-loop or a vertex out of range is a ValueError. colors, any
+    sequence, is stored as a tuple.
     """
 
     vertex_count: int
@@ -66,7 +67,10 @@ class Graph:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         if n > _MAX_VERTICES:
             raise ValueError(f"vertex count must be at most 2^31, got {n}")
-        ends = np.asarray(self.edge_array, dtype=np.int64)
+        ends = self.edge_array
+        if not isinstance(ends, np.ndarray):
+            ends = np.array(list(ends)).reshape(-1, 2)
+        ends = np.asarray(ends, dtype=np.int64)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValueError(f"edge array must have shape (E, 2), got {ends.shape}")
         lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
@@ -83,8 +87,10 @@ class Graph:
         np.divmod(key, n, out=(rows[:, 0], rows[:, 1]))
         rows.flags.writeable = False
         object.__setattr__(self, "edge_array", rows)
-        if self.colors is not None and len(self.colors) != n:
-            raise ValueError("colors must cover every vertex")
+        if self.colors is not None:
+            object.__setattr__(self, "colors", tuple(self.colors))
+            if len(self.colors) != n:
+                raise ValueError("colors must cover every vertex")
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -94,17 +100,6 @@ class Graph:
 
     def __hash__(self):
         return hash((self.vertex_count, self.edge_array.tobytes(), self.colors))
-
-    @classmethod
-    def from_edges(
-        cls,
-        vertex_count: int,
-        edges: Union[np.ndarray, Iterable[Tuple[int, int]]],
-        colors: Optional[Sequence[int]] = None,
-    ) -> "Graph":
-        """The graph on edges given as (u, v) pairs or as (E, 2) rows."""
-        ends = edges if isinstance(edges, np.ndarray) else np.array(list(edges)).reshape(-1, 2)
-        return cls(vertex_count, ends, None if colors is None else tuple(colors))
 
     @property
     def edge_count(self) -> int:
@@ -184,7 +179,7 @@ def incidence_graph(f: XorFormula) -> Graph:
     ends = np.empty((f.m, 3, 2), dtype=np.int64)
     ends[..., 0] = triples - 1
     ends[..., 1] = np.arange(n, n + f.m)[:, None]
-    g = Graph.from_edges(n + f.m, ends.reshape(-1, 2), [0] * n + [1] * f.m)
+    g = Graph(n + f.m, ends.reshape(-1, 2), [0] * n + [1] * f.m)
     assert g.edge_count == 3 * f.m  # every clause vertex has degree 3
     return g
 
@@ -210,7 +205,7 @@ def build_core(f: XorFormula) -> Graph:
     it holds the negated one; every X^0-X^1 pair is joined by an edge.
     """
     scheme = VertexScheme(f.n, f.m)
-    g = Graph.from_edges(scheme.core_vertex_count, _core_ends(f, scheme))
+    g = Graph(scheme.core_vertex_count, _core_ends(f, scheme))
     assert g.edge_count == scheme.core_edge_count
     return g
 
@@ -235,7 +230,7 @@ def build_full(f: XorFormula) -> Graph:
     gadget_rows[:, :, 1] = np.concatenate((ir, scheme.var_vertex(i, bits), scheme.gadget_stub(i),
                                            scheme.var_vertex(i + 1, bits)), axis=1)
     ends = np.concatenate((_core_ends(f, scheme), gadget_rows.reshape(-1, 2)))
-    g = Graph.from_edges(scheme.full_vertex_count, ends)
+    g = Graph(scheme.full_vertex_count, ends)
     assert g.edge_count == scheme.full_edge_count
     return g
 

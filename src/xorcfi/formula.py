@@ -10,7 +10,7 @@ vertex numbering depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .gf2 import rank
 
@@ -123,20 +123,15 @@ class CnfFormula:
 
 
 def make_formula(n: int, raw: Iterable[Tuple[Iterable[int], int]]) -> XorFormula:
-    """Canonicalize raw (triple, rhs) pairs: sort triples, merge duplicates.
+    """Canonicalize raw (triple, rhs) pairs: sort triples, drop exact repeats.
 
-    Rejects triples with repeated variables and pairs of clauses that
-    share a variable set but disagree on rhs (a contradictory duplicate;
-    the sampler never emits these, so this only guards loaded input).
+    XorClause.make rejects a triple with a repeated variable, and
+    XorFormula two clauses that share a variable set but disagree on rhs.
+    The keys are plain (vars, rhs) tuples, which hash and sort in C.
     """
-    by_set = {}
-    for vars_, rhs in raw:
-        cl = XorClause.make(vars_, rhs)
-        prev = by_set.get(cl.vars)
-        if prev is not None and prev != cl.rhs:
-            raise ValueError(f"contradictory duplicate clauses on variables {cl.vars}")
-        by_set[cl.vars] = cl.rhs
-    return XorFormula(n, tuple(XorClause(v, r) for v, r in sorted(by_set.items())))
+    made = (XorClause.make(vars_, rhs) for vars_, rhs in raw)
+    keys = sorted(dict.fromkeys((cl.vars, cl.rhs) for cl in made))
+    return XorFormula(n, tuple(XorClause(v, r) for v, r in keys))
 
 
 def pin(f: XorFormula, i: int, value: int) -> PinnedSystem:
@@ -194,6 +189,10 @@ def has_full_rank(n: int, triples: Sequence[Sequence[int]]) -> bool:
 
 
 def export_dimacs(c: CnfFormula) -> str:
+    """Plain CNF text; a formula with XOR rows is a ValueError, since this
+    format has no line for them (export_xor_dimacs writes XOR rows)."""
+    if c.xors:
+        raise ValueError(f"plain DIMACS cannot hold the formula's {len(c.xors)} XOR rows")
     lines = [f"p cnf {c.n} {len(c.clauses)}"]
     for cl in c.clauses:
         lines.append(" ".join(str(lit) for lit in cl) + " 0")
@@ -207,7 +206,8 @@ def _ints(lineno: int, line: str, tokens: List[str]) -> List[int]:
         raise ValueError(f"line {lineno}: non-integer token in {line!r}") from None
 
 
-def _dimacs_records(text: str, kind: str, tag: str) -> Tuple[int, List[Tuple[int, List[int]]]]:
+def _dimacs_records(text: str, kind: str, tag: str,
+                    width: Optional[int] = None) -> Tuple[int, List[Tuple[int, List[int]]]]:
     """The header's first number and the body lines of a DIMACS-style file.
 
     Blank lines and lines starting with 'c' are skipped; the header is
@@ -215,9 +215,13 @@ def _dimacs_records(text: str, kind: str, tag: str) -> Tuple[int, List[Tuple[int
     marker) ends the body and whatever follows it is ignored. Every
     other line becomes (lineno, ints) and must start with tag, a leading
     word such as 'x' or 'e' ('' for lines that start with a number). For
-    kind 'cnf' each line ends in a 0 that is checked and dropped; edge
-    lines carry none. b must equal the number of body lines.
+    kind 'cnf' each line ends in a 0 that is checked and dropped, and
+    the other ints are literals of variables 1..a; edge lines carry no
+    0 and their ints are vertices 1..a. With a width, each line names
+    exactly that many distinct variables or vertices. b must equal the
+    number of body lines. Every rejected line is named by its number.
     """
+    noun = "variable" if kind == "cnf" else "vertex"
     n = declared = None
     records: List[Tuple[int, List[int]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -243,12 +247,18 @@ def _dimacs_records(text: str, kind: str, tag: str) -> Tuple[int, List[Tuple[int
             if not ints or ints[-1] != 0:
                 raise ValueError(f"line {lineno}: clause not 0-terminated")
             ints.pop()
+        named = set(map(abs, ints)) if kind == "cnf" else set(ints)
+        if named and (min(named) < 1 or max(named) > n):
+            bad = min(named) if min(named) < 1 else max(named)
+            raise ValueError(f"line {lineno}: {noun} {bad} out of range 1..{n}")
+        if width is not None and (len(ints) != width or len(named) != width):
+            raise ValueError(f"line {lineno}: needs {width} distinct {noun} ids, got {line!r}")
         records.append((lineno, ints))
     if n is None:
         raise ValueError("missing DIMACS header")
     if declared != len(records):
-        noun = "edges" if kind == "edge" else "clauses"
-        raise ValueError(f"header declares {declared} {noun}, found {len(records)}")
+        body = "edges" if kind == "edge" else "clauses"
+        raise ValueError(f"header declares {declared} {body}, found {len(records)}")
     return n, records
 
 
@@ -267,7 +277,7 @@ def export_xor_dimacs(f: XorFormula) -> str:
 
 
 def import_xor_dimacs(text: str) -> XorFormula:
-    n, records = _dimacs_records(text, "cnf", "x")
+    n, records = _dimacs_records(text, "cnf", "x", width=3)
     # An odd number of negated literals means rhs 1.
     return make_formula(n, [([abs(lit) for lit in lits], sum(lit < 0 for lit in lits) & 1)
                             for _, lits in records])

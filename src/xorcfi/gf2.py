@@ -55,8 +55,7 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
     decide whether an xor hits x, and they change only when one does,
     so an x that misses P is untouched by the block; an x that hits
     replays `if x & p: x ^= others` for the block's pivots in order,
-    which is the eager loop's sequence of xors on x. The last block
-    (the only one when cols <= _BLOCK) is the eager loop itself.
+    which is the eager loop's sequence of xors on x.
     """
     rows = list(row_bits)
     width = max(cols, max(rows, default=0).bit_length())
@@ -72,10 +71,6 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
     order: List[int] = []  # pivot row indices, then the remaining rows
     for start in range(0, cols, _BLOCK):
         stop = min(start + _BLOCK, cols)
-        # The last block has no pivot column after it to defer to, so it
-        # updates every later column at once, as the eager loop does.
-        last = stop == cols
-        reach = width if last else stop
         ops: List[Tuple[int, int]] = []  # (p, others) where others is nonzero
         hit = 0  # P: the OR of those p; a pivot with no others xors nothing
         for c in range(start, stop):
@@ -85,12 +80,11 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
             p = cand & -cand
             others = col[c] ^ p
             if others:
-                for j in range(c + 1, reach):
+                for j in range(c + 1, stop):
                     if col[j] & p:
                         col[j] ^= others
-                if not last:
-                    ops.append((p, others))
-                    hit |= p
+                ops.append((p, others))
+                hit |= p
             col[c] = 0  # a unit column; its one bit goes back in below
             free ^= p
             pivots.append(c)

@@ -13,8 +13,8 @@ a trial that leaves a variable uncovered or lacks full rank is rejected
 before any formula object exists.
 
 Graphs travel as cfi.Graph's canonical edge array. The writers group its
-sorted rows into text, the readers parse a file into rows and let
-Graph.from_edges canonicalise them, and `validate` compares the re-read
+sorted rows into text, the readers parse a file into rows and let the
+Graph constructor canonicalise them, and `validate` compares the re-read
 rows with a fresh lift's and takes its degree checks from one bincount.
 An accepted trial's formula text is made once, for its digest and its
 file.
@@ -190,11 +190,13 @@ def from_dre(text: str) -> Graph:
     heads: List[str] = []
     counts: List[int] = []
     tokens: List[str] = []
-    for ln in lines[1:]:
-        terminated = ln.endswith(".")
-        ln = ln.rstrip(".;").strip()
+    for line in lines[1:]:
+        terminated = line.endswith(".")
+        ln = line.rstrip(".;").strip()
         if ln:
-            left, _, right = ln.partition(":")
+            left, colon, right = ln.partition(":")
+            if not colon:
+                raise ValueError(f"dreadnaut body line without ':': {line!r}")
             heads.append(left)
             ws = right.split()
             counts.append(len(ws))
@@ -206,7 +208,7 @@ def from_dre(text: str) -> Graph:
     ends = np.empty((len(tokens), 2), dtype=np.int64)
     ends[:, 0] = np.repeat(_vertex_ids(heads), counts)
     ends[:, 1] = _vertex_ids(tokens)
-    return Graph.from_edges(n, ends)
+    return Graph(n, ends)
 
 
 def to_dimacs_graph(g: Graph) -> str:
@@ -216,11 +218,8 @@ def to_dimacs_graph(g: Graph) -> str:
 
 
 def from_dimacs_graph(text: str) -> Graph:
-    n, records = _dimacs_records(text, "edge", "e")
-    for lineno, ends in records:
-        if len(ends) != 2:
-            raise ValueError(f"line {lineno}: edge line needs 2 endpoints, got {len(ends)}")
-    return Graph.from_edges(n, _vertex_ids([ends for _, ends in records]).reshape(-1, 2) - 1)
+    n, records = _dimacs_records(text, "edge", "e", width=2)
+    return Graph(n, _vertex_ids([ends for _, ends in records]).reshape(-1, 2) - 1)
 
 
 def export_graph(g: Graph, format: str) -> str:
@@ -355,7 +354,6 @@ class TrialOutcome:
     accepted: bool
     reject_reason: Optional[str]
     record: Optional[InstanceRecord]
-    formula: Optional[XorFormula] = None
     formula_text: Optional[str] = None  # export_xor_dimacs(formula), made once
     graph: Optional[Graph] = None
 
@@ -411,7 +409,7 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
         graph_dimacs=f"{instance_id}/{DIMACS_NAME}" if "dimacs" in cfg.formats else None,
         tool_version=__version__,
     )
-    return TrialOutcome(trial, True, None, record, f, formula_text, g)
+    return TrialOutcome(trial, True, None, record, formula_text, g)
 
 
 def write_instance(record: InstanceRecord, formula_text: str, g: Graph,

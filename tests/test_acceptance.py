@@ -20,7 +20,6 @@ from xorcfi.formula import is_uniquely_satisfiable, pin, to_matrix
 from xorcfi.gf2 import rank
 from xorcfi.pipeline import (
     PipelineConfig,
-    build_graph,
     export_graph,
     generate,
     import_graph,
@@ -75,7 +74,7 @@ def test_a2_asymmetry_equivalence():
     for i in range(200):
         n = rnd.randint(2, 8)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.5]
-        g = Graph.from_edges(n, edges)
+        g = Graph(n, edges)
         a = ir_automorphisms(g)
         b, b_orbits = brute_force_automorphisms(g)
         assert a.group_size == b.group_size
@@ -114,10 +113,10 @@ def test_a4_refinement_non_separation():
     instances = []
     trial = 0
     while len(instances) < 20 and trial < cfg.trials:
-        outcome = run_trial(cfg, trial_draw(cfg, trial))
+        draw = trial_draw(cfg, trial)
         trial += 1
-        if outcome.accepted:
-            instances.append(outcome.formula)
+        if run_trial(cfg, draw).accepted:
+            instances.append(draw.formula())
     assert len(instances) == 20, f"only {len(instances)} accepted in {trial} trials"
     qualifying = []
     checked = 0
@@ -221,7 +220,7 @@ def test_a7_hardness_growth():
             trial += 1
             if not outcome.accepted:
                 continue
-            g = build_graph(outcome.formula, "core")
+            g = outcome.graph
             rep = ir_automorphisms(g, max_nodes=3_000_000, max_seconds=120)
             assert rep.status == STATUS_COMPLETE
             nodes.append(rep.search_nodes)
@@ -261,7 +260,7 @@ def test_a8_solver_agreement_and_round_trips():
     for _ in range(100):
         n = grnd.randint(1, 15)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if grnd.random() < 0.4]
-        g = Graph.from_edges(n, edges)
+        g = Graph(n, edges)
         for fmt in ("dre", "dimacs"):
             text = export_graph(g, fmt)
             back = import_graph(text, fmt)

@@ -25,7 +25,7 @@ from xorcfi.cfi import Graph
 from xorcfi.formula import make_formula
 from xorcfi.pipeline import build_graph, to_dre
 
-K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+K4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
 
 
@@ -144,7 +144,7 @@ def test_run_internal_deterministic_nodes():
 
 def test_run_internal_timeout_records_limit():
     # The clock is read every 64 nodes, so a zero limit stops the search there.
-    matching = Graph.from_edges(120, [(2 * i, 2 * i + 1) for i in range(60)])
+    matching = Graph(120, [(2 * i, 2 * i + 1) for i in range(60)])
     res = run_internal(matching, timeout=0.0)
     assert (res.status, res.nodes, res.time_s) == (STATUS_TIMEOUT, 64, 0.0)
     assert res.group_size is None

@@ -27,7 +27,7 @@ from xorcfi.canon import (
 from xorcfi.cfi import Graph, build_core, build_full, incidence_graph
 from xorcfi.formula import make_formula, pin, to_matrix
 from xorcfi.gf2 import rank
-from xorcfi.pipeline import PipelineConfig, build_graph, run_trial
+from xorcfi.pipeline import PipelineConfig, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
 from oracles import (
@@ -48,25 +48,25 @@ from oracles import (
 
 
 def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n):
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def matching(k):
-    return Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    return Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
 def random_graph(rnd, n, p=0.5, colored=False):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
     colors = [rnd.randint(0, 1) for _ in range(n)] if colored else None
-    return Graph.from_edges(n, edges, colors)
+    return Graph(n, edges, colors)
 
 
 # -- Partition -------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_refine_matches_reference_across_entry_widths():
     rnd = random.Random(29)
     for v in (255, 256, 257):
         chords = [(u, w) for u in range(v) for w in range(u + 2, v) if rnd.random() < 2 / v]
-        for g in (path(v), Graph.from_edges(v, [(i, i + 1) for i in range(v - 1)] + chords)):
+        for g in (path(v), Graph(v, [(i, i + 1) for i in range(v - 1)] + chords)):
             spread = np.array([rnd.randrange(v) for _ in range(v)], dtype=np.int64)
             check_refine(g, [canon._initial_colors(g), ends_apart(v), one_shared(rnd, v), spread])
 
@@ -253,7 +253,7 @@ def test_refine_matches_reference_past_two_byte_entries():
         if v % 3:
             edges.append((v, v + length - 1))
         v += length
-    g = Graph.from_edges(v, edges)
+    g = Graph(v, edges)
     rnd = random.Random(31)
     spread = np.array([rnd.randrange(v) for _ in range(v)], dtype=np.int64)
     check_refine(g, [canon._initial_colors(g), one_shared(rnd, v), spread])
@@ -269,7 +269,7 @@ def test_refine_ranks_a_row_before_its_extensions():
         edges += [(k - 1, v + j) for j in range(k)]
         v += k
     colors = np.array([1] * hubs + [0] * (v - hubs), dtype=np.int64)
-    g = Graph.from_edges(v, edges, colors.tolist())
+    g = Graph(v, edges, colors.tolist())
     check_refine(g, [colors, 1 - colors])
     hub_ids = canon._refine(colors, canon._Csr(g))[:hubs]
     assert np.all(np.diff(hub_ids) > 0)
@@ -383,8 +383,8 @@ def test_ir_cell_strategy_changes_search():
 def test_ir_rejects_an_unknown_cell_strategy_before_any_search():
     # The coloured path refines to discrete at the root, so its search
     # never picks a target cell; the empty graph never refines at all.
-    discrete = Graph.from_edges(3, [(0, 1), (1, 2)], colors=[0, 1, 2])
-    for g in (discrete, path(3), Graph.from_edges(0, [])):
+    discrete = Graph(3, [(0, 1), (1, 2)], colors=[0, 1, 2])
+    for g in (discrete, path(3), Graph(0, [])):
         with pytest.raises(ValueError, match="unknown cell strategy 'bogus'"):
             ir_automorphisms(g, cell_strategy="bogus")
         with pytest.raises(ValueError, match="unknown cell strategy 'bogus'"):
@@ -419,7 +419,7 @@ def test_ir_node_counts_match_golden_core_lifts():
         while len(got) < len(expected):
             outcome = run_trial(cfg, trial_draw(cfg, trial))
             if outcome.accepted:
-                g = build_graph(outcome.formula, "core")
+                g = outcome.graph
                 got.append((trial, ir_automorphisms(g).search_nodes,
                             ir_automorphisms(g, cell_strategy=CELL_FIRST_LARGEST).search_nodes))
             trial += 1
@@ -546,8 +546,7 @@ def test_ir_leaves_never_propose_the_identity_or_a_repeat(monkeypatch):
     for n, expected in GOLDEN_CORE_NODES.items():
         cfg = PipelineConfig(n=n, m=n, seed=5000, trials=400, gadget_mode="core",
                              gauss_threshold=1.0)
-        graphs += [build_graph(run_trial(cfg, trial_draw(cfg, trial)).formula, "core")
-                   for trial, _, _ in expected]
+        graphs += [run_trial(cfg, trial_draw(cfg, trial)).graph for trial, _, _ in expected]
     total = 0
     for g in graphs:
         for strategy in (CELL_FIRST_SMALLEST, CELL_FIRST_LARGEST):
@@ -597,7 +596,7 @@ def test_ir_search_does_not_import_sympy():
         "import xorcfi.cli, xorcfi.bench\n"
         "from xorcfi.canon import ir_automorphisms\n"
         "from xorcfi.cfi import Graph\n"
-        "g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])\n"
+        "g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])\n"
         "assert ir_automorphisms(g).group_size == 10\n"
         "print('sympy' in sys.modules)\n"
     )
@@ -817,8 +816,8 @@ def test_xor_closure_checker_matches_row_span_checker():
     consistent = {}
     for n, ratio in ((20, 2.0), (30, 1.5)):
         cfg = PipelineConfig(n=n, ratio=ratio, seed=2208, gauss_threshold=1)
-        f = next(o.formula for o in (run_trial(cfg, trial_draw(cfg, t)) for t in itertools.count())
-                 if o.accepted)
+        f = next(d.formula() for d in (trial_draw(cfg, t) for t in itertools.count())
+                 if run_trial(cfg, d).accepted)
         for k in (3, 4):
             outcomes = []
             for i in range(1, n + 1):

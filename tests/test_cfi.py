@@ -331,14 +331,22 @@ def test_unsatisfying_assignment_rejected():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 3)])
-    for rows in ([[1, 1]], [[0, 3]], [[-1, 2]], [0, 1, 2]):
+        Graph(3, [(0, 3)])
+    for rows in ([[1, 1]], [[0, 3]], [[-1, 2]], [0, 1, 2], [[0, 1, 2]]):
         with pytest.raises(ValueError):
             Graph(3, np.array(rows))
     # The constructor keeps its rows canonical: reversed and repeated rows
     # merge, and the rows are sorted.
     g = Graph(3, np.array([[2, 1], [1, 0], [0, 1], [1, 2]]))
     assert g.edge_array.tolist() == [[0, 1], [1, 2]]
-    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+    # Pairs, the same pairs from a generator and the (E, 2) array give one
+    # canonical graph; so do [] and an empty array.
+    pairs = [(2, 1), (0, 1)]
+    assert g == Graph(3, pairs) == Graph(3, (p for p in pairs)) == Graph(3, np.array(pairs))
+    assert Graph(3, []) == Graph(3, np.empty((0, 2), dtype=np.int64))
+    assert Graph(3, []).edge_array.shape == (0, 2)
+    # Any colour sequence is stored as a tuple, so the graph stays hashable.
+    colored = Graph(3, pairs, colors=[0, 1, 0])
+    assert colored.colors == (0, 1, 0) and hash(colored) == hash(Graph(3, pairs, (0, 1, 0)))
     with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 1)], colors=[0])
+        Graph(2, [(0, 1)], colors=[0])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,8 +90,11 @@ def test_clause_make_reports_an_iterator_input_in_full():
 
 
 def test_make_formula_rejects_contradictory_duplicate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="contradictory"):
         make_formula(4, [((1, 2, 3), 0), ((1, 2, 3), 1)])
+    # Apart in the input and given unsorted, the two still meet once sorted.
+    with pytest.raises(ValueError, match="contradictory"):
+        make_formula(4, [((3, 2, 1), 1), ((2, 3, 4), 0), ((1, 2, 3), 0)])
 
 
 def test_formula_accepts_exactly_sorted_clauses_without_contradictions():
@@ -311,6 +315,12 @@ def test_cnf_dimacs_round_trip():
     assert import_dimacs(text) == cnf
 
 
+def test_plain_dimacs_refuses_xor_rows():
+    cnf = CnfFormula(3, ((1, 2),), (XorClause((1, 2, 3), 1),))
+    with pytest.raises(ValueError, match="XOR rows"):
+        export_dimacs(cnf)
+
+
 def test_dimacs_errors_carry_line_context():
     with pytest.raises(ValueError, match="line 2"):
         import_dimacs("p cnf 2 1\n1 2\n")
@@ -335,6 +345,21 @@ ALL_PARSERS = set(DIMACS_PARSERS)
 def _second_token(line, token):
     tokens = line.split()
     tokens[1] = token
+    return " ".join(tokens)
+
+
+def _drop_last_variable(line):
+    """The line without its last variable, 0 terminator kept."""
+    tokens = line.split()
+    del tokens[-2 if tokens[-1] == "0" else -1]
+    return " ".join(tokens)
+
+
+def _repeat_last_variable(line):
+    """The line with its last variable written in place of the one before."""
+    tokens = line.split()
+    last = -2 if tokens[-1] == "0" else -1
+    tokens[last - 1] = tokens[last]
     return " ".join(tokens)
 
 
@@ -367,12 +392,22 @@ DIMACS_CASES = {
     "satlib_end_marker": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n%\n0\n\n", ALL_PARSERS),
     "end_marker_ends_body": (
         lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n%\n0\n{a}\nnot dimacs\n", ALL_PARSERS),
+    "variable_out_of_range": (
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{_second_token(b, '9')}\n", set()),
+    "zero_variable": (lambda h, a, b: f"{h.format(2)}\n{a}\n{_second_token(b, '0')}\n", set()),
+    # A plain clause may have any length and repeat a variable; an xor
+    # line names exactly 3 distinct variables and an edge 2 distinct ends.
+    "one_variable_short": (
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{_drop_last_variable(b)}\n", {"cnf"}),
+    "repeated_variable": (
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{_repeat_last_variable(b)}\n", {"cnf"}),
 }
 # Rejections that name the offending line.
 LINE_CONTEXT_CASES = {
     "bad_header_field_count", "bad_header_kind", "clause_before_header",
     "missing_0_terminator", "unexpected_tag", "non_integer_header_token",
-    "non_integer_body_token", "second_header",
+    "non_integer_body_token", "second_header", "variable_out_of_range", "zero_variable",
+    "one_variable_short", "repeated_variable",
 }
 
 
@@ -386,6 +421,20 @@ def test_dimacs_parsers_accept_reject_table(case, parser):
     else:
         with pytest.raises(ValueError, match=r"^line \d+: " if case in LINE_CONTEXT_CASES else None):
             DIMACS_PARSERS[parser](text)
+
+
+def test_dimacs_readers_name_a_bad_variable_in_file_ids():
+    cases = [
+        (import_xor_dimacs, "p cnf 3 1\nx 1 2 9 0\n", "line 2: variable 9 out of range 1..3"),
+        (import_xor_dimacs, "p cnf 3 1\nx 0 1 2 0\n", "line 2: variable 0 out of range"),
+        (import_xor_dimacs, "p cnf 3 1\nx 1 2 0\n", "line 2: needs 3 distinct"),
+        (import_xor_dimacs, "p cnf 3 1\nx 1 1 2 0\n", "line 2: needs 3 distinct"),
+        (import_dimacs, "p cnf 4 1\n1 9 0\n", "line 2: variable 9 out of range 1..4"),
+        (from_dimacs_graph, "p edge 3 1\ne 0 1\n", "line 2: vertex 0 out of range 1..3"),
+    ]
+    for parse, text, message in cases:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            parse(text)
 
 
 def test_end_marker_reads_like_its_absence():

@@ -44,12 +44,12 @@ from xorcfi.xorsat import SAT, gauss_ratio
 
 from oracles import degrees, trial_draw
 
-P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+P3 = Graph(3, [(0, 1), (1, 2)])
 
 
 def random_graph(rnd, n, p=0.4):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                if rnd.random() < p])
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rnd.random() < p])
 
 
 # -- graph formats ---------------------------------------------------------
@@ -60,7 +60,7 @@ def test_dre_frozen_path_graph():
 
 
 def test_dre_frozen_empty_graph():
-    assert to_dre(Graph.from_edges(2, [])) == "n=2 $=0 g\n.\n"
+    assert to_dre(Graph(2, [])) == "n=2 $=0 g\n.\n"
 
 
 def test_dimacs_frozen_path_graph():
@@ -80,7 +80,7 @@ def test_round_trip_100_graphs_byte_exact():
 
 
 def test_dre_parses_isolated_tail_vertices():
-    g = Graph.from_edges(5, [(0, 1)])
+    g = Graph(5, [(0, 1)])
     assert from_dre(to_dre(g)).vertex_count == 5
 
 
@@ -95,10 +95,18 @@ def test_dre_rejects_every_proper_line_prefix():
     rnd = random.Random(21)
     for _ in range(5):
         g = random_graph(rnd, rnd.randint(3, 12), p=0.5)
-        lines = to_dre(Graph.from_edges(g.vertex_count, g.edges | {(0, 1)})).splitlines(True)
+        lines = to_dre(Graph(g.vertex_count, g.edges | {(0, 1)})).splitlines(True)
         for k in range(len(lines)):
             with pytest.raises(ValueError):
                 from_dre("".join(lines[:k]))
+
+
+def test_dre_rejects_a_body_line_without_colon():
+    # dreadnaut would read a bare number as one more neighbour of the
+    # current vertex; the frozen format has only `<v> : <w> ...` lines.
+    for text in ("n=3 $=0 g\n0 : 1;\n2.\n", "n=3 $=0 g\n2\n.\n"):
+        with pytest.raises(ValueError, match="without ':'"):
+            from_dre(text)
 
 
 def test_dre_rejects_negative_vertex_count():
@@ -143,7 +151,7 @@ def test_importers_reject_bad_vertices():
 
 
 def test_importers_round_trip_empty_and_isolated_tail_vertices():
-    for g in (Graph.from_edges(0, []), Graph.from_edges(4, []), Graph.from_edges(7, [(0, 1), (1, 2)])):
+    for g in (Graph(0, []), Graph(4, []), Graph(7, [(0, 1), (1, 2)])):
         for fmt in ("dre", "dimacs"):
             back = import_graph(export_graph(g, fmt), fmt)
             assert back.vertex_count == g.vertex_count
@@ -455,7 +463,7 @@ def test_validate_catches_deleted_edge(tmp_path):
     dre_path = tmp_path / records[0].graph_dre
     g = from_dre(dre_path.read_text())
     edges = sorted(g.edges)[:-1]
-    dre_path.write_text(to_dre(Graph.from_edges(g.vertex_count, edges)))
+    dre_path.write_text(to_dre(Graph(g.vertex_count, edges)))
     report = validate(tmp_path / records[0].manifest_file)
     failed = {c.name for c in report.checks if not c.passed}
     assert "graph_dre_edges" in failed
