@@ -10,34 +10,17 @@ vertex numbering depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .gf2 import rank
 
 
-@dataclass(frozen=True, order=True)
-class XorClause:
-    """Equation v1 + v2 + v3 = rhs with 1-based, strictly increasing vars."""
+class XorClause(NamedTuple):
+    """Equation v1 + v2 + v3 = rhs: a plain (vars, rhs) tuple, which sorts
+    in the frozen clause order. The formula that holds it checks it."""
 
     vars: Tuple[int, int, int]
     rhs: int
-
-    def __post_init__(self):
-        if len(self.vars) != 3:
-            raise ValueError(f"clause needs exactly 3 variables, got {self.vars}")
-        a, b, c = self.vars
-        if not (1 <= a < b < c):
-            raise ValueError(f"clause variables must be distinct, sorted, >= 1: {self.vars}")
-        if self.rhs not in (0, 1):
-            raise ValueError(f"rhs must be 0 or 1, got {self.rhs}")
-
-    @classmethod
-    def make(cls, vars: Iterable[int], rhs: int) -> "XorClause":
-        given = tuple(vars)
-        vs = tuple(sorted(given))
-        if len(vs) != 3 or len(set(vs)) != 3:
-            raise ValueError(f"clause needs 3 distinct variables, got {given}")
-        return cls(vs, rhs & 1)
 
     def satisfied_by(self, assignment: Sequence[int]) -> bool:
         """assignment[j] is the value of variable j+1."""
@@ -45,9 +28,17 @@ class XorClause:
         return (assignment[a - 1] ^ assignment[b - 1] ^ assignment[c - 1]) == self.rhs
 
 
+def _check_clause(cl: XorClause, n: int) -> None:
+    """The one clause check, which names the clause as given."""
+    vs = cl.vars
+    if not (len(vs) == 3 and 1 <= vs[0] < vs[1] < vs[2] <= n and cl.rhs in (0, 1)):
+        raise ValueError(f"clause {vs} = {cl.rhs} needs 3 strictly increasing "
+                         f"variables in 1..{n} and rhs 0 or 1")
+
+
 @dataclass(frozen=True)
 class XorFormula:
-    """A set of pairwise-inequivalent 3-XOR clauses over variables 1..n."""
+    """Checked 3-XOR clauses over 1..n, sorted, no two on one variable set."""
 
     n: int
     clauses: Tuple[XorClause, ...]
@@ -56,17 +47,15 @@ class XorFormula:
         if self.n < 0:
             raise ValueError("variable count must be >= 0")
         # Sorted order puts clauses on one variable set next to each other,
-        # so one pass over neighbouring (vars, rhs) keys checks both rules.
+        # so one pass over neighbouring clauses checks every rule.
         prev = ((0, 0, 0), 0)
         for cl in self.clauses:
-            key = (cl.vars, cl.rhs)
-            if cl.vars[2] > self.n:
-                raise ValueError(f"clause {cl.vars} exceeds variable count {self.n}")
-            if key[0] == prev[0] and key[1] != prev[1]:
+            _check_clause(cl, self.n)
+            if cl.vars == prev[0] and cl.rhs != prev[1]:
                 raise ValueError(f"contradictory duplicate clauses on variables {cl.vars}")
-            if key < prev:
-                raise ValueError("clauses must be in canonical sorted order")
-            prev = key
+            if cl <= prev:
+                raise ValueError("clauses must be in canonical sorted order without repeats")
+            prev = cl
 
     @property
     def m(self) -> int:
@@ -118,20 +107,15 @@ class CnfFormula:
                 if lit == 0 or abs(lit) > self.n:
                     raise ValueError(f"literal {lit} out of range for n={self.n}")
         for xc in self.xors:
-            if xc.vars[2] > self.n:
-                raise ValueError(f"xor clause {xc.vars} exceeds variable count {self.n}")
+            _check_clause(xc, self.n)
 
 
 def make_formula(n: int, raw: Iterable[Tuple[Iterable[int], int]]) -> XorFormula:
-    """Canonicalize raw (triple, rhs) pairs: sort triples, drop exact repeats.
-
-    XorClause.make rejects a triple with a repeated variable, and
-    XorFormula two clauses that share a variable set but disagree on rhs.
-    The keys are plain (vars, rhs) tuples, which hash and sort in C.
-    """
-    made = (XorClause.make(vars_, rhs) for vars_, rhs in raw)
-    keys = sorted(dict.fromkeys((cl.vars, cl.rhs) for cl in made))
-    return XorFormula(n, tuple(XorClause(v, r) for v, r in keys))
+    """Canonicalize raw (triple, rhs) pairs: sort each triple, reduce rhs
+    mod 2, drop exact repeats and sort the clauses. XorFormula checks the
+    result, so a triple with a repeated variable or two clauses that
+    share a variable set but disagree on rhs is a ValueError."""
+    return XorFormula(n, tuple(sorted({XorClause(tuple(sorted(vs)), rhs & 1) for vs, rhs in raw})))
 
 
 def pin(f: XorFormula, i: int, value: int) -> PinnedSystem:
@@ -151,7 +135,7 @@ def to_matrix(f: Union[XorFormula, PinnedSystem, CnfFormula]) -> Tuple[int, ...]
     if isinstance(f, PinnedSystem):
         return to_matrix(f.formula) + (1 << (f.var - 1) | f.value << n,)
     clauses = f.xors if isinstance(f, CnfFormula) else f.clauses
-    return pack_rows(n, ((cl.vars, cl.rhs) for cl in clauses))
+    return pack_rows(n, clauses)
 
 
 def pack_rows(n: int, clauses: Iterable[Tuple[Sequence[int], int]]) -> Tuple[int, ...]:

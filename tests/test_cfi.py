@@ -330,8 +330,10 @@ def test_unsatisfying_assignment_rejected():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 3)])
+    # A flat or wrong-width list raises like the same rows as an array.
+    for rows in ([(0, 3)], [0, 1, 1, 2], [(0, 1, 2), (0, 1, 2)]):
+        with pytest.raises(ValueError):
+            Graph(3, rows)
     for rows in ([[1, 1]], [[0, 3]], [[-1, 2]], [0, 1, 2], [[0, 1, 2]]):
         with pytest.raises(ValueError):
             Graph(3, np.array(rows))

@@ -84,9 +84,33 @@ def test_make_formula_rejects_repeated_variable():
         make_formula(4, [((1, 1, 2), 0)])
 
 
-def test_clause_make_reports_an_iterator_input_in_full():
-    with pytest.raises(ValueError, match=r"got \(1, 1, 2\)"):
-        XorClause.make(iter([1, 1, 2]), 0)
+def test_make_formula_reports_an_iterator_input_in_full():
+    with pytest.raises(ValueError, match=r"clause \(1, 1, 2\) = 0"):
+        make_formula(4, [(iter([1, 1, 2]), 0)])
+
+
+BAD_CLAUSES = [((2, 1, 3), 0), ((1, 1, 2), 0), ((0, 1, 2), 0), ((1, 2, 5), 0), ((1, 2), 0),
+               ((1, 2, 3), 2)]
+
+
+@pytest.mark.parametrize("vars_, rhs", BAD_CLAUSES)
+def test_one_clause_check_names_the_clause_as_given(vars_, rhs):
+    named = re.escape(f"clause {vars_} = {rhs}")
+    with pytest.raises(ValueError, match=named):
+        XorFormula(4, (XorClause(vars_, rhs),))
+    with pytest.raises(ValueError, match=named):
+        CnfFormula(4, (), (XorClause((1, 2, 3), 0), XorClause(vars_, rhs)))
+    if vars_ == (2, 1, 3) or rhs == 2:
+        # make_formula sorts each triple and reduces rhs mod 2.
+        assert make_formula(4, [(vars_, rhs)]).clauses == (XorClause((1, 2, 3), rhs & 1),)
+    else:
+        with pytest.raises(ValueError, match=named):
+            make_formula(4, [(vars_, rhs)])
+
+
+def test_formula_rejects_an_exact_repeat():
+    with pytest.raises(ValueError, match="without repeats"):
+        XorFormula(4, COMPLETE.clauses[:1] + COMPLETE.clauses)
 
 
 def test_make_formula_rejects_contradictory_duplicate():
@@ -108,7 +132,7 @@ def test_formula_accepts_exactly_sorted_clauses_without_contradictions():
             clauses = tuple(sorted(clauses))
         rhs = {}
         contradictory = any(rhs.setdefault(cl.vars, cl.rhs) != cl.rhs for cl in clauses)
-        valid = not contradictory and tuple(sorted(clauses)) == clauses
+        valid = not contradictory and tuple(sorted(set(clauses))) == clauses
         try:
             XorFormula(5, clauses)
         except ValueError:
