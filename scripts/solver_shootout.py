@@ -54,10 +54,10 @@ def main(argv=None) -> int:
     for manifest_path in manifests:
         try:
             record = parse_manifest(manifest_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             instance = manifest_path.parent.name
             for solver in args.solvers:
-                results.append(BenchResult(instance, result_name(solver), "unknown", 0.0,
+                results.append(BenchResult(instance, result_name(solver), 0.0,
                                            STATUS_ERROR, error=str(exc)))
                 print(f"{instance} {solver}: {STATUS_ERROR} (unreadable manifest: {exc})")
             continue
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
                 try:
                     g = from_dre(dre_path.read_text(encoding="utf-8"))
                 except (OSError, ValueError) as exc:
-                    res = BenchResult(record.instance_id, result_name(solver), "unknown", 0.0,
+                    res = BenchResult(record.instance_id, result_name(solver), 0.0,
                                       STATUS_ERROR, error=str(exc))
                 else:
                     res = run_internal(g, timeout=args.timeout,

@@ -2,8 +2,9 @@
 
 External solvers run as child processes with a wall-clock timeout; a
 timed-out run records the limit itself as its time, so timed-out points
-sit on the timeout line when plotted. Missing binaries and unreadable
-instance files degrade to an ERROR result and the batch continues.
+sit on the timeout line when plotted; the growth fit leaves them out.
+Missing binaries and unreadable instance files degrade to an ERROR
+result and the batch continues.
 Instance files are never touched.
 """
 
@@ -40,7 +41,6 @@ INTERNAL_SOLVER = "internal-ir"  # the solver column of run_internal's rows
 class BenchResult:
     instance: str
     solver: str
-    version: str
     time_s: float
     status: str
     group_size: Optional[int] = None
@@ -60,7 +60,6 @@ class SolverAdapter:
     input_format: str  # "dre-stdin" feeds dreadnaut commands; "dimacs-arg" passes a converted file
     prelude: str = ""  # dreadnaut mode commands sent before the graph
     group_pattern: str = r"grpsize=([0-9.eE+]+)"
-    version_pattern: str = r"[Vv]ersion\s+([0-9][0-9.]*)"
 
 
 ADAPTERS: Dict[str, SolverAdapter] = {
@@ -87,11 +86,6 @@ def _parse_group_size(text: str, pattern: str) -> Optional[int]:
     return round(value)
 
 
-def _parse_version(text: str, pattern: str) -> str:
-    match = re.search(pattern, text)
-    return match.group(1) if match else "unknown"
-
-
 def run_external(solver: str, dre_file: Union[str, Path], timeout: float) -> BenchResult:
     """Launch one solver on one .dre file; never raises on child failure."""
     if solver not in ADAPTERS:
@@ -100,11 +94,11 @@ def run_external(solver: str, dre_file: Union[str, Path], timeout: float) -> Ben
     dre_path = Path(dre_file)
     instance = dre_path.parent.name or dre_path.stem
     if shutil.which(adapter.binary) is None:
-        return BenchResult(instance, solver, "unknown", 0.0, STATUS_ERROR, error=MISSING_SOLVER)
+        return BenchResult(instance, solver, 0.0, STATUS_ERROR, error=MISSING_SOLVER)
     try:
         dre_text = dre_path.read_text(encoding="utf-8")
     except OSError as exc:
-        return BenchResult(instance, solver, "unknown", 0.0, STATUS_ERROR, error=str(exc))
+        return BenchResult(instance, solver, 0.0, STATUS_ERROR, error=str(exc))
 
     tmp_path: Optional[Path] = None
     if adapter.input_format == "dre-stdin":
@@ -114,7 +108,7 @@ def run_external(solver: str, dre_file: Union[str, Path], timeout: float) -> Ben
         try:
             graph = from_dre(dre_text)
         except ValueError as exc:
-            return BenchResult(instance, solver, "unknown", 0.0, STATUS_ERROR, error=str(exc))
+            return BenchResult(instance, solver, 0.0, STATUS_ERROR, error=str(exc))
         tmp = tempfile.NamedTemporaryFile("w", suffix=".dimacs", delete=False, encoding="utf-8")
         tmp.write(to_dimacs_graph(graph))
         tmp.close()
@@ -128,16 +122,15 @@ def run_external(solver: str, dre_file: Union[str, Path], timeout: float) -> Ben
                               text=True, timeout=timeout)
         elapsed = time.monotonic() - start
         output = proc.stdout + "\n" + proc.stderr
-        version = _parse_version(output, adapter.version_pattern)
         if proc.returncode != 0:
-            return BenchResult(instance, solver, version, elapsed, STATUS_ERROR,
+            return BenchResult(instance, solver, elapsed, STATUS_ERROR,
                                error=f"exit {proc.returncode}: {proc.stderr.strip()[:200]}")
-        return BenchResult(instance, solver, version, elapsed, STATUS_OK,
+        return BenchResult(instance, solver, elapsed, STATUS_OK,
                            group_size=_parse_group_size(output, adapter.group_pattern))
     except subprocess.TimeoutExpired:
-        return BenchResult(instance, solver, "unknown", float(timeout), STATUS_TIMEOUT)
+        return BenchResult(instance, solver, float(timeout), STATUS_TIMEOUT)
     except OSError as exc:
-        return BenchResult(instance, solver, "unknown", 0.0, STATUS_ERROR, error=str(exc))
+        return BenchResult(instance, solver, 0.0, STATUS_ERROR, error=str(exc))
     finally:
         if tmp_path is not None:
             tmp_path.unlink(missing_ok=True)
@@ -158,11 +151,11 @@ def run_internal(
                               cell_strategy=cell_strategy)
     elapsed = time.monotonic() - start
     if report.status == STATUS_COMPLETE:
-        return BenchResult(instance, INTERNAL_SOLVER, "0", elapsed, STATUS_OK,
+        return BenchResult(instance, INTERNAL_SOLVER, elapsed, STATUS_OK,
                            group_size=report.group_size, nodes=report.search_nodes)
     node_capped = max_nodes is not None and report.search_nodes > max_nodes
     recorded = elapsed if timeout is None or node_capped else float(timeout)
-    return BenchResult(instance, INTERNAL_SOLVER, "0", recorded, STATUS_TIMEOUT,
+    return BenchResult(instance, INTERNAL_SOLVER, recorded, STATUS_TIMEOUT,
                        nodes=report.search_nodes)
 
 
@@ -187,48 +180,43 @@ def results_csv(results: Sequence[BenchResult]) -> str:
     return buf.getvalue()
 
 
-def _cost_of(r: BenchResult) -> Optional[float]:
-    if r.nodes is not None:
-        return float(r.nodes)
-    if r.status == STATUS_OK:
-        return r.time_s
-    return None
-
-
-def _cost_points(results: Sequence[BenchResult]) -> Dict[str, List[Tuple[int, float]]]:
-    """Each solver's sorted (vertices, cost) points; results lacking either are left out."""
-    by_solver: Dict[str, List[Tuple[int, float]]] = {}
+def _cost_points(results: Sequence[BenchResult]) -> Dict[str, List[Tuple[int, float, str]]]:
+    """Each solver's sorted (vertices, cost, status) points. The cost is
+    the node count when there is one, else the recorded time; ERROR runs
+    and results without a vertex count are left out."""
+    by_solver: Dict[str, List[Tuple[int, float, str]]] = {}
     for r in results:
-        cost = _cost_of(r)
-        if cost is not None and r.vertices is not None:
-            by_solver.setdefault(r.solver, []).append((r.vertices, cost))
+        if r.status != STATUS_ERROR and r.vertices is not None:
+            cost = r.time_s if r.nodes is None else float(r.nodes)
+            by_solver.setdefault(r.solver, []).append((r.vertices, cost, r.status))
     return {solver: sorted(points) for solver, points in by_solver.items()}
 
 
 def growth_report(results: Sequence[BenchResult]) -> str:
-    """Per-solver log(cost) vs vertices fit; a ratio line below 3 points."""
+    """Per-solver log(cost) vs vertices fit over OK runs; a ratio line
+    below 3 points. A TIMEOUT run's cost is only a bound, so it is left
+    out of the fit and counted."""
     lines = []
     for solver, points in sorted(_cost_points(results).items()):
-        points = [(v, c) for v, c in points if c > 0]
-        if not points:
+        timed_out = sum(status == STATUS_TIMEOUT for _, _, status in points)
+        points = [(v, c) for v, c, status in points if status == STATUS_OK and c > 0]
+        if not points and not timed_out:
             continue
         if len(points) < 2:
-            lines.append(f"{solver}: {len(points)} point(s), nothing to compare")
-            continue
-        if len(points) < 3:
+            line = f"{solver}: {len(points)} point(s), nothing to compare"
+        elif len(points) < 3:
             (v0, c0), (v1, c1) = points[0], points[-1]
-            lines.append(f"{solver}: cost ratio {c1 / c0:.3f} from {v0} to {v1} vertices (no fit)")
-            continue
-        xs = np.array([p[0] for p in points], dtype=float)
-        ys = np.log(np.array([p[1] for p in points], dtype=float))
-        slope, intercept = np.polyfit(xs, ys, 1)
-        doubling = math.log(2) / slope if slope > 0 else float("inf")
-        lines.append(
-            f"{solver}: log-cost slope {slope:.6f} per vertex over {len(points)} points"
-            f" (cost doubles every {doubling:.1f} vertices)"
-            if slope > 0 else
-            f"{solver}: log-cost slope {slope:.6f} per vertex over {len(points)} points (not growing)"
-        )
+            line = f"{solver}: cost ratio {c1 / c0:.3f} from {v0} to {v1} vertices (no fit)"
+        else:
+            xs = np.array([p[0] for p in points], dtype=float)
+            ys = np.log(np.array([p[1] for p in points], dtype=float))
+            slope, intercept = np.polyfit(xs, ys, 1)
+            line = f"{solver}: log-cost slope {slope:.6f} per vertex over {len(points)} points"
+            line += (f" (cost doubles every {math.log(2) / slope:.1f} vertices)"
+                     if slope > 0 else " (not growing)")
+        if timed_out:
+            line += f"; {timed_out} {STATUS_TIMEOUT} row(s) left out"
+        lines.append(line)
     return "\n".join(lines) + "\n" if lines else "no data\n"
 
 
@@ -239,5 +227,5 @@ def write_summary(results: Sequence[BenchResult], out_dir: Union[str, Path]) -> 
     _atomic_write(out / "results.csv", results_csv(results))
     _atomic_write(out / "growth.txt", growth_report(results))
     for solver, points in _cost_points(results).items():
-        body = "".join(f"{v} {c:.6f}\n" for v, c in points)
+        body = "".join(f"{v} {c:.6f}\n" for v, c, _ in points)
         _atomic_write(out / f"{solver}.dat", "# vertices cost\n" + body)

@@ -152,13 +152,7 @@ def is_uniquely_satisfiable(f: XorFormula) -> bool:
 
 
 def has_full_rank(n: int, triples: Sequence[Sequence[int]]) -> bool:
-    """True iff the homogeneous equations on these triples have rank n.
-
-    A variable in no triple is a kernel vector on its own, so rank < n
-    is settled without an elimination.
-    """
-    if len({v for t in triples for v in t}) < n:
-        return False
+    """True iff the homogeneous equations on these triples have rank n."""
     return rank(pack_rows(n, ((t, 0) for t in triples)), n) == n
 
 

@@ -10,10 +10,10 @@ Trials are drawn a chunk at a time. One Philox bit generator is re-keyed
 to each trial of the chunk, which reads the same stream as a new one, and
 gives it one block of draws; numpy operations over the whole chunk then
 pick each trial's triples and check that they cover every variable.
-A trial whose block holds too few distinct triples, every trial of the
-dense Fisher-Yates case, and every trial of an n too large for int64
-triple codes, takes the sequential draw from its stream's start.
-Sampling a single trial is a chunk of one.
+A trial whose block holds too few distinct triples is drawn again from
+its stream's start with a block twice as long, until every trial is
+full. Only the dense case (m above half of C(n,3)) draws per trial, by
+a Fisher-Yates prefix. Sampling a single trial is a chunk of one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,15 +79,15 @@ def trial_rng(seed: int, trial: int = 0,
               reuse: Optional[np.random.Generator] = None) -> np.random.Generator:
     """Philox stream for one trial; streams never collide across trials.
 
-    With `reuse`, that generator's Philox is re-keyed and its counter and
-    buffers reset, which reads the same stream as a new generator at a
-    fraction of the cost of building one.
+    The generator's Philox is keyed with (seed << 64) | trial and its
+    counter and buffers reset. Passing `reuse` re-keys that generator,
+    which reads the same stream as a new one at a fraction of the cost of
+    building one.
     """
     _check_u64(seed, "seed")
     _check_u64(trial, "trial index")
-    if reuse is None:
-        return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
-    reuse.bit_generator.state = {
+    rng = np.random.Generator(np.random.Philox()) if reuse is None else reuse
+    rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64), "key": np.array([trial, seed], np.uint64)},
         "buffer": np.zeros(4, np.uint64),
@@ -95,7 +95,7 @@ def trial_rng(seed: int, trial: int = 0,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return reuse
+    return rng
 
 
 @dataclass(frozen=True)
@@ -134,21 +134,21 @@ def screen(cfg: SampleConfig, trials: range) -> List[TrialDraw]:
     n, m = cfg.n, cfg.effective_m
     triples = np.empty((len(trials), m, 3), np.int64)
     rng = None
-    dense = m > cfg.max_clauses // 2
-    # Blocks are screened as int64 triple codes in base n + 1 (see
-    # _first_distinct); above that range every trial is drawn sequentially.
-    if dense or (n + 1) ** 3 >= 2**63:
-        redraw = range(len(trials))
-    else:
-        blocks = np.empty((len(trials), _block_rows(m), 3), np.int64)
+    if m > cfg.max_clauses // 2:
         for i, trial in enumerate(trials):
             rng = trial_rng(cfg.seed, trial, rng)
-            blocks[i] = rng.integers(1, n + 1, size=blocks.shape[1:])
-        redraw = _first_distinct(blocks, n, triples)
-    for i in redraw:
-        rng = trial_rng(cfg.seed, trials[i], rng)
-        chosen = _shuffle_prefix_subsets(rng, n, m) if dense else _draw_sequential(rng, n, m)
-        triples[i] = sorted(chosen)
+            triples[i] = sorted(_shuffle_prefix_subsets(rng, n, m))
+    else:
+        todo, rows = np.arange(len(trials)), _block_rows(m)
+        while len(todo):
+            blocks = np.empty((len(todo), rows, 3), np.int64)
+            for i, j in enumerate(todo.tolist()):
+                rng = trial_rng(cfg.seed, trials[j], rng)
+                blocks[i] = rng.integers(1, n + 1, size=blocks.shape[1:])
+            full, chosen = _first_distinct(blocks, n, m)
+            triples[todo[full]] = chosen
+            # A short block is drawn again from its stream's start, twice as long.
+            todo, rows = todo[~full], 2 * rows
     used = np.sort(triples.reshape(len(trials), -1), axis=1)
     covers_all = ((used[:, 1:] != used[:, :-1]).sum(axis=1) == n - 1).tolist()
     return [TrialDraw(trial, n, triples[i], covers_all[i]) for i, trial in enumerate(trials)]
@@ -160,22 +160,23 @@ def sample_homogeneous(cfg: SampleConfig, trial: int = 0) -> XorFormula:
 
 
 def _block_rows(m: int) -> int:
-    # Over-draw so that one block usually holds m distinct triples; the
-    # sequential draw takes its first block of the same size.
+    # Over-draw so that one block usually holds m distinct triples.
     return 2 * m + 16
 
 
-def _first_distinct(blocks: np.ndarray, n: int, out: np.ndarray) -> List[int]:
-    """Write each trial's first m distinct triples of its block into out,
-    sorted; return the trials whose block holds fewer than m.
+def _first_distinct(blocks: np.ndarray, n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each trial's first m distinct triples of its block, sorted: returns
+    `full`, which trials' blocks hold m, and those trials' (k, m, 3) triples.
 
     A triple is its row sorted; a row with a repeated variable is skipped,
     and so is a repeat of an earlier triple of the same block. Triples are
-    compared as codes a·(n+1)² + b·(n+1) + c, which order them as tuples.
+    compared as codes a·(n+1)² + b·(n+1) + c, which order them as tuples;
+    codes that do not fit in int64 are Python ints.
     """
-    m, base = out.shape[1], n + 1
+    base = n + 1
     blocks.sort(axis=2)
-    a, b, c = blocks.transpose(2, 0, 1)
+    dtype = np.int64 if base**3 < 2**63 else object
+    a, b, c = blocks.transpose(2, 0, 1).astype(dtype, copy=False)
     code = (a * base + b) * base + c
     by_trial = np.arange(len(code))[:, None]
     order = np.argsort(code, axis=1, kind="stable")
@@ -188,30 +189,8 @@ def _first_distinct(blocks: np.ndarray, n: int, out: np.ndarray) -> List[int]:
     count = first.cumsum(axis=1)
     full = count[:, -1] >= m
     chosen = np.sort(code[full][(first & (count <= m))[full]].reshape(-1, m), axis=1)
-    rest, out[full, :, 2] = np.divmod(chosen, base)
-    out[full, :, 0], out[full, :, 1] = np.divmod(rest, base)
-    return np.flatnonzero(~full).tolist()
-
-
-def _draw_sequential(rng: np.random.Generator, n: int, m: int):
-    """The m triples of one trial by rejection, from its stream's start.
-
-    Triples are drawn three integers at a time and a triple with a
-    repeated variable is redrawn. The draws come in blocks of rows from
-    one rng.integers call, which reads the stream exactly as that many
-    single draws; the draws of a block left over once m triples are
-    chosen are never used.
-    """
-    chosen = set()
-    while len(chosen) < m:
-        rows = rng.integers(1, n + 1, size=(_block_rows(m - len(chosen)), 3))
-        rows.sort(axis=1)
-        rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])]
-        for t in map(tuple, rows.tolist()):
-            chosen.add(t)
-            if len(chosen) == m:
-                break
-    return chosen
+    rest = chosen // base  # np.divmod takes no object arrays
+    return full, np.stack([rest // base, rest % base, chosen % base], axis=2)
 
 
 def _shuffle_prefix_subsets(rng: np.random.Generator, n: int, m: int):

@@ -167,7 +167,7 @@ def test_empty_results_csv_has_header_only():
 
 
 def res(instance, solver, vertices, nodes=None, time_s=1.0, status=STATUS_OK):
-    return BenchResult(instance, solver, "0", time_s, status,
+    return BenchResult(instance, solver, time_s, status,
                        nodes=nodes, vertices=vertices, n_vars=1, m=1)
 
 
@@ -211,3 +211,29 @@ def test_write_summary_files(tmp_path, monkeypatch):
     }
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
     assert sorted(written) == sorted(expected)
+
+
+def test_timed_out_runs_are_plotted_but_not_fitted(tmp_path):
+    # An external TIMEOUT row records the limit as its time and an internal
+    # one its capped node count: both are plotted, neither is a cost the
+    # fit may take as exact.
+    results = [
+        res("a", "traces", 10, time_s=1.0),
+        res("b", "traces", 20, time_s=60.0, status=STATUS_TIMEOUT),
+        res("a", "internal-ir", 10, nodes=2),
+        res("b", "internal-ir", 20, nodes=100, status=STATUS_TIMEOUT),
+        res("c", "internal-ir", 30, nodes=8),
+        res("d", "internal-ir", 40, nodes=16),
+        res("e", "internal-ir", 50, status=STATUS_ERROR),
+    ]
+    write_summary(results, tmp_path)
+    assert (tmp_path / "traces.dat").read_text() == "# vertices cost\n10 1.000000\n20 60.000000\n"
+    assert (tmp_path / "internal-ir.dat").read_text() == (
+        "# vertices cost\n10 2.000000\n20 100.000000\n30 8.000000\n40 16.000000\n")
+    lines = (tmp_path / "growth.txt").read_text().splitlines()
+    assert lines[0].startswith("internal-ir: log-cost slope 0.069315 per vertex over 3 points")
+    assert lines[0].endswith("; 1 TIMEOUT row(s) left out")
+    assert lines[1] == "traces: 1 point(s), nothing to compare; 1 TIMEOUT row(s) left out"
+    only_timeouts = [res("b", "s", 20, nodes=100, status=STATUS_TIMEOUT)]
+    assert growth_report(only_timeouts) == (
+        "s: 0 point(s), nothing to compare; 1 TIMEOUT row(s) left out\n")

@@ -244,7 +244,8 @@ def test_unused_variable_verdict_equals_rank_check(monkeypatch):
                     unused += has_unused
                     before = len(ranks)
                     assert is_uniquely_satisfiable(g) == (real_rank(to_matrix(g), g.n) == g.n)
-                    assert len(ranks) == before + (not has_unused)
+                    # The rank alone decides, with or without an unused variable.
+                    assert len(ranks) == before + 1
     assert 0 < unused < checked
 
 

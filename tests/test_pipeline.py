@@ -736,14 +736,18 @@ def test_solver_shootout_script_toy_run(tmp_path):
 
 
 def test_solver_shootout_script_reports_an_unreadable_manifest(tmp_path):
-    def break_first(manifests):
+    def break_two(manifests):
         text = manifests[0].read_text()
         manifests[0].write_text(text.replace("gadget_mode: full", "gadget_mode: fancy"))
+        # A manifest that cannot be opened at all: a directory of that name.
+        manifests[1].unlink()
+        manifests[1].mkdir()
 
-    records, rows = _shootout(tmp_path, break_first)
+    records, rows = _shootout(tmp_path, break_two)
     assert [(r["instance"], r["solver"], r["status"]) for r in rows] == (
-        [(records[0].instance_id, "internal-ir", "ERROR")]
-        + [(r.instance_id, "internal-ir", "OK") for r in records[1:]])
+        [(r.instance_id, "internal-ir", "ERROR") for r in records[:2]]
+        + [(r.instance_id, "internal-ir", "OK") for r in records[2:]])
+    assert len(records) > 2
 
 
 def test_solver_shootout_script_reports_a_missing_or_malformed_dre(tmp_path):

@@ -124,10 +124,11 @@ def _short_first_blocks(cfg, trials):
 
 def test_screen_matches_per_draw_oracle_on_whole_chunks():
     # Every batch spans two chunks, a whole one and one trial more. At
-    # m = C(n,3)/2 some first blocks fall short, so those trials are drawn
-    # again one triple at a time; m just above it takes Fisher-Yates. The
-    # last two sizes are the largest n whose triple codes fit in int64 and
-    # the smallest whose do not, so that every trial is drawn sequentially.
+    # m = C(n,3)/2 some first blocks fall short, so those trials are
+    # screened again with longer blocks; m just above it takes
+    # Fisher-Yates. The last two sizes are the largest n whose triple codes
+    # fit in int64 and the smallest whose do not, so that their codes are
+    # Python ints.
     grid = [(n, m) for n in (5, 6, 7, 12, 30, 100, 1000) for m in (n, 2 * n)
             if m <= math.comb(n, 3) // 2]
     grid += [(6, 10), (7, 17), (5, 6), (6, 11), (7, 18), (12, 111), (30, 2031)]
@@ -168,18 +169,23 @@ def test_rekeyed_stream_checks_64_bits():
         trial_rng(0, -1, rng)
 
 
+def _philox(seed, trial):
+    """A new generator keyed with the stream contract's 128-bit key."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
+
+
 def test_rekeying_leaks_no_state():
     # A bounded integers call leaves half of a 64-bit word buffered; the
     # re-keyed generator must not read it.
     used = trial_rng(1, 2)
     used.integers(1, 31, size=5)
     assert used.bit_generator.state["has_uint32"] == 1
-    fresh = trial_rng(5000, 7).integers(1, 31, size=(40, 3))
+    fresh = _philox(5000, 7).integers(1, 31, size=(40, 3))
     assert (trial_rng(5000, 7, used).integers(1, 31, size=(40, 3)) == fresh).all()
 
     # Generators of their own draw unchanged around screen calls.
     cfg = SampleConfig(n=30, m=30, seed=5000)
-    ours, reference = trial_rng(5000, 3), trial_rng(5000, 3)
+    ours, reference = trial_rng(5000, 3), _philox(5000, 3)
     parts = []
     for chunk in chunks(cfg, range(300)):
         parts.append(ours.integers(1, 31, size=(50, 3)))
