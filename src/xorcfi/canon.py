@@ -22,15 +22,23 @@ wrong branches pay for their whole subtree, so the node count directly
 reflects how long refinement keeps branches looking alike. The group
 order is the orbit product along the leftmost path (McKay & Piperno,
 Practical Graph Isomorphism II, 2014).
+
+k-local consistency of a formula is the width-bounded xor closure of
+its parity rows, run in numpy batches. Each row is packed into
+n // 64 + 1 uint64 words with its right-hand side at bit n. A step
+takes every pending row of the least width and tests it against all
+derived rows at once: a pair passes when the supports share a variable
+and together touch at most k. The xors of passing pairs that were not
+seen before, looked up in one sorted array of row keys, become pending
+rows; the closure stops at the first 0 = 1 (see local_consistency).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -317,6 +325,27 @@ def _estimated_states(n: int, k: int) -> int:
     return sum(math.comb(n, j) * (1 << j) for j in range(min(k, n) + 1))
 
 
+# Most row words one pair test of the closure holds at once (batch rows
+# times derived rows times words per row); it bounds memory, never the
+# verdict.
+_PAIR_CHUNK = 1 << 18
+
+
+def _pack_words(rows: Sequence[int], words: int) -> np.ndarray:
+    """Parity rows as a (len(rows), words) uint64 array, bit j of a row
+    at bit j % 64 of word j // 64."""
+    low = (1 << 64) - 1
+    return np.array([[r >> (64 * w) & low for w in range(words)] for r in rows],
+                    dtype=np.uint64).reshape(len(rows), words)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable scalar per packed row, equal exactly when the rows are."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * 8)))[:, 0]
+
+
 def local_consistency(
     f: Union[XorFormula, PinnedSystem],
     k: int,
@@ -342,8 +371,15 @@ def local_consistency(
     span, and each xor it performs stays inside one V, where the spans
     perform it too, so it derives nothing more.
 
-    Rows leave a heap narrowest first and enter it once, so a refuted
-    pin stops at its first 0 = 1, usually before any wide rows meet.
+    The closure is a fixpoint, so the order in which pairs meet is free,
+    and it runs in numpy batches. A row is n // 64 + 1 uint64 words, its
+    right-hand side at bit n. Each step takes every pending row of the
+    least width and tests it against every row derived before it at once
+    (supports AND to nonzero, OR to at most k bits), in chunks of at most
+    _PAIR_CHUNK row words. It xors the pairs that pass and keeps the rows
+    not seen before, looked up in one sorted array of row keys. Two
+    distinct rows on the same variables xor to 0 = 1, which ends the
+    closure, so a refuted pin usually stops before any wide rows meet.
     max_states bounds the size of the assignment game, not this work, so
     that the same calls are refused as by an enumerating checker.
     """
@@ -355,21 +391,44 @@ def local_consistency(
     if est > max_states:
         raise BudgetExceededError(f"about {est} game states exceed the budget of {max_states}")
 
-    contradiction = 1 << n
-    seen = {r for r in to_matrix(f) if (r & ~contradiction).bit_count() <= keff}
-    heap = [((r & ~contradiction).bit_count(), r) for r in seen]
-    heapq.heapify(heap)
-    derived: List[Tuple[int, int]] = []  # (row, its variables)
-    while heap:
-        _, r = heapq.heappop(heap)
-        if r == contradiction:
-            return False
-        support = r & ~contradiction
-        for s, s_support in derived:
-            if support & s_support and (support | s_support).bit_count() <= keff:
-                t = r ^ s
-                if t not in seen:
-                    seen.add(t)
-                    heapq.heappush(heap, ((support ^ s_support).bit_count(), t))
-        derived.append((r, support))
+    words = n // 64 + 1
+    variables = ~_pack_words([1 << n], words)[0]  # every bit but the right-hand side
+    todo = _pack_words(to_matrix(f), words)
+    todo_wid = np.bitwise_count(todo & variables).sum(axis=1, dtype=np.int64)
+    todo, todo_wid = todo[todo_wid <= keff], todo_wid[todo_wid <= keff]
+    seen = np.sort(_row_keys(todo))  # a formula's rows are distinct
+    done = todo[:0]
+    done_sup = todo[:0]
+    done_wid = todo_wid[:0]
+    while len(todo):
+        least = todo_wid == todo_wid.min()
+        batch, batch_wid = todo[least], todo_wid[least]
+        found = [(todo[~least], todo_wid[~least])]
+        base = len(done)
+        done = np.concatenate((done, batch))
+        done_sup = np.concatenate((done_sup, batch & variables))
+        done_wid = np.concatenate((done_wid, batch_wid))
+        step = max(1, _PAIR_CHUNK // (len(done) * words))
+        for lo in range(0, len(batch), step):
+            hi = min(lo + step, len(batch))
+            # Batch row p meets the rows derived before it, as if the
+            # batch rows had been derived one at a time.
+            end = base + hi
+            meet = np.bitwise_count(done_sup[base + lo:end, None] & done_sup[None, :end]).sum(
+                axis=2, dtype=np.int64)
+            width = batch_wid[lo:hi, None] + done_wid[None, :end] - 2 * meet
+            earlier = np.arange(end) < np.arange(base + lo, end)[:, None]
+            i, j = np.nonzero(earlier & (meet > 0) & (width + meet <= keff))
+            if not len(i):
+                continue
+            width = width[i, j]
+            if not width.all():
+                return False  # two distinct rows on the same variables
+            rows = batch[lo + i] ^ done[j]
+            keys, first = np.unique(_row_keys(rows), return_index=True)
+            at = np.searchsorted(seen, keys)
+            fresh = seen[np.minimum(at, len(seen) - 1)] != keys
+            seen = np.insert(seen, at[fresh], keys[fresh])
+            found.append((rows[first[fresh]], width[first[fresh]]))
+        todo, todo_wid = (np.concatenate(parts) for parts in zip(*found))
     return True

@@ -6,6 +6,7 @@ meant for small inputs only. Tests import them with
 pytest puts it on ``sys.path``.
 """
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -649,6 +650,37 @@ def enumerating_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) ->
                 kill((vmask | bit, amask))
                 kill((vmask | bit, amask | bit))
     return (0, 0) in alive
+
+
+def heap_xor_closure(f: Union[XorFormula, PinnedSystem], k: int) -> bool:
+    """canon.local_consistency one row at a time, without the game-state
+    budget.
+
+    The same width-bounded xor closure: rows leave a heap narrowest
+    first and enter it once, and each popped row is tested in Python
+    against every row derived before it; a refuted pin stops at its
+    first 0 = 1. A row holds its right-hand side at bit n.
+    """
+    n = f.n
+    keff = min(k, n)
+    contradiction = 1 << n
+    seen = {r for r in to_matrix(f) if (r & ~contradiction).bit_count() <= keff}
+    heap = [((r & ~contradiction).bit_count(), r) for r in seen]
+    heapq.heapify(heap)
+    derived: List[Tuple[int, int]] = []  # (row, its variables)
+    while heap:
+        _, r = heapq.heappop(heap)
+        if r == contradiction:
+            return False
+        support = r & ~contradiction
+        for s, s_support in derived:
+            if support & s_support and (support | s_support).bit_count() <= keff:
+                t = r ^ s
+                if t not in seen:
+                    seen.add(t)
+                    heapq.heappush(heap, ((support ^ s_support).bit_count(), t))
+        derived.append((r, support))
+    return True
 
 
 def row_span_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) -> bool:

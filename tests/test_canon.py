@@ -36,6 +36,7 @@ from oracles import (
     cells,
     color_refine,
     enumerating_local_consistency,
+    heap_xor_closure,
     individualize,
     orbits_from_generators,
     refines,
@@ -826,6 +827,55 @@ def test_xor_closure_checker_matches_row_span_checker():
                 assert outcomes[-1] == row_span_local_consistency(p, k), (n, i, k)
             consistent[n, k] = outcomes.count(True)
     assert consistent == {(20, 3): 2, (20, 4): 0, (30, 3): 11, (30, 4): 0}
+
+
+def closure_corpus(cases, seed):
+    """Seeded pinned and unpinned systems at n 3..12 and k 1..6, up to
+    A4's n=12, k=6. One consistent pin at n=16, k=8 took the heap oracle
+    34 s, so the corpus stops short of that."""
+    rnd = random.Random(seed)
+    for case in range(cases):
+        n = rnd.randint(3, 12)
+        m = rnd.randint(1, min(2 * n, math.comb(n, 3)))
+        f = sample_homogeneous(SampleConfig(n=n, m=m, seed=9000 + case))
+        k = rnd.randint(1, 6)
+        yield (pin(f, rnd.randint(1, n), rnd.randint(0, 1)) if rnd.random() < 0.75 else f), k
+
+
+def test_batched_closure_matches_heap_closure_on_seeded_corpus():
+    outcomes = []
+    for obj, k in closure_corpus(400, 25):
+        outcomes.append(local_consistency(obj, k, max_states=10**9))
+        assert outcomes[-1] == heap_xor_closure(obj, k), (obj, k)
+    assert outcomes.count(True) == 341 and outcomes.count(False) == 59
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 65, 127, 128, 129])
+def test_batched_closure_matches_heap_closure_across_word_edges(n):
+    # A row of n variables is n // 64 + 1 words with the right-hand side
+    # at bit n, so these n put the rhs bit last in a word, first in the
+    # next, or inside one. Pinned variables sit on either side of the
+    # edge between the first two words.
+    outcomes = []
+    for ratio in (2.0, 3.0):
+        f = sample_homogeneous(SampleConfig(n=n, ratio=ratio, seed=n))
+        for i in sorted({1, 63, 64, 65, n // 2, n} & set(range(1, n + 1))):
+            p = pin(f, i, 1)
+            outcomes.append(local_consistency(p, 3, max_states=10**9))
+            assert outcomes[-1] == heap_xor_closure(p, 3), (ratio, i)
+    assert True in outcomes and False in outcomes
+
+
+def test_closure_verdicts_do_not_depend_on_the_pair_chunk(monkeypatch):
+    cases = list(closure_corpus(100, 26))
+    f = sample_homogeneous(SampleConfig(n=65, ratio=2.0, seed=65))
+    cases += [(pin(f, i, 1), 3) for i in (1, 63, 64, 65)]
+    expected = [local_consistency(obj, k, max_states=10**9) for obj, k in cases]
+    assert True in expected and False in expected
+    # One batch row per chunk, so new rows found in one chunk are looked
+    # up by the next.
+    monkeypatch.setattr(canon, "_PAIR_CHUNK", 1)
+    assert [local_consistency(obj, k, max_states=10**9) for obj, k in cases] == expected
 
 
 def test_consistency_budget_refusal():
