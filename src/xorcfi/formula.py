@@ -1,4 +1,5 @@
-"""3-XOR formulas as GF(2) equation systems, plus CNF export.
+"""3-XOR formulas as GF(2) equation systems, the CNF-plus-XOR solver input
+and the XOR-extension DIMACS format.
 
 A clause is a parity constraint x + y + z = rhs over three distinct
 variables; two literal-level clauses that induce the same equation are
@@ -10,7 +11,7 @@ vertex numbering depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .gf2 import rank
 
@@ -159,22 +160,17 @@ def has_full_rank(n: int, triples: Sequence[Sequence[int]]) -> bool:
 # ---------------------------------------------------------------------------
 # DIMACS formats.
 #
-# CNF:            "p cnf <nvars> <nclauses>" then 0-terminated clause lines.
-# XOR extension:  same header counting xor lines; each clause is
-#                 "x <lit> <lit> <lit> 0" where an odd number of negated
-#                 literals means rhs 1 (we always negate the smallest
-#                 variable to encode rhs 1).
+# XOR extension:  "p cnf <nvars> <nclauses>" then one line
+#                 "x <lit> <lit> <lit> 0" per clause, where an odd number
+#                 of negated literals means rhs 1 (we always negate the
+#                 smallest variable to encode rhs 1).
+# Graph:          "p edge <nvertices> <nedges>" then "e <u> <v>" lines,
+#                 read by pipeline.from_dimacs_graph through the same
+#                 tokenizer.
 
-
-def export_dimacs(c: CnfFormula) -> str:
-    """Plain CNF text; a formula with XOR rows is a ValueError, since this
-    format has no line for them (export_xor_dimacs writes XOR rows)."""
-    if c.xors:
-        raise ValueError(f"plain DIMACS cannot hold the formula's {len(c.xors)} XOR rows")
-    lines = [f"p cnf {c.n} {len(c.clauses)}"]
-    for cl in c.clauses:
-        lines.append(" ".join(str(lit) for lit in cl) + " 0")
-    return "\n".join(lines) + "\n"
+# Header kind -> the leading word of a body line, the noun for its ids,
+# how many distinct ids it names, and the noun for the body lines.
+_DIMACS_SHAPES = {"cnf": ("x", "variable", 3, "clauses"), "edge": ("e", "vertex", 2, "edges")}
 
 
 def _ints(lineno: int, line: str, tokens: List[str]) -> List[int]:
@@ -184,24 +180,22 @@ def _ints(lineno: int, line: str, tokens: List[str]) -> List[int]:
         raise ValueError(f"line {lineno}: non-integer token in {line!r}") from None
 
 
-def _dimacs_records(text: str, kind: str, tag: str,
-                    width: Optional[int] = None) -> Tuple[int, List[Tuple[int, List[int]]]]:
-    """The header's first number and the body lines of a DIMACS-style file.
+def _dimacs_records(text: str, kind: str) -> Tuple[int, List[List[int]]]:
+    """The header's first number and the ints of each body line of an
+    XOR-extension ('cnf') or graph ('edge') DIMACS file.
 
     Blank lines and lines starting with 'c' are skipped; the header is
     'p <kind> <a> <b>' and may appear once. A line '%' (the SATLIB end
     marker) ends the body and whatever follows it is ignored. Every
-    other line becomes (lineno, ints) and must start with tag, a leading
-    word such as 'x' or 'e' ('' for lines that start with a number). For
-    kind 'cnf' each line ends in a 0 that is checked and dropped, and
-    the other ints are literals of variables 1..a; edge lines carry no
-    0 and their ints are vertices 1..a. With a width, each line names
-    exactly that many distinct variables or vertices. b must equal the
-    number of body lines. Every rejected line is named by its number.
+    other line starts with the kind's word: an 'x' line names 3 distinct
+    variables of 1..a as signed literals and ends in a 0 that is checked
+    and dropped; an 'e' line names 2 distinct vertices of 1..a. b must
+    equal the number of body lines. Every rejected line is named by its
+    number.
     """
-    noun = "variable" if kind == "cnf" else "vertex"
+    tag, noun, width, body = _DIMACS_SHAPES[kind]
     n = declared = None
-    records: List[Tuple[int, List[int]]] = []
+    records: List[List[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -218,7 +212,7 @@ def _dimacs_records(text: str, kind: str, tag: str,
             continue
         if n is None:
             raise ValueError(f"line {lineno}: clause before header")
-        if (tokens.pop(0) if tokens[0][0].isalpha() else "") != tag:
+        if tokens.pop(0) != tag:
             raise ValueError(f"line {lineno}: unexpected line {line!r}")
         ints = _ints(lineno, line, tokens)
         if kind == "cnf":
@@ -229,20 +223,14 @@ def _dimacs_records(text: str, kind: str, tag: str,
         if named and (min(named) < 1 or max(named) > n):
             bad = min(named) if min(named) < 1 else max(named)
             raise ValueError(f"line {lineno}: {noun} {bad} out of range 1..{n}")
-        if width is not None and (len(ints) != width or len(named) != width):
+        if len(ints) != width or len(named) != width:
             raise ValueError(f"line {lineno}: needs {width} distinct {noun} ids, got {line!r}")
-        records.append((lineno, ints))
+        records.append(ints)
     if n is None:
         raise ValueError("missing DIMACS header")
     if declared != len(records):
-        body = "edges" if kind == "edge" else "clauses"
         raise ValueError(f"header declares {declared} {body}, found {len(records)}")
     return n, records
-
-
-def import_dimacs(text: str) -> CnfFormula:
-    n, records = _dimacs_records(text, "cnf", "")
-    return CnfFormula(n, tuple(tuple(lits) for _, lits in records))
 
 
 def export_xor_dimacs(f: XorFormula) -> str:
@@ -255,7 +243,7 @@ def export_xor_dimacs(f: XorFormula) -> str:
 
 
 def import_xor_dimacs(text: str) -> XorFormula:
-    n, records = _dimacs_records(text, "cnf", "x", width=3)
+    n, records = _dimacs_records(text, "cnf")
     # An odd number of negated literals means rhs 1.
     return make_formula(n, [([abs(lit) for lit in lits], sum(lit < 0 for lit in lits) & 1)
-                            for _, lits in records])
+                            for lits in records])

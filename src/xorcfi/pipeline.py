@@ -218,8 +218,8 @@ def to_dimacs_graph(g: Graph) -> str:
 
 
 def from_dimacs_graph(text: str) -> Graph:
-    n, records = _dimacs_records(text, "edge", "e", width=2)
-    return Graph(n, _vertex_ids([ends for _, ends in records]).reshape(-1, 2) - 1)
+    n, records = _dimacs_records(text, "edge")
+    return Graph(n, _vertex_ids(records).reshape(-1, 2) - 1)
 
 
 def export_graph(g: Graph, format: str) -> str:
@@ -300,17 +300,26 @@ def manifest_text(record: InstanceRecord) -> str:
 
 
 def parse_manifest(text: str) -> InstanceRecord:
+    """The record a manifest holds. Blank lines are skipped; a line without
+    ':', a key outside the frozen field set or a repeated key is refused."""
     values: Dict[str, str] = {}
     for ln in text.splitlines():
         if not ln.strip():
             continue
-        key, _, value = ln.partition(":")
-        values[key.strip()] = value.strip()
+        key, colon, value = ln.partition(":")
+        key = key.strip()
+        if not colon:
+            raise ValueError(f"manifest line without ':': {ln!r}")
+        if key not in MANIFEST_FIELDS:
+            raise ValueError(f"unknown manifest field {key!r}")
+        if key in values:
+            raise ValueError(f"repeated manifest field {key!r}")
+        values[key] = value.strip()
     missing = [k for k in MANIFEST_FIELDS if k not in values]
     if missing:
         raise ValueError(f"manifest missing fields: {missing}")
-    if int(values["schema_version"]) != MANIFEST_SCHEMA_VERSION:
-        raise ValueError(f"unsupported manifest schema {values['schema_version']}")
+    if values["schema_version"] != str(MANIFEST_SCHEMA_VERSION):
+        raise ValueError(f"unsupported manifest schema_version {values['schema_version']!r}")
     kwargs = {}
     for name, _, read in _FIELD_CODECS:
         try:
@@ -479,7 +488,20 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     except (OSError, ValueError) as exc:
         return ValidationReport("<unreadable>", (CheckResult("manifest_readable", False, str(exc)),))
     checks.append(CheckResult("manifest_readable", True))
-    base = manifest_path.parent.parent
+
+    # Its paths are relative to the batch directory, so they name this
+    # instance's files only from <batch>/<instance_id>/manifest.txt and
+    # only while each points into that directory.
+    here = Path(os.path.abspath(manifest_path)).parent
+    own = Path(record.instance_id)
+    strays = [rel for rel in (record.formula_file, record.graph_dre, record.graph_dimacs)
+              if rel is not None and Path(rel).parent != own]
+    if here.name != record.instance_id or strays:
+        checks.append(CheckResult("instance_directory", False,
+                                  f"manifest in {here.name}/, paths outside {own}/: {strays}"))
+        return ValidationReport(record.instance_id, tuple(checks))
+    checks.append(CheckResult("instance_directory", True))
+    base = here.parent
 
     formula_path = base / record.formula_file
     try:

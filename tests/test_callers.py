@@ -21,10 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Kept without a caller, one reason each.
-ALLOWED = {
-    "formula.import_dimacs": "plain `p cnf` reader, a file format README freezes",
-    "formula.export_dimacs": "plain `p cnf` writer, a file format README freezes",
-}
+ALLOWED = {}
 
 
 def _definitions_and_uses():

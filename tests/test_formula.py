@@ -1,4 +1,4 @@
-"""Formula model, canonicalization, pinning, CNF export, DIMACS round-trips."""
+"""Formula model, canonicalization, pinning, CNF queries, DIMACS round-trips."""
 
 import itertools
 import math
@@ -13,9 +13,7 @@ from xorcfi.formula import (
     CnfFormula,
     XorClause,
     XorFormula,
-    export_dimacs,
     export_xor_dimacs,
-    import_dimacs,
     import_xor_dimacs,
     is_uniquely_satisfiable,
     make_formula,
@@ -333,34 +331,12 @@ def test_xor_dimacs_round_trip(f):
     assert import_xor_dimacs(export_xor_dimacs(f)) == f
 
 
-def test_cnf_dimacs_round_trip():
-    cnf = CnfFormula(4, ((1, -2, 3), (-1, 4), (2,)))
-    text = export_dimacs(cnf)
-    assert text == "p cnf 4 3\n1 -2 3 0\n-1 4 0\n2 0\n"
-    assert import_dimacs(text) == cnf
-
-
-def test_plain_dimacs_refuses_xor_rows():
-    cnf = CnfFormula(3, ((1, 2),), (XorClause((1, 2, 3), 1),))
-    with pytest.raises(ValueError, match="XOR rows"):
-        export_dimacs(cnf)
-
-
-def test_dimacs_errors_carry_line_context():
-    with pytest.raises(ValueError, match="line 2"):
-        import_dimacs("p cnf 2 1\n1 2\n")
-    with pytest.raises(ValueError, match="header"):
-        import_dimacs("1 2 0\n")
-
-
 DIMACS_PARSERS = {
-    "cnf": import_dimacs,
     "xor": import_xor_dimacs,
     "graph": from_dimacs_graph,
 }
 # Each parser's header (declared count left open) and two well-formed body lines.
 DIMACS_SHAPES = {
-    "cnf": ("p cnf 4 {}", "1 -2 3 0", "-1 4 0"),
     "xor": ("p cnf 4 {}", "x 1 2 3 0", "x -2 3 4 0"),
     "graph": ("p edge 4 {}", "e 1 2", "e 2 3"),
 }
@@ -393,7 +369,7 @@ def _repeat_last_variable(line):
 # implementations, the graph reader used to accept edge lines before the
 # header, and every reader rejected the SATLIB '%' end marker; until
 # second headers were rejected, a later header replaced the first. The
-# graph and plain CNF readers once accepted a negative count.
+# graph reader once accepted a negative count.
 DIMACS_CASES = {
     "well_formed": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b}\n", ALL_PARSERS),
     "comments_and_blank_lines": (
@@ -420,19 +396,21 @@ DIMACS_CASES = {
     "variable_out_of_range": (
         lambda h, a, b: f"{h.format(2)}\n{a}\n{_second_token(b, '9')}\n", set()),
     "zero_variable": (lambda h, a, b: f"{h.format(2)}\n{a}\n{_second_token(b, '0')}\n", set()),
-    # A plain clause may have any length and repeat a variable; an xor
-    # line names exactly 3 distinct variables and an edge 2 distinct ends.
+    # An xor line names exactly 3 distinct variables and an edge 2 distinct
+    # ends, and every body line starts with its format's word: a plain CNF
+    # clause line such as "1 2 3 0" is not read.
     "one_variable_short": (
-        lambda h, a, b: f"{h.format(2)}\n{a}\n{_drop_last_variable(b)}\n", {"cnf"}),
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{_drop_last_variable(b)}\n", set()),
     "repeated_variable": (
-        lambda h, a, b: f"{h.format(2)}\n{a}\n{_repeat_last_variable(b)}\n", {"cnf"}),
+        lambda h, a, b: f"{h.format(2)}\n{a}\n{_repeat_last_variable(b)}\n", set()),
+    "untagged_line": (lambda h, a, b: f"{h.format(2)}\n{a}\n{b.split(' ', 1)[1]}\n", set()),
 }
 # Rejections that name the offending line.
 LINE_CONTEXT_CASES = {
     "bad_header_field_count", "bad_header_kind", "clause_before_header",
     "missing_0_terminator", "unexpected_tag", "non_integer_header_token",
     "non_integer_body_token", "second_header", "variable_out_of_range", "zero_variable",
-    "one_variable_short", "repeated_variable",
+    "one_variable_short", "repeated_variable", "untagged_line",
 }
 
 
@@ -454,7 +432,6 @@ def test_dimacs_readers_name_a_bad_variable_in_file_ids():
         (import_xor_dimacs, "p cnf 3 1\nx 0 1 2 0\n", "line 2: variable 0 out of range"),
         (import_xor_dimacs, "p cnf 3 1\nx 1 2 0\n", "line 2: needs 3 distinct"),
         (import_xor_dimacs, "p cnf 3 1\nx 1 1 2 0\n", "line 2: needs 3 distinct"),
-        (import_dimacs, "p cnf 4 1\n1 9 0\n", "line 2: variable 9 out of range 1..4"),
         (from_dimacs_graph, "p edge 3 1\ne 0 1\n", "line 2: vertex 0 out of range 1..3"),
     ]
     for parse, text, message in cases:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import os
 import random
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -171,7 +172,7 @@ def test_check_reports_a_graph_file_with_a_self_loop(tmp_path, capsys):
     assert out.endswith("0/1 instances valid\n")
 
 
-@pytest.mark.skipif(__import__("shutil").which("dreadnaut") is None,
+@pytest.mark.skipif(shutil.which("dreadnaut") is None,
                     reason="dreadnaut binary not installed")
 def test_dre_accepted_by_real_dreadnaut():
     text = to_dre(P3) + "x\nq\n"
@@ -516,6 +517,44 @@ def test_check_reports_a_non_boolean_as_unreadable(tmp_path, capsys):
                    "0/1 instances valid\n")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("tool_version:", "bogus: 1\ntool_version:", "unknown manifest field 'bogus'",
+                 id="unknown_key"),
+    pytest.param("tool_version:", "gauss_ratio: 2.0\ntool_version:",
+                 "repeated manifest field 'gauss_ratio'", id="repeated_key"),
+    pytest.param("tool_version:", "stray text\ntool_version:",
+                 "manifest line without ':': 'stray text'", id="line_without_colon"),
+    pytest.param("schema_version: 1", "schema_version: one",
+                 "unsupported manifest schema_version 'one'", id="schema_version_not_1"),
+])
+def test_check_refuses_a_malformed_manifest_line(tmp_path, capsys, old, new, message):
+    out = _check_edited_manifest(tmp_path, capsys, old, new)
+    assert out == f"<unreadable>: manifest_readable: FAIL  ({message})\n0/1 instances valid\n"
+
+
+def test_validate_refuses_a_manifest_outside_its_instance_directory(tmp_path):
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    record = generate(cfg, tmp_path / "batch")[0]
+    copy = tmp_path / "batch" / "copy"
+    shutil.copytree(tmp_path / "batch" / record.instance_id, copy)
+    for name in (pipeline.FORMULA_NAME, pipeline.DRE_NAME):
+        (copy / name).write_text("garbage")
+    assert validate(tmp_path / "batch" / record.manifest_file).ok
+    report = validate(copy / pipeline.MANIFEST_NAME)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("manifest_readable", True), ("instance_directory", False)]
+    assert report.checks[-1].detail == f"manifest in copy/, paths outside {record.instance_id}/: []"
+
+
+def test_check_refuses_a_manifest_path_into_another_directory(tmp_path, capsys):
+    out = _check_edited_manifest(tmp_path, capsys, "/formula.xcnf", "/../other/formula.xcnf")
+    instance_id = out.split(":", 1)[0]
+    assert out == (f"{instance_id}: manifest_readable: ok\n"
+                   f"{instance_id}: instance_directory: FAIL  (manifest in {instance_id}/, "
+                   f"paths outside {instance_id}/: ['{instance_id}/../other/formula.xcnf'])\n"
+                   "0/1 instances valid\n")
+
+
 def test_check_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
     from xorcfi.cli import main
 
@@ -630,6 +669,18 @@ def test_cli_build_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", f"error: {formula}: order gadgets need at least 2 variables\n")
+
+
+def test_cli_build_refuses_a_plain_cnf_file(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    formula = tmp_path / "plain.cnf"
+    formula.write_text("p cnf 3 1\n1 2 3 0\n")
+    assert main(["build", str(formula), "--out", str(tmp_path / "d")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {formula}: line 2: unexpected line '1 2 3 0'\n")
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_build_writes_nothing_when_a_formula_fails(tmp_path, capsys):
