@@ -331,16 +331,21 @@ def test_xor_dimacs_round_trip(f):
     assert import_xor_dimacs(export_xor_dimacs(f)) == f
 
 
+# "cnf" is plain CNF text given to the one reader of "p cnf" files: the
+# plain-CNF format is retired, so every case of it is refused.
 DIMACS_PARSERS = {
+    "cnf": import_xor_dimacs,
     "xor": import_xor_dimacs,
     "graph": from_dimacs_graph,
 }
 # Each parser's header (declared count left open) and two well-formed body lines.
 DIMACS_SHAPES = {
+    "cnf": ("p cnf 4 {}", "1 -2 3 0", "-1 4 0"),
     "xor": ("p cnf 4 {}", "x 1 2 3 0", "x -2 3 4 0"),
     "graph": ("p edge 4 {}", "e 1 2", "e 2 3"),
 }
-ALL_PARSERS = set(DIMACS_PARSERS)
+# The formats that are still read.
+ALL_PARSERS = {"xor", "graph"}
 
 
 def _second_token(line, token):
@@ -426,6 +431,14 @@ def test_dimacs_parsers_accept_reject_table(case, parser):
             DIMACS_PARSERS[parser](text)
 
 
+def test_dimacs_errors_carry_line_context():
+    # A plain CNF clause line is refused at its line.
+    with pytest.raises(ValueError, match="line 2"):
+        import_xor_dimacs("p cnf 2 1\n1 2\n")
+    with pytest.raises(ValueError, match="header"):
+        import_xor_dimacs("1 2 0\n")
+
+
 def test_dimacs_readers_name_a_bad_variable_in_file_ids():
     cases = [
         (import_xor_dimacs, "p cnf 3 1\nx 1 2 9 0\n", "line 2: variable 9 out of range 1..3"),
@@ -440,7 +453,8 @@ def test_dimacs_readers_name_a_bad_variable_in_file_ids():
 
 
 def test_end_marker_reads_like_its_absence():
-    for parser, shape in DIMACS_SHAPES.items():
+    for parser in sorted(ALL_PARSERS):
+        shape = DIMACS_SHAPES[parser]
         plain = DIMACS_CASES["well_formed"][0](*shape)
         for case in ("satlib_end_marker", "end_marker_ends_body"):
             text = DIMACS_CASES[case][0](*shape)
