@@ -42,7 +42,7 @@ import os
 import secrets
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union, get_type_hints
+from typing import Callable, Dict, List, Optional, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -72,7 +72,6 @@ MANIFEST_NAME = "manifest.txt"
 FORMULA_NAME = "formula.xcnf"
 DRE_NAME = "graph.dre"
 DIMACS_NAME = "graph.dimacs"
-GRAPH_FILES = {"dre": DRE_NAME, "dimacs": DIMACS_NAME}
 
 REJECT_PHI_SYMMETRIC = "phi_symmetric"
 REJECT_NOT_UNIQUE = "not_uniquely_satisfiable"
@@ -104,8 +103,7 @@ class PipelineConfig:
         if self.trials < 1:
             raise ValueError("need at least one trial")
         for fmt in self.formats:
-            if fmt not in GRAPH_FILES:
-                raise ValueError(f"unknown graph format {fmt!r}")
+            _graph_file(fmt)
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if math.isnan(self.gauss_threshold):
@@ -148,6 +146,11 @@ class InstanceRecord:
     def manifest_file(self) -> str:
         return f"{self.instance_id}/{MANIFEST_NAME}"
 
+    @property
+    def graph_files(self) -> Dict[str, Optional[str]]:
+        """Each graph format's file path, None where it was not written."""
+        return {fmt: getattr(self, f"graph_{fmt}") for fmt in GRAPH_FILES}
+
 
 # ---------------------------------------------------------------------------
 # Graph file formats.
@@ -176,27 +179,35 @@ def _vertex_ids(values: List) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError("vertex id out of range") from None
+    except ValueError:
+        raise ValueError("non-integer vertex id") from None
 
 
 def from_dre(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+    """A graph from dreadnaut text; a rejected line is named by its number."""
+    lines = [(no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), start=1) if ln]
+    if not lines or not lines[0][1].startswith("n="):
         raise ValueError("missing dreadnaut header")
-    head = lines[0].split()
-    n = int(head[0][2:])
+    no, line = lines[0]
+    head = line.split()
+    try:
+        n = int(head[0][2:])
+    except ValueError:
+        raise ValueError(f"line {no}: non-integer vertex count in {line!r}") from None
     for tok in head[1:]:
         if tok.startswith("$") and tok.lstrip("$=") != "0":
-            raise ValueError(f"labelling origin {tok!r} is not supported; vertices are 0-based")
+            raise ValueError(f"line {no}: labelling origin {tok!r} is not supported; "
+                             "vertices are 0-based")
     heads: List[str] = []
     counts: List[int] = []
     tokens: List[str] = []
-    for line in lines[1:]:
+    for no, line in lines[1:]:
         terminated = line.endswith(".")
         ln = line.rstrip(".;").strip()
         if ln:
             left, colon, right = ln.partition(":")
             if not colon:
-                raise ValueError(f"dreadnaut body line without ':': {line!r}")
+                raise ValueError(f"line {no}: dreadnaut body line without ':': {line!r}")
             heads.append(left)
             ws = right.split()
             counts.append(len(ws))
@@ -206,8 +217,19 @@ def from_dre(text: str) -> Graph:
     else:
         raise ValueError("dreadnaut body ends without its '.' terminator")
     ends = np.empty((len(tokens), 2), dtype=np.int64)
-    ends[:, 0] = np.repeat(_vertex_ids(heads), counts)
-    ends[:, 1] = _vertex_ids(tokens)
+    try:
+        ends[:, 0] = np.repeat(_vertex_ids(heads), counts)
+        ends[:, 1] = _vertex_ids(tokens)
+    except ValueError:
+        # The ids are converted all at once, so the line at fault is
+        # looked for only now.
+        for no, line in lines[1:]:
+            left, colon, right = line.rstrip(".;").partition(":")
+            try:
+                _vertex_ids([left, *right.split()] if colon else [])
+            except ValueError as exc:
+                raise ValueError(f"line {no}: {exc} in {line!r}") from None
+        raise
     return Graph(n, ends)
 
 
@@ -222,20 +244,28 @@ def from_dimacs_graph(text: str) -> Graph:
     return Graph(n, _vertex_ids(records).reshape(-1, 2) - 1)
 
 
+# Each graph format's file name in an instance directory, its writer and
+# its reader. InstanceRecord names the file of format fmt in graph_<fmt>.
+GRAPH_FILES = {
+    "dre": (DRE_NAME, to_dre, from_dre),
+    "dimacs": (DIMACS_NAME, to_dimacs_graph, from_dimacs_graph),
+}
+
+
+def _graph_file(format: str) -> Tuple[str, Callable[[Graph], str], Callable[[str], Graph]]:
+    """The file name, writer and reader of a graph format."""
+    try:
+        return GRAPH_FILES[format]
+    except KeyError:
+        raise ValueError(f"unknown graph format {format!r}") from None
+
+
 def export_graph(g: Graph, format: str) -> str:
-    if format == "dre":
-        return to_dre(g)
-    if format == "dimacs":
-        return to_dimacs_graph(g)
-    raise ValueError(f"unknown graph format {format!r}")
+    return _graph_file(format)[1](g)
 
 
 def import_graph(text: str, format: str) -> Graph:
-    if format == "dre":
-        return from_dre(text)
-    if format == "dimacs":
-        return from_dimacs_graph(text)
-    raise ValueError(f"unknown graph format {format!r}")
+    return _graph_file(format)[2](text)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +444,8 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
         vertices=g.vertex_count,
         edges=g.edge_count,
         formula_file=f"{instance_id}/{FORMULA_NAME}",
-        graph_dre=f"{instance_id}/{DRE_NAME}" if "dre" in cfg.formats else None,
-        graph_dimacs=f"{instance_id}/{DIMACS_NAME}" if "dimacs" in cfg.formats else None,
+        **{f"graph_{fmt}": f"{instance_id}/{name}" if fmt in cfg.formats else None
+           for fmt, (name, _, _) in GRAPH_FILES.items()},
         tool_version=__version__,
     )
     return TrialOutcome(trial, True, None, record, formula_text, g)
@@ -426,9 +456,9 @@ def write_instance(record: InstanceRecord, formula_text: str, g: Graph,
     out = Path(out_dir)
     (out / record.manifest_file).parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / record.formula_file, formula_text)
-    for rel, export in ((record.graph_dre, to_dre), (record.graph_dimacs, to_dimacs_graph)):
+    for fmt, rel in record.graph_files.items():
         if rel is not None:
-            _atomic_write(out / rel, export(g))
+            _atomic_write(out / rel, export_graph(g, fmt))
     _atomic_write(out / record.manifest_file, manifest_text(record))
 
 
@@ -494,7 +524,7 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     # only while each points into that directory.
     here = Path(os.path.abspath(manifest_path)).parent
     own = Path(record.instance_id)
-    strays = [rel for rel in (record.formula_file, record.graph_dre, record.graph_dimacs)
+    strays = [rel for rel in (record.formula_file, *record.graph_files.values())
               if rel is not None and Path(rel).parent != own]
     if here.name != record.instance_id or strays:
         checks.append(CheckResult("instance_directory", False,
@@ -541,8 +571,7 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     checks.append(CheckResult("edge_formula", record.edges == want_e,
                               f"manifest {record.edges}, formula {want_e}"))
 
-    for fmt in GRAPH_FILES:
-        rel = getattr(record, f"graph_{fmt}")
+    for fmt, rel in record.graph_files.items():
         if rel is None:
             continue
         path = base / rel

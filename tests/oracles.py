@@ -6,6 +6,7 @@ meant for small inputs only. Tests import them with
 pytest puts it on ``sys.path``.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -18,7 +19,7 @@ import numpy as np
 from xorcfi import canon, gf2
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
-from xorcfi.formula import CnfFormula, PinnedSystem, XorClause, XorFormula, to_matrix
+from xorcfi.formula import CnfFormula, PinnedSystem, XorClause, XorFormula, make_formula, to_matrix
 from xorcfi.gf2 import reduced_system
 from xorcfi.pipeline import PipelineConfig
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
@@ -133,6 +134,11 @@ def column_major_rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], Li
 
 
 # -- formulas ----------------------------------------------------------------
+
+# All four triples of 4 variables: rank 4, so 0 is the only solution.
+COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
+# Two of them: rank 2, with (0, 1, 1, 1) in the kernel.
+TWO_CLAUSE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0)])
 
 
 def satisfies(system: Union[XorFormula, PinnedSystem], assignment: Sequence[int]) -> bool:
@@ -589,67 +595,79 @@ def wl_indistinguishable(g: Graph, u: int, v: int, k: int, max_tuples: int = 300
 # -- pebble game ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _game_states(n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every partial assignment on at most k of n variables, sorted by the
+    key vmask << n | amask (bit x for variable x+1), so the empty one is
+    state 0, and the columns (state, its extension by x at 0, at 1) for
+    each state below size k and each x outside it.
+
+    Read the other way, the columns are the restrictions: each nonempty
+    state is a child in exactly one column per variable it holds.
+    """
+    keys = []
+    for size in range(k + 1):
+        combos = np.array(list(itertools.combinations(range(n), size)), dtype=np.int64)
+        combos = combos.reshape(math.comb(n, size), size)
+        bits = np.arange(1 << size)[:, None] >> np.arange(size) & 1
+        sets = np.repeat((1 << combos).sum(axis=1), 1 << size)
+        keys.append(sets << n | (bits[None] << combos[:, None]).sum(axis=2).reshape(-1))
+    keys = np.sort(np.concatenate(keys))
+    vmask, amask = keys >> n, keys & ((1 << n) - 1)
+    below = np.flatnonzero(np.bitwise_count(vmask) < k)
+    extend = []
+    for x in range(n):
+        bit = 1 << x
+        state = below[vmask[below] & bit == 0]
+        child = (vmask[state] | bit) << n | amask[state]
+        extend.append(np.stack([state, np.searchsorted(keys, child),
+                                np.searchsorted(keys, child | bit)]))
+    extend = np.concatenate(extend, axis=1)
+    for a in (vmask, amask, extend):
+        a.setflags(write=False)
+    return vmask, amask, extend
+
+
 def enumerating_local_consistency(f: Union[XorFormula, PinnedSystem], k: int) -> bool:
     """canon.local_consistency by enumerating every partial assignment.
 
     Computes the greatest family of consistent partial assignments on at
     most k variables that is closed under restriction and extension (any
     assignment below size k extends to any requested variable inside the
-    family); nonempty exactly when the empty assignment survives. Costs
-    one state per assignment, about sum_j C(n, j) 2^j of them.
+    family); nonempty exactly when the empty assignment survives. A state
+    starts alive when it satisfies every clause, and the pin, inside its
+    variables; each sweep then kills every state with a dead restriction
+    or a variable whose two extensions are both dead. Costs one state per
+    assignment, about sum_j C(n, j) 2^j of them.
+
+    The constraints are read off the clauses, not through to_matrix, so
+    this shares no code with the closure. Keys stay exact in int64 only
+    up to n = 31.
     """
     n = f.n
-    constraints = [(row & ~(1 << n), row >> n) for row in to_matrix(f)]
-    keff = min(k, n)
-
-    alive: Set[Tuple[int, int]] = set()
-    for size in range(keff + 1):
-        for combo in itertools.combinations(range(n), size):
-            vmask = 0
-            for x in combo:
-                vmask |= 1 << x
-            inside = [(cm, r) for cm, r in constraints if cm & ~vmask == 0]
-            for bits in range(1 << size):
-                amask = 0
-                for pos, x in enumerate(combo):
-                    if (bits >> pos) & 1:
-                        amask |= 1 << x
-                if all((amask & cm).bit_count() & 1 == r for cm, r in inside):
-                    alive.add((vmask, amask))
-
-    dead: List[Tuple[int, int]] = []
-
-    def kill(state: Tuple[int, int]) -> None:
-        if state in alive:
-            alive.discard(state)
-            dead.append(state)
-
-    # Seed: states below size k missing both extensions at some variable.
-    for vmask, amask in list(alive):
-        if vmask.bit_count() >= keff:
-            continue
-        for x in range(n):
-            bit = 1 << x
-            if vmask & bit:
-                continue
-            if (vmask | bit, amask) not in alive and (vmask | bit, amask | bit) not in alive:
-                kill((vmask, amask))
-                break
-
-    while dead:
-        vmask, amask = dead.pop()
-        for x in range(n):
-            bit = 1 << x
-            if vmask & bit:
-                # Parent loses this extension; dies if the sibling is gone too.
-                parent = (vmask & ~bit, amask & ~bit)
-                if parent in alive and (vmask, amask ^ bit) not in alive:
-                    kill(parent)
-            else:
-                # Supersets of a dead state die (closure under restriction).
-                kill((vmask | bit, amask))
-                kill((vmask | bit, amask | bit))
-    return (0, 0) in alive
+    if n > 31:
+        raise ValueError(f"n={n} is too large for int64 state keys")
+    vmask, amask, extend = _game_states(n, min(k, n))
+    pinned = isinstance(f, PinnedSystem)
+    constraints = [(cl.vars, cl.rhs) for cl in (f.formula if pinned else f).clauses]
+    constraints += [((f.var,), f.value)] if pinned else []
+    alive = np.ones(len(vmask), dtype=bool)
+    for vs, rhs in constraints:
+        cmask = sum(1 << (v - 1) for v in vs)
+        inside = vmask & cmask == cmask
+        alive &= ~inside | (np.bitwise_count(amask & cmask) & 1 == rhs)
+    state, off, on = extend
+    while alive[0]:
+        dead = ~alive
+        doomed = np.zeros_like(alive)
+        orphans = dead[state]
+        doomed[off[orphans]] = True
+        doomed[on[orphans]] = True
+        doomed[state[dead[off] & dead[on]]] = True
+        if not (alive & doomed).any():
+            return True
+        alive &= ~doomed
+    return False
 
 
 def heap_xor_closure(f: Union[XorFormula, PinnedSystem], k: int) -> bool:

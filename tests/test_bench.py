@@ -22,11 +22,11 @@ from xorcfi.bench import (
     write_summary,
 )
 from xorcfi.cfi import Graph
-from xorcfi.formula import make_formula
 from xorcfi.pipeline import build_graph, to_dre
 
+from oracles import COMPLETE
+
 K4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
 
 
 def write_dre(tmp_path, g, name="graph.dre"):

@@ -1,7 +1,9 @@
 """No code without a caller: every function, class and non-dunder method
 defined in src/xorcfi is referenced by the program itself (src/, scripts/
-or perfbench/), not only by tests; and every xorcfi name that scripts/ and
-perfbench/ read still exists.
+or perfbench/), not only by tests; every one defined in tests/oracles.py
+is referenced by some tests/test_*.py, so a dead oracle cannot pile up
+beside a live one; and every xorcfi name that scripts/ and perfbench/
+read still exists.
 
 A reference is a name, an attribute or an import in the parsed code, so
 strings and comments do not count; neither do references from inside the
@@ -19,21 +21,26 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted((ROOT / "src" / "xorcfi").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
+TESTS = sorted((ROOT / "tests").glob("test_*.py")) + [ORACLES]
 
 # Kept without a caller, one reason each.
 ALLOWED = {}
 
 
-def _definitions_and_uses():
+def _definitions_and_uses(defined=SOURCES, used=PROGRAM):
+    """The definitions in the files `defined` and the references that the
+    files `used` make, each as (path, line) under its bare name."""
     defs, uses = [], defaultdict(list)
-    for path in sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
+    for path in used:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
                 name = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}[type(node)]
                 uses[getattr(node, name).rsplit(".", 1)[-1]].append((path, node.lineno))
-        if path.parent != ROOT / "src" / "xorcfi":
-            continue
+    for path in defined:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{path.stem}.{node.name}", node.name, path, node.lineno, node.end_lineno))
@@ -54,8 +61,8 @@ def shared_names(depth):
     return {name: quals for name, quals in owners.items() if len(quals) > 1}
 
 
-def uncalled_names():
-    defs, uses = _definitions_and_uses()
+def uncalled_names(defined=SOURCES, used=PROGRAM):
+    defs, uses = _definitions_and_uses(defined, used)
     dead = set()
     while True:
         dead_spans = [(p, lo, hi) for qual, _, p, lo, hi in defs if qual in dead]
@@ -73,6 +80,11 @@ def uncalled_names():
 def test_every_name_in_src_has_a_caller():
     missing = [q for q in uncalled_names() if q not in ALLOWED]
     assert not missing, "called only from tests, or not at all: " + ", ".join(missing)
+
+
+def test_every_oracle_has_a_test_caller():
+    missing = uncalled_names([ORACLES], TESTS)
+    assert not missing, "called by no test: " + ", ".join(missing)
 
 
 def _assert_unshared(depth):

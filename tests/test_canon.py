@@ -31,6 +31,8 @@ from xorcfi.pipeline import PipelineConfig, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
 from oracles import (
+    COMPLETE,
+    TWO_CLAUSE,
     Partition,
     brute_force_automorphisms,
     cells,
@@ -689,64 +691,6 @@ def test_wl_k_validation_and_budget():
 # -- local consistency -----------------------------------------------------
 
 
-def oracle_local_consistency(obj, k):
-    """Greatest-family fixpoint by repeated full sweeps (independent of the
-    incremental implementation)."""
-    if hasattr(obj, "formula"):
-        n = obj.n
-        cons = [(cl.vars, cl.rhs) for cl in obj.formula.clauses] + [((obj.var,), obj.value)]
-    else:
-        n = obj.n
-        cons = [(cl.vars, cl.rhs) for cl in obj.clauses]
-
-    def consistent(a):
-        for vs, r in cons:
-            if all(v in a for v in vs) and sum(a[v] for v in vs) % 2 != r:
-                return False
-        return True
-
-    keff = min(k, n)
-    fam = set()
-    for size in range(keff + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            for bits in itertools.product((0, 1), repeat=size):
-                a = dict(zip(combo, bits))
-                if consistent(a):
-                    fam.add(frozenset(a.items()))
-    changed = True
-    while changed:
-        changed = False
-        for state in list(fam):
-            if state not in fam:
-                continue
-            d = dict(state)
-            dead = False
-            for v in list(d):
-                sub = dict(d)
-                del sub[v]
-                if frozenset(sub.items()) not in fam:
-                    dead = True
-                    break
-            if not dead and len(d) < keff:
-                for x in range(1, n + 1):
-                    if x in d:
-                        continue
-                    e0, e1 = dict(d), dict(d)
-                    e0[x], e1[x] = 0, 1
-                    if (frozenset(e0.items()) not in fam
-                            and frozenset(e1.items()) not in fam):
-                        dead = True
-                        break
-            if dead:
-                fam.discard(state)
-                changed = True
-    return frozenset() in fam
-
-
-COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
-TWO_CLAUSE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0)])
-
-
 def test_satisfiable_system_consistent_at_every_k():
     p = pin(TWO_CLAUSE, 2, 1)  # kernel vector (0,1,1,1) is a witness
     for k in range(1, 7):
@@ -761,7 +705,7 @@ def test_pinned_unique_system_fails_at_k_equals_n():
 def test_pinned_unique_system_at_small_k_matches_oracle():
     p = pin(COMPLETE, 1, 1)
     for k in (1, 2, 3):
-        assert local_consistency(p, k) == oracle_local_consistency(p, k)
+        assert local_consistency(p, k) == enumerating_local_consistency(p, k)
 
 
 def test_checker_matches_game_tree_oracle():
@@ -772,7 +716,7 @@ def test_checker_matches_game_tree_oracle():
         f = sample_homogeneous(SampleConfig(n=n, m=m, seed=600 + trial))
         k = rnd.randint(1, 6)
         obj = pin(f, rnd.randint(1, n), rnd.randint(0, 1)) if rnd.random() < 0.5 else f
-        assert local_consistency(obj, k) == oracle_local_consistency(obj, k)
+        assert local_consistency(obj, k) == enumerating_local_consistency(obj, k)
 
 
 def test_consistency_antitone_in_k():
@@ -884,3 +828,11 @@ def test_consistency_budget_refusal():
         local_consistency(f, 6, max_states=1000)
     with pytest.raises(ValueError):
         local_consistency(f, 0)
+
+
+def test_enumerating_oracle_refuses_keys_beyond_int64():
+    # A state's key vmask << n | amask takes 2n bits.
+    p = pin(sample_homogeneous(SampleConfig(n=31, m=31, seed=5)), 1, 1)
+    assert enumerating_local_consistency(p, 1) == local_consistency(p, 1)
+    with pytest.raises(ValueError, match="int64"):
+        enumerating_local_consistency(sample_homogeneous(SampleConfig(n=32, m=32, seed=5)), 1)

@@ -25,6 +25,7 @@ from xorcfi.pipeline import to_dimacs_graph, to_dre
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
 from oracles import (
+    COMPLETE,
     assignment_automorphism,
     color_refine,
     degrees,
@@ -36,7 +37,6 @@ from oracles import (
     satisfies,
 )
 
-COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
 SINGLE = make_formula(3, [((1, 2, 3), 0)])
 
 

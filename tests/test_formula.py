@@ -24,7 +24,15 @@ from xorcfi.gf2 import rank
 from xorcfi.pipeline import from_dimacs_graph
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import brute_sat, brute_solutions, kernel_basis, nontrivial_solution_formula, satisfies
+from oracles import (
+    COMPLETE,
+    TWO_CLAUSE,
+    brute_sat,
+    brute_solutions,
+    kernel_basis,
+    nontrivial_solution_formula,
+    satisfies,
+)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -53,10 +61,6 @@ def formulas(max_n=8, homogeneous=True):
             lambda bits: build(n, bits)
         )
     )
-
-
-COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
-TWO_CLAUSE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0)])
 
 
 # -- construction ----------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -137,6 +138,10 @@ def test_importers_reject_bad_vertices():
         "negative": "n=3 $=0 g\n0 : -1.\n",
         "negative row": "n=3 $=0 g\n-1 : 2.\n",
         "beyond int64": "n=3 $=0 g\n0 : 99999999999999999999.\n",
+        "non-integer": "n=3 $=0 g\n0 : 1 x.\n",
+        "non-integer row": "n=3 $=0 g\n\n0 : 1;\n;\nx : 2.\n",
+        "non-integer count": "n=x $=0 g\n.\n",
+        "no colon": "n=3 $=0 g\n0 : 1;\n2.\n",
     }
     bad_dimacs = {
         "self-loop": "p edge 3 1\ne 2 2\n",
@@ -149,6 +154,14 @@ def test_importers_reject_bad_vertices():
         for name, text in cases.items():
             with pytest.raises(ValueError):
                 parse(text)
+    # A bad line is named by its number, as the DIMACS readers name theirs.
+    for name, message in (("non-integer", "line 2: non-integer vertex id in '0 : 1 x.'"),
+                          ("non-integer row", "line 5: non-integer vertex id in 'x : 2.'"),
+                          ("non-integer count", "line 1: non-integer vertex count"),
+                          ("beyond int64", "line 2: vertex id out of range"),
+                          ("no colon", "line 3: dreadnaut body line without ':'")):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            from_dre(bad_dre[name])
 
 
 def test_importers_round_trip_empty_and_isolated_tail_vertices():

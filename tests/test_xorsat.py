@@ -20,7 +20,7 @@ from xorcfi.xorsat import (
     solve,
 )
 
-from oracles import brute_sat, nontrivial_solution_formula, rescan_branch_var
+from oracles import COMPLETE, TWO_CLAUSE, brute_sat, nontrivial_solution_formula, rescan_branch_var
 
 
 # -- oracle ----------------------------------------------------------------
@@ -50,10 +50,6 @@ def random_inputs(rnd, n_max=16):
             seen.add(vs)
             xors.append(XorClause(vs, rnd.randint(0, 1)))
     return CnfFormula(n, tuple(clauses), tuple(sorted(xors)))
-
-
-COMPLETE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0), ((1, 3, 4), 0), ((2, 3, 4), 0)])
-TWO_CLAUSE = make_formula(4, [((1, 2, 3), 0), ((1, 2, 4), 0)])
 
 
 # -- frozen examples -------------------------------------------------------
