@@ -11,12 +11,12 @@ import argparse
 import statistics
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
-from xorcfi.bench import run_internal, write_summary
+from xorcfi.bench import STATUS_OK, STATUS_TIMEOUT, run_internal, write_summary
 from xorcfi.canon import CELL_FIRST_LARGEST, CELL_FIRST_SMALLEST
-from xorcfi.pipeline import GADGET_CORE, GADGETS, PipelineConfig, run_trial
-from xorcfi.sampler import draws
+from xorcfi.pipeline import GADGET_CORE, GADGETS, PipelineConfig, trial_outcomes
 
 
 def main(argv=None) -> int:
@@ -41,26 +41,22 @@ def main(argv=None) -> int:
         cfg = PipelineConfig(n=n, m=m, seed=args.seed, trials=args.max_trials,
                              gadget_mode=args.gadget,
                              gauss_threshold=args.gauss_threshold)
-        nodes = []
-        # Trials are drawn a chunk at a time, like generate draws them.
-        for draw in draws(cfg.sample_config, range(args.max_trials)):
-            if len(nodes) >= args.count:
-                break
-            outcome = run_trial(cfg, draw)
-            if not outcome.accepted:
-                continue
+        rows = []
+        for outcome in islice((o for o in trial_outcomes(cfg) if o.accepted), args.count):
             g = outcome.graph
             res = run_internal(g, timeout=args.timeout,
                                instance=outcome.record.instance_id,
                                cell_strategy=args.cell_strategy,
                                max_nodes=args.max_nodes)
-            results.append(replace(res, n_vars=n, m=m, vertices=g.vertex_count))
-            nodes.append(res.nodes)
+            rows.append(replace(res, n_vars=n, m=m, vertices=g.vertex_count))
             print(f"n={n} {outcome.record.instance_id}: {res.status} "
                   f"nodes={res.nodes} time={res.time_s:.2f}s")
-        if nodes:
-            print(f"n={n}: median nodes {statistics.median(nodes)} "
-                  f"over {len(nodes)} instances")
+        results += rows
+        # A TIMEOUT row's node count is only a bound; like growth.txt, take OK rows.
+        nodes = [r.nodes for r in rows if r.status == STATUS_OK]
+        if rows:
+            print(f"n={n}: median nodes {statistics.median(nodes) if nodes else '-'} over "
+                  f"{len(nodes)} OK instances, {len(rows) - len(nodes)} {STATUS_TIMEOUT} left out")
     write_summary(results, args.out)
     print(f"wrote results.csv, growth.txt and .dat files to {args.out}")
     return 0

@@ -7,10 +7,11 @@ Gaussian decision-cost gap), build the lifted graph once, and write
 formula + graph + manifest with a content digest. A trial's reject
 reason is the first filter it fails.
 
-`generate` screens its trials a chunk at a time (sampler.draws), so the
-rank check runs on packed rows built straight from each trial's triples:
-a trial that leaves a variable uncovered or lacks full rank is rejected
-before any formula object exists.
+`trial_outcomes` is the one trial loop and writes nothing; `generate`
+writes what it yields. Trials are screened a chunk at a time
+(sampler.draws), so the rank check runs on packed rows built straight
+from each trial's triples: a trial that leaves a variable uncovered or
+lacks full rank is rejected before any formula object exists.
 
 Graphs travel as cfi.Graph's canonical edge array. The writers group its
 sorted rows into text, the readers parse a file into rows and let the
@@ -42,7 +43,7 @@ import os
 import secrets
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union, get_type_hints
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -220,17 +221,18 @@ def from_dre(text: str) -> Graph:
     try:
         ends[:, 0] = np.repeat(_vertex_ids(heads), counts)
         ends[:, 1] = _vertex_ids(tokens)
+        return Graph(n, ends)
     except ValueError:
-        # The ids are converted all at once, so the line at fault is
-        # looked for only now.
-        for no, line in lines[1:]:
+        # The ids are converted and checked all at once, so the line at
+        # fault, the header or a body line, is looked for only now.
+        for no, line in lines:
             left, colon, right = line.rstrip(".;").partition(":")
             try:
-                _vertex_ids([left, *right.split()] if colon else [])
+                ids = _vertex_ids([left, *right.split()] if colon else [])
+                Graph(n, [(ids[0], w) for w in ids[1:]])
             except ValueError as exc:
                 raise ValueError(f"line {no}: {exc} in {line!r}") from None
         raise
-    return Graph(n, ends)
 
 
 def to_dimacs_graph(g: Graph) -> str:
@@ -390,11 +392,14 @@ def clause_digest(formula_text: str) -> str:
 @dataclass(frozen=True)
 class TrialOutcome:
     trial: int
-    accepted: bool
-    reject_reason: Optional[str]
-    record: Optional[InstanceRecord]
+    reject_reason: Optional[str] = None
+    record: Optional[InstanceRecord] = None  # set exactly when accepted
     formula_text: Optional[str] = None  # export_xor_dimacs(formula), made once
     graph: Optional[Graph] = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.record is not None
 
 
 def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
@@ -405,16 +410,16 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
     # Cheapest filter first: the rank check settles most trials before the
     # formula is built and the IR search runs.
     if not (draw.covers_all and has_full_rank(cfg.n, draw.triples.tolist())):
-        return TrialOutcome(trial, False, REJECT_NOT_UNIQUE, None)
+        return TrialOutcome(trial, REJECT_NOT_UNIQUE)
     f = draw.formula()
 
     phi_asymmetric: Optional[bool] = None
     if cfg.gadget_mode == GADGET_CORE:
         verdict = phi_is_asymmetric(f, cfg.budget)
         if verdict is None:
-            return TrialOutcome(trial, False, REJECT_BUDGET, None)
+            return TrialOutcome(trial, REJECT_BUDGET)
         if not verdict:
-            return TrialOutcome(trial, False, REJECT_PHI_SYMMETRIC, None)
+            return TrialOutcome(trial, REJECT_PHI_SYMMETRIC)
         phi_asymmetric = True
 
     gap = gauss_ratio(f, max_decisions=cfg.budget)
@@ -424,7 +429,7 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
     if gap.with_gauss.result != UNSAT:
         raise AssertionError("rank check and SAT cross-check disagree")
     if not gap.ratio >= cfg.gauss_threshold:
-        return TrialOutcome(trial, False, REJECT_LOW_RATIO, None)
+        return TrialOutcome(trial, REJECT_LOW_RATIO)
 
     g = build_graph(f, cfg.gadget_mode)
     instance_id = f"n{cfg.n:04d}_m{f.m:04d}_s{cfg.seed}_t{trial:04d}"
@@ -448,41 +453,45 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
            for fmt, (name, _, _) in GRAPH_FILES.items()},
         tool_version=__version__,
     )
-    return TrialOutcome(trial, True, None, record, formula_text, g)
+    return TrialOutcome(trial, None, record, formula_text, g)
 
 
-def write_instance(record: InstanceRecord, formula_text: str, g: Graph,
-                   out_dir: Union[str, Path]) -> None:
-    out = Path(out_dir)
+def trial_outcomes(cfg: PipelineConfig) -> Iterator[TrialOutcome]:
+    """The outcome of each of cfg's trials, lazily and in trial order."""
+    for draw in draws(cfg.sample_config, range(cfg.trials)):
+        yield run_trial(cfg, draw)
+
+
+def write_instance(outcome: TrialOutcome, out_dir: Union[str, Path]) -> None:
+    """An accepted trial's formula, graph files and manifest."""
+    record, out = outcome.record, Path(out_dir)
     (out / record.manifest_file).parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / record.formula_file, formula_text)
+    _atomic_write(out / record.formula_file, outcome.formula_text)
     for fmt, rel in record.graph_files.items():
         if rel is not None:
-            _atomic_write(out / rel, export_graph(g, fmt))
+            _atomic_write(out / rel, export_graph(outcome.graph, fmt))
     _atomic_write(out / record.manifest_file, manifest_text(record))
 
 
 def generate(cfg: PipelineConfig, out_dir: Union[str, Path]) -> List[InstanceRecord]:
-    """Run all trials, write accepted instances and the batch index."""
+    """Write each accepted outcome of trial_outcomes(cfg), then the batch index."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records: List[InstanceRecord] = []
-    rejects: List[Tuple[int, str]] = []
-    for draw in draws(cfg.sample_config, range(cfg.trials)):
-        outcome = run_trial(cfg, draw)
+    rejects: List[TrialOutcome] = []
+    for outcome in trial_outcomes(cfg):
         if not outcome.accepted:
-            logger.info("trial %d rejected: %s", draw.trial, outcome.reject_reason)
-            rejects.append((draw.trial, outcome.reject_reason))
+            logger.info("trial %d rejected: %s", outcome.trial, outcome.reject_reason)
+            rejects.append(outcome)
             continue
-        record = outcome.record
-        write_instance(record, outcome.formula_text, outcome.graph, out)
-        records.append(record)
-        logger.info("trial %d accepted as %s", draw.trial, record.instance_id)
+        write_instance(outcome, out)
+        records.append(outcome.record)
+        logger.info("trial %d accepted as %s", outcome.trial, outcome.record.instance_id)
     index_lines = [
         f"# schema_version: {MANIFEST_SCHEMA_VERSION}",
         f"# trials: {cfg.trials} accepted: {len(records)} rejected: {len(rejects)}",
     ]
-    index_lines += [f"# rejected trial {t}: {reason}" for t, reason in rejects]
+    index_lines += [f"# rejected trial {o.trial}: {o.reject_reason}" for o in rejects]
     index_lines += [f"{r.instance_id}\t{r.manifest_file}\t{r.clause_digest}" for r in records]
     _atomic_write(out / "index.txt", "\n".join(index_lines) + "\n")
     return records

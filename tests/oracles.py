@@ -21,7 +21,7 @@ from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
 from xorcfi.formula import CnfFormula, PinnedSystem, XorClause, XorFormula, make_formula, to_matrix
 from xorcfi.gf2 import reduced_system
-from xorcfi.pipeline import PipelineConfig
+from xorcfi.pipeline import PipelineConfig, TrialOutcome, trial_outcomes
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
 from xorcfi.xorsat import UNASSIGNED
 
@@ -229,6 +229,11 @@ def trial_draw(cfg: PipelineConfig, trial: int) -> TrialDraw:
     """The draw of one trial of cfg, screened on its own, which is what
     pipeline.run_trial takes."""
     return screen(cfg.sample_config, range(trial, trial + 1))[0]
+
+
+def first_accepted(cfg: PipelineConfig, count: int) -> List[TrialOutcome]:
+    """The first count accepted outcomes of cfg's trials, or all there are."""
+    return list(itertools.islice((o for o in trial_outcomes(cfg) if o.accepted), count))
 
 
 # -- DPLL branching ----------------------------------------------------------
@@ -476,6 +481,15 @@ def orbits_from_generators(n: int, gens: List[Tuple[int, ...]]) -> Partition:
         else:
             cell_of.append(cell_of[r])
     return Partition(tuple(cell_of))
+
+
+def group_order(n: int, gens: List[Tuple[int, ...]]) -> int:
+    """The order of the group gens generate on 0..n-1: the identity's closure under them."""
+    seen, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        frontier = list({tuple(p[i] for i in g) for p in frontier for g in gens} - seen)
+        seen.update(frontier)
+    return len(seen)
 
 
 def assignment_automorphism(f: XorFormula, assignment: Sequence[int]) -> List[int]:

@@ -16,15 +16,9 @@ from xorcfi.canon import (
     local_consistency,
 )
 from xorcfi.cfi import Graph, VertexScheme, build_full
-from xorcfi.formula import is_uniquely_satisfiable, pin, to_matrix
+from xorcfi.formula import import_xor_dimacs, is_uniquely_satisfiable, pin, to_matrix
 from xorcfi.gf2 import rank
-from xorcfi.pipeline import (
-    PipelineConfig,
-    export_graph,
-    generate,
-    import_graph,
-    run_trial,
-)
+from xorcfi.pipeline import PipelineConfig, export_graph, generate, import_graph
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import SAT, UNSAT, solve
 
@@ -33,11 +27,11 @@ from oracles import (
     brute_sat,
     brute_solutions,
     color_refine,
+    first_accepted,
     kernel_basis,
     nontrivial_solution_formula,
     orbits_from_generators,
     same_cell,
-    trial_draw,
     wl_indistinguishable,
 )
 
@@ -110,14 +104,8 @@ def test_a4_refinement_non_separation():
     state_budget = 150_000
     n = 12
     cfg = PipelineConfig(n=n, ratio=2.0, seed=2208, trials=80, gauss_threshold=1.0)
-    instances = []
-    trial = 0
-    while len(instances) < 20 and trial < cfg.trials:
-        draw = trial_draw(cfg, trial)
-        trial += 1
-        if run_trial(cfg, draw).accepted:
-            instances.append(draw.formula())
-    assert len(instances) == 20, f"only {len(instances)} accepted in {trial} trials"
+    instances = [import_xor_dimacs(o.formula_text) for o in first_accepted(cfg, 20)]
+    assert len(instances) == 20, f"only {len(instances)} accepted in {cfg.trials} trials"
     qualifying = []
     checked = 0
     failures = 0
@@ -214,13 +202,7 @@ def test_a7_hardness_growth():
         cfg = PipelineConfig(n=n, m=n, seed=5000, trials=400, gadget_mode="core",
                              gauss_threshold=1.0)
         nodes = []
-        trial = 0
-        while len(nodes) < 5 and trial < cfg.trials:
-            outcome = run_trial(cfg, trial_draw(cfg, trial))
-            trial += 1
-            if not outcome.accepted:
-                continue
-            g = outcome.graph
+        for g in (o.graph for o in first_accepted(cfg, 5)):
             rep = ir_automorphisms(g, max_nodes=3_000_000, max_seconds=120)
             assert rep.status == STATUS_COMPLETE
             nodes.append(rep.search_nodes)

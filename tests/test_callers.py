@@ -145,8 +145,8 @@ def xorcfi_reads():
 def test_every_xorcfi_name_that_scripts_and_perfbench_read_exists():
     reads = xorcfi_reads()
     names = {dotted for _, _, dotted in reads}
-    # The reads are really found: the set-up probe's warm-up and a script's trial loop.
-    assert {"xorcfi.canon.color_refine", "xorcfi.pipeline.run_trial"} <= names
+    # The reads are really found: the set-up probe's warm-up and a script's trial stream.
+    assert {"xorcfi.canon.color_refine", "xorcfi.pipeline.trial_outcomes"} <= names
     for name in XORCFI_MODULES:
         importlib.import_module(name)
     missing = []

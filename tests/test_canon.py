@@ -25,9 +25,9 @@ from xorcfi.canon import (
     local_consistency,
 )
 from xorcfi.cfi import Graph, build_core, build_full, incidence_graph
-from xorcfi.formula import make_formula, pin, to_matrix
+from xorcfi.formula import import_xor_dimacs, make_formula, pin, to_matrix
 from xorcfi.gf2 import rank
-from xorcfi.pipeline import PipelineConfig, run_trial
+from xorcfi.pipeline import PipelineConfig
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
 from oracles import (
@@ -38,13 +38,14 @@ from oracles import (
     cells,
     color_refine,
     enumerating_local_consistency,
+    first_accepted,
+    group_order,
     heap_xor_closure,
     individualize,
     orbits_from_generators,
     refines,
     row_span_local_consistency,
     same_cell,
-    trial_draw,
     wl_indistinguishable,
     wl_k,
 )
@@ -417,15 +418,9 @@ def test_ir_node_counts_match_golden_core_lifts():
     for n, expected in GOLDEN_CORE_NODES.items():
         cfg = PipelineConfig(n=n, m=n, seed=5000, trials=400, gadget_mode="core",
                              gauss_threshold=1.0)
-        got = []
-        trial = 0
-        while len(got) < len(expected):
-            outcome = run_trial(cfg, trial_draw(cfg, trial))
-            if outcome.accepted:
-                g = outcome.graph
-                got.append((trial, ir_automorphisms(g).search_nodes,
-                            ir_automorphisms(g, cell_strategy=CELL_FIRST_LARGEST).search_nodes))
-            trial += 1
+        got = [(o.trial, ir_automorphisms(o.graph).search_nodes,
+                ir_automorphisms(o.graph, cell_strategy=CELL_FIRST_LARGEST).search_nodes)
+               for o in first_accepted(cfg, len(expected))]
         assert got == expected, n
 
 
@@ -435,13 +430,6 @@ def test_ir_node_counts_match_golden_full_lifts():
         rep = ir_automorphisms(g)
         assert (rep.search_nodes, rep.group_size) == (small, 4)
         assert ir_automorphisms(g, cell_strategy=CELL_FIRST_LARGEST).search_nodes == large
-
-
-def sympy_order(g, gens):
-    from sympy.combinatorics import Permutation, PermutationGroup
-
-    perms = [Permutation(list(p)) for p in gens] or [Permutation(list(range(g.vertex_count)))]
-    return int(PermutationGroup(perms).order())
 
 
 def symmetric_corpus():
@@ -459,13 +447,12 @@ def symmetric_corpus():
         yield incidence_graph(f), None
 
 
-def test_ir_group_size_matches_sympy():
-    pytest.importorskip("sympy")
+def test_ir_group_size_matches_generator_closure():
     nontrivial = 0
     for g, exact in symmetric_corpus():
         rep = ir_automorphisms(g)
         assert rep.status == STATUS_COMPLETE
-        assert rep.group_size == sympy_order(g, rep.generators)
+        assert rep.group_size == group_order(g.vertex_count, rep.generators)
         if exact is not None:
             assert rep.group_size == exact
         nontrivial += rep.group_size > 1
@@ -549,7 +536,7 @@ def test_ir_leaves_never_propose_the_identity_or_a_repeat(monkeypatch):
     for n, expected in GOLDEN_CORE_NODES.items():
         cfg = PipelineConfig(n=n, m=n, seed=5000, trials=400, gadget_mode="core",
                              gauss_threshold=1.0)
-        graphs += [run_trial(cfg, trial_draw(cfg, trial)).graph for trial, _, _ in expected]
+        graphs += [o.graph for o in first_accepted(cfg, len(expected))]
     total = 0
     for g in graphs:
         for strategy in (CELL_FIRST_SMALLEST, CELL_FIRST_LARGEST):
@@ -761,8 +748,7 @@ def test_xor_closure_checker_matches_row_span_checker():
     consistent = {}
     for n, ratio in ((20, 2.0), (30, 1.5)):
         cfg = PipelineConfig(n=n, ratio=ratio, seed=2208, gauss_threshold=1)
-        f = next(d.formula() for d in (trial_draw(cfg, t) for t in itertools.count())
-                 if run_trial(cfg, d).accepted)
+        f = import_xor_dimacs(first_accepted(cfg, 1)[0].formula_text)
         for k in (3, 4):
             outcomes = []
             for i in range(1, n + 1):

@@ -141,6 +141,7 @@ def test_importers_reject_bad_vertices():
         "non-integer": "n=3 $=0 g\n0 : 1 x.\n",
         "non-integer row": "n=3 $=0 g\n\n0 : 1;\n;\nx : 2.\n",
         "non-integer count": "n=x $=0 g\n.\n",
+        "negative count": "n=-1 $=0 g\n.\n",
         "no colon": "n=3 $=0 g\n0 : 1;\n2.\n",
     }
     bad_dimacs = {
@@ -159,7 +160,12 @@ def test_importers_reject_bad_vertices():
                           ("non-integer row", "line 5: non-integer vertex id in 'x : 2.'"),
                           ("non-integer count", "line 1: non-integer vertex count"),
                           ("beyond int64", "line 2: vertex id out of range"),
-                          ("no colon", "line 3: dreadnaut body line without ':'")):
+                          ("no colon", "line 3: dreadnaut body line without ':'"),
+                          ("self-loop", "line 3: bad edge (1, 1) for 3 vertices in '1 : 1.'"),
+                          ("out of range", "line 2: bad edge (0, 3) for 3 vertices in '0 : 3.'"),
+                          ("negative", "line 2: bad edge (-1, 0) for 3 vertices in '0 : -1.'"),
+                          ("negative row", "line 2: bad edge (-1, 2) for 3 vertices in '-1 : 2.'"),
+                          ("negative count", "line 1: vertex count must be >= 0, got -1 in")):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             from_dre(bad_dre[name])
 
@@ -772,11 +778,17 @@ def _run_script(name, *args):
 
 
 def test_hardness_growth_script_toy_run(tmp_path):
-    proc = _run_script("hardness_growth.py", "--ns", "10", "--ratio", "1.0", "--count", "1",
-                       "--gadget", "core", "--max-trials", "200", "--out", str(tmp_path))
+    out = tmp_path / "growth"
+    proc = _run_script("hardness_growth.py", "--ns", "10", "--ratio", "1.0", "--count", "2",
+                       "--gadget", "core", "--max-trials", "200", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "results.csv").is_file()
-    assert (tmp_path / "growth.txt").is_file()
+    assert (out / "results.csv").is_file()
+    assert (out / "growth.txt").is_file()
+    # Its instances are the first accepted ones generate writes for that config.
+    generate(PipelineConfig(n=10, m=10, seed=5000, trials=200, gadget_mode=GADGET_CORE,
+                            gauss_threshold=1.0), tmp_path / "batch")
+    written = re.findall(r"^(n\S+)\t", (tmp_path / "batch" / "index.txt").read_text(), re.M)
+    assert re.findall(r"^n=10 (\S+): ", proc.stdout, re.M) == written[:2]
 
 
 def _shootout(tmp_path, edit=lambda manifests: None):
