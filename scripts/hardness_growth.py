@@ -54,6 +54,9 @@ def main(argv=None) -> int:
         results += rows
         # A TIMEOUT row's node count is only a bound; like growth.txt, take OK rows.
         nodes = [r.nodes for r in rows if r.status == STATUS_OK]
+        if len(rows) < args.count:
+            print(f"n={n}: {len(rows)} of {args.count} requested instances accepted in "
+                  f"{args.max_trials} trials")
         if rows:
             print(f"n={n}: median nodes {statistics.median(nodes) if nodes else '-'} over "
                   f"{len(nodes)} OK instances, {len(rows) - len(nodes)} {STATUS_TIMEOUT} left out")

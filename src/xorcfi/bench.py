@@ -194,8 +194,9 @@ def _cost_points(results: Sequence[BenchResult]) -> Dict[str, List[Tuple[int, fl
 
 def growth_report(results: Sequence[BenchResult]) -> str:
     """Per-solver log(cost) vs vertices fit over OK runs; a ratio line
-    below 3 points. A TIMEOUT run's cost is only a bound, so it is left
-    out of the fit and counted."""
+    below 3 points, and neither when every point has one vertex count.
+    A TIMEOUT run's cost is only a bound, so it is left out of the fit
+    and counted."""
     lines = []
     for solver, points in sorted(_cost_points(results).items()):
         timed_out = sum(status == STATUS_TIMEOUT for _, _, status in points)
@@ -204,6 +205,9 @@ def growth_report(results: Sequence[BenchResult]) -> str:
             continue
         if len(points) < 2:
             line = f"{solver}: {len(points)} point(s), nothing to compare"
+        elif len({v for v, _ in points}) == 1:
+            line = (f"{solver}: {len(points)} points, all at {points[0][0]} vertices; "
+                    "the vertex counts do not vary, nothing to compare")
         elif len(points) < 3:
             (v0, c0), (v1, c1) = points[0], points[-1]
             line = f"{solver}: cost ratio {c1 / c0:.3f} from {v0} to {v1} vertices (no fit)"

@@ -6,12 +6,22 @@ occurrences in the shortest active constraints, ties broken by variable
 index, and tries value 0 before 1, so runs are deterministic and the
 decision count is a machine-independent cost.
 
-Propagation keeps per-constraint counters in Python lists. The branch
-pick reads the assignment bytes through numpy: before its first pick
-the solver flattens its clauses and XOR rows into one incidence of
-(variable, polarity, constraint) entries, and each pick is a few
-bincounts over it, not a Python rescan of every constraint. A run that
-propagation refutes at level 0, like every Gauss-side refutation,
+Propagation keeps a count of true and of false literals per clause,
+and no state per XOR row. Each variable lists, per row it occurs in,
+the row's other variables and its rhs; assigning the variable reads
+their values, and a row left with one of them unassigned queues that
+one as a unit. Variable 0 is a phantom fixed at 0, so a row of 1, 2 or
+3 variables reads exactly two values; only the rank-deficient rows of a
+Gauss presolve are longer, and carry their further variables in the
+same entry. Units are taken last in, first out. A decision saves the
+assignment bytes and the clause counters, and a backtrack restores the
+saved copy in one step.
+
+The branch pick reads the assignment bytes through numpy: before its
+first pick the solver flattens its clauses and XOR rows into one
+incidence of (variable, polarity, constraint) entries, and each pick is
+a few bincounts over it, not a Python rescan of every constraint. A run
+that propagation refutes at level 0, like every Gauss-side refutation,
 never builds the incidence.
 
 With use_gauss the XOR rows are eliminated up front over GF(2); an
@@ -39,6 +49,9 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 UNASSIGNED = 0xFF  # the value byte of a variable without a value
 NO_POLARITY = 2  # the polarity of an XOR row entry, which no value matches
 
+# An XOR row seen from one of its variables: two other variables (the
+# phantom 0 where the row has fewer), rhs, and the row's further variables.
+XorEntry = Tuple[int, int, int, Tuple[int, ...]]
 # Entry variables, entry polarities, entry constraints, assignment view.
 Incidence = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -78,61 +91,56 @@ class _Solver:
                 coeffs ^= low
             self.xors.append((tuple(vs), rhs))
 
-        # Value of each variable, UNASSIGNED if none; numpy reads it in place.
+        # Value of each variable, UNASSIGNED if none; numpy reads it in
+        # place. Index 0 is a phantom variable fixed at 0.
         self.assign = bytearray([UNASSIGNED]) * (n + 1)
-        self.trail: List[int] = []
+        self.assign[0] = 0
         # CNF bookkeeping: count of true / false literals per clause.
         self.n_true = [0] * len(self.clauses)
         self.n_false = [0] * len(self.clauses)
-        # XOR bookkeeping: unassigned count and parity of assigned part.
-        self.x_unassigned = [len(vs) for vs, _ in self.xors]
-        self.x_acc = [0] * len(self.xors)
 
         self.occ_cnf: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
         for idx, cl in enumerate(self.clauses):
             for lit in cl:
                 self.occ_cnf[abs(lit)].append((idx, 1 if lit > 0 else 0))
-        self.occ_xor: List[List[int]] = [[] for _ in range(n + 1)]
-        for idx, (vs, _) in enumerate(self.xors):
-            for v in vs:
-                self.occ_xor[v].append(idx)
+        # XOR rows keep no state: the entry of a row at each of its
+        # variables holds the row's other variables and its rhs, as
+        # (first, second, rhs, rest). The phantom 0 pads a row of fewer
+        # than 3 variables and gets no entries; only rows of more than 3
+        # have a rest.
+        self.occ_xor: List[List[XorEntry]] = [[] for _ in range(n + 1)]
+        for vs, rhs in self.xors:
+            if len(vs) > 3:
+                for i, v in enumerate(vs):
+                    others = vs[:i] + vs[i + 1:]
+                    self.occ_xor[v].append((others[0], others[1], rhs, others[2:]))
+                continue
+            x, y, z = (vs + (0, 0))[:3]
+            self.occ_xor[x].append((y, z, rhs, ()))
+            if y:
+                self.occ_xor[y].append((x, z, rhs, ()))
+            if z:
+                self.occ_xor[z].append((x, y, rhs, ()))
 
         self.decisions = 0
         self.propagations = 0
         self.conflicts = 0
-
-    # -- assignment plumbing -------------------------------------------------
-
-    def _backtrack_to(self, mark: int) -> None:
-        """Unassign the trail above mark and restore the counters."""
-        assign, trail = self.assign, self.trail
-        n_true, n_false, occ_cnf = self.n_true, self.n_false, self.occ_cnf
-        x_unassigned, x_acc, occ_xor = self.x_unassigned, self.x_acc, self.occ_xor
-        while len(trail) > mark:
-            var = trail.pop()
-            value = assign[var]
-            assign[var] = UNASSIGNED
-            for idx, pol in occ_cnf[var]:
-                if pol == value:
-                    n_true[idx] -= 1
-                else:
-                    n_false[idx] -= 1
-            for idx in occ_xor[var]:
-                x_unassigned[idx] += 1
-                x_acc[idx] ^= value
 
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
         """Assign pending (var, value) pairs to fixpoint; False on conflict.
 
-        Each assignment updates the counters of the constraints it occurs
-        in and queues the last free entry of each one it leaves unit:
-        clauses first, then XOR rows, each in occurrence order.
+        Each assignment updates the counters of the clauses it occurs in
+        and reads the values of the other variables of each XOR row it
+        occurs in. It queues the last free entry of each constraint it
+        leaves unit: clauses first, then XOR rows, each in occurrence
+        order. On a conflict the state is left as it is; the caller
+        restores a snapshot.
         """
-        assign, trail = self.assign, self.trail
+        assign = self.assign
         clauses, n_true, n_false, occ_cnf = self.clauses, self.n_true, self.n_false, self.occ_cnf
-        xors, x_unassigned, x_acc, occ_xor = self.xors, self.x_unassigned, self.x_acc, self.occ_xor
+        occ_xor = self.occ_xor
         queue = list(pending)
         while queue:
             var, value = queue.pop()
@@ -142,8 +150,6 @@ class _Solver:
                     return False
                 continue
             assign[var] = value
-            trail.append(var)
-            ok = True
             for idx, pol in occ_cnf[var]:
                 if pol == value:
                     n_true[idx] += 1
@@ -154,25 +160,35 @@ class _Solver:
                 cl = clauses[idx]
                 free = len(cl) - n_false[idx]
                 if free == 0:
-                    ok = False
-                elif free == 1:
+                    self.conflicts += 1
+                    return False
+                if free == 1:
                     for lit in cl:
                         if assign[abs(lit)] == UNASSIGNED:
                             queue.append((abs(lit), 1 if lit > 0 else 0))
                             break
-            for idx in occ_xor[var]:
-                left = x_unassigned[idx] = x_unassigned[idx] - 1
-                acc = x_acc[idx] = x_acc[idx] ^ value
-                if left == 1:
-                    for v in xors[idx][0]:
-                        if assign[v] == UNASSIGNED:
-                            queue.append((v, xors[idx][1] ^ acc))
-                            break
-                elif left == 0 and acc != xors[idx][1]:
-                    ok = False
-            if not ok:
-                self.conflicts += 1
-                return False
+            for a, b, rhs, rest in occ_xor[var]:
+                va = assign[a]
+                vb = assign[b]
+                if rest:
+                    row = (a, b) + rest
+                    free = [u for u in row if assign[u] == UNASSIGNED]
+                    if len(free) > 1:
+                        continue
+                    parity = (rhs + value + sum(assign[u] for u in row if u not in free)) & 1
+                    if free:
+                        queue.append((free[0], parity))
+                    elif parity:
+                        self.conflicts += 1
+                        return False
+                elif va == UNASSIGNED:
+                    if vb != UNASSIGNED:
+                        queue.append((a, rhs ^ value ^ vb))
+                elif vb == UNASSIGNED:
+                    queue.append((b, rhs ^ value ^ va))
+                elif rhs ^ value ^ va ^ vb:
+                    self.conflicts += 1
+                    return False
             self.propagations += 1
         return True
 
@@ -234,30 +250,30 @@ class _Solver:
             return make_stats(UNSAT)
 
         incidence = self._build_incidence()
-        # (trail mark, branch var, values left to try)
-        stack: List[Tuple[int, int, List[int]]] = []
+        assign, n_true, n_false = self.assign, self.n_true, self.n_false
+        # Decisions whose value 1 is untried: (assign, n_true, n_false)
+        # as they were before the decision, and its variable.
+        stack: List[Tuple[bytes, List[int], List[int], int]] = []
         while True:
             var = self._pick_branch_var(incidence)
             if var is None:
-                model = tuple(self.assign[v] if self.assign[v] != UNASSIGNED else 0
+                model = tuple(assign[v] if assign[v] != UNASSIGNED else 0
                               for v in range(1, self.n + 1))
                 return make_stats(SAT, model)
             if max_decisions is not None and self.decisions >= max_decisions:
                 return make_stats(BUDGET_EXHAUSTED)
             self.decisions += 1
-            stack.append((len(self.trail), var, [1]))
+            stack.append((bytes(assign), n_true[:], n_false[:], var))
             ok = self._propagate([(var, 0)])
             while not ok:
-                # Unwind to the most recent decision with an untried value.
-                while stack and not stack[-1][2]:
-                    mark, _, _ = stack.pop()
-                    self._backtrack_to(mark)
+                # Back to the most recent decision whose value 1 is untried.
                 if not stack:
                     return make_stats(UNSAT)
-                mark, bvar, left = stack[-1]
-                self._backtrack_to(mark)
-                value = left.pop()
-                ok = self._propagate([(bvar, value)])
+                saved, saved_true, saved_false, bvar = stack.pop()
+                assign[:] = saved  # in place: the incidence views this buffer
+                n_true[:] = saved_true
+                n_false[:] = saved_false
+                ok = self._propagate([(bvar, 1)])
 
 
 def _verify_model(input: CnfFormula, model: Sequence[int]) -> bool:

@@ -10,13 +10,14 @@ import functools
 import heapq
 import itertools
 import math
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from xorcfi import canon, gf2
+from xorcfi import canon, gf2, xorsat
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
 from xorcfi.formula import CnfFormula, PinnedSystem, XorClause, XorFormula, make_formula, to_matrix
@@ -236,7 +237,7 @@ def first_accepted(cfg: PipelineConfig, count: int) -> List[TrialOutcome]:
     return list(itertools.islice((o for o in trial_outcomes(cfg) if o.accepted), count))
 
 
-# -- DPLL branching ----------------------------------------------------------
+# -- DPLL ----------------------------------------------------------------------
 
 
 def rescan_branch_var(solver) -> Optional[int]:
@@ -257,8 +258,8 @@ def rescan_branch_var(solver) -> Optional[int]:
             continue
         if best_len is None or length < best_len:
             best_len = length
-    for idx in range(len(solver.xors)):
-        length = solver.x_unassigned[idx]
+    for vs, _ in solver.xors:
+        length = sum(solver.assign[v] == UNASSIGNED for v in vs)
         if length == 0:
             continue
         if best_len is None or length < best_len:
@@ -272,13 +273,137 @@ def rescan_branch_var(solver) -> Optional[int]:
         for lit in cl:
             if solver.assign[abs(lit)] == UNASSIGNED:
                 scores[abs(lit)] = scores.get(abs(lit), 0) + 1
-    for idx, (vs, _) in enumerate(solver.xors):
-        if solver.x_unassigned[idx] != best_len:
+    for vs, _ in solver.xors:
+        if sum(solver.assign[v] == UNASSIGNED for v in vs) != best_len:
             continue
         for v in vs:
             if solver.assign[v] == UNASSIGNED:
                 scores[v] = scores.get(v, 0) + 1
     return min(scores, key=lambda v: (-scores[v], v))
+
+
+class CounterTrailSolver(xorsat._Solver):
+    """xorsat._Solver with per-row XOR counters and trail undo in place of
+    its partner reads and snapshots, and rescan_branch_var as its pick.
+
+    Each XOR row keeps its count of unassigned variables and the parity
+    of its assigned ones, and a trail lists the assigned variables in
+    order. A backtrack unassigns the trail above the mark of its
+    decision and restores every counter.
+    """
+
+    def __init__(self, n: int, cnf: Sequence[Tuple[int, ...]], rows: Sequence[int]):
+        super().__init__(n, cnf, rows)
+        self.trail: List[int] = []
+        self.x_unassigned = [len(vs) for vs, _ in self.xors]
+        self.x_acc = [0] * len(self.xors)
+        self.rows_of: List[List[int]] = [[] for _ in range(n + 1)]
+        for idx, (vs, _) in enumerate(self.xors):
+            for v in vs:
+                self.rows_of[v].append(idx)
+
+    def _backtrack_to(self, mark: int) -> None:
+        """Unassign the trail above mark and restore the counters."""
+        while len(self.trail) > mark:
+            var = self.trail.pop()
+            value = self.assign[var]
+            self.assign[var] = UNASSIGNED
+            for idx, pol in self.occ_cnf[var]:
+                if pol == value:
+                    self.n_true[idx] -= 1
+                else:
+                    self.n_false[idx] -= 1
+            for idx in self.rows_of[var]:
+                self.x_unassigned[idx] += 1
+                self.x_acc[idx] ^= value
+
+    def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
+        """Assign pending (var, value) pairs to fixpoint; False on conflict.
+        Units are queued clauses first, then XOR rows, each in occurrence
+        order, and taken last in, first out."""
+        queue = list(pending)
+        while queue:
+            var, value = queue.pop()
+            if self.assign[var] != UNASSIGNED:
+                if self.assign[var] != value:
+                    self.conflicts += 1
+                    return False
+                continue
+            self.assign[var] = value
+            self.trail.append(var)
+            ok = True
+            for idx, pol in self.occ_cnf[var]:
+                if pol == value:
+                    self.n_true[idx] += 1
+                    continue
+                self.n_false[idx] += 1
+                if self.n_true[idx]:
+                    continue
+                cl = self.clauses[idx]
+                free = len(cl) - self.n_false[idx]
+                if free == 0:
+                    ok = False
+                elif free == 1:
+                    lit = next(l for l in cl if self.assign[abs(l)] == UNASSIGNED)
+                    queue.append((abs(lit), 1 if lit > 0 else 0))
+            for idx in self.rows_of[var]:
+                self.x_unassigned[idx] -= 1
+                self.x_acc[idx] ^= value
+                vs, rhs = self.xors[idx]
+                if self.x_unassigned[idx] == 1:
+                    v = next(v for v in vs if self.assign[v] == UNASSIGNED)
+                    queue.append((v, rhs ^ self.x_acc[idx]))
+                elif self.x_unassigned[idx] == 0 and self.x_acc[idx] != rhs:
+                    ok = False
+            if not ok:
+                self.conflicts += 1
+                return False
+            self.propagations += 1
+        return True
+
+    def run(self, max_decisions: Optional[int], start: float) -> xorsat.SolveStats:
+        def make_stats(result: str, model=None) -> xorsat.SolveStats:
+            return xorsat.SolveStats(result, self.decisions, self.propagations, self.conflicts,
+                                     time.monotonic() - start, model)
+
+        units = [(abs(cl[0]), 1 if cl[0] > 0 else 0) for cl in self.clauses if len(cl) == 1]
+        units += [(vs[0], rhs) for vs, rhs in self.xors if len(vs) == 1]
+        if not self._propagate(units):
+            return make_stats(xorsat.UNSAT)
+        # (trail mark, branch var, values left to try)
+        stack: List[Tuple[int, int, List[int]]] = []
+        while True:
+            var = rescan_branch_var(self)
+            if var is None:
+                model = tuple(self.assign[v] if self.assign[v] != UNASSIGNED else 0
+                              for v in range(1, self.n + 1))
+                return make_stats(xorsat.SAT, model)
+            if max_decisions is not None and self.decisions >= max_decisions:
+                return make_stats(xorsat.BUDGET_EXHAUSTED)
+            self.decisions += 1
+            stack.append((len(self.trail), var, [1]))
+            ok = self._propagate([(var, 0)])
+            while not ok:
+                while stack and not stack[-1][2]:
+                    mark, _, _ = stack.pop()
+                    self._backtrack_to(mark)
+                if not stack:
+                    return make_stats(xorsat.UNSAT)
+                mark, bvar, left = stack[-1]
+                self._backtrack_to(mark)
+                ok = self._propagate([(bvar, left.pop())])
+
+
+def counter_trail_solve(input: CnfFormula, use_gauss: bool = False,
+                        max_decisions: Optional[int] = None) -> xorsat.SolveStats:
+    """xorsat.solve through CounterTrailSolver."""
+    start = time.monotonic()
+    rows = to_matrix(input)
+    if use_gauss:
+        rows = reduced_system(rows, input.n)
+        if rows is None:
+            return xorsat.SolveStats(xorsat.UNSAT, 0, 0, 1, time.monotonic() - start)
+    return CounterTrailSolver(input.n, input.clauses, rows).run(max_decisions, start)
 
 
 # -- lifted graphs and their text formats ------------------------------------

@@ -185,6 +185,19 @@ def test_exponential_series_fits_positive_slope():
     assert math.isclose(slope, math.log(2) / 10, rel_tol=0.05)
 
 
+def test_points_at_one_vertex_count_give_no_growth(recwarn):
+    # Four instances of one lift size: neither a slope nor a cost ratio.
+    four = [res(f"i{k}", "s", 181, nodes=2**k + 1) for k in range(4)]
+    two = [res("a", "t", 181, nodes=16), res("b", "t", 181, nodes=64)]
+    report = growth_report(four + two)
+    assert report == (
+        "s: 4 points, all at 181 vertices; the vertex counts do not vary, nothing to compare\n"
+        "t: 2 points, all at 181 vertices; the vertex counts do not vary, nothing to compare\n")
+    assert not recwarn.list
+    timed_out = growth_report(four + [res("j", "s", 181, nodes=99, status=STATUS_TIMEOUT)])
+    assert timed_out.endswith("nothing to compare; 1 TIMEOUT row(s) left out\n")
+
+
 def test_csv_rows_sorted_by_instance_and_solver():
     rows = [res("b", "x", 5, nodes=1), res("a", "y", 5, nodes=1), res("a", "x", 5, nodes=1)]
     lines = results_csv(rows).splitlines()[1:]

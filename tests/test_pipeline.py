@@ -791,6 +791,15 @@ def test_hardness_growth_script_toy_run(tmp_path):
     assert re.findall(r"^n=10 (\S+): ", proc.stdout, re.M) == written[:2]
 
 
+def test_hardness_growth_script_reports_a_missed_quota(tmp_path):
+    proc = _run_script("hardness_growth.py", "--ns", "10", "--ratio", "1.0", "--count", "20",
+                       "--gadget", "core", "--max-trials", "12", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    accepted = len(re.findall(r"^n=10 \S+: ", proc.stdout, re.M))
+    assert 0 < accepted < 20
+    assert f"n=10: {accepted} of 20 requested instances accepted in 12 trials\n" in proc.stdout
+
+
 def _shootout(tmp_path, edit=lambda manifests: None):
     """The toy batch's records and the script's results.csv rows on it."""
     batch = tmp_path / "batch"

@@ -1,6 +1,7 @@
 """DPLL solver against a vectorized truth-table oracle."""
 
 import functools
+import itertools
 import random
 import time
 from collections import Counter
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorcfi import xorsat
-from xorcfi.formula import CnfFormula, XorClause, make_formula
+from xorcfi.formula import CnfFormula, XorClause, make_formula, to_matrix
+from xorcfi.gf2 import reduced_system
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
     BUDGET_EXHAUSTED,
@@ -20,7 +22,14 @@ from xorcfi.xorsat import (
     solve,
 )
 
-from oracles import COMPLETE, TWO_CLAUSE, brute_sat, nontrivial_solution_formula, rescan_branch_var
+from oracles import (
+    COMPLETE,
+    TWO_CLAUSE,
+    brute_sat,
+    counter_trail_solve,
+    nontrivial_solution_formula,
+    rescan_branch_var,
+)
 
 
 # -- oracle ----------------------------------------------------------------
@@ -293,3 +302,51 @@ def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
         outcomes[solve(cnf, use_gauss=use_gauss, max_decisions=budget).result] += 1
     assert set(outcomes) == {SAT, UNSAT, BUDGET_EXHAUSTED}, outcomes
     assert sum(v is not None for v in picks) > 1000
+
+
+# -- propagation against the counter-and-trail oracle ----------------------
+
+
+def _long_row_corpus():
+    """(input, True, max_decisions) triples of sparse XOR systems with
+    random rhs plus a few short clauses: at m < n the Gauss presolve is
+    rank-deficient, and its reduced rows are often longer than 3."""
+    rnd = random.Random(20261019)
+    for i in range(300):
+        n = rnd.randint(6, 40)
+        m = rnd.randint(n // 4, 3 * n // 4)
+        triples = set()
+        while len(triples) < m:
+            triples.add(tuple(sorted(rnd.sample(range(1, n + 1), 3))))
+        xors = tuple(XorClause(t, rnd.randint(0, 1)) for t in sorted(triples))
+        clauses = tuple(tuple(v if rnd.random() < 0.5 else -v
+                              for v in rnd.sample(range(1, n + 1), rnd.randint(1, 3)))
+                        for _ in range(rnd.randint(0, n)))
+        yield CnfFormula(n, clauses, xors), True, 3 if i % 10 == 9 else None
+
+
+def _long_rows(corpus):
+    """The rows of more than 3 variables that the solver is handed."""
+    count = 0
+    for cnf, use_gauss, _ in corpus:
+        rows = to_matrix(cnf)
+        rows = reduced_system(rows, cnf.n) if use_gauss else rows
+        mask = (1 << cnf.n) - 1
+        count += sum((row & mask).bit_count() > 3 for row in rows or ())
+    return count
+
+
+def test_long_row_corpus_is_rich_in_long_rows():
+    # The branch corpus hands the solver 19 such rows among ~22k.
+    assert _long_rows(_long_row_corpus()) > 1000
+
+
+def test_solve_matches_counter_trail_oracle():
+    outcomes = Counter()
+    for cnf, use_gauss, budget in itertools.chain(_branch_corpus(), _long_row_corpus()):
+        got = solve(cnf, use_gauss=use_gauss, max_decisions=budget)
+        want = counter_trail_solve(cnf, use_gauss=use_gauss, max_decisions=budget)
+        assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
+            want.result, want.decisions, want.propagations, want.conflicts, want.model), cnf
+        outcomes[got.result, got.decisions > 0, got.conflicts > 0] += 1
+    assert {(SAT, True, True), (UNSAT, True, True), (BUDGET_EXHAUSTED, True, True)} <= set(outcomes)
