@@ -35,12 +35,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    try:
+        configs = [PipelineConfig(n=n, ratio=args.ratio, seed=args.seed,
+                                  trials=args.max_trials, gadget_mode=args.gadget,
+                                  gauss_threshold=args.gauss_threshold)
+                   for n in args.ns]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     results = []
-    for n in args.ns:
-        m = round(args.ratio * n)
-        cfg = PipelineConfig(n=n, m=m, seed=args.seed, trials=args.max_trials,
-                             gadget_mode=args.gadget,
-                             gauss_threshold=args.gauss_threshold)
+    for cfg in configs:
+        n, m = cfg.n, cfg.sample_config.effective_m
         rows = []
         for outcome in islice((o for o in trial_outcomes(cfg) if o.accepted), args.count):
             g = outcome.graph

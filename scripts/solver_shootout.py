@@ -20,6 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from xorcfi.bench import (
+    ADAPTERS,
     INTERNAL_SOLVER,
     STATUS_ERROR,
     BenchResult,
@@ -39,7 +40,7 @@ def result_name(solver: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("batch_dir", type=Path, help="directory written by `xorcfi generate`")
-    parser.add_argument("--solvers", nargs="+",
+    parser.add_argument("--solvers", nargs="+", choices=[*ADAPTERS, "internal"],
                         default=["traces", "nauty", "bliss", "conauto", "internal"])
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--max-nodes", type=int, default=10_000_000)

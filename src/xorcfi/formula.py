@@ -6,6 +6,9 @@ variables; two literal-level clauses that induce the same equation are
 the same clause here, so a formula is a set of equations. Clause order
 is frozen to lexicographic on (v1, v2, v3, rhs) because downstream
 vertex numbering depends on it.
+
+`import_xor_dimacs` reads `.xcnf` files through `_dimacs_records`, the
+program's one DIMACS tokenizer; the DIMACS graph format is only written.
 """
 
 from __future__ import annotations
@@ -158,19 +161,10 @@ def has_full_rank(n: int, triples: Sequence[Sequence[int]]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# DIMACS formats.
-#
-# XOR extension:  "p cnf <nvars> <nclauses>" then one line
-#                 "x <lit> <lit> <lit> 0" per clause, where an odd number
-#                 of negated literals means rhs 1 (we always negate the
-#                 smallest variable to encode rhs 1).
-# Graph:          "p edge <nvertices> <nedges>" then "e <u> <v>" lines,
-#                 read by pipeline.from_dimacs_graph through the same
-#                 tokenizer.
-
-# Header kind -> the leading word of a body line, the noun for its ids,
-# how many distinct ids it names, and the noun for the body lines.
-_DIMACS_SHAPES = {"cnf": ("x", "variable", 3, "clauses"), "edge": ("e", "vertex", 2, "edges")}
+# XOR-extension DIMACS: "p cnf <nvars> <nclauses>" then one line
+# "x <lit> <lit> <lit> 0" per clause, where an odd number of negated
+# literals means rhs 1 (we always negate the smallest variable to encode
+# rhs 1).
 
 
 def _ints(lineno: int, line: str, tokens: List[str]) -> List[int]:
@@ -180,20 +174,17 @@ def _ints(lineno: int, line: str, tokens: List[str]) -> List[int]:
         raise ValueError(f"line {lineno}: non-integer token in {line!r}") from None
 
 
-def _dimacs_records(text: str, kind: str) -> Tuple[int, List[List[int]]]:
-    """The header's first number and the ints of each body line of an
-    XOR-extension ('cnf') or graph ('edge') DIMACS file.
+def _dimacs_records(text: str) -> Tuple[int, List[List[int]]]:
+    """The header's variable count and the literals of each clause line of
+    an XOR-extension DIMACS file.
 
     Blank lines and lines starting with 'c' are skipped; the header is
-    'p <kind> <a> <b>' and may appear once. A line '%' (the SATLIB end
+    'p cnf <n> <m>' and may appear once. A line '%' (the SATLIB end
     marker) ends the body and whatever follows it is ignored. Every
-    other line starts with the kind's word: an 'x' line names 3 distinct
-    variables of 1..a as signed literals and ends in a 0 that is checked
-    and dropped; an 'e' line names 2 distinct vertices of 1..a. b must
-    equal the number of body lines. Every rejected line is named by its
-    number.
+    other line is an 'x' line: 3 signed literals of distinct variables
+    of 1..n and a 0 that is checked and dropped. m must equal the number
+    of clause lines. Every rejected line is named by its number.
     """
-    tag, noun, width, body = _DIMACS_SHAPES[kind]
     n = declared = None
     records: List[List[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -206,30 +197,28 @@ def _dimacs_records(text: str, kind: str) -> Tuple[int, List[List[int]]]:
         if line.startswith("p"):
             if n is not None:
                 raise ValueError(f"line {lineno}: second DIMACS header")
-            if len(tokens) != 4 or tokens[1] != kind:
+            if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad DIMACS header {line!r}")
             n, declared = _ints(lineno, line, tokens[2:])
             continue
         if n is None:
             raise ValueError(f"line {lineno}: clause before header")
-        if tokens.pop(0) != tag:
+        if tokens.pop(0) != "x":
             raise ValueError(f"line {lineno}: unexpected line {line!r}")
         ints = _ints(lineno, line, tokens)
-        if kind == "cnf":
-            if not ints or ints[-1] != 0:
-                raise ValueError(f"line {lineno}: clause not 0-terminated")
-            ints.pop()
-        named = set(map(abs, ints)) if kind == "cnf" else set(ints)
+        if not ints or ints.pop() != 0:
+            raise ValueError(f"line {lineno}: clause not 0-terminated")
+        named = set(map(abs, ints))
         if named and (min(named) < 1 or max(named) > n):
             bad = min(named) if min(named) < 1 else max(named)
-            raise ValueError(f"line {lineno}: {noun} {bad} out of range 1..{n}")
-        if len(ints) != width or len(named) != width:
-            raise ValueError(f"line {lineno}: needs {width} distinct {noun} ids, got {line!r}")
+            raise ValueError(f"line {lineno}: variable {bad} out of range 1..{n}")
+        if len(ints) != 3 or len(named) != 3:
+            raise ValueError(f"line {lineno}: needs 3 distinct variable ids, got {line!r}")
         records.append(ints)
     if n is None:
         raise ValueError("missing DIMACS header")
     if declared != len(records):
-        raise ValueError(f"header declares {declared} {body}, found {len(records)}")
+        raise ValueError(f"header declares {declared} clauses, found {len(records)}")
     return n, records
 
 
@@ -243,7 +232,7 @@ def export_xor_dimacs(f: XorFormula) -> str:
 
 
 def import_xor_dimacs(text: str) -> XorFormula:
-    n, records = _dimacs_records(text, "cnf")
+    n, records = _dimacs_records(text)
     # An odd number of negated literals means rhs 1.
     return make_formula(n, [([abs(lit) for lit in lits], sum(lit < 0 for lit in lits) & 1)
                             for lits in records])

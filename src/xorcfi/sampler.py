@@ -44,6 +44,8 @@ class SampleConfig:
             raise ValueError("give m or ratio, not both")
         if self.ratio is not None and not math.isfinite(self.ratio):
             raise ValueError("ratio must be finite")
+        if self.ratio is not None and not math.isfinite(self.ratio * self.n):
+            raise ValueError(f"ratio * n = {self.ratio:g} * {self.n} is not finite")
         _check_u64(self.seed, "seed")
         m = self.effective_m
         if m < 1:

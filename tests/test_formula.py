@@ -21,7 +21,6 @@ from xorcfi.formula import (
     to_matrix,
 )
 from xorcfi.gf2 import rank
-from xorcfi.pipeline import from_dimacs_graph
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
 from oracles import (
@@ -335,12 +334,13 @@ def test_xor_dimacs_round_trip(f):
     assert import_xor_dimacs(export_xor_dimacs(f)) == f
 
 
-# "cnf" is plain CNF text given to the one reader of "p cnf" files: the
-# plain-CNF format is retired, so every case of it is refused.
+# "cnf" is plain CNF text and "graph" DIMACS graph text, each given to the
+# one DIMACS reader: the plain-CNF format is retired and the DIMACS graph
+# format is written but not read, so every case of either is refused.
 DIMACS_PARSERS = {
     "cnf": import_xor_dimacs,
     "xor": import_xor_dimacs,
-    "graph": from_dimacs_graph,
+    "graph": import_xor_dimacs,
 }
 # Each parser's header (declared count left open) and two well-formed body lines.
 DIMACS_SHAPES = {
@@ -349,7 +349,7 @@ DIMACS_SHAPES = {
     "graph": ("p edge 4 {}", "e 1 2", "e 2 3"),
 }
 # The formats that are still read.
-ALL_PARSERS = {"xor", "graph"}
+ALL_PARSERS = {"xor"}
 
 
 def _second_token(line, token):
@@ -388,7 +388,7 @@ DIMACS_CASES = {
     "missing_header": (lambda h, a, b: f"{a}\n{b}\n", set()),
     "clause_before_header": (lambda h, a, b: f"{a}\n{h.format(2)}\n{b}\n", set()),
     "missing_0_terminator": (
-        lambda h, a, b: f"{h.format(2)}\n{a.removesuffix(' 0')}\n{b}\n", {"graph"}),
+        lambda h, a, b: f"{h.format(2)}\n{a.removesuffix(' 0')}\n{b}\n", set()),
     "count_too_high": (lambda h, a, b: f"{h.format(3)}\n{a}\n{b}\n", set()),
     "count_too_low": (lambda h, a, b: f"{h.format(1)}\n{a}\n{b}\n", set()),
     "second_header": (
@@ -449,7 +449,6 @@ def test_dimacs_readers_name_a_bad_variable_in_file_ids():
         (import_xor_dimacs, "p cnf 3 1\nx 0 1 2 0\n", "line 2: variable 0 out of range"),
         (import_xor_dimacs, "p cnf 3 1\nx 1 2 0\n", "line 2: needs 3 distinct"),
         (import_xor_dimacs, "p cnf 3 1\nx 1 1 2 0\n", "line 2: needs 3 distinct"),
-        (from_dimacs_graph, "p edge 3 1\ne 0 1\n", "line 2: vertex 0 out of range 1..3"),
     ]
     for parse, text, message in cases:
         with pytest.raises(ValueError, match="^" + re.escape(message)):

@@ -16,7 +16,7 @@ import pytest
 
 import xorcfi
 from xorcfi import pipeline
-from xorcfi.cfi import Graph
+from xorcfi.cfi import Graph, build_core
 from xorcfi.formula import export_xor_dimacs, import_xor_dimacs
 from xorcfi.pipeline import (
     GADGET_CORE,
@@ -27,11 +27,8 @@ from xorcfi.pipeline import (
     _atomic_write,
     build_graph,
     clause_digest,
-    export_graph,
-    from_dimacs_graph,
     from_dre,
     generate,
-    import_graph,
     manifest_text,
     parse_manifest,
     phi_is_asymmetric,
@@ -44,7 +41,7 @@ from xorcfi.formula import is_uniquely_satisfiable
 from xorcfi.sampler import SampleConfig, chunks, sample_homogeneous
 from xorcfi.xorsat import SAT, gauss_ratio
 
-from oracles import degrees, trial_draw
+from oracles import degrees, dimacs_graph_text, trial_draw
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 
@@ -70,15 +67,17 @@ def test_dimacs_frozen_path_graph():
 
 
 def test_round_trip_100_graphs_byte_exact():
+    # The DIMACS graph format is written, not read: its text is checked
+    # against the oracle's.
     rnd = random.Random(8)
     for _ in range(100):
         g = random_graph(rnd, rnd.randint(1, 15))
-        for fmt in ("dre", "dimacs"):
-            text = export_graph(g, fmt)
-            back = import_graph(text, fmt)
-            assert back.vertex_count == g.vertex_count
-            assert back.edges == g.edges
-            assert export_graph(back, fmt) == text
+        text = to_dre(g)
+        back = from_dre(text)
+        assert back.vertex_count == g.vertex_count
+        assert back.edges == g.edges
+        assert to_dre(back) == text
+        assert to_dimacs_graph(g) == dimacs_graph_text(g)
 
 
 def test_dre_parses_isolated_tail_vertices():
@@ -118,17 +117,17 @@ def test_dre_rejects_negative_vertex_count():
 
 
 def test_dimacs_graph_rejects_garbage():
-    with pytest.raises(ValueError):
-        from_dimacs_graph("p edge 2 1\nq 1 2\n")
+    # The one DIMACS reader reads formulas: a DIMACS graph is refused at its header.
+    with pytest.raises(ValueError, match="^line 1: bad DIMACS header 'p edge 2 1'$"):
+        import_xor_dimacs("p edge 2 1\ne 1 2\n")
     with pytest.raises(ValueError):
         from_dre("0 : 1;\n")
 
 
 def test_importers_merge_a_reversed_duplicate_edge():
-    for g in (from_dre("n=3 $=0 g\n0 : 1 2;\n1 : 0;\n2 : 0 0.\n"),
-              from_dimacs_graph("p edge 3 4\ne 1 2\ne 2 1\ne 1 3\ne 3 1\n")):
-        assert g.vertex_count == 3 and g.edge_count == 2
-        assert g.edges == {(0, 1), (0, 2)}
+    g = from_dre("n=3 $=0 g\n0 : 1 2;\n1 : 0;\n2 : 0 0.\n")
+    assert g.vertex_count == 3 and g.edge_count == 2
+    assert g.edges == {(0, 1), (0, 2)}
 
 
 def test_importers_reject_bad_vertices():
@@ -144,18 +143,10 @@ def test_importers_reject_bad_vertices():
         "negative count": "n=-1 $=0 g\n.\n",
         "no colon": "n=3 $=0 g\n0 : 1;\n2.\n",
     }
-    bad_dimacs = {
-        "self-loop": "p edge 3 1\ne 2 2\n",
-        "out of range": "p edge 3 1\ne 1 4\n",
-        "negative": "p edge 3 1\ne -1 2\n",
-        "vertex 0": "p edge 3 1\ne 0 1\n",
-        "beyond int64": "p edge 3 1\ne 1 99999999999999999999\n",
-    }
-    for cases, parse in ((bad_dre, from_dre), (bad_dimacs, from_dimacs_graph)):
-        for name, text in cases.items():
-            with pytest.raises(ValueError):
-                parse(text)
-    # A bad line is named by its number, as the DIMACS readers name theirs.
+    for name, text in bad_dre.items():
+        with pytest.raises(ValueError):
+            from_dre(text)
+    # A bad line is named by its number, as the DIMACS reader names its own.
     for name, message in (("non-integer", "line 2: non-integer vertex id in '0 : 1 x.'"),
                           ("non-integer row", "line 5: non-integer vertex id in 'x : 2.'"),
                           ("non-integer count", "line 1: non-integer vertex count"),
@@ -172,10 +163,10 @@ def test_importers_reject_bad_vertices():
 
 def test_importers_round_trip_empty_and_isolated_tail_vertices():
     for g in (Graph(0, []), Graph(4, []), Graph(7, [(0, 1), (1, 2)])):
-        for fmt in ("dre", "dimacs"):
-            back = import_graph(export_graph(g, fmt), fmt)
-            assert back.vertex_count == g.vertex_count
-            assert back.edges == g.edges
+        back = from_dre(to_dre(g))
+        assert back.vertex_count == g.vertex_count
+        assert back.edges == g.edges
+        assert to_dimacs_graph(g) == dimacs_graph_text(g)
 
 
 def test_check_reports_a_graph_file_with_a_self_loop(tmp_path, capsys):
@@ -481,12 +472,87 @@ def test_validate_catches_deleted_edge(tmp_path):
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
     records = generate(cfg, tmp_path)
     dre_path = tmp_path / records[0].graph_dre
-    g = from_dre(dre_path.read_text())
+    text = dre_path.read_text()
+    g = from_dre(text)
     edges = sorted(g.edges)[:-1]
     dre_path.write_text(to_dre(Graph(g.vertex_count, edges)))
     report = validate(tmp_path / records[0].manifest_file)
-    failed = {c.name for c in report.checks if not c.passed}
-    assert "graph_dre_edges" in failed
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert list(failed) == ["graph_dre"]
+    no = _first_differing_line(dre_path.read_text(), text)
+    assert failed["graph_dre"].startswith(f"line {no}: file has b'")
+
+
+def _first_differing_line(a, b):
+    return next(no for no, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), start=1)
+                if x != y)
+
+
+def _graph_check(tmp_path, rewrite, formats=("dre",)):
+    """A fresh instance's record and the (passed, detail) of its graph_<fmt>
+    checks after each graph file's text was replaced by rewrite(text)."""
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0, formats=formats)
+    record = generate(cfg, tmp_path)[0]
+    for rel in record.graph_files.values():
+        if rel is not None:
+            path = tmp_path / rel
+            path.write_bytes(rewrite(path.read_bytes().decode("utf-8")).encode("utf-8"))
+    report = validate(tmp_path / record.manifest_file)
+    return record, {c.name: (c.passed, c.detail) for c in report.checks
+                    if c.name.startswith("graph_")}
+
+
+def _lift_dre(base, record):
+    """to_dre of the lift of the instance's formula file."""
+    f = import_xor_dimacs((base / record.formula_file).read_text())
+    return to_dre(build_graph(f, record.gadget_mode))
+
+
+def _one_line_per_edge(dre_text):
+    """The same graph in dreadnaut text, each edge on its own line."""
+    head, body = dre_text.split("\n", 1)
+    rows = [row.split(" : ") for row in body.rstrip(".\n").split(";\n")]
+    return head + "\n" + ";\n".join(f"{u} : {w}" for u, ws in rows for w in ws.split()) + ".\n"
+
+
+def test_check_fails_a_graph_file_that_holds_the_lift_in_other_text(tmp_path):
+    # Each rewritten file reads back as the lift's own graph, but it is not
+    # the writer's bytes.
+    record, crlf = _graph_check(tmp_path / "crlf", lambda text: text.replace("\n", "\r\n"),
+                                formats=("dre", "dimacs"))
+    v, e = record.vertices, record.edges
+    assert crlf == {
+        "graph_dre": (False, f"line 1: file has b'n={v} $=0 g\\r\\n', writer gives b'n={v} $=0 g\\n'"),
+        "graph_dimacs": (False, f"line 1: file has b'p edge {v} {e}\\r\\n', "
+                                f"writer gives b'p edge {v} {e}\\n'"),
+    }
+
+    written = _lift_dre(tmp_path / "crlf", record)
+    split_text = _one_line_per_edge(written)
+    assert from_dre(split_text).edges == from_dre(written).edges
+    _, split = _graph_check(tmp_path / "split", _one_line_per_edge)
+    assert not split["graph_dre"][0]
+    no = _first_differing_line(split_text, written)
+    assert split["graph_dre"][1].startswith(f"line {no}: file has b'")
+
+
+def test_check_names_the_line_counts_when_a_graph_file_is_cut_short(tmp_path):
+    record, cut = _graph_check(tmp_path, lambda text: "".join(text.splitlines(True)[:2]))
+    lines = len(_lift_dre(tmp_path, record).splitlines())
+    assert cut == {"graph_dre": (False, f"file has 2 lines, writer gives {lines}")}
+
+
+def test_check_reports_a_formula_file_that_is_not_utf8(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    record = generate(cfg, tmp_path)[0]
+    (tmp_path / record.formula_file).write_bytes(b"\xff\xfe")
+    assert main(["check", str(tmp_path / record.manifest_file)]) == 1
+    out = capsys.readouterr().out
+    assert (f"{record.instance_id}: formula_file: FAIL  ('utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte)\n") in out
+    assert out.endswith("0/1 instances valid\n")
 
 
 def test_validate_catches_flipped_rhs(tmp_path):
@@ -599,9 +665,8 @@ def test_check_reports_a_graph_file_smaller_than_the_lift(tmp_path, capsys):
     (tmp_path / record.graph_dre).write_text("n=4 $=0 g\n0 : 1.\n")
     assert main(["check", str(tmp_path / record.manifest_file)]) == 1
     out = capsys.readouterr().out
-    assert f"{record.instance_id}: graph_dre_vertices: FAIL  (file has 4)\n" in out
-    for check in ("clause_degrees", "stub_degrees"):
-        assert f"{record.instance_id}: graph_dre_{check}: FAIL\n" in out
+    assert (f"{record.instance_id}: graph_dre: FAIL  (line 1: file has b'n=4 $=0 g\\n', "
+            f"writer gives b'n={record.vertices} $=0 g\\n')\n") in out
     assert out.endswith("0/1 instances valid\n")
 
 
@@ -669,10 +734,12 @@ def test_cli_sample_then_build(tmp_path, monkeypatch):
     build_dir = tmp_path / "graphs"
     assert main(["build", *formulas, "--gadget", "core", "--format", "dimacs",
                  "--out", str(build_dir)]) == 0
-    built = list(build_dir.glob("*.dimacs"))
+    built = sorted(build_dir.glob("*.dimacs"))
     assert len(built) == 2
-    g = from_dimacs_graph(built[0].read_text())
-    assert g.vertex_count == 2 * 6 + 4 * 8
+    for formula, path in zip(formulas, built):
+        g = build_core(import_xor_dimacs(Path(formula).read_text()))
+        assert g.vertex_count == 2 * 6 + 4 * 8
+        assert path.read_text() == to_dimacs_graph(g)
     digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.rglob("*") if p.is_file()}
     assert digests == CLI_SAMPLE_BUILD_DIGESTS  # byte-identical, and no *.tmp left behind
@@ -746,6 +813,8 @@ def test_cli_build_refuses_two_formulas_with_one_output_name(tmp_path, capsys):
      "gauss threshold must be a number, got nan"),
     (["sample", "--n", "10", "--ratio", "2", "--count", "0"], "need at least one trial"),
     (["sample", "--n", "10", "--ratio", "2", "--count", "-3"], "need at least one trial"),
+    (["generate", "--n", "10", "--ratio", "1e308"], "ratio * n = 1e+308 * 10 is not finite"),
+    (["sample", "--n", "10", "--ratio", "1e308"], "ratio * n = 1e+308 * 10 is not finite"),
 ])
 def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, message):
     from xorcfi.cli import main
@@ -800,6 +869,15 @@ def test_hardness_growth_script_reports_a_missed_quota(tmp_path):
     assert f"n=10: {accepted} of 20 requested instances accepted in 12 trials\n" in proc.stdout
 
 
+def test_hardness_growth_script_reports_a_config_error_without_traceback(tmp_path):
+    proc = _run_script("hardness_growth.py", "--ns", "10", "20", "--ratio", "0.5",
+                       "--out", str(tmp_path / "growth"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: clause/variable ratio below 1 can never be uniquely "
+                           "satisfiable (m=5 < n=10)\n")
+    assert not (tmp_path / "growth").exists()
+
+
 def _shootout(tmp_path, edit=lambda manifests: None):
     """The toy batch's records and the script's results.csv rows on it."""
     batch = tmp_path / "batch"
@@ -818,6 +896,15 @@ def test_solver_shootout_script_toy_run(tmp_path):
     assert [r["instance"] for r in rows] == [r.instance_id for r in records]
     assert all(r["solver"] == "internal-ir" and r["status"] == "OK" and int(r["nodes"]) > 0
                for r in rows)
+
+
+def test_solver_shootout_script_refuses_an_unknown_solver(tmp_path):
+    proc = _run_script("solver_shootout.py", str(tmp_path), "--solvers", "internal", "bogus",
+                       "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "argument --solvers: invalid choice: 'bogus'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_solver_shootout_script_reports_an_unreadable_manifest(tmp_path):
