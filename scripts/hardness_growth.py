@@ -14,7 +14,7 @@ from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
-from xorcfi.bench import STATUS_OK, STATUS_TIMEOUT, run_internal, write_summary
+from xorcfi.bench import STATUS_OK, STATUS_TIMEOUT, check_limits, run_internal, write_summary
 from xorcfi.canon import CELL_FIRST_LARGEST, CELL_FIRST_SMALLEST
 from xorcfi.pipeline import GADGET_CORE, GADGETS, PipelineConfig, trial_outcomes
 
@@ -36,6 +36,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.count < 1:
+            raise ValueError(f"count must be >= 1, got {args.count}")
+        check_limits(args.max_nodes, args.timeout)
         configs = [PipelineConfig(n=n, ratio=args.ratio, seed=args.seed,
                                   trials=args.max_trials, gadget_mode=args.gadget,
                                   gauss_threshold=args.gauss_threshold)

@@ -24,6 +24,7 @@ from xorcfi.bench import (
     INTERNAL_SOLVER,
     STATUS_ERROR,
     BenchResult,
+    check_limits,
     run_external,
     run_internal,
     write_summary,
@@ -46,6 +47,11 @@ def main(argv=None) -> int:
     parser.add_argument("--max-nodes", type=int, default=10_000_000)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    try:
+        check_limits(args.max_nodes, args.timeout)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     manifests = sorted(args.batch_dir.glob("*/manifest.txt"))
     if not manifests:

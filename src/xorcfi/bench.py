@@ -136,6 +136,17 @@ def run_external(solver: str, dre_file: Union[str, Path], timeout: float) -> Ben
             tmp_path.unlink(missing_ok=True)
 
 
+def check_limits(max_nodes: Optional[int], timeout: Optional[float]) -> None:
+    """Refuse the scripts' node cap below 1 and a time limit that is not a
+    positive finite number of seconds (NaN included): an internal search
+    under either is recorded as TIMEOUT at once, and subprocess.run
+    cannot take an infinite limit."""
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max nodes must be >= 1, got {max_nodes}")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be a positive finite number of seconds, got {timeout}")
+
+
 def run_internal(
     g: Graph,
     timeout: Optional[float] = None,

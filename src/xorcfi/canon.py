@@ -3,8 +3,10 @@
 Color refinement runs vectorized: each round sorts every vertex's
 neighbor colors and ranks the rows (own color, sorted neighbor colors)
 lexicographically. The rows are held as big-endian unsigned integers
-viewed as one opaque byte string per vertex, so a single argsort of the
-byte strings ranks them in lexicographic order (see _Csr and _refine).
+viewed as one NUL-padded byte string (numpy's S type) per vertex, so a
+single argsort of the byte strings ranks them in lexicographic order;
+rows of one length compare as S scalars exactly as in full, whether or
+not numpy strips their trailing NULs (see _Csr and _refine).
 Cell ids produced this way depend only on the refinement history, never
 on vertex numbering, which is what the individualization-refinement
 search needs to match up cells across branches.
@@ -77,10 +79,13 @@ class _Csr:
 
     mat holds one row per vertex: its own color, then its sorted neighbor
     colors plus one, then zeros up to max_deg + 1 entries. Its dtype is
-    the smallest unsigned type that holds v, big-endian, so rows holds
-    each row as one opaque byte string whose byte order is the
-    lexicographic order of its entries. Every round writes the same
-    cells, so the zero padding, written once here, stays in place.
+    the smallest unsigned type that holds v, big-endian, so rows views
+    each row as one S byte string of width * itemsize bytes, whose
+    unsigned bytewise order is the lexicographic order of its entries.
+    Zero entries make NUL bytes inside and at the end of a row; _refine
+    says why ranking the rows as S strings is exact all the same. Every
+    round writes the same cells, so the zero padding, written once here,
+    stays in place.
     """
 
     def __init__(self, g: Graph):
@@ -106,7 +111,7 @@ class _Csr:
         self.cells = self.row_of * width + self.pos + 1
         dtype = np.min_scalar_type(self.v).newbyteorder(">")
         self.mat = np.zeros((self.v, width), dtype=dtype)
-        self.rows = self.mat.view(np.dtype((np.void, width * dtype.itemsize))).reshape(-1)
+        self.rows = self.mat.view(np.dtype(("S", width * dtype.itemsize))).reshape(-1)
 
 
 def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
@@ -122,10 +127,17 @@ def _refine(colors: np.ndarray, csr: _Csr) -> np.ndarray:
     are unsigned and big-endian, so two rows compare byte by byte as
     their entries compare in order. Neighbor entries are shifted up by
     one, so the zero padding sorts below every real entry, as -1 did,
-    and a row that is a proper prefix of another still sorts first. This
-    relies on numpy ordering unstructured void scalars bytewise in
-    argsort and comparing void arrays elementwise with !=; both were
-    tested with numpy 2.4.6.
+    and a row that is a proper prefix of another still sorts first.
+
+    numpy orders S strings by unsigned bytes and may strip trailing NULs
+    before it compares them; that changes neither order nor equality
+    here. Every row has the same length, and NUL is the least byte. At
+    the first byte where two rows differ, the larger byte is not NUL, so
+    stripping keeps it; the other row either keeps its byte there or
+    ends before it, and both ways it still sorts first. Rows with equal
+    bytes strip alike. So the argsort and the != below give the ranks of
+    the full rows (tested against void rows and np.lexsort with numpy
+    2.4.6).
     """
     v = csr.v
     if v == 0:

@@ -546,7 +546,9 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
 
     formula_path = base / record.formula_file
     try:
-        formula_text = formula_path.read_text(encoding="utf-8")
+        # Bytes decoded strictly, not read_text: its universal newlines
+        # would fold a CRLF or lone-CR copy into the digested text.
+        formula_text = formula_path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         checks.append(CheckResult("formula_file", False, str(exc)))
         return ValidationReport(record.instance_id, tuple(checks))

@@ -279,6 +279,50 @@ def test_refine_ranks_a_row_before_its_extensions():
     assert np.all(np.diff(hub_ids) > 0)
 
 
+def nul_heavy_rows(rng, dtype, rows, width):
+    """Random rows of one entry type whose entries come from a small set,
+    so that rows share prefixes and repeat. About half the entries are 0,
+    which puts NUL bytes inside and at the end of rows, and the set holds
+    entries whose leading byte is 0x80 or more."""
+    top = int(np.iinfo(dtype).max)
+    lead = 1 << (8 * dtype.itemsize - 1)
+    palette = np.array([1, 0x7F, 0x80, 0xFF, lead - 1, lead, top, *rng.integers(1, top, 5)],
+                       dtype=np.uint64)
+    mat = rng.choice(palette, size=(rows, width)).astype(dtype)
+    mat[rng.random((rows, width)) < 0.5] = 0
+    return mat
+
+
+@pytest.mark.parametrize("entry", ["u1", ">u2", ">u4"])
+def test_byte_string_rows_rank_as_void_rows_and_lexsort(entry):
+    # _refine ranks rows through the S view of _Csr, which numpy compares
+    # with trailing NULs stripped; the ranks and the mask of adjacent
+    # distinct rows must be those of the full rows.
+    dtype = np.dtype(entry)
+    rng = np.random.default_rng(2014)
+    for _ in range(60):
+        rows, width = int(rng.integers(1, 200)), int(rng.integers(1, 7))
+        mat = nul_heavy_rows(rng, dtype, rows, width)
+        size = width * dtype.itemsize
+        strings = mat.view(np.dtype(("S", size))).reshape(-1)
+        voids = mat.view(np.dtype((np.void, size))).reshape(-1)
+        order = strings.argsort(kind="stable")
+        assert np.array_equal(order, voids.argsort(kind="stable"))
+        assert np.array_equal(order, np.lexsort(mat.T[::-1]))
+        ranked, ranked_voids, ranked_mat = strings[order], voids[order], mat[order]
+        step = ranked[1:] != ranked[:-1]
+        assert np.array_equal(step, ranked_voids[1:] != ranked_voids[:-1])
+        assert np.array_equal(step, np.any(ranked_mat[1:] != ranked_mat[:-1], axis=1))
+
+
+def test_csr_rows_are_byte_strings_at_every_entry_width():
+    for v in (3, 256, 257):
+        csr = canon._Csr(path(v))
+        entry = np.min_scalar_type(v).itemsize
+        assert csr.rows.dtype == np.dtype(("S", (csr.max_deg + 1) * entry))
+        assert csr.rows.shape == (v,) and np.shares_memory(csr.rows, csr.mat)
+
+
 def test_individualized_is_the_dense_form_of_the_odd_even_split():
     rnd = random.Random(11)
     checked = 0

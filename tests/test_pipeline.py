@@ -569,6 +569,20 @@ def test_validate_catches_flipped_rhs(tmp_path):
     assert "clause_digest" in failed
 
 
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_validate_digests_the_formula_file_bytes(tmp_path, ending):
+    # The text differs only in its line endings, which universal-newline
+    # reading would fold back to the written text.
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    record = generate(cfg, tmp_path)[0]
+    fpath = tmp_path / record.formula_file
+    fpath.write_bytes(fpath.read_bytes().replace(b"\n", ending))
+    checks = {c.name: c for c in validate(tmp_path / record.manifest_file).checks}
+    got = clause_digest(fpath.read_bytes().decode("utf-8"))
+    assert not checks["clause_digest"].passed
+    assert checks["clause_digest"].detail == f"expected {record.clause_digest}, got {got}"
+
+
 def test_validate_missing_file(tmp_path):
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
     records = generate(cfg, tmp_path)
@@ -876,6 +890,33 @@ def test_hardness_growth_script_reports_a_config_error_without_traceback(tmp_pat
     assert proc.stderr == ("error: clause/variable ratio below 1 can never be uniquely "
                            "satisfiable (m=5 < n=10)\n")
     assert not (tmp_path / "growth").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--count", "0"], "count must be >= 1, got 0"),
+    (["--count", "-1"], "count must be >= 1, got -1"),
+    (["--max-nodes", "0"], "max nodes must be >= 1, got 0"),
+    (["--timeout", "-1"], "timeout must be a positive finite number of seconds, got -1.0"),
+    (["--timeout", "nan"], "timeout must be a positive finite number of seconds, got nan"),
+])
+def test_hardness_growth_script_refuses_out_of_range_limits(tmp_path, args, message):
+    proc = _run_script("hardness_growth.py", "--ns", "10", *args, "--out", str(tmp_path / "growth"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "growth").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--max-nodes", "-5"], "max nodes must be >= 1, got -5"),
+    (["--timeout", "0"], "timeout must be a positive finite number of seconds, got 0.0"),
+    (["--timeout", "inf"], "timeout must be a positive finite number of seconds, got inf"),
+])
+def test_solver_shootout_script_refuses_out_of_range_limits(tmp_path, args, message):
+    batch = tmp_path / "batch"
+    generate(PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0), batch)
+    proc = _run_script("solver_shootout.py", str(batch), "--solvers", "internal", *args,
+                       "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def _shootout(tmp_path, edit=lambda manifests: None):
