@@ -53,8 +53,10 @@ class Graph:
     any iterable of (u, v) pairs, in any order and orientation, and keeps
     it canonical and read-only: int64 rows (u, v) with u < v, sorted,
     without duplicates. A reversed or repeated row is the same edge; a
-    row that is not a pair, a self-loop or a vertex out of range is a
-    ValueError. colors, any sequence, is stored as a tuple.
+    row that is not a pair, a vertex id that is not an integer (floats,
+    bools and strings included) or does not fit 64 bits, a self-loop or
+    a vertex out of range is a ValueError. colors, any sequence, is
+    stored as a tuple.
     """
 
     vertex_count: int
@@ -69,7 +71,9 @@ class Graph:
             raise ValueError(f"vertex count must be at most 2^31, got {n}")
         ends = self.edge_array
         if not isinstance(ends, np.ndarray):
-            ends = np.array(list(ends) or np.empty((0, 2)))
+            ends = np.array(list(ends) or np.empty((0, 2), dtype=np.int64))
+        if ends.size and ends.dtype.kind not in "iu":
+            raise ValueError(f"edge array must hold 64-bit integers, got dtype {ends.dtype}")
         ends = np.asarray(ends, dtype=np.int64)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValueError(f"edge array must have shape (E, 2), got {ends.shape}")

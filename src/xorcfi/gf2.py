@@ -12,14 +12,27 @@ rows not yet used as pivots, and clearing it elsewhere is one xor into
 each later column the pivot row touches. The reduced row echelon form
 of a matrix is unique, so the pivot choice cannot change any result.
 
-Pivot rows are sparse, so most later columns miss any one pivot bit.
-The elimination therefore defers its updates a block of _BLOCK pivot
-columns at a time, as blocked (M4RI-style) GF(2) elimination does: the
-columns inside the block are updated at once, because the next pivot
-is read from them, and each later column is tested once against the
-OR of the block's pivot bits. A column that misses it is untouched by
-the whole block; a column that hits replays the block's xors in pivot
-order, exactly the xors the one-pivot-at-a-time loop would make.
+Pivot rows are sparse, so most columns miss any one pivot bit. The
+elimination therefore works a block of _BLOCK pivot columns at a time
+and brings a column up to date only when it is read, as blocked
+(M4RI-style) GF(2) elimination does. One helper, _replay, applies the
+block's pivots so far to a column in pivot order: each full group of
+_GROUP pivots at once, through a memo that maps the column's bits at
+the group's pivot rows to the xor the group makes there (the Method of
+Four Russians; Albrecht, Bard & Hart, ACM TOMS 2010), then the newer
+pivots one by one. A column of the block is replayed just before its
+pivot search, and after the block every column from the first one the
+block did not visit is replayed once: from the block's end, or from the
+column after the last pivot when the rows run out inside the block. A
+column that misses the OR of the block's pivot bits is untouched by the
+whole block and skips the replay.
+
+The replay is exact. A group's xors on a column depend only on the
+column's bits at the group's pivot rows, and inside the group those
+bits change only by the group's own xors, so the memoised xor for one
+value of those bits is what the pivots make one at a time. Groups and
+tail run in pivot order, and a pivot never touches an earlier column,
+so every column receives the one-pivot-at-a-time loop's xors.
 
 rank() counts the pivots; reduced_system() returns the reduced system
 that the Gauss presolve of xorsat propagates.
@@ -27,12 +40,44 @@ that the Gauss presolve of xorsat propagates.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 # Pivot columns per deferred block; measured fastest at 16-32 on n=1000,
 # m=2000 systems, while 64 is slower.
 _BLOCK = 32
+# Pivots replayed through one memo table.
+_GROUP = 4
+
+_Op = Tuple[int, int]  # (p, others): xor others into a column that holds p
+_Group = Tuple[int, List[_Op], Dict[int, int]]  # (mask, ops, memo)
+
+
+def _replay(x: int, groups: List[_Group], tail: List[_Op]) -> int:
+    """Column x after a block's pivots so far, in pivot order: first the
+    full groups, each a (mask, ops, memo) with ops its (p, others) pairs
+    and mask the OR of their p, then the newer pairs in tail.
+
+    An op xors others into x when x holds p. Inside a group the bits of
+    x at mask change only by others & mask, so the group's xor on x is a
+    function of x & mask alone: memo holds it per value met, computed
+    by running the group's ops on that value.
+    """
+    for mask, ops, memo in groups:
+        key = x & mask
+        if key:
+            delta = memo.get(key)
+            if delta is None:
+                y = key
+                for p, others in ops:
+                    if y & p:
+                        y ^= others
+                delta = memo[key] = y ^ key
+            x ^= delta
+    for p, others in tail:
+        if x & p:
+            x ^= others
+    return x
 
 
 def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
@@ -48,14 +93,17 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
     and clearing c in the other rows, others = col[c] ^ p, is one xor of
     others into each later column that holds p.
 
-    Those xors are deferred past the end of a block of _BLOCK pivot
-    columns. Inside the block they are made at once; after it, each
-    later column x (those at cols and above included) is tested once
-    against P, the OR of the block's pivot bits p. Only the bits p of x
-    decide whether an xor hits x, and they change only when one does,
-    so an x that misses P is untouched by the block; an x that hits
-    replays `if x & p: x ^= others` for the block's pivots in order,
-    which is the eager loop's sequence of xors on x.
+    Those xors are deferred within a block of _BLOCK pivot columns and
+    made by _replay, in pivot order, whenever a column is read: column c
+    of the block just before its pivot search (a column the block has
+    not reached yet is never read, and a pivot never touches an earlier
+    column), and after the block every column from the first one the
+    block did not visit, those at cols and above included. That is the
+    block's end, or c + 1 when the rows run out at column c. Pivots go
+    to _replay in groups of _GROUP, and a group's memoised xor for a
+    given x & mask is the xor its ops make one by one, so each column
+    receives exactly the eager loop's sequence of xors. A column that
+    misses hit, the OR of the block's pivot bits p, is untouched.
     """
     rows = list(row_bits)
     width = max(cols, max(rows, default=0).bit_length())
@@ -70,21 +118,28 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
     pivots: List[int] = []
     order: List[int] = []  # pivot row indices, then the remaining rows
     for start in range(0, cols, _BLOCK):
-        stop = min(start + _BLOCK, cols)
-        ops: List[Tuple[int, int]] = []  # (p, others) where others is nonzero
-        hit = 0  # P: the OR of those p; a pivot with no others xors nothing
-        for c in range(start, stop):
-            cand = col[c] & free
+        groups: List[_Group] = []
+        tail: List[_Op] = []  # the newest ops, not yet in a full group
+        hit = 0  # the OR of every op's p; a pivot with no others has no op
+        for c in range(start, min(start + _BLOCK, cols)):
+            x = col[c]
+            if x & hit:
+                x = _replay(x, groups, tail)
+            cand = x & free
             if not cand:
+                col[c] = x
                 continue
             p = cand & -cand
-            others = col[c] ^ p
+            others = x ^ p
             if others:
-                for j in range(c + 1, stop):
-                    if col[j] & p:
-                        col[j] ^= others
-                ops.append((p, others))
+                tail.append((p, others))
                 hit |= p
+                if len(tail) == _GROUP:
+                    mask = 0
+                    for q, _ in tail:
+                        mask |= q
+                    groups.append((mask, tail, {}))
+                    tail = []
             col[c] = 0  # a unit column; its one bit goes back in below
             free ^= p
             pivots.append(c)
@@ -92,13 +147,10 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
             if not free:
                 break
         if hit:
-            for j in range(stop, width):
+            for j in range(c + 1, width):
                 x = col[j]
                 if x & hit:
-                    for p, others in ops:
-                        if x & p:
-                            x ^= others
-                    col[j] = x
+                    col[j] = _replay(x, groups, tail)
         if not free:
             break
     work = [0] * len(rows)

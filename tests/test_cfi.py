@@ -337,6 +337,13 @@ def test_graph_validation():
     for rows in ([[1, 1]], [[0, 3]], [[-1, 2]], [0, 1, 2], [[0, 1, 2]]):
         with pytest.raises(ValueError):
             Graph(3, np.array(rows))
+    # Vertex ids must be integers: no float is truncated, no bool or digit
+    # string read as a number, and an id past 64 bits is a ValueError too.
+    for rows in ([(0, 1.9)], np.array([[0.5, 1.0]]), [(True, False)], np.array([[True, False]]),
+                 [("0", "2")], [(0, 2**64)], [(0, 2**63)], [(-2**64, 1)]):
+        with pytest.raises(ValueError):
+            Graph(3, rows)
+    assert Graph(3, np.array([[2, 0]], dtype=np.uint8)).edge_array.tolist() == [[0, 2]]
     # The constructor keeps its rows canonical: reversed and repeated rows
     # merge, and the rows are sorted.
     g = Graph(3, np.array([[2, 1], [1, 0], [0, 1], [1, 2]]))

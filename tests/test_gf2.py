@@ -332,6 +332,7 @@ def test_reducer_matches_reference_at_n1000():
 # -- deferred blocks against the one-pivot-at-a-time reducers --------------
 
 BLOCKS = (1, 2, 3, 5, gf2._BLOCK)
+GROUPS = (1, 2, 3, 4, 5)
 N1000_SEEDS = (1868515624530699897, 3, 11, 2024)
 
 
@@ -353,7 +354,9 @@ def coefficient_rows(rng, rows, cols, rank_bound=None):
 
 def block_boundary_matrices(rng, block):
     """(name, rows, cols) with cols at 0 and at block - 1, block, block + 1
-    and 2 block + 1, in tall, square, wide, rank-deficient and empty shapes."""
+    and 2 block + 1, in tall, square, wide, rank-deficient and empty shapes,
+    and in short shapes: fewer than block or than 2 block rows over more
+    columns, so that the rows can run out inside the first or second block."""
     for cols in sorted({0, max(block - 1, 0), block, block + 1, 2 * block + 1}):
         yield "empty", [], cols
         yield "tall", coefficient_rows(rng, cols + rng.randint(1, 4), cols), cols
@@ -362,6 +365,16 @@ def block_boundary_matrices(rng, block):
             yield "wide", coefficient_rows(rng, rng.randint(1, cols - 1), cols), cols
             yield "rank_deficient", coefficient_rows(
                 rng, cols + 2, cols, rng.randint(0, cols - 1)), cols
+        if cols > block >= 2:
+            for short in {rng.randint(1, block - 1), block + rng.randint(1, block - 1)}:
+                yield "short", coefficient_rows(rng, short, cols), cols
+
+
+def runs_out_mid_block(rows, cols, block):
+    """Whether every row is a pivot row before the last column of a block,
+    so that the elimination stops inside that block."""
+    pivots = column_major_rref(rows, cols)[1]
+    return bool(rows) and len(pivots) == len(rows) and pivots[-1] % block != block - 1
 
 
 def assert_blocked_matches(rows, cols, consistent):
@@ -384,35 +397,41 @@ def assert_blocked_matches(rows, cols, consistent):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_blocked_reducer_matches_oracles_across_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(gf2, "_BLOCK", block)
-    rng = random.Random(block)
-    inconsistent = 0
-    for _ in range(4):
-        for shape, rows, cols in block_boundary_matrices(rng, block):
-            assert_blocked_matches(rows, cols, consistent=True)
-            x = rng.getrandbits(cols) if cols else 0
-            consistent_rhs, random_rhs = mat_vec(rows, x), rng.getrandbits(len(rows))
-            assert_blocked_matches(with_rhs(rows, cols, consistent_rhs), cols, consistent=True)
-            system = with_rhs(rows, cols, random_rhs)
-            ok = reduced_system(system, cols) is not None
-            inconsistent += not ok
-            assert_blocked_matches(system, cols, consistent=ok)
-            # Carried bits above the rhs: three random ones, and an identity
-            # block that records which input rows each output row combines.
-            carried = [r | rng.getrandbits(3) << (cols + 1) for r in system]
-            assert_blocked_matches(carried, cols, consistent=False)
-            tagged = [r | 1 << (cols + i) for i, r in enumerate(rows)]
-            assert_blocked_matches(tagged, cols, consistent=False)
-            # A pivot row combines pivot input rows only, and the rows past
-            # the pivots are the other input rows in input order, each plus
-            # some pivot input rows.
-            work, pivots = gf2._rref(tagged, cols)
-            used = 0
-            for w in work[:len(pivots)]:
-                used |= w >> cols
-            assert used.bit_count() == len(pivots)
-            own = [w >> cols & ~used for w in work[len(pivots):]]
-            assert own == [1 << i for i in range(len(rows)) if not used >> i & 1]
-    assert inconsistent > 0
+    for group in GROUPS:
+        monkeypatch.setattr(gf2, "_GROUP", group)
+        rng = random.Random(100 * block + group)
+        inconsistent = early_exits = 0
+        for _ in range(4):
+            for shape, rows, cols in block_boundary_matrices(rng, block):
+                if shape == "short":
+                    early_exits += runs_out_mid_block(rows, cols, block)
+                assert_blocked_matches(rows, cols, consistent=True)
+                x = rng.getrandbits(cols) if cols else 0
+                consistent_rhs, random_rhs = mat_vec(rows, x), rng.getrandbits(len(rows))
+                assert_blocked_matches(with_rhs(rows, cols, consistent_rhs), cols, consistent=True)
+                system = with_rhs(rows, cols, random_rhs)
+                ok = reduced_system(system, cols) is not None
+                inconsistent += not ok
+                assert_blocked_matches(system, cols, consistent=ok)
+                # Carried bits above the rhs: three random ones, and an identity
+                # block that records which input rows each output row combines.
+                carried = [r | rng.getrandbits(3) << (cols + 1) for r in system]
+                assert_blocked_matches(carried, cols, consistent=False)
+                tagged = [r | 1 << (cols + i) for i, r in enumerate(rows)]
+                assert_blocked_matches(tagged, cols, consistent=False)
+                # A pivot row combines pivot input rows only, and the rows past
+                # the pivots are the other input rows in input order, each plus
+                # some pivot input rows.
+                work, pivots = gf2._rref(tagged, cols)
+                used = 0
+                for w in work[:len(pivots)]:
+                    used |= w >> cols
+                assert used.bit_count() == len(pivots)
+                own = [w >> cols & ~used for w in work[len(pivots):]]
+                assert own == [1 << i for i in range(len(rows)) if not used >> i & 1]
+        assert inconsistent > 0
+        # A one-column block cannot stop before its last column.
+        assert early_exits > 0 or block == 1
 
 
 @pytest.mark.parametrize("seed", N1000_SEEDS)
