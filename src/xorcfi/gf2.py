@@ -121,6 +121,7 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
         groups: List[_Group] = []
         tail: List[_Op] = []  # the newest ops, not yet in a full group
         hit = 0  # the OR of every op's p; a pivot with no others has no op
+        grouped = 0  # the OR of the p in groups, so hit ^ grouped is the tail's
         for c in range(start, min(start + _BLOCK, cols)):
             x = col[c]
             if x & hit:
@@ -135,11 +136,8 @@ def _rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
                 tail.append((p, others))
                 hit |= p
                 if len(tail) == _GROUP:
-                    mask = 0
-                    for q, _ in tail:
-                        mask |= q
-                    groups.append((mask, tail, {}))
-                    tail = []
+                    groups.append((hit ^ grouped, tail, {}))
+                    grouped, tail = hit, []
             col[c] = 0  # a unit column; its one bit goes back in below
             free ^= p
             pivots.append(c)
