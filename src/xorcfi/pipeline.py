@@ -16,10 +16,11 @@ lacks full rank is rejected before any formula object exists.
 Graphs travel as cfi.Graph's canonical edge array, and the writers group
 its sorted rows into text. `from_dre`, the one graph reader, parses a file
 into rows and lets the Graph constructor canonicalise them; `bench` and
-the scripts read `.dre` files through it. `validate` reads no graph back:
-it compares each graph file's bytes with the writer's text for a fresh
-lift. An accepted trial's formula text is made once, for its digest and
-its file.
+the scripts read `.dre` files through it. An accepted trial's formula
+text is made once, for its digest and its file. `validate` parses no
+formula and reads no graph back: it draws the formula again from the
+manifest's (n, m, seed, trial), and each file passes when its bytes are
+the writer's text for that draw or for a fresh lift of it.
 
 The config's one budget counts work, never seconds: decisions per DPLL
 run and nodes of the IR search in the asymmetry filter. A plain run that
@@ -51,15 +52,8 @@ import numpy as np
 from . import __version__
 from .canon import ir_automorphisms
 from .cfi import Graph, build_core, build_full, incidence_graph
-from .formula import (
-    XorFormula,
-    export_xor_dimacs,
-    has_full_rank,
-    import_xor_dimacs,
-    to_matrix,
-)
-from .gf2 import rank
-from .sampler import SampleConfig, TrialDraw, draws
+from .formula import XorFormula, export_xor_dimacs
+from .sampler import SampleConfig, TrialDraw, draws, screen
 from .xorsat import UNSAT, gauss_ratio
 
 logger = logging.getLogger(__name__)
@@ -401,7 +395,7 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
 
     # Cheapest filter first: the rank check settles most trials before the
     # formula is built and the IR search runs.
-    if not (draw.covers_all and has_full_rank(cfg.n, draw.triples.tolist())):
+    if not draw.full_rank():
         return TrialOutcome(trial, REJECT_NOT_UNIQUE)
     f = draw.formula()
 
@@ -520,6 +514,13 @@ def _first_difference(got: bytes, want: bytes) -> str:
     return f"file has {len(got_lines)} lines, writer gives {len(want_lines)}"
 
 
+def _same_bytes(name: str, got: bytes, text: str) -> CheckResult:
+    """A check that passes exactly when a file's bytes are the writer's
+    UTF-8 text, and otherwise names where they part."""
+    want = text.encode("utf-8")
+    return CheckResult(name, got == want, "" if got == want else _first_difference(got, want))
+
+
 def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     """Re-read an instance from disk and re-check the cheap invariants."""
     manifest_path = Path(manifest_path)
@@ -544,11 +545,11 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     checks.append(CheckResult("instance_directory", True))
     base = here.parent
 
-    formula_path = base / record.formula_file
     try:
         # Bytes decoded strictly, not read_text: its universal newlines
         # would fold a CRLF or lone-CR copy into the digested text.
-        formula_text = formula_path.read_bytes().decode("utf-8")
+        formula_bytes = (base / record.formula_file).read_bytes()
+        formula_text = formula_bytes.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         checks.append(CheckResult("formula_file", False, str(exc)))
         return ValidationReport(record.instance_id, tuple(checks))
@@ -557,25 +558,30 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
     digest = clause_digest(formula_text)
     checks.append(CheckResult("clause_digest", digest == record.clause_digest,
                               f"expected {record.clause_digest}, got {digest}"))
-    try:
-        f = import_xor_dimacs(formula_text)
-    except ValueError as exc:
-        checks.append(CheckResult("formula_parses", False, str(exc)))
-        return ValidationReport(record.instance_id, tuple(checks))
-    checks.append(CheckResult("formula_parses", True))
-    checks.append(CheckResult("formula_shape", f.n == record.n and f.m == record.m,
-                              f"n={f.n} m={f.m}"))
 
-    r = rank(to_matrix(f), f.n)
-    checks.append(CheckResult("rank_check", (r == f.n) == record.uniquely_satisfiable,
-                              f"rank={r} n={f.n}"))
+    # The formula is a function of (n, m, seed, trial) under the frozen
+    # stream, so it is drawn again, never parsed. Every formula generate
+    # writes covers its n variables in m + 1 lines; holding the manifest
+    # to that keeps the draw and its lift no larger than the file.
+    lines = len(formula_bytes.splitlines())
+    try:
+        config = SampleConfig(n=record.n, m=record.m, seed=record.seed)
+        if record.n > 3 * record.m:
+            raise ValueError(f"n={record.n} variables cannot all occur in m={record.m} clauses")
+        if lines != record.m + 1:
+            raise ValueError(f"file has {lines} lines, m={record.m} clauses take {record.m + 1}")
+        draw = screen(config, range(record.trial, record.trial + 1))[0]
+    except ValueError as exc:
+        checks.append(CheckResult("formula_draw", False, str(exc)))
+        return ValidationReport(record.instance_id, tuple(checks))
+    f = draw.formula()
+    checks.append(_same_bytes("formula_draw", formula_bytes, export_xor_dimacs(f)))
+    unique = record.uniquely_satisfiable
+    checks.append(CheckResult("rank_check", draw.full_rank() == unique,
+                              f"the draw has {'deficient' if unique else 'full'} rank"))
 
     # The lifts assert their size against VertexScheme's count formulas.
-    try:
-        expected = build_graph(f, record.gadget_mode)
-    except ValueError as exc:
-        checks.append(CheckResult("formula_lifts", False, str(exc)))
-        return ValidationReport(record.instance_id, tuple(checks))
+    expected = build_graph(f, record.gadget_mode)
     want_v, want_e = expected.vertex_count, expected.edge_count
     checks.append(CheckResult("vertex_formula", record.vertices == want_v,
                               f"manifest {record.vertices}, formula {want_v}"))
@@ -592,7 +598,5 @@ def validate(manifest_path: Union[str, Path]) -> ValidationReport:
         except OSError as exc:
             checks.append(CheckResult(f"graph_{fmt}", False, str(exc)))
             continue
-        want = export_graph(expected, fmt).encode("utf-8")
-        checks.append(CheckResult(f"graph_{fmt}", got == want,
-                                  "" if got == want else _first_difference(got, want)))
+        checks.append(_same_bytes(f"graph_{fmt}", got, export_graph(expected, fmt)))
     return ValidationReport(record.instance_id, tuple(checks))

@@ -25,7 +25,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .formula import XorClause, XorFormula
+from .formula import XorClause, XorFormula, has_full_rank
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,11 @@ class TrialDraw:
 
     def formula(self) -> XorFormula:
         return XorFormula(self.n, tuple(XorClause(t, 0) for t in map(tuple, self.triples.tolist())))
+
+    def full_rank(self) -> bool:
+        """Whether the formula is uniquely satisfiable; a variable in no
+        triple settles it without an elimination."""
+        return self.covers_all and has_full_rank(self.n, self.triples.tolist())
 
 
 def chunks(cfg: SampleConfig, trials: range) -> Iterator[range]:

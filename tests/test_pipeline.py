@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import xorcfi
-from xorcfi import pipeline
+from xorcfi import formula, pipeline
 from xorcfi.cfi import Graph, build_core
 from xorcfi.formula import export_xor_dimacs, import_xor_dimacs
 from xorcfi.pipeline import (
@@ -320,27 +320,28 @@ def test_run_trial_raises_when_gauss_run_contradicts_rank_check(monkeypatch):
         run_trial(cfg, trial_draw(cfg, 0))
 
 
-def _spy(monkeypatch, name, calls):
-    real = getattr(pipeline, name)
+def _spy(monkeypatch, name, calls, module=pipeline):
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, name, spy)
+    monkeypatch.setattr(module, name, spy)
 
 
 @pytest.mark.parametrize("gadget_mode", [GADGET_FULL, GADGET_CORE])
 def test_one_graph_build_per_accepted_trial_and_one_rank_per_check(
         tmp_path, monkeypatch, gadget_mode):
     calls = []
-    for name in ("build_core", "build_full", "rank"):
+    for name in ("build_core", "build_full"):
         _spy(monkeypatch, name, calls)
+    _spy(monkeypatch, "rank", calls, module=formula)
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=1, gadget_mode=gadget_mode,
                          gauss_threshold=1.0)
     records = generate(cfg, tmp_path)
     assert len(records) == 1
-    assert calls == [f"build_{gadget_mode}"]
+    assert calls == ["rank", f"build_{gadget_mode}"]
     calls.clear()
     report = validate(tmp_path / records[0].manifest_file)
     assert report.ok
@@ -466,6 +467,31 @@ def test_validate_fresh_instance(tmp_path):
     assert records
     report = validate(tmp_path / records[0].manifest_file)
     assert report.ok, [c for c in report.checks if not c.passed]
+    assert [c.name for c in report.checks] == [*FORMULA_CHECKS, "rank_check", "vertex_formula",
+                                               "edge_formula", "graph_dre", "graph_dimacs"]
+
+
+# The checks `validate` makes before it has a draw to compare with, in order.
+FORMULA_CHECKS = ("manifest_readable", "instance_directory", "formula_file", "clause_digest",
+                  "formula_draw")
+
+
+@pytest.mark.parametrize("cfg, past_first_chunk", [
+    pytest.param(PipelineConfig(n=8, m=12, seed=5, trials=210, gauss_threshold=1.0), True,
+                 id="chunked"),
+    pytest.param(PipelineConfig(n=6, m=18, seed=1, trials=10, gauss_threshold=1.0), False,
+                 id="dense_fisher_yates"),
+])
+def test_check_passes_every_instance_of_either_sampling_path(tmp_path, cfg, past_first_chunk):
+    from xorcfi.cli import main
+
+    dense = cfg.sample_config.effective_m > cfg.sample_config.max_clauses // 2
+    assert dense != past_first_chunk
+    records = generate(cfg, tmp_path)
+    first_chunk = next(chunks(cfg.sample_config, range(cfg.trials)))
+    assert any(r.trial not in first_chunk for r in records) == past_first_chunk
+    assert len(records) == cfg.trials or not dense
+    assert main(["check", *(str(tmp_path / r.manifest_file) for r in records)]) == 0
 
 
 def test_validate_catches_deleted_edge(tmp_path):
@@ -616,19 +642,33 @@ def test_check_reports_a_non_boolean_as_unreadable(tmp_path, capsys):
                    "0/1 instances valid\n")
 
 
-@pytest.mark.parametrize("old, new, message", [
-    pytest.param("tool_version:", "bogus: 1\ntool_version:", "unknown manifest field 'bogus'",
-                 id="unknown_key"),
+@pytest.mark.parametrize("old, new, failed", [
+    pytest.param("tool_version:", "bogus: 1\ntool_version:",
+                 "manifest_readable: unknown manifest field 'bogus'", id="unknown_key"),
     pytest.param("tool_version:", "gauss_ratio: 2.0\ntool_version:",
-                 "repeated manifest field 'gauss_ratio'", id="repeated_key"),
+                 "manifest_readable: repeated manifest field 'gauss_ratio'", id="repeated_key"),
     pytest.param("tool_version:", "stray text\ntool_version:",
-                 "manifest line without ':': 'stray text'", id="line_without_colon"),
+                 "manifest_readable: manifest line without ':': 'stray text'",
+                 id="line_without_colon"),
     pytest.param("schema_version: 1", "schema_version: one",
-                 "unsupported manifest schema_version 'one'", id="schema_version_not_1"),
+                 "manifest_readable: unsupported manifest schema_version 'one'",
+                 id="schema_version_not_1"),
+    # Manifests that read but name no formula the sampler can draw.
+    pytest.param("\nseed: 5\n", "\nseed: 18446744073709551616\n",
+                 "formula_draw: seed must fit in 64 bits", id="seed_past_64_bits"),
+    pytest.param("\ntrial: 0\n", "\ntrial: -1\n", "formula_draw: trial index must fit in 64 bits",
+                 id="negative_trial"),
+    pytest.param("\nn: 8\n", "\nn: 2\n", "formula_draw: need at least 3 variables", id="n_2"),
+    pytest.param("\nm: 12\n", "\nm: 0\n", "formula_draw: need at least 1 clause", id="m_0"),
 ])
-def test_check_refuses_a_malformed_manifest_line(tmp_path, capsys, old, new, message):
+def test_check_refuses_a_malformed_manifest_line(tmp_path, capsys, old, new, failed):
+    """Each check passes up to the failed one, which ends the output."""
     out = _check_edited_manifest(tmp_path, capsys, old, new)
-    assert out == f"<unreadable>: manifest_readable: FAIL  ({message})\n0/1 instances valid\n"
+    name, message = failed.split(": ", 1)
+    instance_id = "<unreadable>" if name == "manifest_readable" else out.split(":", 1)[0]
+    passed = FORMULA_CHECKS[:FORMULA_CHECKS.index(name)]
+    assert out == "".join(f"{instance_id}: {c}: ok\n" for c in passed) + (
+        f"{instance_id}: {name}: FAIL  ({message})\n0/1 instances valid\n")
 
 
 def test_validate_refuses_a_manifest_outside_its_instance_directory(tmp_path):
@@ -654,7 +694,7 @@ def test_check_refuses_a_manifest_path_into_another_directory(tmp_path, capsys):
                    "0/1 instances valid\n")
 
 
-def test_check_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
+def test_check_reports_a_manifest_too_small_to_draw(tmp_path, capsys):
     from xorcfi.cli import main
 
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
@@ -666,9 +706,67 @@ def test_check_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
                                               clause_digest=clause_digest(formula_text))))
     assert main(["check", str(manifest)]) == 1
     out = capsys.readouterr().out
-    assert (f"{record.instance_id}: formula_lifts: FAIL  "
-            "(order gadgets need at least 2 variables)\n") in out
-    assert out.endswith("0/1 instances valid\n")
+    assert out.endswith(f"{record.instance_id}: formula_draw: FAIL  (need at least 3 variables)\n"
+                        "0/1 instances valid\n")
+
+
+@pytest.mark.parametrize("edits, detail", [
+    pytest.param({}, None, id="manifest_untouched"),
+    pytest.param({"n": 3000000}, "n=3000000 variables cannot all occur in m=12 clauses",
+                 id="manifest_n_edited"),
+    pytest.param({"n": 3000000, "m": 3000000}, "file has 13 lines, m=3000000 clauses take 3000001",
+                 id="manifest_n_and_m_edited"),
+])
+def test_check_draws_and_lifts_nothing_at_an_inflated_header(tmp_path, monkeypatch, edits, detail):
+    """A header of 3 million variables over 12 clauses draws no formula and
+    builds no lift at that n, whether or not the manifest agrees."""
+    cfg = PipelineConfig(n=8, m=12, seed=5, trials=3, gauss_threshold=1.0)
+    record = generate(cfg, tmp_path)[0]
+    fpath = tmp_path / record.formula_file
+    header = f"p cnf {record.n} {record.m}\n"
+    fpath.write_text(fpath.read_text().replace(header, f"p cnf 3000000 {record.m}\n"))
+    (tmp_path / record.manifest_file).write_text(manifest_text(replace(record, **edits)))
+    calls = []
+
+    def spy(name, n_of):
+        real = getattr(pipeline, name)
+
+        def call(*args):
+            calls.append((name, n_of(*args)))
+            # Refused before it runs: at the header's n it takes gigabytes.
+            assert calls[-1][1] != 3000000, f"{name} called at the header's n"
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, name, call)
+
+    # pipeline's own reference to sampler.screen
+    spy("screen", lambda config, trials: config.n)
+    spy("build_graph", lambda f, gadget_mode: f.n)
+    checks = {c.name: c for c in validate(tmp_path / record.manifest_file).checks}
+    assert not checks["formula_draw"].passed
+    if detail:
+        assert checks["formula_draw"].detail == detail
+        assert list(checks)[-1] == "formula_draw"
+        assert calls == []
+    else:
+        assert checks["formula_draw"].detail == (
+            f"line 1: file has b'p cnf 3000000 12\\n', writer gives {header.encode()!r}")
+        assert calls == [("screen", record.n), ("build_graph", record.n)]
+
+
+def test_check_fails_another_trials_files_under_a_fixed_digest(tmp_path):
+    """Trial 1's formula and graph files in trial 0's instance, its
+    clause_digest edited to match: the same n and m, both uniquely
+    satisfiable. When `check` lifted the formula file, this instance
+    passed every check."""
+    cfg = PipelineConfig(n=8, ratio=2, seed=3, trials=2, gauss_threshold=1.0)
+    own, other = generate(cfg, tmp_path)
+    for rel, theirs in [(own.formula_file, other.formula_file), (own.graph_dre, other.graph_dre)]:
+        shutil.copyfile(tmp_path / theirs, tmp_path / rel)
+    (tmp_path / own.manifest_file).write_text(manifest_text(replace(
+        own, clause_digest=other.clause_digest)))
+    report = validate(tmp_path / own.manifest_file)
+    assert [c.name for c in report.checks if not c.passed] == ["formula_draw", "graph_dre"]
 
 
 def test_check_reports_a_graph_file_smaller_than_the_lift(tmp_path, capsys):
