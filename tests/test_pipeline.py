@@ -476,21 +476,22 @@ FORMULA_CHECKS = ("manifest_readable", "instance_directory", "formula_file", "cl
                   "formula_draw")
 
 
-@pytest.mark.parametrize("cfg, past_first_chunk", [
-    pytest.param(PipelineConfig(n=8, m=12, seed=5, trials=210, gauss_threshold=1.0), True,
+@pytest.mark.parametrize("cfg, dense", [
+    pytest.param(PipelineConfig(n=8, m=12, seed=5, trials=210, gauss_threshold=1.0), False,
                  id="chunked"),
-    pytest.param(PipelineConfig(n=6, m=18, seed=1, trials=10, gauss_threshold=1.0), False,
+    pytest.param(PipelineConfig(n=6, m=18, seed=1, trials=10, gauss_threshold=1.0), True,
                  id="dense_fisher_yates"),
 ])
-def test_check_passes_every_instance_of_either_sampling_path(tmp_path, cfg, past_first_chunk):
+def test_check_passes_every_instance_of_either_sampling_path(tmp_path, cfg, dense):
     from xorcfi.cli import main
 
-    dense = cfg.sample_config.effective_m > cfg.sample_config.max_clauses // 2
-    assert dense != past_first_chunk
+    sample = cfg.sample_config
+    assert (sample.effective_m > sample.max_clauses // 2) == dense
     records = generate(cfg, tmp_path)
-    first_chunk = next(chunks(cfg.sample_config, range(cfg.trials)))
-    assert any(r.trial not in first_chunk for r in records) == past_first_chunk
-    assert len(records) == cfg.trials or not dense
+    if dense:
+        assert len(records) == cfg.trials
+    else:  # an instance from past the first chunk
+        assert records[-1].trial >= len(next(chunks(sample, range(cfg.trials))))
     assert main(["check", *(str(tmp_path / r.manifest_file) for r in records)]) == 0
 
 
