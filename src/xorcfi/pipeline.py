@@ -53,6 +53,9 @@ from . import __version__
 from .canon import ir_automorphisms
 from .cfi import Graph, build_core, build_full, incidence_graph
 from .formula import XorFormula, export_xor_dimacs
+# Unused here: perfbench's tracer test reads `pipeline.rank` to see that a
+# rebound function is restored.
+from .gf2 import rank  # noqa: F401
 from .sampler import SampleConfig, TrialDraw, draws, screen
 from .xorsat import UNSAT, gauss_ratio
 

@@ -608,6 +608,9 @@ def test_validate_digests_the_formula_file_bytes(tmp_path, ending):
     got = clause_digest(fpath.read_bytes().decode("utf-8"))
     assert not checks["clause_digest"].passed
     assert checks["clause_digest"].detail == f"expected {record.clause_digest}, got {got}"
+    # Still m + 1 lines to bytes.splitlines, so the draw is made and the
+    # byte comparison alone fails it.
+    assert not checks["formula_draw"].passed
 
 
 def test_validate_missing_file(tmp_path):
