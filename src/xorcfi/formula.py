@@ -1,5 +1,5 @@
-"""3-XOR formulas as GF(2) equation systems, the CNF-plus-XOR solver input
-and the XOR-extension DIMACS format.
+"""3-XOR formulas as GF(2) equation systems and the XOR-extension DIMACS
+format.
 
 A clause is a parity constraint x + y + z = rhs over three distinct
 variables; two literal-level clauses that induce the same equation are
@@ -25,11 +25,6 @@ class XorClause(NamedTuple):
 
     vars: Tuple[int, int, int]
     rhs: int
-
-    def satisfied_by(self, assignment: Sequence[int]) -> bool:
-        """assignment[j] is the value of variable j+1."""
-        a, b, c = self.vars
-        return (assignment[a - 1] ^ assignment[b - 1] ^ assignment[c - 1]) == self.rhs
 
 
 def _check_clause(cl: XorClause, n: int) -> None:
@@ -93,27 +88,6 @@ class PinnedSystem:
         return self.formula.n
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """CNF clauses (signed 1-based literals) with optional native XOR rows."""
-
-    n: int
-    clauses: Tuple[Tuple[int, ...], ...]
-    xors: Tuple[XorClause, ...] = ()
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("variable count must be >= 0")
-        for cl in self.clauses:
-            if len(cl) == 0:
-                raise ValueError("empty CNF clause at construction")
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.n:
-                    raise ValueError(f"literal {lit} out of range for n={self.n}")
-        for xc in self.xors:
-            _check_clause(xc, self.n)
-
-
 def make_formula(n: int, raw: Iterable[Tuple[Iterable[int], int]]) -> XorFormula:
     """Canonicalize raw (triple, rhs) pairs: sort each triple, reduce rhs
     mod 2, drop exact repeats and sort the clauses. XorFormula checks the
@@ -127,19 +101,16 @@ def pin(f: XorFormula, i: int, value: int) -> PinnedSystem:
     return PinnedSystem(f, i, value)
 
 
-def to_matrix(f: Union[XorFormula, PinnedSystem, CnfFormula]) -> Tuple[int, ...]:
+def to_matrix(f: Union[XorFormula, PinnedSystem]) -> Tuple[int, ...]:
     """One parity row per clause in canonical order, as gf2 packs them:
     bit j holds variable j+1 and bit n the right-hand side.
 
-    For a pinned system the unit row comes last. For a CNF formula the
-    rows are its XOR rows in stored order, which need not be sorted or
-    consistent.
+    For a pinned system the unit row comes last.
     """
     n = f.n
     if isinstance(f, PinnedSystem):
         return to_matrix(f.formula) + (1 << (f.var - 1) | f.value << n,)
-    clauses = f.xors if isinstance(f, CnfFormula) else f.clauses
-    return pack_rows(n, clauses)
+    return pack_rows(n, f.clauses)
 
 
 def pack_rows(n: int, clauses: Iterable[Tuple[Sequence[int], int]]) -> Tuple[int, ...]:

@@ -193,9 +193,12 @@ def from_dre(text: str) -> Graph:
     except ValueError:
         raise ValueError(f"line {no}: non-integer vertex count in {line!r}") from None
     for tok in head[1:]:
-        if tok.startswith("$") and tok.lstrip("$=") != "0":
-            raise ValueError(f"line {no}: labelling origin {tok!r} is not supported; "
-                             "vertices are 0-based")
+        if tok.startswith("$"):
+            if tok.lstrip("$=") != "0":
+                raise ValueError(f"line {no}: labelling origin {tok!r} is not supported; "
+                                 "vertices are 0-based")
+        elif tok != "g":
+            raise ValueError(f"line {no}: unexpected header token {tok!r} in {line!r}")
     heads: List[str] = []
     counts: List[int] = []
     tokens: List[str] = []

@@ -81,15 +81,16 @@ def trial_rng(seed: int, trial: int = 0,
               reuse: Optional[np.random.Generator] = None) -> np.random.Generator:
     """Philox stream for one trial; streams never collide across trials.
 
-    The generator's Philox is keyed with (seed << 64) | trial and its
-    counter and buffers reset. Passing `reuse` re-keys that generator,
-    which reads the same stream as a new one at a fraction of the cost of
+    A new generator's Philox is keyed with (seed << 64) | trial. Passing
+    `reuse` re-keys that generator instead and resets its counter and
+    buffers, which reads the same stream at a fraction of the cost of
     building one.
     """
     _check_u64(seed, "seed")
     _check_u64(trial, "trial index")
-    rng = np.random.Generator(np.random.Philox()) if reuse is None else reuse
-    rng.bit_generator.state = {
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
+    reuse.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64), "key": np.array([trial, seed], np.uint64)},
         "buffer": np.zeros(4, np.uint64),
@@ -97,7 +98,7 @@ def trial_rng(seed: int, trial: int = 0,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
+    return reuse
 
 
 @dataclass(frozen=True)

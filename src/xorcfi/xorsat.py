@@ -1,33 +1,35 @@
-"""Instrumented DPLL over CNF-plus-XOR inputs.
+"""Instrumented DPLL over the nonzero-solution query of an XOR system.
 
-The solver is deliberately plain: chronological backtracking, no clause
-learning, no restarts. Branching picks the variable with the most
-occurrences in the shortest active constraints, ties broken by variable
-index, and tries value 0 before 1, so runs are deterministic and the
-decision count is a machine-independent cost.
+The query is the system's parity rows plus the clause "some variable is
+1": satisfiable exactly when a homogeneous system has a nonzero
+solution. The solver is deliberately plain: chronological backtracking,
+no clause learning, no restarts. Branching picks the variable with the
+most occurrences in the shortest active constraints, ties broken by
+variable index, and tries value 0 before 1, so runs are deterministic
+and the decision count is a machine-independent cost.
 
-Propagation keeps a count of true and of false literals per clause,
-and no state per XOR row. Each variable lists, per row it occurs in,
-the row's other variables and its rhs; assigning the variable reads
-their values, and a row left with one of them unassigned queues that
-one as a unit. Variable 0 is a phantom fixed at 0, so a row of 1, 2 or
-3 variables reads exactly two values; only the rank-deficient rows of a
-Gauss presolve are longer, and carry their further variables in the
-same entry. Units are taken last in, first out. A decision saves the
-assignment bytes and the clause counters, and a backtrack restores the
-saved copy in one step.
+Propagation keeps a count of the variables set to 1 and to 0 for the
+clause, and no state per XOR row. Each variable lists, per row it
+occurs in, the row's other variables and its rhs; assigning the
+variable reads their values, and a row left with one of them unassigned
+queues that one as a unit. Variable 0 is a phantom fixed at 0, so a row
+of 1, 2 or 3 variables reads exactly two values; only the rank-deficient
+rows of a Gauss presolve are longer, and carry their further variables
+in the same entry. Units are taken last in, first out. A decision saves
+the assignment bytes and the two clause counts, and a backtrack restores
+the saved copy in one step.
 
 The branch pick reads the assignment bytes through numpy: before its
-first pick the solver flattens its clauses and XOR rows into one
+first pick the solver flattens the clause and the XOR rows into one
 incidence of (variable, polarity, constraint) entries, and each pick is
 a few bincounts over it, not a Python rescan of every constraint. A run
 that propagation refutes at level 0, like every Gauss-side refutation,
 never builds the incidence.
 
 With use_gauss the XOR rows are eliminated up front over GF(2); an
-inconsistent XOR part refutes immediately and a full-rank part turns
-into unit rows that propagate everything at level 0. This is where the
-cost gap against the plain run comes from.
+inconsistent system refutes immediately and a full-rank one turns into
+unit rows that propagate everything at level 0. This is where the cost
+gap against the plain run comes from.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .formula import CnfFormula, XorFormula, to_matrix
+from .formula import XorFormula, to_matrix
 from .gf2 import reduced_system
 
 SAT = "SAT"
@@ -56,6 +58,14 @@ XorEntry = Tuple[int, int, int, Tuple[int, ...]]
 Incidence = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+class NonzeroQuery(NamedTuple):
+    """Parity rows over variables 1..n, as gf2 packs them, plus the clause
+    "some variable is 1"."""
+
+    n: int
+    rows: Tuple[int, ...]
+
+
 @dataclass
 class SolveStats:
     result: str
@@ -67,19 +77,13 @@ class SolveStats:
 
 
 class _Solver:
-    """One-shot DPLL instance over normalized constraints."""
+    """One-shot DPLL instance over one nonzero-solution query."""
 
-    def __init__(self, n: int, cnf: Sequence[Tuple[int, ...]], rows: Sequence[int]):
+    def __init__(self, n: int, rows: Sequence[int]):
         """rows are parity rows as gf2 packs them (bit j is variable j+1,
         bit n the right-hand side); each is kept as (its variables in
         ascending order, rhs)."""
         self.n = n
-        self.clauses: List[Tuple[int, ...]] = []
-        for cl in cnf:
-            lit_set = set(cl)
-            if any(-l in lit_set for l in lit_set):
-                continue  # tautology
-            self.clauses.append(tuple(sorted(lit_set, key=abs)))
         self.xors: List[Tuple[Tuple[int, ...], int]] = []
         for row in rows:
             rhs = row >> n
@@ -95,14 +99,10 @@ class _Solver:
         # place. Index 0 is a phantom variable fixed at 0.
         self.assign = bytearray([UNASSIGNED]) * (n + 1)
         self.assign[0] = 0
-        # CNF bookkeeping: count of true / false literals per clause.
-        self.n_true = [0] * len(self.clauses)
-        self.n_false = [0] * len(self.clauses)
-
-        self.occ_cnf: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for idx, cl in enumerate(self.clauses):
-            for lit in cl:
-                self.occ_cnf[abs(lit)].append((idx, 1 if lit > 0 else 0))
+        # The clause "some variable is 1": its count of variables set to 1
+        # and of variables set to 0.
+        self.ones = 0
+        self.zeros = 0
         # XOR rows keep no state: the entry of a row at each of its
         # variables holds the row's other variables and its rhs, as
         # (first, second, rhs, rest). The phantom 0 pads a row of fewer
@@ -131,16 +131,15 @@ class _Solver:
     def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
         """Assign pending (var, value) pairs to fixpoint; False on conflict.
 
-        Each assignment updates the counters of the clauses it occurs in
-        and reads the values of the other variables of each XOR row it
-        occurs in. It queues the last free entry of each constraint it
-        leaves unit: clauses first, then XOR rows, each in occurrence
-        order. On a conflict the state is left as it is; the caller
-        restores a snapshot.
+        Each assignment first counts itself in the clause, then reads the
+        values of the other variables of each XOR row it occurs in. It
+        queues the last free entry of each constraint it leaves unit: the
+        clause's lowest unassigned variable first, then XOR rows in
+        occurrence order. On a conflict the state is left as it is; the
+        caller restores a snapshot.
         """
-        assign = self.assign
-        clauses, n_true, n_false, occ_cnf = self.clauses, self.n_true, self.n_false, self.occ_cnf
-        occ_xor = self.occ_xor
+        assign, occ_xor, n = self.assign, self.occ_xor, self.n
+        ones, zeros = self.ones, self.zeros
         queue = list(pending)
         while queue:
             var, value = queue.pop()
@@ -150,23 +149,16 @@ class _Solver:
                     return False
                 continue
             assign[var] = value
-            for idx, pol in occ_cnf[var]:
-                if pol == value:
-                    n_true[idx] += 1
-                    continue
-                n_false[idx] += 1
-                if n_true[idx]:
-                    continue
-                cl = clauses[idx]
-                free = len(cl) - n_false[idx]
-                if free == 0:
-                    self.conflicts += 1
-                    return False
-                if free == 1:
-                    for lit in cl:
-                        if assign[abs(lit)] == UNASSIGNED:
-                            queue.append((abs(lit), 1 if lit > 0 else 0))
-                            break
+            if value:
+                ones += 1
+            else:
+                zeros += 1
+                if not ones:
+                    if zeros == n:
+                        self.conflicts += 1
+                        return False
+                    if zeros == n - 1:
+                        queue.append((assign.index(UNASSIGNED, 1), 1))
             for a, b, rhs, rest in occ_xor[var]:
                 va = assign[a]
                 vb = assign[b]
@@ -190,39 +182,38 @@ class _Solver:
                     self.conflicts += 1
                     return False
             self.propagations += 1
+        self.ones, self.zeros = ones, zeros
         return True
 
     # -- branching -----------------------------------------------------------
 
     def _build_incidence(self) -> Incidence:
-        """One entry per clause literal and per XOR row variable: its
-        variable, its polarity (NO_POLARITY for a row, which no value
-        matches) and its constraint, clauses first; plus the view of
-        assign."""
-        constraints = self.clauses + [vs for vs, _ in self.xors]
-        sizes = [len(c) for c in constraints]
-        entries = np.array(list(chain.from_iterable(constraints)), dtype=np.intp)
-        n_lits = sum(sizes[:len(self.clauses)])
-        pol = np.full(entries.size, NO_POLARITY, dtype=np.uint8)
-        pol[:n_lits] = entries[:n_lits] > 0
+        """One entry per clause variable and per XOR row variable: its
+        variable, its polarity (1 in the clause, NO_POLARITY in a row,
+        which no value matches) and its constraint, the clause being
+        constraint 0; plus the view of assign."""
+        sizes = [self.n] + [len(vs) for vs, _ in self.xors]
+        var = np.array(list(chain(range(1, self.n + 1), *(vs for vs, _ in self.xors))),
+                       dtype=np.intp)
+        pol = np.full(var.size, NO_POLARITY, dtype=np.uint8)
+        pol[:self.n] = 1
         con = np.repeat(np.arange(len(sizes)), sizes)
-        return np.abs(entries), pol, con, np.frombuffer(self.assign, dtype=np.uint8)
+        return var, pol, con, np.frombuffer(self.assign, dtype=np.uint8)
 
     def _pick_branch_var(self, incidence: Incidence) -> Optional[int]:
         """Most occurrences among the shortest active constraints.
 
         A constraint's length is its count of unassigned entries; it is
-        active while that is positive and, for a clause, no literal is
-        true. Each variable scores one per unassigned entry in an active
-        constraint of the least length; argmax returns the first
-        maximum, so ties go to the lower index.
+        active while that is positive and, for the clause, no variable is
+        1. Each variable scores one per unassigned entry in an active
+        constraint of the least length; argmax returns the first maximum,
+        so ties go to the lower index.
         """
         var, pol, con, assign = incidence
         values = assign[var]
         free = values == UNASSIGNED
-        size = len(self.clauses) + len(self.xors)
-        length = np.bincount(con[free], minlength=size)
-        length[con[values == pol]] = 0  # satisfied clauses are inactive
+        length = np.bincount(con[free], minlength=1 + len(self.xors))
+        length[con[values == pol]] = 0  # a satisfied clause is inactive
         active = length[length > 0]
         if not active.size:
             return None
@@ -236,24 +227,19 @@ class _Solver:
             return SolveStats(result, self.decisions, self.propagations, self.conflicts,
                               time.monotonic() - start, model)
 
-        # Level-0 units. No constraint is empty: CnfFormula refuses empty
-        # clauses, and every row has a variable, since formula rows have 3
-        # and reduced_system drops zero rows and refutes 0 = 1 itself.
-        units: List[Tuple[int, int]] = []
-        for cl in self.clauses:
-            if len(cl) == 1:
-                units.append((abs(cl[0]), 1 if cl[0] > 0 else 0))
-        for vs, rhs in self.xors:
-            if len(vs) == 1:
-                units.append((vs[0], rhs))
+        # Level-0 units: the clause over one variable, then the rows of
+        # one. Every row has a variable, since formula rows have 3 and
+        # reduced_system drops zero rows and refutes 0 = 1 itself.
+        units = [(1, 1)] if self.n == 1 else []
+        units += [(vs[0], rhs) for vs, rhs in self.xors if len(vs) == 1]
         if not self._propagate(units):
             return make_stats(UNSAT)
 
         incidence = self._build_incidence()
-        assign, n_true, n_false = self.assign, self.n_true, self.n_false
-        # Decisions whose value 1 is untried: (assign, n_true, n_false)
-        # as they were before the decision, and its variable.
-        stack: List[Tuple[bytes, List[int], List[int], int]] = []
+        assign = self.assign
+        # Decisions whose value 1 is untried: (assign, ones, zeros) as they
+        # were before the decision, and its variable.
+        stack: List[Tuple[bytes, int, int, int]] = []
         while True:
             var = self._pick_branch_var(incidence)
             if var is None:
@@ -263,60 +249,57 @@ class _Solver:
             if max_decisions is not None and self.decisions >= max_decisions:
                 return make_stats(BUDGET_EXHAUSTED)
             self.decisions += 1
-            stack.append((bytes(assign), n_true[:], n_false[:], var))
+            stack.append((bytes(assign), self.ones, self.zeros, var))
             ok = self._propagate([(var, 0)])
             while not ok:
                 # Back to the most recent decision whose value 1 is untried.
                 if not stack:
                     return make_stats(UNSAT)
-                saved, saved_true, saved_false, bvar = stack.pop()
+                saved, self.ones, self.zeros, bvar = stack.pop()
                 assign[:] = saved  # in place: the incidence views this buffer
-                n_true[:] = saved_true
-                n_false[:] = saved_false
                 ok = self._propagate([(bvar, 1)])
 
 
-def _verify_model(input: CnfFormula, model: Sequence[int]) -> bool:
-    for cl in input.clauses:
-        if not any((model[abs(l) - 1] == 1) == (l > 0) for l in cl):
-            return False
-    for xc in input.xors:
-        if not xc.satisfied_by(model):
-            return False
-    return True
+def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:
+    """The model is nonzero and meets the parity of every row."""
+    x = sum(value << j for j, value in enumerate(model))
+    return x != 0 and all((row & x).bit_count() & 1 == row >> query.n for row in query.rows)
 
 
-def solve(input: CnfFormula, use_gauss: bool = False, max_decisions: Optional[int] = None) -> SolveStats:
-    """Decide the CNF-plus-XOR input; stats carry the decision cost.
+def solve(query: NonzeroQuery, use_gauss: bool = False,
+          max_decisions: Optional[int] = None) -> SolveStats:
+    """Decide the nonzero-solution query; stats carry the decision cost.
 
-    With use_gauss the XOR rows are replaced by their reduced echelon
-    form first (refuting outright if inconsistent); DPLL then works on
-    the CNF part plus the reduced rows. max_decisions, when set, stops
-    the search with BUDGET_EXHAUSTED before its next decision; elapsed
-    covers the elimination.
+    With use_gauss the rows are replaced by their reduced echelon form
+    first (refuting outright if inconsistent); DPLL then works on the
+    clause plus the reduced rows. max_decisions, when set, stops the
+    search with BUDGET_EXHAUSTED before its next decision; elapsed covers
+    the elimination.
     """
     start = time.monotonic()
-    rows = to_matrix(input)
+    rows = query.rows
     if use_gauss:
-        rows = reduced_system(rows, input.n)
+        rows = reduced_system(rows, query.n)
         if rows is None:
             return SolveStats(UNSAT, 0, 0, 1, time.monotonic() - start)
-    stats = _Solver(input.n, input.clauses, rows).run(max_decisions, start)
+    stats = _Solver(query.n, rows).run(max_decisions, start)
     if stats.result == SAT:
-        assert stats.model is not None and _verify_model(input, stats.model)
+        assert stats.model is not None and _verify_model(query, stats.model)
     return stats
 
 
-def nontrivial_query(f: XorFormula) -> CnfFormula:
-    """The xor rows of f plus the all-variables disjunction clause.
+def nontrivial_query(f: XorFormula) -> NonzeroQuery:
+    """The rows of f plus the clause "some variable is 1".
 
-    Satisfiable exactly when the homogeneous f has a nonzero solution;
-    this is the native-XOR form of the query. The pure-CNF expansion,
-    4 parity clauses per xor row, is a test oracle in tests/oracles.py.
+    Satisfiable exactly when the homogeneous f, over at least one
+    variable, has a nonzero solution. The pure-CNF expansion, 4 parity
+    clauses per row, is a test oracle in tests/oracles.py.
     """
     if not f.is_homogeneous:
         raise ValueError("nonzero-solution query is defined for homogeneous formulas")
-    return CnfFormula(f.n, (tuple(range(1, f.n + 1)),), f.clauses)
+    if not f.n:
+        raise ValueError("nonzero-solution query needs at least one variable")
+    return NonzeroQuery(f.n, to_matrix(f))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from xorcfi import canon, gf2, xorsat
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
-from xorcfi.formula import CnfFormula, PinnedSystem, XorClause, XorFormula, make_formula, to_matrix
+from xorcfi.formula import PinnedSystem, XorClause, XorFormula, make_formula, to_matrix
 from xorcfi.gf2 import reduced_system
 from xorcfi.pipeline import PipelineConfig, TrialOutcome, trial_outcomes
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
@@ -149,7 +149,7 @@ def satisfies(system: Union[XorFormula, PinnedSystem], assignment: Sequence[int]
     """
     if isinstance(system, PinnedSystem):
         return assignment[system.var - 1] == system.value and satisfies(system.formula, assignment)
-    return all(cl.satisfied_by(assignment) for cl in system.clauses)
+    return all(sum(assignment[v - 1] for v in cl.vars) & 1 == cl.rhs for cl in system.clauses)
 
 
 def brute_solutions(f: XorFormula) -> List[Tuple[int, ...]]:
@@ -158,22 +158,24 @@ def brute_solutions(f: XorFormula) -> List[Tuple[int, ...]]:
             if all(sum(bits[v - 1] for v in cl.vars) & 1 == cl.rhs for cl in f.clauses)]
 
 
-def brute_sat(cnf: CnfFormula) -> bool:
-    """Satisfiability of the clauses plus xor rows, by a vectorized truth table."""
-    count = 1 << cnf.n
+def brute_sat(n: int, clauses: Iterable[Sequence[int]], rows: Iterable[int] = ()) -> bool:
+    """Satisfiability over variables 1..n of CNF clauses (signed literals)
+    plus parity rows as gf2 packs them, by a vectorized truth table."""
+    count = 1 << n
     assignments = np.arange(count, dtype=np.int64)
     ok = np.ones(count, dtype=bool)
-    for clause in cnf.clauses:
+    for clause in clauses:
         sat = np.zeros(count, dtype=bool)
         for lit in clause:
             bit = ((assignments >> (abs(lit) - 1)) & 1).astype(bool)
             sat |= bit if lit > 0 else ~bit
         ok &= sat
-    for xc in cnf.xors:
+    for row in rows:
         parity = np.zeros(count, dtype=np.int64)
-        for v in xc.vars:
-            parity ^= (assignments >> (v - 1)) & 1
-        ok &= parity == xc.rhs
+        for j in range(n):
+            if row >> j & 1:
+                parity ^= (assignments >> j) & 1
+        ok &= parity == row >> n
     return bool(ok.any())
 
 
@@ -188,8 +190,9 @@ def xor_clause_cnf_expansion(vars: Sequence[int], rhs: int) -> List[Tuple[int, .
     return out
 
 
-def nontrivial_solution_formula(f: XorFormula) -> CnfFormula:
-    """Pure CNF satisfiable iff the homogeneous f has a nonzero solution.
+def nontrivial_solution_formula(f: XorFormula) -> Tuple[Tuple[int, ...], ...]:
+    """CNF clauses over 1..f.n, satisfiable iff the homogeneous f has a
+    nonzero solution.
 
     Each x + y + z = 0 clause expands to its 4 parity clauses, and one
     final clause is the disjunction of all n variables: 4m + 1 clauses.
@@ -200,7 +203,7 @@ def nontrivial_solution_formula(f: XorFormula) -> CnfFormula:
     for cl in f.clauses:
         clauses.extend(xor_clause_cnf_expansion(cl.vars, 0))
     clauses.append(tuple(range(1, f.n + 1)))
-    return CnfFormula(f.n, tuple(clauses))
+    return tuple(clauses)
 
 
 def _draw_triple(rng: np.random.Generator, n: int) -> Tuple[int, int, int]:
@@ -241,60 +244,48 @@ def first_accepted(cfg: PipelineConfig, count: int) -> List[TrialOutcome]:
 
 
 def rescan_branch_var(solver) -> Optional[int]:
-    """The branch variable of an xorsat._Solver, by rescanning every clause
-    and XOR row of its current state.
+    """The branch variable of an xorsat._Solver, by rescanning the clause
+    "some variable is 1" and every XOR row in its assignment.
 
     The variable with the most occurrences among the shortest active
     constraints, ties broken by the lower index; None when no constraint
-    is active. A clause is active while none of its literals is true; a
+    is active. The clause is active while no variable is 1; a
     constraint's length is its count of unassigned entries.
     """
-    best_len = None
-    for idx, cl in enumerate(solver.clauses):
-        if solver.n_true[idx] > 0:
-            continue
-        length = len(cl) - solver.n_false[idx]
-        if length == 0:
-            continue
-        if best_len is None or length < best_len:
-            best_len = length
-    for vs, _ in solver.xors:
-        length = sum(solver.assign[v] == UNASSIGNED for v in vs)
-        if length == 0:
-            continue
-        if best_len is None or length < best_len:
-            best_len = length
+    assign = solver.assign
+    constraints = [vs for vs, _ in solver.xors]
+    if all(assign[v] != 1 for v in range(1, solver.n + 1)):
+        constraints.append(range(1, solver.n + 1))
+    lengths = [sum(assign[v] == UNASSIGNED for v in vs) for vs in constraints]
+    best_len = min((k for k in lengths if k), default=None)
     if best_len is None:
         return None
     scores: Dict[int, int] = {}
-    for idx, cl in enumerate(solver.clauses):
-        if solver.n_true[idx] > 0 or len(cl) - solver.n_false[idx] != best_len:
-            continue
-        for lit in cl:
-            if solver.assign[abs(lit)] == UNASSIGNED:
-                scores[abs(lit)] = scores.get(abs(lit), 0) + 1
-    for vs, _ in solver.xors:
-        if sum(solver.assign[v] == UNASSIGNED for v in vs) != best_len:
+    for vs, length in zip(constraints, lengths):
+        if length != best_len:
             continue
         for v in vs:
-            if solver.assign[v] == UNASSIGNED:
+            if assign[v] == UNASSIGNED:
                 scores[v] = scores.get(v, 0) + 1
     return min(scores, key=lambda v: (-scores[v], v))
 
 
 class CounterTrailSolver(xorsat._Solver):
-    """xorsat._Solver with per-row XOR counters and trail undo in place of
-    its partner reads and snapshots, and rescan_branch_var as its pick.
+    """xorsat._Solver with counters and trail undo in place of its partner
+    reads and snapshots, and rescan_branch_var as its pick.
 
-    Each XOR row keeps its count of unassigned variables and the parity
-    of its assigned ones, and a trail lists the assigned variables in
-    order. A backtrack unassigns the trail above the mark of its
+    The clause "some variable is 1" keeps its counts of true and of false
+    variables; each XOR row keeps its count of unassigned variables and
+    the parity of its assigned ones. A trail lists the assigned variables
+    in order. A backtrack unassigns the trail above the mark of its
     decision and restores every counter.
     """
 
-    def __init__(self, n: int, cnf: Sequence[Tuple[int, ...]], rows: Sequence[int]):
-        super().__init__(n, cnf, rows)
+    def __init__(self, n: int, rows: Sequence[int]):
+        super().__init__(n, rows)
         self.trail: List[int] = []
+        self.clause_true = 0
+        self.clause_false = 0
         self.x_unassigned = [len(vs) for vs, _ in self.xors]
         self.x_acc = [0] * len(self.xors)
         self.rows_of: List[List[int]] = [[] for _ in range(n + 1)]
@@ -308,18 +299,17 @@ class CounterTrailSolver(xorsat._Solver):
             var = self.trail.pop()
             value = self.assign[var]
             self.assign[var] = UNASSIGNED
-            for idx, pol in self.occ_cnf[var]:
-                if pol == value:
-                    self.n_true[idx] -= 1
-                else:
-                    self.n_false[idx] -= 1
+            if value:
+                self.clause_true -= 1
+            else:
+                self.clause_false -= 1
             for idx in self.rows_of[var]:
                 self.x_unassigned[idx] += 1
                 self.x_acc[idx] ^= value
 
     def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
         """Assign pending (var, value) pairs to fixpoint; False on conflict.
-        Units are queued clauses first, then XOR rows, each in occurrence
+        Units are queued the clause first, then XOR rows in occurrence
         order, and taken last in, first out."""
         queue = list(pending)
         while queue:
@@ -332,20 +322,15 @@ class CounterTrailSolver(xorsat._Solver):
             self.assign[var] = value
             self.trail.append(var)
             ok = True
-            for idx, pol in self.occ_cnf[var]:
-                if pol == value:
-                    self.n_true[idx] += 1
-                    continue
-                self.n_false[idx] += 1
-                if self.n_true[idx]:
-                    continue
-                cl = self.clauses[idx]
-                free = len(cl) - self.n_false[idx]
+            self.clause_true += value
+            self.clause_false += 1 - value
+            free = self.n - self.clause_false
+            if not (value or self.clause_true) and free <= 1:
                 if free == 0:
                     ok = False
-                elif free == 1:
-                    lit = next(l for l in cl if self.assign[abs(l)] == UNASSIGNED)
-                    queue.append((abs(lit), 1 if lit > 0 else 0))
+                else:
+                    v = next(v for v in range(1, self.n + 1) if self.assign[v] == UNASSIGNED)
+                    queue.append((v, 1))
             for idx in self.rows_of[var]:
                 self.x_unassigned[idx] -= 1
                 self.x_acc[idx] ^= value
@@ -366,7 +351,8 @@ class CounterTrailSolver(xorsat._Solver):
             return xorsat.SolveStats(result, self.decisions, self.propagations, self.conflicts,
                                      time.monotonic() - start, model)
 
-        units = [(abs(cl[0]), 1 if cl[0] > 0 else 0) for cl in self.clauses if len(cl) == 1]
+        # A clause over one variable is a unit.
+        units = [(1, 1)] if self.n == 1 else []
         units += [(vs[0], rhs) for vs, rhs in self.xors if len(vs) == 1]
         if not self._propagate(units):
             return make_stats(xorsat.UNSAT)
@@ -394,16 +380,16 @@ class CounterTrailSolver(xorsat._Solver):
                 ok = self._propagate([(bvar, left.pop())])
 
 
-def counter_trail_solve(input: CnfFormula, use_gauss: bool = False,
+def counter_trail_solve(query: xorsat.NonzeroQuery, use_gauss: bool = False,
                         max_decisions: Optional[int] = None) -> xorsat.SolveStats:
     """xorsat.solve through CounterTrailSolver."""
     start = time.monotonic()
-    rows = to_matrix(input)
+    rows = query.rows
     if use_gauss:
-        rows = reduced_system(rows, input.n)
+        rows = reduced_system(rows, query.n)
         if rows is None:
             return xorsat.SolveStats(xorsat.UNSAT, 0, 0, 1, time.monotonic() - start)
-    return CounterTrailSolver(input.n, input.clauses, rows).run(max_decisions, start)
+    return CounterTrailSolver(query.n, rows).run(max_decisions, start)
 
 
 # -- lifted graphs and their text formats ------------------------------------

@@ -20,7 +20,7 @@ from xorcfi.formula import import_xor_dimacs, is_uniquely_satisfiable, pin, to_m
 from xorcfi.gf2 import rank
 from xorcfi.pipeline import PipelineConfig, from_dre, generate, to_dimacs_graph, to_dre
 from xorcfi.sampler import SampleConfig, sample_homogeneous
-from xorcfi.xorsat import SAT, UNSAT, solve
+from xorcfi.xorsat import SAT, UNSAT, nontrivial_query, solve
 
 from oracles import (
     brute_force_automorphisms,
@@ -227,17 +227,19 @@ def test_a7_hardness_growth():
 
 def test_a8_solver_agreement_and_round_trips():
     t0 = time.monotonic()
-    # Solver verdicts against the truth table on 200 formula queries.
+    # Solver verdicts against the truth table of the pure-CNF encoding on
+    # 200 formula queries.
     rnd = random.Random(424242)
     for i in range(200):
         n = rnd.randint(3, 16 if i % 4 == 0 else 10)
         m = rnd.randint(1, min(2 * n, math.comb(n, 3)))
         f = sample_homogeneous(SampleConfig(n=n, m=m, seed=rnd.randint(0, 2**32)))
         cnf = nontrivial_solution_formula(f)
-        assert len(cnf.clauses) == 4 * f.m + 1
-        expected = SAT if brute_sat(cnf) else UNSAT
-        assert solve(cnf, use_gauss=False).result == expected
-        assert solve(cnf, use_gauss=True).result == expected
+        assert len(cnf) == 4 * f.m + 1
+        expected = SAT if brute_sat(f.n, cnf) else UNSAT
+        query = nontrivial_query(f)
+        assert solve(query, use_gauss=False).result == expected
+        assert solve(query, use_gauss=True).result == expected
     # Byte-exact dre round trips and DIMACS texts equal to the oracle's,
     # on 100 random graphs.
     grnd = random.Random(8)

@@ -2,8 +2,8 @@
 defined in src/xorcfi is referenced by the program itself (src/, scripts/
 or perfbench/), not only by tests; every one defined in tests/oracles.py
 is referenced by some tests/test_*.py, so a dead oracle cannot pile up
-beside a live one; and every xorcfi name that scripts/ and perfbench/
-read still exists.
+beside a live one; every xorcfi name that scripts/ and perfbench/ read
+still exists; and perfbench's set-up warm-up runs.
 
 A reference is a name, an attribute or an import in the parsed code, so
 strings and comments do not count; neither do references from inside the
@@ -17,6 +17,7 @@ define one method name.
 import ast
 import functools
 import importlib
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
@@ -156,3 +157,12 @@ def test_every_xorcfi_name_that_scripts_and_perfbench_read_exists():
         except AttributeError:
             missing.append(f"{path.relative_to(ROOT)}:{line}: {dotted}")
     assert not missing, "read but not defined: " + ", ".join(missing)
+
+
+def test_perfbench_warm_up_runs():
+    # perfbench makes this call into each layer before it times anything.
+    # Loaded by path, since perfbench/ is no package.
+    spec = importlib.util.spec_from_file_location("setup_probe", ROOT / "perfbench" / "setup_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    probe.warm_up()

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from xorcfi import formula
 from xorcfi.formula import (
-    CnfFormula,
     XorClause,
     XorFormula,
     export_xor_dimacs,
@@ -40,7 +39,7 @@ from oracles import (
 def eval_cnf(cnf, assignment):
     return all(
         any((assignment[abs(l) - 1] == 1) == (l > 0) for l in clause)
-        for clause in cnf.clauses
+        for clause in cnf
     )
 
 
@@ -99,8 +98,6 @@ def test_one_clause_check_names_the_clause_as_given(vars_, rhs):
     named = re.escape(f"clause {vars_} = {rhs}")
     with pytest.raises(ValueError, match=named):
         XorFormula(4, (XorClause(vars_, rhs),))
-    with pytest.raises(ValueError, match=named):
-        CnfFormula(4, (), (XorClause((1, 2, 3), 0), XorClause(vars_, rhs)))
     if vars_ == (2, 1, 3) or rhs == 2:
         # make_formula sorts each triple and reduces rhs mod 2.
         assert make_formula(4, [(vars_, rhs)]).clauses == (XorClause((1, 2, 3), rhs & 1),)
@@ -203,14 +200,6 @@ def test_to_matrix_pinned_appends_unit_row():
     assert to_matrix(pin(TWO_CLAUSE, 3, 0))[-1] == 0b0100
 
 
-def test_to_matrix_cnf_keeps_stored_xor_rows():
-    cnf = CnfFormula(4, ((1, -2),), (XorClause((2, 3, 4), 0), XorClause((1, 2, 3), 1)))
-    assert to_matrix(cnf) == (0b0_1110, 0b1_0111)
-
-
-# -- unique satisfiability -------------------------------------------------
-
-
 def test_unique_satisfiability_examples():
     assert is_uniquely_satisfiable(COMPLETE)
     assert not is_uniquely_satisfiable(TWO_CLAUSE)
@@ -267,17 +256,17 @@ def test_solution_count_is_two_power_nullity(f):
 
 def test_cnf_clause_count():
     f = make_formula(3, [((1, 2, 3), 0)])
-    assert len(nontrivial_solution_formula(f).clauses) == 5
+    assert len(nontrivial_solution_formula(f)) == 5
 
 
 def test_cnf_kernel_witness_satisfies():
     cnf = nontrivial_solution_formula(TWO_CLAUSE)
     assert eval_cnf(cnf, (0, 1, 1, 1))
-    assert brute_sat(cnf)
+    assert brute_sat(4, cnf)
 
 
 def test_cnf_unsat_for_complete_triples():
-    assert not brute_sat(nontrivial_solution_formula(COMPLETE))
+    assert not brute_sat(4, nontrivial_solution_formula(COMPLETE))
 
 
 def test_cnf_rejects_nonhomogeneous():
@@ -289,20 +278,21 @@ def test_cnf_rejects_nonhomogeneous():
 @given(formulas(max_n=6))
 def test_cnf_satisfiable_iff_kernel_nonempty(f):
     kernel_nonempty = len(kernel_basis(to_matrix(f), f.n)) > 0
-    assert brute_sat(nontrivial_solution_formula(f)) == kernel_nonempty
+    assert brute_sat(f.n, nontrivial_solution_formula(f)) == kernel_nonempty
 
 
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_n=6))
 def test_cnf_has_4m_plus_1_clauses(f):
-    assert len(nontrivial_solution_formula(f).clauses) == 4 * f.m + 1
+    assert len(nontrivial_solution_formula(f)) == 4 * f.m + 1
 
 
 def test_cnf_cross_checked_with_solver():
-    from xorcfi.xorsat import SAT, solve
+    from xorcfi.xorsat import SAT, nontrivial_query, solve
 
     for f in (COMPLETE, TWO_CLAUSE, make_formula(5, [((1, 2, 3), 0), ((3, 4, 5), 0)])):
-        verdict = solve(nontrivial_solution_formula(f))
+        verdict = solve(nontrivial_query(f))
+        assert (verdict.result == SAT) == brute_sat(f.n, nontrivial_solution_formula(f))
         assert (verdict.result == SAT) == (len(kernel_basis(to_matrix(f), f.n)) > 0)
 
 
@@ -462,12 +452,3 @@ def test_end_marker_reads_like_its_absence():
         for case in ("satlib_end_marker", "end_marker_ends_body"):
             text = DIMACS_CASES[case][0](*shape)
             assert DIMACS_PARSERS[parser](text) == DIMACS_PARSERS[parser](plain)
-
-
-def test_cnf_rejects_empty_clause_and_bad_literals():
-    with pytest.raises(ValueError):
-        CnfFormula(3, ((),))
-    with pytest.raises(ValueError):
-        CnfFormula(3, ((4,),))
-    with pytest.raises(ValueError):
-        CnfFormula(3, ((0,),))

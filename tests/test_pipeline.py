@@ -87,8 +87,8 @@ def test_dre_parses_isolated_tail_vertices():
 
 def test_dre_rejects_nonzero_labelling_origin():
     assert from_dre("n=3 $=0 g\n0 : 1.\n").edges == from_dre("n=3 g\n0 : 1.\n").edges
-    for head in ("n=3 $=1 g", "n=3 $1 g", "n=3 $$ g"):
-        with pytest.raises(ValueError):
+    for head in ("n=3 $=1 g", "n=3 $1 g", "n=3 $$ g", "n=3 $=0 g 0 : 1.", "n=3 $=0 g junk 7"):
+        with pytest.raises(ValueError, match="^line 1: "):
             from_dre(head + "\n1 : 2.\n")
 
 

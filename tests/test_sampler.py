@@ -182,6 +182,11 @@ def test_rekeying_leaks_no_state():
     assert used.bit_generator.state["has_uint32"] == 1
     fresh = _philox(5000, 7).integers(1, 31, size=(40, 3))
     assert (trial_rng(5000, 7, used).integers(1, 31, size=(40, 3)) == fresh).all()
+    # A new and a re-keyed generator read one stream up to the 64-bit extremes.
+    for seed, trial in ((0, 0), (0, 2**64 - 1), (2**63, 2**63), (2**64 - 1, 0),
+                        (2**64 - 1, 2**64 - 1)):
+        fresh = trial_rng(seed, trial).integers(1, 31, size=(40, 3))
+        assert (trial_rng(seed, trial, used).integers(1, 31, size=(40, 3)) == fresh).all()
 
     # Generators of their own draw unchanged around screen calls.
     cfg = SampleConfig(n=30, m=30, seed=5000)

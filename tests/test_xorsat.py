@@ -1,4 +1,4 @@
-"""DPLL solver against a vectorized truth-table oracle."""
+"""DPLL solver on the nonzero-solution query against a truth-table oracle."""
 
 import functools
 import itertools
@@ -7,16 +7,17 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from xorcfi import xorsat
-from xorcfi.formula import CnfFormula, XorClause, make_formula, to_matrix
+from xorcfi.formula import make_formula, pack_rows, to_matrix
 from xorcfi.gf2 import reduced_system
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
     BUDGET_EXHAUSTED,
     SAT,
+    UNASSIGNED,
     UNSAT,
+    NonzeroQuery,
     gauss_ratio,
     nontrivial_query,
     solve,
@@ -27,38 +28,29 @@ from oracles import (
     TWO_CLAUSE,
     brute_sat,
     counter_trail_solve,
-    nontrivial_solution_formula,
     rescan_branch_var,
+    satisfies,
 )
 
 
 # -- oracle ----------------------------------------------------------------
 
 
-def check_model(cnf: CnfFormula, model) -> bool:
-    for clause in cnf.clauses:
-        if not any((model[abs(l) - 1] == 1) == (l > 0) for l in clause):
-            return False
-    return all(xc.satisfied_by(model) for xc in cnf.xors)
+def query_sat(query: NonzeroQuery) -> bool:
+    """Whether some assignment sets a variable to 1 and meets every row."""
+    return brute_sat(query.n, [range(1, query.n + 1)], query.rows)
 
 
-def random_inputs(rnd, n_max=16):
+def check_model(f, model) -> bool:
+    return any(model) and satisfies(f, model)
+
+
+def random_formula(rnd, n_max=16):
+    """A homogeneous formula of random n, 1..n_max, and random m, 0..2n."""
     n = rnd.randint(1, n_max)
-    clauses = []
-    for _ in range(rnd.randint(0, 2 * n)):
-        width = rnd.randint(1, min(3, n))
-        vs = rnd.sample(range(1, n + 1), width)
-        clauses.append(tuple(v if rnd.random() < 0.5 else -v for v in vs))
-    xors = []
-    if n >= 3:
-        seen = set()
-        for _ in range(rnd.randint(0, 2 * n)):
-            vs = tuple(sorted(rnd.sample(range(1, n + 1), 3)))
-            if vs in seen:
-                continue
-            seen.add(vs)
-            xors.append(XorClause(vs, rnd.randint(0, 1)))
-    return CnfFormula(n, tuple(clauses), tuple(sorted(xors)))
+    triples = {tuple(sorted(rnd.sample(range(1, n + 1), 3)))
+               for _ in range(rnd.randint(0, 2 * n) if n >= 3 else 0)}
+    return make_formula(n, [(t, 0) for t in triples])
 
 
 # -- frozen examples -------------------------------------------------------
@@ -66,7 +58,7 @@ def random_inputs(rnd, n_max=16):
 
 def test_unique_system_query_unsat_both_modes():
     query = nontrivial_query(COMPLETE)
-    assert not brute_sat(query)
+    assert not query_sat(query)
     for use_gauss in (False, True):
         stats = solve(query, use_gauss=use_gauss)
         assert stats.result == UNSAT
@@ -74,45 +66,48 @@ def test_unique_system_query_unsat_both_modes():
 
 def test_degenerate_system_query_sat_with_nonzero_model():
     query = nontrivial_query(TWO_CLAUSE)
-    assert brute_sat(query)
+    assert query_sat(query)
     for use_gauss in (False, True):
         stats = solve(query, use_gauss=use_gauss)
         assert stats.result == SAT
-        assert any(stats.model)
-        assert check_model(query, stats.model)
+        assert check_model(TWO_CLAUSE, stats.model)
+    assert not xorsat._verify_model(query, (0, 0, 0, 0))
 
 
-def test_empty_cnf_sat_zero_decisions():
-    stats = solve(CnfFormula(3, ()))
-    assert stats.result == SAT and stats.decisions == 0
+def test_level0_units_sat_zero_decisions():
+    # The clause over one variable is a unit. The hand-built unit rows
+    # x2 = 0 and x1 = 1 are taken last in, first out, so x1 = 1 satisfies
+    # the clause before x2 = 0 leaves it one variable.
+    for query, model in ((nontrivial_query(make_formula(1, [])), (1,)),
+                         (NonzeroQuery(2, (0b010, 0b101)), (1, 0))):
+        stats = solve(query)
+        assert (stats.result, stats.decisions, stats.propagations, stats.model) == (
+            SAT, 0, query.n, model)
 
 
 def test_verdict_agrees_with_brute_force_on_200_inputs():
-    import random
-
     rnd = random.Random(424242)
     for i in range(200):
-        cnf = random_inputs(rnd, n_max=16 if i % 4 == 0 else 10)
-        expected = brute_sat(cnf)
-        plain = solve(cnf, use_gauss=False)
-        gauss = solve(cnf, use_gauss=True)
-        assert plain.result == (SAT if expected else UNSAT), cnf
-        assert gauss.result == plain.result, cnf
+        f = random_formula(rnd, n_max=16 if i % 4 == 0 else 10)
+        query = nontrivial_query(f)
+        expected = query_sat(query)
+        plain = solve(query, use_gauss=False)
+        gauss = solve(query, use_gauss=True)
+        assert plain.result == (SAT if expected else UNSAT), f
+        assert gauss.result == plain.result, f
         if expected:
-            assert check_model(cnf, plain.model)
-            assert check_model(cnf, gauss.model)
+            assert check_model(f, plain.model)
+            assert check_model(f, gauss.model)
 
 
 def test_budget_only_resolves_never_flips():
-    import random
-
     rnd = random.Random(7)
     for _ in range(40):
-        cnf = random_inputs(rnd, n_max=8)
-        unlimited = solve(cnf)
-        small = solve(cnf, max_decisions=1)
+        query = nontrivial_query(random_formula(rnd, n_max=8))
+        unlimited = solve(query)
+        small = solve(query, max_decisions=1)
         assert small.result in (unlimited.result, BUDGET_EXHAUSTED)
-        assert solve(cnf, max_decisions=10**9).result == unlimited.result
+        assert solve(query, max_decisions=10**9).result == unlimited.result
 
 
 def test_budget_exhaustion_reported():
@@ -155,12 +150,11 @@ def test_gauss_mode_elapsed_includes_presolve(monkeypatch):
 
 
 def test_gauss_mode_refutes_unsorted_contradictory_xor_rows():
-    # CnfFormula keeps XOR rows as given, so they may be unsorted and contradict.
-    cnf = CnfFormula(4, (), (XorClause((2, 3, 4), 0), XorClause((1, 2, 3), 1),
-                             XorClause((1, 2, 3), 0)))
-    assert not brute_sat(cnf)
-    assert solve(cnf).result == UNSAT
-    stats = solve(cnf, use_gauss=True)
+    # A query built by hand may hold rows that are unsorted and contradict.
+    query = NonzeroQuery(4, pack_rows(4, [((2, 3, 4), 0), ((1, 2, 3), 1), ((1, 2, 3), 0)]))
+    assert not query_sat(query)
+    assert solve(query).result == UNSAT
+    stats = solve(query, use_gauss=True)
     assert stats.result == UNSAT and stats.decisions == 0
 
 
@@ -188,29 +182,9 @@ def test_gauss_ratio_rejects_nonhomogeneous():
 
 
 def test_nontrivial_query_shape():
-    q = nontrivial_query(TWO_CLAUSE)
-    assert q.clauses == ((1, 2, 3, 4),)
-    assert q.xors == TWO_CLAUSE.clauses
-
-
-# -- mixed input -----------------------------------------------------------
-
-
-def test_solves_mixed_cnf_and_xor_rows():
-    cnf = CnfFormula(4, ((1, 2, 3, 4),), (XorClause((1, 2, 3), 0), XorClause((1, 2, 4), 1)))
-    expected = SAT if brute_sat(cnf) else UNSAT
-    assert solve(cnf).result == expected
-    assert solve(cnf, use_gauss=True).result == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_tautologies_and_duplicates_handled(rnd):
-    n = rnd.randint(2, 6)
-    clauses = [(1, -1, 2), (2, 2, -1), (min(n, 2),)]
-    cnf = CnfFormula(n, tuple(tuple(c) for c in clauses))
-    stats = solve(cnf)
-    assert (stats.result == SAT) == brute_sat(cnf)
+    assert nontrivial_query(TWO_CLAUSE) == (4, to_matrix(TWO_CLAUSE))
+    with pytest.raises(ValueError, match="at least one variable"):
+        nontrivial_query(make_formula(0, []))
 
 
 # -- golden counters -------------------------------------------------------
@@ -259,25 +233,12 @@ def test_plain_run_counters_match_golden_at_budget():
 # -- branching against the rescan oracle -----------------------------------
 
 
-def _with_tautologies_and_duplicates(rnd, cnf):
-    if cnf.n < 2:
-        return cnf
-    a, b = rnd.sample(range(1, cnf.n + 1), 2)
-    extra = ((a, -a, b), (b, b, -a), (-b, a, -b))
-    return CnfFormula(cnf.n, cnf.clauses + extra, cnf.xors)
-
-
 def _branch_corpus():
-    """(input, use_gauss, max_decisions) triples."""
+    """(query, use_gauss, max_decisions) triples: random formulas, sampled
+    ones of 8 to 60 variables, and the scale query at a budget."""
     rnd = random.Random(20261018)
     for i in range(600):
-        cnf = random_inputs(rnd)
-        if i % 2:
-            cnf = _with_tautologies_and_duplicates(rnd, cnf)
-        yield cnf, i % 3 == 0, None
-    for i in range(24):
-        f = sample_homogeneous(SampleConfig(n=8 + i % 12, ratio=1.0 + (i % 5) / 4, seed=300 + i))
-        yield nontrivial_solution_formula(f), False, None
+        yield nontrivial_query(random_formula(rnd)), i % 3 == 0, 4 if i % 10 == 9 else None
     for i in range(200):
         n = 8 + (i * 13) % 53
         f = sample_homogeneous(SampleConfig(n=n, ratio=1.0 + (i % 9) / 8, seed=900 + i))
@@ -286,31 +247,47 @@ def _branch_corpus():
     yield _scale_query(), False, 64
 
 
+def _clause_is_shortest(solver) -> bool:
+    """Whether the clause "some variable is 1" is active and no active
+    row is shorter."""
+    values = solver.assign[1:]
+    length = values.count(UNASSIGNED)
+    if 1 in values or not length:
+        return False
+    rows = (sum(solver.assign[v] == UNASSIGNED for v in vs) for vs, _ in solver.xors)
+    return all(k == 0 or k >= length for k in rows)
+
+
 def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
     picks = []
+    clause_shortest = 0
     numpy_pick = xorsat._Solver._pick_branch_var
 
     def checked_pick(solver, incidence):
+        nonlocal clause_shortest
         var = numpy_pick(solver, incidence)
         assert var == rescan_branch_var(solver)
         picks.append(var)
+        clause_shortest += _clause_is_shortest(solver)
         return var
 
     monkeypatch.setattr(xorsat._Solver, "_pick_branch_var", checked_pick)
     outcomes = Counter()
-    for cnf, use_gauss, budget in _branch_corpus():
-        outcomes[solve(cnf, use_gauss=use_gauss, max_decisions=budget).result] += 1
+    for query, use_gauss, budget in _branch_corpus():
+        outcomes[solve(query, use_gauss=use_gauss, max_decisions=budget).result] += 1
     assert set(outcomes) == {SAT, UNSAT, BUDGET_EXHAUSTED}, outcomes
     assert sum(v is not None for v in picks) > 1000
+    # Some picks score the clause's variables, not only the rows'.
+    assert clause_shortest > 0
 
 
 # -- propagation against the counter-and-trail oracle ----------------------
 
 
 def _long_row_corpus():
-    """(input, True, max_decisions) triples of sparse XOR systems with
-    random rhs plus a few short clauses: at m < n the Gauss presolve is
-    rank-deficient, and its reduced rows are often longer than 3."""
+    """(query, True, max_decisions) triples of sparse homogeneous systems:
+    at m < n the Gauss presolve is rank-deficient, and its reduced rows
+    are often longer than 3."""
     rnd = random.Random(20261019)
     for i in range(300):
         n = rnd.randint(6, 40)
@@ -318,35 +295,31 @@ def _long_row_corpus():
         triples = set()
         while len(triples) < m:
             triples.add(tuple(sorted(rnd.sample(range(1, n + 1), 3))))
-        xors = tuple(XorClause(t, rnd.randint(0, 1)) for t in sorted(triples))
-        clauses = tuple(tuple(v if rnd.random() < 0.5 else -v
-                              for v in rnd.sample(range(1, n + 1), rnd.randint(1, 3)))
-                        for _ in range(rnd.randint(0, n)))
-        yield CnfFormula(n, clauses, xors), True, 3 if i % 10 == 9 else None
+        f = make_formula(n, [(t, 0) for t in triples])
+        yield nontrivial_query(f), True, 3 if i % 10 == 9 else None
 
 
 def _long_rows(corpus):
     """The rows of more than 3 variables that the solver is handed."""
     count = 0
-    for cnf, use_gauss, _ in corpus:
-        rows = to_matrix(cnf)
-        rows = reduced_system(rows, cnf.n) if use_gauss else rows
-        mask = (1 << cnf.n) - 1
-        count += sum((row & mask).bit_count() > 3 for row in rows or ())
+    for query, use_gauss, _ in corpus:
+        rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
+        mask = (1 << query.n) - 1
+        count += sum((row & mask).bit_count() > 3 for row in rows)
     return count
 
 
 def test_long_row_corpus_is_rich_in_long_rows():
-    # The branch corpus hands the solver 19 such rows among ~22k.
+    # The branch corpus hands the solver 31 such rows among ~23k.
     assert _long_rows(_long_row_corpus()) > 1000
 
 
 def test_solve_matches_counter_trail_oracle():
     outcomes = Counter()
-    for cnf, use_gauss, budget in itertools.chain(_branch_corpus(), _long_row_corpus()):
-        got = solve(cnf, use_gauss=use_gauss, max_decisions=budget)
-        want = counter_trail_solve(cnf, use_gauss=use_gauss, max_decisions=budget)
+    for query, use_gauss, budget in itertools.chain(_branch_corpus(), _long_row_corpus()):
+        got = solve(query, use_gauss=use_gauss, max_decisions=budget)
+        want = counter_trail_solve(query, use_gauss=use_gauss, max_decisions=budget)
         assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
-            want.result, want.decisions, want.propagations, want.conflicts, want.model), cnf
+            want.result, want.decisions, want.propagations, want.conflicts, want.model), query
         outcomes[got.result, got.decisions > 0, got.conflicts > 0] += 1
     assert {(SAT, True, True), (UNSAT, True, True), (BUDGET_EXHAUSTED, True, True)} <= set(outcomes)
