@@ -24,12 +24,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .canon import CELL_FIRST_SMALLEST, STATUS_COMPLETE, ir_automorphisms
+from .canon import CELL_FIRST_SMALLEST, STATUS_COMPLETE, STATUS_TIMEOUT, ir_automorphisms
 from .cfi import Graph
 from .pipeline import _atomic_write, from_dre, to_dimacs_graph
 
 STATUS_OK = "OK"
-STATUS_TIMEOUT = "TIMEOUT"
 STATUS_ERROR = "ERROR"
 
 MISSING_SOLVER = "MISSING_SOLVER"

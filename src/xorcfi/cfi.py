@@ -184,7 +184,8 @@ def incidence_graph(f: XorFormula) -> Graph:
     ends[..., 0] = triples - 1
     ends[..., 1] = np.arange(n, n + f.m)[:, None]
     g = Graph(n + f.m, ends.reshape(-1, 2), [0] * n + [1] * f.m)
-    assert g.edge_count == 3 * f.m  # every clause vertex has degree 3
+    if g.edge_count != 3 * f.m:  # every clause vertex has degree 3
+        raise AssertionError(f"incidence graph has {g.edge_count} edges, not 3m = {3 * f.m}")
     return g
 
 
@@ -210,7 +211,8 @@ def build_core(f: XorFormula) -> Graph:
     """
     scheme = VertexScheme(f.n, f.m)
     g = Graph(scheme.core_vertex_count, _core_ends(f, scheme))
-    assert g.edge_count == scheme.core_edge_count
+    if g.edge_count != scheme.core_edge_count:
+        raise AssertionError(f"core lift has {g.edge_count} edges, not {scheme.core_edge_count}")
     return g
 
 
@@ -235,7 +237,8 @@ def build_full(f: XorFormula) -> Graph:
                                            scheme.var_vertex(i + 1, bits)), axis=1)
     ends = np.concatenate((_core_ends(f, scheme), gadget_rows.reshape(-1, 2)))
     g = Graph(scheme.full_vertex_count, ends)
-    assert g.edge_count == scheme.full_edge_count
+    if g.edge_count != scheme.full_edge_count:
+        raise AssertionError(f"full lift has {g.edge_count} edges, not {scheme.full_edge_count}")
     return g
 
 

@@ -19,12 +19,14 @@ in the same entry. Units are taken last in, first out. A decision saves
 the assignment bytes and the two clause counts, and a backtrack restores
 the saved copy in one step.
 
-The branch pick reads the assignment bytes through numpy: before its
-first pick the solver flattens the clause and the XOR rows into one
-incidence of (variable, polarity, constraint) entries, and each pick is
-a few bincounts over it, not a Python rescan of every constraint. A run
-that propagation refutes at level 0, like every Gauss-side refutation,
-never builds the incidence.
+The branch pick reads the assignment bytes through numpy. Before its
+first pick the solver lays the XOR rows out as the columns of one
+array, padded with the phantom 0, which is never free; each pick is one
+gather over it, a row-length sum and one bincount of the shortest
+rows' free variables, not a Python rescan of every row. The clause
+stays out of the array: its length is n minus its count of zeros. A
+run that propagation refutes at level 0, like every Gauss-side
+refutation, never builds the array.
 
 With use_gauss the XOR rows are eliminated up front over GF(2); an
 inconsistent system refutes immediately and a full-rank one turns into
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,13 +50,10 @@ UNSAT = "UNSAT"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 UNASSIGNED = 0xFF  # the value byte of a variable without a value
-NO_POLARITY = 2  # the polarity of an XOR row entry, which no value matches
 
 # An XOR row seen from one of its variables: two other variables (the
 # phantom 0 where the row has fewer), rhs, and the row's further variables.
 XorEntry = Tuple[int, int, int, Tuple[int, ...]]
-# Entry variables, entry polarities, entry constraints, assignment view.
-Incidence = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class NonzeroQuery(NamedTuple):
@@ -187,38 +185,36 @@ class _Solver:
 
     # -- branching -----------------------------------------------------------
 
-    def _build_incidence(self) -> Incidence:
-        """One entry per clause variable and per XOR row variable: its
-        variable, its polarity (1 in the clause, NO_POLARITY in a row,
-        which no value matches) and its constraint, the clause being
-        constraint 0; plus the view of assign."""
-        sizes = [self.n] + [len(vs) for vs, _ in self.xors]
-        var = np.array(list(chain(range(1, self.n + 1), *(vs for vs, _ in self.xors))),
-                       dtype=np.intp)
-        pol = np.full(var.size, NO_POLARITY, dtype=np.uint8)
-        pol[:self.n] = 1
-        con = np.repeat(np.arange(len(sizes)), sizes)
-        return var, pol, con, np.frombuffer(self.assign, dtype=np.uint8)
+    def _row_columns(self) -> np.ndarray:
+        """The XOR rows as the columns of a (width, rows) array of their
+        variables, padded with the phantom 0."""
+        width = max((len(vs) for vs, _ in self.xors), default=0)
+        padded = [vs + (0,) * (width - len(vs)) for vs, _ in self.xors]
+        return np.array(padded, dtype=np.intp).reshape(len(padded), width).T.copy()
 
-    def _pick_branch_var(self, incidence: Incidence) -> Optional[int]:
+    def _pick_branch_var(self, cols: np.ndarray, values: np.ndarray) -> Optional[int]:
         """Most occurrences among the shortest active constraints.
 
-        A constraint's length is its count of unassigned entries; it is
-        active while that is positive and, for the clause, no variable is
-        1. Each variable scores one per unassigned entry in an active
-        constraint of the least length; argmax returns the first maximum,
-        so ties go to the lower index.
+        cols holds the XOR rows as _row_columns lays them out and values
+        views assign. A constraint's length is its count of unassigned
+        variables; it is active while that is positive and, for the
+        clause, no variable is 1. Each variable scores one per active
+        constraint of the least length that it is free in; argmax returns
+        the first maximum, so ties go to the lower index.
         """
-        var, pol, con, assign = incidence
-        values = assign[var]
-        free = values == UNASSIGNED
-        length = np.bincount(con[free], minlength=1 + len(self.xors))
-        length[con[values == pol]] = 0  # a satisfied clause is inactive
-        active = length[length > 0]
-        if not active.size:
+        free = values[cols] == UNASSIGNED
+        length = free.sum(axis=0, dtype=np.int32)  # not a byte: rows run to n variables
+        best = int(length.min(where=length > 0, initial=self.n + 1))  # n + 1: none active
+        clause = 0 if self.ones else self.n - self.zeros  # 0: inactive
+        if 0 < clause < best:
+            return self.assign.index(UNASSIGNED, 1)
+        if best > self.n:
             return None
-        shortest = free & (length[con] == active.min())
-        return int(np.bincount(var[shortest], minlength=self.n + 1).argmax())
+        scores = np.bincount(np.compress((free & (length == best)).ravel(), cols),
+                             minlength=self.n + 1)
+        if clause == best:
+            scores += values == UNASSIGNED
+        return int(scores.argmax())
 
     # -- search --------------------------------------------------------------
 
@@ -235,13 +231,14 @@ class _Solver:
         if not self._propagate(units):
             return make_stats(UNSAT)
 
-        incidence = self._build_incidence()
+        cols = self._row_columns()
         assign = self.assign
+        values = np.frombuffer(assign, dtype=np.uint8)
         # Decisions whose value 1 is untried: (assign, ones, zeros) as they
         # were before the decision, and its variable.
         stack: List[Tuple[bytes, int, int, int]] = []
         while True:
-            var = self._pick_branch_var(incidence)
+            var = self._pick_branch_var(cols, values)
             if var is None:
                 model = tuple(assign[v] if assign[v] != UNASSIGNED else 0
                               for v in range(1, self.n + 1))
@@ -256,7 +253,7 @@ class _Solver:
                 if not stack:
                     return make_stats(UNSAT)
                 saved, self.ones, self.zeros, bvar = stack.pop()
-                assign[:] = saved  # in place: the incidence views this buffer
+                assign[:] = saved  # in place: values views this buffer
                 ok = self._propagate([(bvar, 1)])
 
 
@@ -283,8 +280,8 @@ def solve(query: NonzeroQuery, use_gauss: bool = False,
         if rows is None:
             return SolveStats(UNSAT, 0, 0, 1, time.monotonic() - start)
     stats = _Solver(query.n, rows).run(max_decisions, start)
-    if stats.result == SAT:
-        assert stats.model is not None and _verify_model(query, stats.model)
+    if stats.result == SAT and not _verify_model(query, stats.model):
+        raise AssertionError("the SAT model fails the query")
     return stats
 
 

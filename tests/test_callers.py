@@ -1,5 +1,6 @@
-"""No code without a caller: every function, class and non-dunder method
-defined in src/xorcfi is referenced by the program itself (src/, scripts/
+"""No code without a caller: every function, class, non-dunder method and
+module-level assigned name (a constant or a type alias) defined in
+src/xorcfi is referenced by the program itself (src/, scripts/
 or perfbench/), not only by tests; every one defined in tests/oracles.py
 is referenced by some tests/test_*.py, so a dead oracle cannot pile up
 beside a live one; every xorcfi name that scripts/ and perfbench/ read
@@ -31,6 +32,20 @@ TESTS = sorted((ROOT / "tests").glob("test_*.py")) + [ORACLES]
 ALLOWED = {}
 
 
+def _assigned_names(node):
+    """The non-dunder names a module-level assignment binds: constants and
+    type aliases."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [t for target in targets
+             for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+    return [t.id for t in names if isinstance(t, ast.Name) and not t.id.endswith("__")]
+
+
 def _definitions_and_uses(defined=SOURCES, used=PROGRAM):
     """The definitions in the files `defined` and the references that the
     files `used` make, each as (path, line) under its bare name."""
@@ -45,6 +60,8 @@ def _definitions_and_uses(defined=SOURCES, used=PROGRAM):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{path.stem}.{node.name}", node.name, path, node.lineno, node.end_lineno))
+            for name in _assigned_names(node):
+                defs.append((f"{path.stem}.{name}", name, path, node.lineno, node.end_lineno))
             for sub in node.body if isinstance(node, ast.ClassDef) else []:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.endswith("__"):
                     defs.append((f"{path.stem}.{node.name}.{sub.name}", sub.name, path,

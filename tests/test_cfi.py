@@ -4,13 +4,18 @@ colour refinement."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xorcfi import cfi
 from xorcfi.cfi import (
     Graph,
     VertexScheme,
@@ -154,6 +159,31 @@ def test_count_formulas_over_random_configs():
         assert core.edge_count == 12 * m + n
         assert full.vertex_count == 4 * m + 2 * n + 3 * (n - 1)
         assert full.edge_count == 12 * m + n + 6 * (n - 1)
+
+
+def test_lifts_raise_on_a_size_off_their_count_formula(monkeypatch):
+    # validate relies on these checks; python -O must keep them.
+    for name in ("core_edge_count", "full_edge_count"):
+        monkeypatch.setattr(VertexScheme, name, property(lambda scheme: -1))
+    for build in (build_core, build_full):
+        with pytest.raises(AssertionError, match=r"lift has \d+ edges, not -1"):
+            build(SINGLE)
+    code = (
+        "from xorcfi import cfi\n"
+        "from xorcfi.formula import make_formula\n"
+        "cfi.VertexScheme.core_edge_count = cfi.VertexScheme.full_edge_count = property(lambda s: -1)\n"
+        "print(__debug__)\n"
+        "for build in (cfi.build_core, cfi.build_full):\n"
+        "    try:\n"
+        "        build(make_formula(3, [((1, 2, 3), 0)]))\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cfi.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines() == [
+        "False", "core lift has 15 edges, not -1", "full lift has 27 edges, not -1"]
 
 
 def test_core_is_induced_subgraph_of_full():

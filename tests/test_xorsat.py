@@ -2,9 +2,13 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,27 @@ def test_degenerate_system_query_sat_with_nonzero_model():
         assert stats.result == SAT
         assert check_model(TWO_CLAUSE, stats.model)
     assert not xorsat._verify_model(query, (0, 0, 0, 0))
+
+
+def test_solve_raises_on_a_model_that_fails_the_query(monkeypatch):
+    monkeypatch.setattr(xorsat, "_verify_model", lambda query, model: False)
+    with pytest.raises(AssertionError, match="fails the query"):
+        solve(nontrivial_query(TWO_CLAUSE))
+    # The check is no assert statement, so python -O keeps it.
+    code = (
+        "from xorcfi import xorsat\n"
+        "from xorcfi.formula import make_formula\n"
+        "xorsat._verify_model = lambda query, model: False\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    xorsat.solve(xorsat.nontrivial_query(make_formula(4, [((1, 2, 3), 0)])))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(xorsat.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines() == ["False", "the SAT model fails the query"]
 
 
 def test_level0_units_sat_zero_decisions():
@@ -233,9 +258,23 @@ def test_plain_run_counters_match_golden_at_budget():
 # -- branching against the rescan oracle -----------------------------------
 
 
+def _wide_row_queries():
+    """Hand-built queries: rows of 1, 2, 3, 4, 257 and 300 variables over
+    n = 300, under two right-hand sides, and the clause alone. The 257
+    variables of the long row start free, so a row length counted in a
+    byte would read 1."""
+    n = 300
+    widths = ((1,), (2, 3), (4, 5, 6), (7, 8, 9, 10), range(44, n + 1), range(1, n + 1))
+    for rhs in ((0,) * 6, (1, 1, 0, 1, 1, 1)):
+        yield NonzeroQuery(n, tuple(sum(1 << (v - 1) for v in vs) | b << n
+                                    for vs, b in zip(widths, rhs)))
+    yield NonzeroQuery(5, ())
+
+
 def _branch_corpus():
     """(query, use_gauss, max_decisions) triples: random formulas, sampled
-    ones of 8 to 60 variables, and the scale query at a budget."""
+    ones of 8 to 60 variables, the wide-row queries and the scale query
+    at a budget."""
     rnd = random.Random(20261018)
     for i in range(600):
         yield nontrivial_query(random_formula(rnd)), i % 3 == 0, 4 if i % 10 == 9 else None
@@ -244,6 +283,8 @@ def _branch_corpus():
         f = sample_homogeneous(SampleConfig(n=n, ratio=1.0 + (i % 9) / 8, seed=900 + i))
         for use_gauss in (False, True):
             yield nontrivial_query(f), use_gauss, 4 if i % 10 == 9 else None
+    for query in _wide_row_queries():
+        yield query, False, None
     yield _scale_query(), False, 64
 
 
@@ -263,9 +304,9 @@ def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
     clause_shortest = 0
     numpy_pick = xorsat._Solver._pick_branch_var
 
-    def checked_pick(solver, incidence):
+    def checked_pick(solver, *arrays):
         nonlocal clause_shortest
-        var = numpy_pick(solver, incidence)
+        var = numpy_pick(solver, *arrays)
         assert var == rescan_branch_var(solver)
         picks.append(var)
         clause_shortest += _clause_is_shortest(solver)
