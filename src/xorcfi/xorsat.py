@@ -8,30 +8,30 @@ most occurrences in the shortest active constraints, ties broken by
 variable index, and tries value 0 before 1, so runs are deterministic
 and the decision count is a machine-independent cost.
 
-Propagation keeps a count of the variables set to 1 and to 0 for the
-clause, and no state per XOR row. Each variable lists, per row it
-occurs in, the row's other variables and its rhs; assigning the
-variable reads their values, and a row left with one of them unassigned
-queues that one as a unit. Variable 0 is a phantom fixed at 0, so a row
-of 1, 2 or 3 variables reads exactly two values; only the rank-deficient
-rows of a Gauss presolve are longer, and carry their further variables
-in the same entry. Units are taken last in, first out. A decision saves
-the assignment bytes and the two clause counts, and a backtrack restores
-the saved copy in one step.
+The rows are homogeneous, so a row holds exactly when its variables
+have even parity. Propagation keeps the clause's length and no state
+per XOR row. Each variable lists, per row it occurs in, the row's other
+variables; assigning the variable reads their values, and a row left
+with one of them unassigned queues that one as a unit. Variable 0 is a
+phantom fixed at 0, so a row of 1, 2 or 3 variables reads exactly two
+values; only the rank-deficient rows of a Gauss presolve are longer,
+and carry their further variables in the same entry. Units are taken
+last in, first out. A decision saves the assignment bytes alone, and a
+backtrack restores them in one step.
 
 The branch pick reads the assignment bytes through numpy. Before its
 first pick the solver lays the XOR rows out as the columns of one
 array, padded with the phantom 0, which is never free; each pick is one
 gather over it, a row-length sum and one bincount of the shortest
 rows' free variables, not a Python rescan of every row. The clause
-stays out of the array: its length is n minus its count of zeros. A
-run that propagation refutes at level 0, like every Gauss-side
+stays out of the array: its length is the count that propagation
+keeps. A run that propagation refutes at level 0, like every Gauss-side
 refutation, never builds the array.
 
-With use_gauss the XOR rows are eliminated up front over GF(2); an
-inconsistent system refutes immediately and a full-rank one turns into
-unit rows that propagate everything at level 0. This is where the cost
-gap against the plain run comes from.
+With use_gauss the XOR rows are eliminated up front over GF(2); a
+full-rank system turns into unit rows that set every variable to 0 at
+level 0, where the clause refutes it. This is where the cost gap
+against the plain run comes from.
 """
 
 from __future__ import annotations
@@ -52,13 +52,13 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 UNASSIGNED = 0xFF  # the value byte of a variable without a value
 
 # An XOR row seen from one of its variables: two other variables (the
-# phantom 0 where the row has fewer), rhs, and the row's further variables.
-XorEntry = Tuple[int, int, int, Tuple[int, ...]]
+# phantom 0 where the row has fewer) and the row's further variables.
+XorEntry = Tuple[int, int, Tuple[int, ...]]
 
 
 class NonzeroQuery(NamedTuple):
-    """Parity rows over variables 1..n, as gf2 packs them, plus the clause
-    "some variable is 1"."""
+    """The rows of a homogeneous system over variables 1..n as gf2 packs
+    them, no bit at n or above, plus the clause "some variable is 1"."""
 
     n: int
     rows: Tuple[int, ...]
@@ -78,47 +78,45 @@ class _Solver:
     """One-shot DPLL instance over one nonzero-solution query."""
 
     def __init__(self, n: int, rows: Sequence[int]):
-        """rows are parity rows as gf2 packs them (bit j is variable j+1,
-        bit n the right-hand side); each is kept as (its variables in
-        ascending order, rhs)."""
+        """rows are homogeneous rows as gf2 packs them (bit j is variable
+        j+1); each is kept as its variables in ascending order.
+
+        clause_len is the length of the clause "some variable is 1": its
+        unassigned variables while none is 1, else 0. No snapshot holds
+        it: the search tries 0 before 1, so a backtrack first assigns 1
+        and the clause stays satisfied for the rest of the run."""
         self.n = n
-        self.xors: List[Tuple[Tuple[int, ...], int]] = []
+        self.xors: List[Tuple[int, ...]] = []
         for row in rows:
-            rhs = row >> n
-            coeffs = row ^ rhs << n
             vs = []
-            while coeffs:
-                low = coeffs & -coeffs
+            while row:
+                low = row & -row
                 vs.append(low.bit_length())
-                coeffs ^= low
-            self.xors.append((tuple(vs), rhs))
+                row ^= low
+            self.xors.append(tuple(vs))
 
         # Value of each variable, UNASSIGNED if none; numpy reads it in
         # place. Index 0 is a phantom variable fixed at 0.
         self.assign = bytearray([UNASSIGNED]) * (n + 1)
         self.assign[0] = 0
-        # The clause "some variable is 1": its count of variables set to 1
-        # and of variables set to 0.
-        self.ones = 0
-        self.zeros = 0
+        self.clause_len = n
         # XOR rows keep no state: the entry of a row at each of its
-        # variables holds the row's other variables and its rhs, as
-        # (first, second, rhs, rest). The phantom 0 pads a row of fewer
-        # than 3 variables and gets no entries; only rows of more than 3
-        # have a rest.
+        # variables holds the row's other variables, as (first, second,
+        # rest). The phantom 0 pads a row of fewer than 3 variables and
+        # gets no entries; only rows of more than 3 have a rest.
         self.occ_xor: List[List[XorEntry]] = [[] for _ in range(n + 1)]
-        for vs, rhs in self.xors:
+        for vs in self.xors:
             if len(vs) > 3:
                 for i, v in enumerate(vs):
                     others = vs[:i] + vs[i + 1:]
-                    self.occ_xor[v].append((others[0], others[1], rhs, others[2:]))
+                    self.occ_xor[v].append((others[0], others[1], others[2:]))
                 continue
             x, y, z = (vs + (0, 0))[:3]
-            self.occ_xor[x].append((y, z, rhs, ()))
+            self.occ_xor[x].append((y, z, ()))
             if y:
-                self.occ_xor[y].append((x, z, rhs, ()))
+                self.occ_xor[y].append((x, z, ()))
             if z:
-                self.occ_xor[z].append((x, y, rhs, ()))
+                self.occ_xor[z].append((x, y, ()))
 
         self.decisions = 0
         self.propagations = 0
@@ -129,15 +127,15 @@ class _Solver:
     def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
         """Assign pending (var, value) pairs to fixpoint; False on conflict.
 
-        Each assignment first counts itself in the clause, then reads the
+        Each assignment first updates the clause's length, then reads the
         values of the other variables of each XOR row it occurs in. It
-        queues the last free entry of each constraint it leaves unit: the
-        clause's lowest unassigned variable first, then XOR rows in
-        occurrence order. On a conflict the state is left as it is; the
-        caller restores a snapshot.
+        queues the last free entry of each constraint it leaves unit, at
+        the value that makes it hold: the clause's lowest unassigned
+        variable first, then XOR rows in occurrence order. On a conflict
+        the state is left as it is; the caller restores a snapshot.
         """
-        assign, occ_xor, n = self.assign, self.occ_xor, self.n
-        ones, zeros = self.ones, self.zeros
+        assign, occ_xor = self.assign, self.occ_xor
+        clause_len = self.clause_len
         queue = list(pending)
         while queue:
             var, value = queue.pop()
@@ -148,16 +146,15 @@ class _Solver:
                 continue
             assign[var] = value
             if value:
-                ones += 1
-            else:
-                zeros += 1
-                if not ones:
-                    if zeros == n:
-                        self.conflicts += 1
-                        return False
-                    if zeros == n - 1:
-                        queue.append((assign.index(UNASSIGNED, 1), 1))
-            for a, b, rhs, rest in occ_xor[var]:
+                clause_len = 0
+            elif clause_len:
+                clause_len -= 1
+                if not clause_len:
+                    self.conflicts += 1
+                    return False
+                if clause_len == 1:
+                    queue.append((assign.index(UNASSIGNED, 1), 1))
+            for a, b, rest in occ_xor[var]:
                 va = assign[a]
                 vb = assign[b]
                 if rest:
@@ -165,7 +162,7 @@ class _Solver:
                     free = [u for u in row if assign[u] == UNASSIGNED]
                     if len(free) > 1:
                         continue
-                    parity = (rhs + value + sum(assign[u] for u in row if u not in free)) & 1
+                    parity = (value + sum(assign[u] for u in row if u not in free)) & 1
                     if free:
                         queue.append((free[0], parity))
                     elif parity:
@@ -173,14 +170,14 @@ class _Solver:
                         return False
                 elif va == UNASSIGNED:
                     if vb != UNASSIGNED:
-                        queue.append((a, rhs ^ value ^ vb))
+                        queue.append((a, value ^ vb))
                 elif vb == UNASSIGNED:
-                    queue.append((b, rhs ^ value ^ va))
-                elif rhs ^ value ^ va ^ vb:
+                    queue.append((b, value ^ va))
+                elif value ^ va ^ vb:
                     self.conflicts += 1
                     return False
             self.propagations += 1
-        self.ones, self.zeros = ones, zeros
+        self.clause_len = clause_len
         return True
 
     # -- branching -----------------------------------------------------------
@@ -188,8 +185,8 @@ class _Solver:
     def _row_columns(self) -> np.ndarray:
         """The XOR rows as the columns of a (width, rows) array of their
         variables, padded with the phantom 0."""
-        width = max((len(vs) for vs, _ in self.xors), default=0)
-        padded = [vs + (0,) * (width - len(vs)) for vs, _ in self.xors]
+        width = max((len(vs) for vs in self.xors), default=0)
+        padded = [vs + (0,) * (width - len(vs)) for vs in self.xors]
         return np.array(padded, dtype=np.intp).reshape(len(padded), width).T.copy()
 
     def _pick_branch_var(self, cols: np.ndarray, values: np.ndarray) -> Optional[int]:
@@ -205,7 +202,7 @@ class _Solver:
         free = values[cols] == UNASSIGNED
         length = free.sum(axis=0, dtype=np.int32)  # not a byte: rows run to n variables
         best = int(length.min(where=length > 0, initial=self.n + 1))  # n + 1: none active
-        clause = 0 if self.ones else self.n - self.zeros  # 0: inactive
+        clause = self.clause_len  # 0: inactive
         if 0 < clause < best:
             return self.assign.index(UNASSIGNED, 1)
         if best > self.n:
@@ -224,19 +221,19 @@ class _Solver:
                               time.monotonic() - start, model)
 
         # Level-0 units: the clause over one variable, then the rows of
-        # one. Every row has a variable, since formula rows have 3 and
-        # reduced_system drops zero rows and refutes 0 = 1 itself.
+        # one, which set it to 0. Every row has a variable: formula rows
+        # have 3, and reduced_system drops zero rows.
         units = [(1, 1)] if self.n == 1 else []
-        units += [(vs[0], rhs) for vs, rhs in self.xors if len(vs) == 1]
+        units += [(vs[0], 0) for vs in self.xors if len(vs) == 1]
         if not self._propagate(units):
             return make_stats(UNSAT)
 
         cols = self._row_columns()
         assign = self.assign
         values = np.frombuffer(assign, dtype=np.uint8)
-        # Decisions whose value 1 is untried: (assign, ones, zeros) as they
-        # were before the decision, and its variable.
-        stack: List[Tuple[bytes, int, int, int]] = []
+        # Decisions whose value 1 is untried: assign as it was before the
+        # decision, and its variable.
+        stack: List[Tuple[bytes, int]] = []
         while True:
             var = self._pick_branch_var(cols, values)
             if var is None:
@@ -246,39 +243,40 @@ class _Solver:
             if max_decisions is not None and self.decisions >= max_decisions:
                 return make_stats(BUDGET_EXHAUSTED)
             self.decisions += 1
-            stack.append((bytes(assign), self.ones, self.zeros, var))
+            stack.append((bytes(assign), var))
             ok = self._propagate([(var, 0)])
             while not ok:
                 # Back to the most recent decision whose value 1 is untried.
                 if not stack:
                     return make_stats(UNSAT)
-                saved, self.ones, self.zeros, bvar = stack.pop()
+                saved, bvar = stack.pop()
                 assign[:] = saved  # in place: values views this buffer
                 ok = self._propagate([(bvar, 1)])
 
 
 def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:
-    """The model is nonzero and meets the parity of every row."""
+    """The model is nonzero and has even parity on every row."""
     x = sum(value << j for j, value in enumerate(model))
-    return x != 0 and all((row & x).bit_count() & 1 == row >> query.n for row in query.rows)
+    return x != 0 and not any((row & x).bit_count() & 1 for row in query.rows)
 
 
 def solve(query: NonzeroQuery, use_gauss: bool = False,
           max_decisions: Optional[int] = None) -> SolveStats:
     """Decide the nonzero-solution query; stats carry the decision cost.
 
-    With use_gauss the rows are replaced by their reduced echelon form
-    first (refuting outright if inconsistent); DPLL then works on the
-    clause plus the reduced rows. max_decisions, when set, stops the
-    search with BUDGET_EXHAUSTED before its next decision; elapsed covers
-    the elimination.
+    A row with a right-hand side (a bit at n or above) is a ValueError.
+    With use_gauss the rows are first replaced by their reduced echelon
+    form, homogeneous too; DPLL then works on the clause plus the
+    reduced rows. max_decisions, when set, stops the search with
+    BUDGET_EXHAUSTED before its next decision; elapsed covers the
+    elimination.
     """
     start = time.monotonic()
     rows = query.rows
+    if any(row >> query.n for row in rows):
+        raise ValueError("the nonzero-solution query takes homogeneous rows only")
     if use_gauss:
         rows = reduced_system(rows, query.n)
-        if rows is None:
-            return SolveStats(UNSAT, 0, 0, 1, time.monotonic() - start)
     stats = _Solver(query.n, rows).run(max_decisions, start)
     if stats.result == SAT and not _verify_model(query, stats.model):
         raise AssertionError("the SAT model fails the query")

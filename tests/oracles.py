@@ -253,7 +253,7 @@ def rescan_branch_var(solver) -> Optional[int]:
     constraint's length is its count of unassigned entries.
     """
     assign = solver.assign
-    constraints = [vs for vs, _ in solver.xors]
+    constraints = list(solver.xors)
     if all(assign[v] != 1 for v in range(1, solver.n + 1)):
         constraints.append(range(1, solver.n + 1))
     lengths = [sum(assign[v] == UNASSIGNED for v in vs) for vs in constraints]
@@ -278,7 +278,9 @@ class CounterTrailSolver(xorsat._Solver):
     variables; each XOR row keeps its count of unassigned variables and
     the parity of its assigned ones. A trail lists the assigned variables
     in order. A backtrack unassigns the trail above the mark of its
-    decision and restores every counter.
+    decision and restores every counter, the clause's counts included,
+    so it does not rely on xorsat._Solver's clause length staying 0 once
+    a variable is 1.
     """
 
     def __init__(self, n: int, rows: Sequence[int]):
@@ -286,10 +288,10 @@ class CounterTrailSolver(xorsat._Solver):
         self.trail: List[int] = []
         self.clause_true = 0
         self.clause_false = 0
-        self.x_unassigned = [len(vs) for vs, _ in self.xors]
+        self.x_unassigned = [len(vs) for vs in self.xors]
         self.x_acc = [0] * len(self.xors)
         self.rows_of: List[List[int]] = [[] for _ in range(n + 1)]
-        for idx, (vs, _) in enumerate(self.xors):
+        for idx, vs in enumerate(self.xors):
             for v in vs:
                 self.rows_of[v].append(idx)
 
@@ -334,11 +336,10 @@ class CounterTrailSolver(xorsat._Solver):
             for idx in self.rows_of[var]:
                 self.x_unassigned[idx] -= 1
                 self.x_acc[idx] ^= value
-                vs, rhs = self.xors[idx]
                 if self.x_unassigned[idx] == 1:
-                    v = next(v for v in vs if self.assign[v] == UNASSIGNED)
-                    queue.append((v, rhs ^ self.x_acc[idx]))
-                elif self.x_unassigned[idx] == 0 and self.x_acc[idx] != rhs:
+                    v = next(v for v in self.xors[idx] if self.assign[v] == UNASSIGNED)
+                    queue.append((v, self.x_acc[idx]))
+                elif self.x_unassigned[idx] == 0 and self.x_acc[idx]:
                     ok = False
             if not ok:
                 self.conflicts += 1
@@ -351,9 +352,9 @@ class CounterTrailSolver(xorsat._Solver):
             return xorsat.SolveStats(result, self.decisions, self.propagations, self.conflicts,
                                      time.monotonic() - start, model)
 
-        # A clause over one variable is a unit.
+        # A clause over one variable is a unit; a row of one sets it to 0.
         units = [(1, 1)] if self.n == 1 else []
-        units += [(vs[0], rhs) for vs, rhs in self.xors if len(vs) == 1]
+        units += [(vs[0], 0) for vs in self.xors if len(vs) == 1]
         if not self._propagate(units):
             return make_stats(xorsat.UNSAT)
         # (trail mark, branch var, values left to try)
@@ -382,13 +383,9 @@ class CounterTrailSolver(xorsat._Solver):
 
 def counter_trail_solve(query: xorsat.NonzeroQuery, use_gauss: bool = False,
                         max_decisions: Optional[int] = None) -> xorsat.SolveStats:
-    """xorsat.solve through CounterTrailSolver."""
+    """xorsat.solve through CounterTrailSolver, for homogeneous rows."""
     start = time.monotonic()
-    rows = query.rows
-    if use_gauss:
-        rows = reduced_system(rows, query.n)
-        if rows is None:
-            return xorsat.SolveStats(xorsat.UNSAT, 0, 0, 1, time.monotonic() - start)
+    rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
     return CounterTrailSolver(query.n, rows).run(max_decisions, start)
 
 

@@ -100,11 +100,10 @@ def test_solve_raises_on_a_model_that_fails_the_query(monkeypatch):
 
 
 def test_level0_units_sat_zero_decisions():
-    # The clause over one variable is a unit. The hand-built unit rows
-    # x2 = 0 and x1 = 1 are taken last in, first out, so x1 = 1 satisfies
-    # the clause before x2 = 0 leaves it one variable.
+    # The clause over one variable is a unit, and so is the clause over
+    # two once the hand-built unit row x2 = 0 leaves it one variable.
     for query, model in ((nontrivial_query(make_formula(1, [])), (1,)),
-                         (NonzeroQuery(2, (0b010, 0b101)), (1, 0))):
+                         (NonzeroQuery(2, (0b10,)), (1, 0))):
         stats = solve(query)
         assert (stats.result, stats.decisions, stats.propagations, stats.model) == (
             SAT, 0, query.n, model)
@@ -174,13 +173,26 @@ def test_gauss_mode_elapsed_includes_presolve(monkeypatch):
     assert stats.elapsed >= 0.05
 
 
-def test_gauss_mode_refutes_unsorted_contradictory_xor_rows():
-    # A query built by hand may hold rows that are unsorted and contradict.
-    query = NonzeroQuery(4, pack_rows(4, [((2, 3, 4), 0), ((1, 2, 3), 1), ((1, 2, 3), 0)]))
+def test_gauss_mode_refutes_unsorted_full_rank_rows():
+    # A query built by hand may hold rows, and variables within a row,
+    # out of order.
+    rows = [((4, 2, 3), 0), ((3, 1, 4), 0), ((1, 2, 3), 0), ((2, 1, 4), 0)]
+    query = NonzeroQuery(4, pack_rows(4, rows))
     assert not query_sat(query)
     assert solve(query).result == UNSAT
     stats = solve(query, use_gauss=True)
     assert stats.result == UNSAT and stats.decisions == 0
+
+
+def test_solve_refuses_a_row_with_a_right_hand_side(monkeypatch):
+    def no_presolve(*args):
+        raise AssertionError("the presolve ran")
+
+    monkeypatch.setattr(xorsat, "reduced_system", no_presolve)
+    for row in (1 << 3 | 0b111, 1 << 8 | 0b011):
+        for use_gauss in (False, True):
+            with pytest.raises(ValueError, match="homogeneous rows only"):
+                solve(NonzeroQuery(3, (0b110, row)), use_gauss=use_gauss)
 
 
 # -- gauss gap -------------------------------------------------------------
@@ -260,14 +272,11 @@ def test_plain_run_counters_match_golden_at_budget():
 
 def _wide_row_queries():
     """Hand-built queries: rows of 1, 2, 3, 4, 257 and 300 variables over
-    n = 300, under two right-hand sides, and the clause alone. The 257
-    variables of the long row start free, so a row length counted in a
-    byte would read 1."""
+    n = 300, and the clause alone. The 257 variables of the long row
+    start free, so a row length counted in a byte would read 1."""
     n = 300
     widths = ((1,), (2, 3), (4, 5, 6), (7, 8, 9, 10), range(44, n + 1), range(1, n + 1))
-    for rhs in ((0,) * 6, (1, 1, 0, 1, 1, 1)):
-        yield NonzeroQuery(n, tuple(sum(1 << (v - 1) for v in vs) | b << n
-                                    for vs, b in zip(widths, rhs)))
+    yield NonzeroQuery(n, tuple(sum(1 << (v - 1) for v in vs) for vs in widths))
     yield NonzeroQuery(5, ())
 
 
@@ -288,15 +297,19 @@ def _branch_corpus():
     yield _scale_query(), False, 64
 
 
+def _rescan_clause_len(solver) -> int:
+    """The length of the clause "some variable is 1" by a rescan: n minus
+    the assigned variables while none is 1, and otherwise 0."""
+    values = solver.assign[1:]
+    return 0 if 1 in values else solver.n - sum(v != UNASSIGNED for v in values)
+
+
 def _clause_is_shortest(solver) -> bool:
     """Whether the clause "some variable is 1" is active and no active
     row is shorter."""
-    values = solver.assign[1:]
-    length = values.count(UNASSIGNED)
-    if 1 in values or not length:
-        return False
-    rows = (sum(solver.assign[v] == UNASSIGNED for v in vs) for vs, _ in solver.xors)
-    return all(k == 0 or k >= length for k in rows)
+    length = _rescan_clause_len(solver)
+    rows = (sum(solver.assign[v] == UNASSIGNED for v in vs) for vs in solver.xors)
+    return length > 0 and all(k == 0 or k >= length for k in rows)
 
 
 def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
@@ -308,6 +321,9 @@ def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
         nonlocal clause_shortest
         var = numpy_pick(solver, *arrays)
         assert var == rescan_branch_var(solver)
+        # The clause's length is never restored on backtrack, yet it is
+        # exact at every pick.
+        assert solver.clause_len == _rescan_clause_len(solver)
         picks.append(var)
         clause_shortest += _clause_is_shortest(solver)
         return var
@@ -345,13 +361,12 @@ def _long_rows(corpus):
     count = 0
     for query, use_gauss, _ in corpus:
         rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
-        mask = (1 << query.n) - 1
-        count += sum((row & mask).bit_count() > 3 for row in rows)
+        count += sum(row.bit_count() > 3 for row in rows)
     return count
 
 
 def test_long_row_corpus_is_rich_in_long_rows():
-    # The branch corpus hands the solver 31 such rows among ~23k.
+    # The branch corpus hands the solver 34 such rows among ~23k.
     assert _long_rows(_long_row_corpus()) > 1000
 
 
