@@ -29,7 +29,6 @@ def main(argv=None) -> int:
     parser.add_argument("--gauss-threshold", type=float, default=1.0)
     parser.add_argument("--max-trials", type=int, default=500)
     parser.add_argument("--max-nodes", type=int, default=5_000_000)
-    parser.add_argument("--timeout", type=float, default=300.0)
     parser.add_argument("--cell-strategy", default=CELL_FIRST_SMALLEST,
                         choices=[CELL_FIRST_SMALLEST, CELL_FIRST_LARGEST])
     parser.add_argument("--out", type=Path, required=True)
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
     try:
         if args.count < 1:
             raise ValueError(f"count must be >= 1, got {args.count}")
-        check_limits(args.max_nodes, args.timeout)
+        check_limits(args.max_nodes)
         configs = [PipelineConfig(n=n, ratio=args.ratio, seed=args.seed,
                                   trials=args.max_trials, gadget_mode=args.gadget,
                                   gauss_threshold=args.gauss_threshold)
@@ -53,8 +52,7 @@ def main(argv=None) -> int:
         rows = []
         for outcome in islice((o for o in trial_outcomes(cfg) if o.accepted), args.count):
             g = outcome.graph
-            res = run_internal(g, timeout=args.timeout,
-                               instance=outcome.record.instance_id,
+            res = run_internal(g, instance=outcome.record.instance_id,
                                cell_strategy=args.cell_strategy,
                                max_nodes=args.max_nodes)
             rows.append(replace(res, n_vars=n, m=m, vertices=g.vertex_count))

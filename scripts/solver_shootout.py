@@ -5,7 +5,8 @@ internal IR solver, producing the comparison CSV and growth report.
 External solvers (dreadnaut/Traces, nauty, bliss, conauto) are used when
 their binaries are on PATH; missing ones degrade to ERROR rows and the
 batch keeps going, and so does a manifest or a .dre file that cannot be
-read.
+read. --timeout bounds each external solver's run; the internal solver
+stops at --max-nodes only.
 
 Example:
     xorcfi generate --n 30 --ratio 1.0 --seed 5000 --count 50 \
@@ -82,8 +83,7 @@ def main(argv=None) -> int:
                     res = BenchResult(record.instance_id, result_name(solver), 0.0,
                                       STATUS_ERROR, error=str(exc))
                 else:
-                    res = run_internal(g, timeout=args.timeout,
-                                       instance=record.instance_id,
+                    res = run_internal(g, instance=record.instance_id,
                                        max_nodes=args.max_nodes)
             res = replace(res, n_vars=record.n, m=record.m, vertices=record.vertices)
             results.append(res)

@@ -3,6 +3,8 @@
 External solvers run as child processes with a wall-clock timeout; a
 timed-out run records the limit itself as its time, so timed-out points
 sit on the timeout line when plotted; the growth fit leaves them out.
+The internal solver takes no time limit: it stops at its node cap, so
+its status and node count depend on the instance and the cap alone.
 Missing binaries and unreadable instance files degrade to an ERROR
 result and the batch continues.
 Instance files are never touched.
@@ -135,11 +137,11 @@ def run_external(solver: str, dre_file: Union[str, Path], timeout: float) -> Ben
             tmp_path.unlink(missing_ok=True)
 
 
-def check_limits(max_nodes: Optional[int], timeout: Optional[float]) -> None:
-    """Refuse the scripts' node cap below 1 and a time limit that is not a
-    positive finite number of seconds (NaN included): an internal search
-    under either is recorded as TIMEOUT at once, and subprocess.run
-    cannot take an infinite limit."""
+def check_limits(max_nodes: Optional[int], timeout: Optional[float] = None) -> None:
+    """Refuse the scripts' node cap below 1, under which an internal search
+    is recorded as TIMEOUT at once, and an external solver's time limit
+    that is not a positive finite number of seconds (NaN included), which
+    subprocess.run cannot wait for."""
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max nodes must be >= 1, got {max_nodes}")
     if timeout is not None and not 0 < timeout < math.inf:
@@ -148,24 +150,20 @@ def check_limits(max_nodes: Optional[int], timeout: Optional[float]) -> None:
 
 def run_internal(
     g: Graph,
-    timeout: Optional[float] = None,
     instance: str = "",
     cell_strategy: str = CELL_FIRST_SMALLEST,
     max_nodes: Optional[int] = None,
 ) -> BenchResult:
     """IR solver run; node count is the machine-independent cost. A search
-    stopped by the clock records the limit as its time, one stopped by its
-    node cap (search_nodes > max_nodes) its elapsed time."""
+    stopped by its node cap is TIMEOUT with nodes == max_nodes + 1; every
+    run records its measured elapsed time."""
     start = time.monotonic()
-    report = ir_automorphisms(g, max_nodes=max_nodes, max_seconds=timeout,
-                              cell_strategy=cell_strategy)
+    report = ir_automorphisms(g, max_nodes=max_nodes, cell_strategy=cell_strategy)
     elapsed = time.monotonic() - start
     if report.status == STATUS_COMPLETE:
         return BenchResult(instance, INTERNAL_SOLVER, elapsed, STATUS_OK,
                            group_size=report.group_size, nodes=report.search_nodes)
-    node_capped = max_nodes is not None and report.search_nodes > max_nodes
-    recorded = elapsed if timeout is None or node_capped else float(timeout)
-    return BenchResult(instance, INTERNAL_SOLVER, recorded, STATUS_TIMEOUT,
+    return BenchResult(instance, INTERNAL_SOLVER, elapsed, STATUS_TIMEOUT,
                        nodes=report.search_nodes)
 
 

@@ -38,7 +38,6 @@ rows; the closure stops at the first 0 = 1 (see local_consistency).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
@@ -232,7 +231,6 @@ def _target_cell(colors: np.ndarray, pick) -> np.ndarray:
 def ir_automorphisms(
     g: Graph,
     max_nodes: Optional[int] = None,
-    max_seconds: Optional[float] = None,
     cell_strategy: str = CELL_FIRST_SMALLEST,
 ) -> AutReport:
     """Automorphism generators and exact group size via IR search.
@@ -242,10 +240,10 @@ def ir_automorphisms(
 
     search_nodes counts backtrack-tree nodes and is the hardness
     statistic; it is deterministic for a fixed input and strategy.
-    max_nodes, when set, bounds the node count, and max_seconds the wall
-    time (for measurement runs only: where it stops depends on the
-    machine). On exhaustion the report is flagged TIMEOUT and carries
-    whatever was found, and group_size is then a lower bound.
+    max_nodes, when set, bounds the node count; there is no time limit.
+    On exhaustion the report is flagged TIMEOUT with search_nodes ==
+    max_nodes + 1 and carries whatever was found, and group_size is then
+    a lower bound.
     first_path_depth counts the levels of the leftmost path and
     refine_rounds the refinement rounds of the whole search, the root
     refinement included.
@@ -257,7 +255,6 @@ def ir_automorphisms(
     if v == 0:
         return AutReport([], 1, 0, STATUS_COMPLETE)
     csr = _Csr(g)
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     nodes = 0
     gens: List[Tuple[int, ...]] = []
     first_leaf: Optional[np.ndarray] = None
@@ -270,8 +267,7 @@ def ir_automorphisms(
         if is_left:
             left = prefix
         nodes += 1
-        if (max_nodes is not None and nodes > max_nodes
-                or deadline is not None and (nodes & 0x3F) == 0 and time.monotonic() > deadline):
+        if max_nodes is not None and nodes > max_nodes:
             raise BudgetExceededError
         if int(colors.max()) + 1 == v:
             order = np.argsort(colors)

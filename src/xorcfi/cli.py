@@ -20,7 +20,7 @@ from .pipeline import (
     generate,
     validate,
 )
-from .sampler import SampleConfig, draws
+from .sampler import SampleConfig, draw_name, draws
 
 
 def _add_sampling_args(p: argparse.ArgumentParser) -> None:
@@ -50,7 +50,7 @@ def cmd_sample(args) -> int:
         return _config_error(exc)
     args.out.mkdir(parents=True, exist_ok=True)
     for draw in draws(cfg, range(args.count)):
-        path = args.out / f"n{args.n:04d}_s{args.seed}_t{draw.trial:04d}.xcnf"
+        path = args.out / f"{draw_name(cfg, draw.trial)}.xcnf"
         _atomic_write(path, export_xor_dimacs(draw.formula()))
         print(path)
     return 0

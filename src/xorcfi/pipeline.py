@@ -56,7 +56,7 @@ from .formula import XorFormula, export_xor_dimacs
 # Unused here: perfbench's tracer test reads `pipeline.rank` to see that a
 # rebound function is restored.
 from .gf2 import rank  # noqa: F401
-from .sampler import SampleConfig, TrialDraw, draws, screen
+from .sampler import SampleConfig, TrialDraw, draw_name, draws, screen
 from .xorsat import UNSAT, gauss_ratio
 
 logger = logging.getLogger(__name__)
@@ -424,7 +424,7 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
         return TrialOutcome(trial, REJECT_LOW_RATIO)
 
     g = build_graph(f, cfg.gadget_mode)
-    instance_id = f"n{cfg.n:04d}_m{f.m:04d}_s{cfg.seed}_t{trial:04d}"
+    instance_id = draw_name(cfg.sample_config, trial)
     formula_text = export_xor_dimacs(f)
     record = InstanceRecord(
         instance_id=instance_id,

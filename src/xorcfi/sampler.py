@@ -124,6 +124,11 @@ class TrialDraw:
         return self.covers_all and has_full_rank(self.n, self.triples.tolist())
 
 
+def draw_name(cfg: SampleConfig, trial: int) -> str:
+    """The name of one trial's draw: `sample`'s file stem, `generate`'s instance id."""
+    return f"n{cfg.n:04d}_m{cfg.effective_m:04d}_s{cfg.seed}_t{trial:04d}"
+
+
 def chunks(cfg: SampleConfig, trials: range) -> Iterator[range]:
     """trials cut into consecutive chunks of about _CHUNK_ROWS draw rows."""
     step = max(1, _CHUNK_ROWS // _block_rows(cfg.effective_m))

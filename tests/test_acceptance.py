@@ -98,6 +98,19 @@ def test_a3_group_size_formula():
 
 
 def test_a4_refinement_non_separation():
+    """Implication: if the pinned system f with X_i = 1 is k-locally
+    consistent, d-WL leaves X_i^0 and X_i^1 in one cell of the full lift,
+    with k = 3(d+1). Here d = 1, colour refinement, so k = 6. The constant
+    is an assumption: it is read as the Atserias-Bulatov-Dawar (2009)
+    correspondence between k-consistency and the counting logic, which
+    this suite cannot check.
+
+    The assertion holds for every pair, qualifying or not: the partition
+    of a lift into X^0/X^1 pairs, clause quadruples and gadget singletons
+    is equitable (README), so colour refinement never splits a pair. The
+    content is the coverage line, the pairs whose pin is 6-consistent,
+    and it reads 0 of 240 at n=12.
+    """
     # Exact 6-pebble checking is budgeted at 150000 game states per pin;
     # n=12 is the largest n that fits (n=13 needs 165075), so the batch
     # shrinks from n~30 to n=12 and the coverage is reported below.
@@ -129,6 +142,15 @@ def test_a4_refinement_non_separation():
 
 
 def test_a5_two_wl_consistency_spot_check():
+    """Implication: if f with X_i = 1 is 9-locally consistent, 2-WL leaves
+    X_i^0 and X_i^1 in one cell of the full lift; k = 3(d+1) with d = 2,
+    the constant assumed as in A4.
+
+    The witness pins a variable in the support of a kernel vector of f.
+    That vector is an automorphism of the lift that swaps X_i^0 and X_i^1
+    (|Aut| = 4 at seed 5150, trial 0), so the pair is automorphic and
+    every refinement keeps it together: A5 passes for any refinement.
+    """
     t0 = time.monotonic()
     witness = None
     for trial in range(200):
@@ -204,11 +226,11 @@ def test_a7_hardness_growth():
                              gauss_threshold=1.0)
         nodes = []
         for g in (o.graph for o in first_accepted(cfg, 5)):
-            rep = ir_automorphisms(g, max_nodes=3_000_000, max_seconds=120)
+            rep = ir_automorphisms(g, max_nodes=3_000_000)
             assert rep.status == STATUS_COMPLETE
             nodes.append(rep.search_nodes)
             if not strategy_differs:
-                other = ir_automorphisms(g, max_nodes=3_000_000, max_seconds=120,
+                other = ir_automorphisms(g, max_nodes=3_000_000,
                                          cell_strategy=CELL_FIRST_LARGEST)
                 if other.status == STATUS_COMPLETE and other.search_nodes != rep.search_nodes:
                     strategy_differs = True

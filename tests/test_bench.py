@@ -142,19 +142,11 @@ def test_run_internal_deterministic_nodes():
     assert len(nodes) == 1
 
 
-def test_run_internal_timeout_records_limit():
-    # The clock is read every 64 nodes, so a zero limit stops the search there.
-    matching = Graph(120, [(2 * i, 2 * i + 1) for i in range(60)])
-    res = run_internal(matching, timeout=0.0)
-    assert (res.status, res.nodes, res.time_s) == (STATUS_TIMEOUT, 64, 0.0)
-    assert res.group_size is None
-
-
 def test_run_internal_node_cap_records_elapsed():
     g = build_graph(COMPLETE, "full")
-    res = run_internal(g, timeout=9.0, max_nodes=1)
+    res = run_internal(g, max_nodes=1)
     assert (res.status, res.nodes) == (STATUS_TIMEOUT, 2)
-    assert 0.0 < res.time_s < 9.0
+    assert res.time_s > 0.0
     assert res.group_size is None
 
 

@@ -4,7 +4,8 @@ src/xorcfi is referenced by the program itself (src/, scripts/
 or perfbench/), not only by tests; every one defined in tests/oracles.py
 is referenced by some tests/test_*.py, so a dead oracle cannot pile up
 beside a live one; every xorcfi name that scripts/ and perfbench/ read
-still exists; and perfbench's set-up warm-up runs.
+still exists, and every keyword argument they pass it is one of its
+parameters; and perfbench's set-up warm-up runs.
 
 A reference is a name, an attribute or an import in the parsed code, so
 strings and comments do not count; neither do references from inside the
@@ -19,6 +20,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 from collections import defaultdict
 from pathlib import Path
 
@@ -128,36 +130,74 @@ XORCFI_MODULES = {"xorcfi"} | {f"xorcfi.{p.stem}" for p in (ROOT / "src" / "xorc
                                 if p.stem != "__init__"}
 
 
-def xorcfi_reads():
-    """(path, line, dotted name) of each xorcfi name that perfbench/*.py and
-    scripts/*.py read in code: each name a `from xorcfi... import` takes,
-    and each attribute read off a name bound to an xorcfi module. Strings
-    and comments that name a function do not count."""
-    reads = []
+def _xorcfi_files():
+    """(path, tree, bound, imports) of each file in perfbench/ and scripts/:
+    `bound` maps each local name that an import binds to an xorcfi module
+    or to a name a `from xorcfi... import` takes onto its dotted name, and
+    `imports` holds the (line, dotted name) of each such imported name."""
     for path in sorted(p for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        modules = {}  # local name -> the xorcfi module it is bound to
+        bound, imports = {}, []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name in XORCFI_MODULES:
-                        modules[alias.asname or "xorcfi"] = alias.name if alias.asname else "xorcfi"
+                        bound[alias.asname or "xorcfi"] = alias.name if alias.asname else "xorcfi"
             elif isinstance(node, ast.ImportFrom) and node.module in XORCFI_MODULES:
                 for alias in node.names:
                     dotted = f"{node.module}.{alias.name}"
-                    reads.append((path, node.lineno, dotted))
-                    if dotted in XORCFI_MODULES:
-                        modules[alias.asname or alias.name] = dotted
+                    imports.append((node.lineno, dotted))
+                    bound[alias.asname or alias.name] = dotted
+        yield path, tree, bound, imports
+
+
+def _dotted(node, bound):
+    """The dotted xorcfi name that a bound name, or an attribute chain read
+    off one, stands for; None for any other expression."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in bound:
+        return ".".join([bound[node.id]] + parts[::-1])
+    return None
+
+
+def _resolve(dotted):
+    """The object a dotted xorcfi name stands for; AttributeError if none."""
+    for name in XORCFI_MODULES:
+        importlib.import_module(name)
+    return functools.reduce(getattr, dotted.split(".")[1:], importlib.import_module("xorcfi"))
+
+
+def xorcfi_reads():
+    """(path, line, dotted name) of each xorcfi name that perfbench/*.py and
+    scripts/*.py read in code: each name a `from xorcfi... import` takes,
+    and each attribute read off a name bound to an xorcfi module or name.
+    Strings and comments that name a function do not count."""
+    reads = []
+    for path, tree, bound, imports in _xorcfi_files():
+        reads += [(path, line, dotted) for line, dotted in imports]
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                parts = [node.attr]
-                base = node.value
-                while isinstance(base, ast.Attribute):
-                    parts.append(base.attr)
-                    base = base.value
-                if isinstance(base, ast.Name) and base.id in modules:
-                    reads.append((path, node.lineno, ".".join([modules[base.id]] + parts[::-1])))
+                dotted = _dotted(node, bound)
+                if dotted is not None:
+                    reads.append((path, node.lineno, dotted))
     return reads
+
+
+def xorcfi_keywords():
+    """(path, line, dotted name, keyword) of each keyword argument that
+    perfbench/*.py and scripts/*.py pass to an xorcfi function or class,
+    in every call, lambdas included."""
+    found = []
+    for path, tree, bound, _ in _xorcfi_files():
+        for node in ast.walk(tree):
+            dotted = _dotted(node.func, bound) if isinstance(node, ast.Call) else None
+            if dotted is not None:
+                found += [(path, node.lineno, dotted, kw.arg) for kw in node.keywords
+                          if kw.arg is not None]
+    return found
 
 
 def test_every_xorcfi_name_that_scripts_and_perfbench_read_exists():
@@ -165,15 +205,32 @@ def test_every_xorcfi_name_that_scripts_and_perfbench_read_exists():
     names = {dotted for _, _, dotted in reads}
     # The reads are really found: the set-up probe's warm-up and a script's trial stream.
     assert {"xorcfi.canon.color_refine", "xorcfi.pipeline.trial_outcomes"} <= names
-    for name in XORCFI_MODULES:
-        importlib.import_module(name)
     missing = []
     for path, line, dotted in reads:
         try:
-            functools.reduce(getattr, dotted.split(".")[1:], importlib.import_module("xorcfi"))
+            _resolve(dotted)
         except AttributeError:
             missing.append(f"{path.relative_to(ROOT)}:{line}: {dotted}")
     assert not missing, "read but not defined: " + ", ".join(missing)
+
+
+def test_every_keyword_that_scripts_and_perfbench_pass_is_a_parameter():
+    found = xorcfi_keywords()
+    # The calls are really found: a script's capped search and perfbench's
+    # capped prefixes, the latter inside a lambda.
+    assert {("xorcfi.bench.run_internal", "max_nodes"),
+            ("xorcfi.bench.run_internal", "instance")} <= {(d, kw) for _, _, d, kw in found}
+    assert any(path.parent.name == "perfbench" and kw == "max_nodes"
+               for path, _, _, kw in found)
+    stale = []
+    for path, line, dotted, kw in found:
+        try:
+            params = inspect.signature(_resolve(dotted)).parameters
+        except AttributeError:
+            continue  # a name that is not defined fails the test of reads
+        if kw not in params and not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            stale.append(f"{path.relative_to(ROOT)}:{line}: {dotted}({kw}=)")
+    assert not stale, "passed but not a parameter: " + ", ".join(stale)
 
 
 def test_perfbench_warm_up_runs():

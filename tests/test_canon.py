@@ -555,9 +555,6 @@ def test_ir_budgeted_searches_match_golden():
             got.append((rep.status, rep.search_nodes, rep.first_path_depth, rep.refine_rounds,
                         rep.group_size, len(rep.generators)))
         assert got == [(STATUS_TIMEOUT,) + row for row in GOLDEN_BUDGETED[name]], name
-    # The clock is read every 64 nodes, so a zero limit stops the search there.
-    rep = ir_automorphisms(matching(60), max_seconds=0.0)
-    assert (rep.status, rep.search_nodes) == (STATUS_TIMEOUT, 64)
 
 
 def test_ir_leaves_never_propose_the_identity_or_a_repeat(monkeypatch):

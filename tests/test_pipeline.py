@@ -828,10 +828,10 @@ def test_cli_generate_is_byte_deterministic_when_plain_runs_exhaust_the_budget(t
 
 # sha256 of what `sample` and `build` wrote before they went through _atomic_write.
 CLI_SAMPLE_BUILD_DIGESTS = {
-    "formulas/n0006_s4_t0000.xcnf": "98b168572cee3baaf9aefcdb4e77e2713995631cadd0a85c227739417509acdb",
-    "formulas/n0006_s4_t0001.xcnf": "470672d0e348f21cc5fbb8570ac9038f5fd25f30cd18bf29323007a49414b726",
-    "graphs/n0006_s4_t0000.dimacs": "1e635691fcc9ec893ec7e0d4f9230863630207f970df8225aacfe6c67273cb1c",
-    "graphs/n0006_s4_t0001.dimacs": "e8baec4483679239d4cf9dead78643707c4e7d801f60af1cd1241fbfb91b7a9d",
+    "formulas/n0006_m0008_s4_t0000.xcnf": "98b168572cee3baaf9aefcdb4e77e2713995631cadd0a85c227739417509acdb",
+    "formulas/n0006_m0008_s4_t0001.xcnf": "470672d0e348f21cc5fbb8570ac9038f5fd25f30cd18bf29323007a49414b726",
+    "graphs/n0006_m0008_s4_t0000.dimacs": "1e635691fcc9ec893ec7e0d4f9230863630207f970df8225aacfe6c67273cb1c",
+    "graphs/n0006_m0008_s4_t0001.dimacs": "e8baec4483679239d4cf9dead78643707c4e7d801f60af1cd1241fbfb91b7a9d",
 }
 
 
@@ -860,6 +860,18 @@ def test_cli_sample_then_build(tmp_path, monkeypatch):
                for p in tmp_path.rglob("*") if p.is_file()}
     assert digests == CLI_SAMPLE_BUILD_DIGESTS  # byte-identical, and no *.tmp left behind
     assert sorted(written) == sorted(CLI_SAMPLE_BUILD_DIGESTS)
+
+
+def test_cli_sample_runs_at_other_m_write_other_files(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    # The three runs differ only in m, the last through --ratio (m = 0.75 * 4).
+    for m in (["--m", "1"], ["--m", "2"], ["--ratio", "0.75"]):
+        assert main(["sample", "--n", "4", *m, "--out", str(tmp_path)]) == 0
+    paths = [tmp_path / f"n0004_m000{m}_s0_t0000.xcnf" for m in (1, 2, 3)]
+    assert sorted(tmp_path.iterdir()) == paths
+    assert capsys.readouterr().out.splitlines() == [str(p) for p in paths]
+    assert [import_xor_dimacs(p.read_text()).m for p in paths] == [1, 2, 3]
 
 
 def test_cli_build_reports_a_formula_the_gadget_cannot_lift(tmp_path, capsys):
@@ -998,13 +1010,38 @@ def test_hardness_growth_script_reports_a_config_error_without_traceback(tmp_pat
     (["--count", "0"], "count must be >= 1, got 0"),
     (["--count", "-1"], "count must be >= 1, got -1"),
     (["--max-nodes", "0"], "max nodes must be >= 1, got 0"),
-    (["--timeout", "-1"], "timeout must be a positive finite number of seconds, got -1.0"),
-    (["--timeout", "nan"], "timeout must be a positive finite number of seconds, got nan"),
 ])
 def test_hardness_growth_script_refuses_out_of_range_limits(tmp_path, args, message):
     proc = _run_script("hardness_growth.py", "--ns", "10", *args, "--out", str(tmp_path / "growth"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "growth").exists()
+
+
+def test_hardness_growth_script_has_no_timeout(tmp_path):
+    proc = _run_script("hardness_growth.py", "--ns", "10", "--timeout", "1",
+                       "--out", str(tmp_path / "growth"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --timeout 1" in proc.stderr
+    assert not (tmp_path / "growth").exists()
+
+
+def test_hardness_growth_script_rows_are_reproducible(tmp_path):
+    # A cap of 20 nodes stops some of these searches and not others; every
+    # column but the measured time, and the fit, come out the same twice.
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        proc = _run_script("hardness_growth.py", "--ns", "10", "12", "--ratio", "1.0",
+                           "--count", "3", "--gadget", "core", "--max-nodes", "20",
+                           "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        runs.append(([{k: v for k, v in r.items() if k != "time"} for r in rows],
+                     (out / "growth.txt").read_text()))
+    assert runs[0] == runs[1]
+    statuses = [r["status"] for r in runs[0][0]]
+    assert "OK" in statuses and "TIMEOUT" in statuses
+    assert all(int(r["nodes"]) == 21 for r in runs[0][0] if r["status"] == "TIMEOUT")
 
 
 @pytest.mark.parametrize("args, message", [
