@@ -106,11 +106,14 @@ class PipelineConfig:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if math.isnan(self.gauss_threshold):
             raise ValueError("gauss threshold must be a number, got nan")
-        # A plain run stopped after B decisions shows a Gauss ratio of only
-        # B + 1, since the Gauss run refutes a full-rank query with 0 decisions.
-        if self.budget + 1 < self.gauss_threshold:
-            raise ValueError(f"a budget of {self.budget} decisions can show a gauss ratio of at "
-                             f"most {self.budget + 1}, below the threshold {self.gauss_threshold:g}")
+        # The Gauss run refutes a full-rank query with 0 decisions, so a
+        # plain run that refutes within B decisions shows a Gauss ratio of
+        # at most max(B, 1), and one that B stops scores +inf. Below the
+        # threshold, only a stopped run could pass the filter.
+        if max(self.budget, 1) < self.gauss_threshold:
+            raise ValueError(f"a budget of {self.budget} decisions can show a finite gauss ratio of "
+                             f"at most {max(self.budget, 1)}, below the threshold "
+                             f"{self.gauss_threshold:g}")
 
     @property
     def sample_config(self) -> SampleConfig:

@@ -8,25 +8,48 @@ most occurrences in the shortest active constraints, ties broken by
 variable index, and tries value 0 before 1, so runs are deterministic
 and the decision count is a machine-independent cost.
 
-The rows are homogeneous, so a row holds exactly when its variables
-have even parity. Propagation keeps the clause's length and no state
-per XOR row. Each variable lists, per row it occurs in, the row's other
-variables; assigning the variable reads their values, and a row left
-with one of them unassigned queues that one as a unit. Variable 0 is a
-phantom fixed at 0, so a row of 1, 2 or 3 variables reads exactly two
-values; only the rank-deficient rows of a Gauss presolve are longer,
-and carry their further variables in the same entry. Units are taken
-last in, first out. A decision saves the assignment bytes alone, and a
-backtrack restores them in one step.
+The counts are those of that depth-first search, computed without
+enumerating its nodes. Which rows turn unit, the last-in, first-out
+order of the units and the branch pick depend only on which variables
+are assigned, never on their values. So every node at one depth of the tree
+has the same variables assigned, and the search runs one propagation
+pass per depth. Each value in it is a GF(2) linear form in the
+decisions above, a Python int with bit d for decision d. A row whose
+variables are all assigned, or a unit whose variable has a value,
+yields a relation among the decisions. A node survives the pass when
+its decisions meet every relation, and stops at the first one they
+violate. The live nodes of a depth form a subspace, so the nodes that
+stop at each relation are counted from ranks. Only a relation that adds
+rank to those before it stops any node, and at most one per decision
+does. Decisions, propagations and conflicts are sums of subspace sizes.
+A budget cut or a SAT leaf is found by walking the tree in search
+order, value 0 before 1, with whole subtrees counted the same way.
 
-The branch pick reads the assignment bytes through numpy. Before its
-first pick the solver lays the XOR rows out as the columns of one
-array, padded with the phantom 0, which is never free; each pick is one
-gather over it, a row-length sum and one bincount of the shortest
-rows' free variables, not a Python rescan of every row. The clause
-stays out of the array: its length is the count that propagation
-keeps. A run that propagation refutes at level 0, like every Gauss-side
-refutation, never builds the array.
+The clause acts only on the all-zero path, the one node per depth
+where no variable is 1. Every variable there is 0, so no active row is
+shorter than the clause, and a clause as short as the shortest rows
+ties every free variable: the pick is the rows' pick. The clause queues
+a unit only when one variable is left free, and that ends the path at
+that depth. So the tree's depth and variable order are those of the
+all-zero path. Its pass keeps the clause's length live; its values are
+the forms' constant terms (bit 0), which only the clause's unit sets.
+At the last depth every other node sees a satisfied clause, and their
+pass runs again without it. If no row is active on the all-zero path,
+the other nodes at that depth are SAT leaves, and the path, first in
+search order, goes on through the clause's picks and ends SAT.
+
+The branch pick reads the all-zero path's assignment bytes through
+numpy. Before its first pick the solver lays the XOR rows out as the
+columns of one array, padded with the phantom variable 0, which is
+never free. Each pick is one gather over it, a row-length sum and one
+bincount of the shortest rows' free variables. Propagation keeps no
+state per XOR row: each variable lists, per row it occurs in, the row's
+other variables, and assigning it reads their forms. A row of 1, 2 or 3
+variables reads exactly two, the phantom padding the short ones; only
+the rank-deficient rows of a Gauss presolve are longer, and carry their
+further variables in the same entry. A run that propagation refutes at
+level 0, like every Gauss-side refutation, builds neither the array
+nor a relation.
 
 With use_gauss the XOR rows are eliminated up front over GF(2); a
 full-rank system turns into unit rows that set every variable to 0 at
@@ -38,7 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +73,15 @@ UNSAT = "UNSAT"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 UNASSIGNED = 0xFF  # the value byte of a variable without a value
+ONE = 1  # the constant term of a form; bit d >= 1 is decision d
 
 # An XOR row seen from one of its variables: two other variables (the
 # phantom 0 where the row has fewer) and the row's further variables.
 XorEntry = Tuple[int, int, Tuple[int, ...]]
+
+# A relation that adds rank: its row reduced by those before it, the
+# row's highest decision and the propagations of the pass before it.
+_Relation = Tuple[int, int, int]
 
 
 class NonzeroQuery(NamedTuple):
@@ -75,16 +103,17 @@ class SolveStats:
 
 
 class _Solver:
-    """One-shot DPLL instance over one nonzero-solution query."""
+    """One-shot DPLL run over one nonzero-solution query, one
+    propagation pass per depth of its search tree."""
 
     def __init__(self, n: int, rows: Sequence[int]):
         """rows are homogeneous rows as gf2 packs them (bit j is variable
         j+1); each is kept as its variables in ascending order.
 
-        clause_len is the length of the clause "some variable is 1": its
-        unassigned variables while none is 1, else 0. No snapshot holds
-        it: the search tries 0 before 1, so a backtrack first assigns 1
-        and the clause stays satisfied for the rest of the run."""
+        form holds each variable's value as a form, None if unassigned,
+        and assign the all-zero path's values, UNASSIGNED if none.
+        clause_len is the length of the clause "some variable is 1" on
+        that path: its unassigned variables while none is 1, else 0."""
         self.n = n
         self.xors: List[Tuple[int, ...]] = []
         for row in rows:
@@ -95,15 +124,16 @@ class _Solver:
                 row ^= low
             self.xors.append(tuple(vs))
 
-        # Value of each variable, UNASSIGNED if none; numpy reads it in
-        # place. Index 0 is a phantom variable fixed at 0.
+        # Index 0 is a phantom variable fixed at 0; numpy reads assign in place.
+        self.form: List[Optional[int]] = [None] * (n + 1)
+        self.form[0] = 0
         self.assign = bytearray([UNASSIGNED]) * (n + 1)
         self.assign[0] = 0
         self.clause_len = n
-        # XOR rows keep no state: the entry of a row at each of its
-        # variables holds the row's other variables, as (first, second,
-        # rest). The phantom 0 pads a row of fewer than 3 variables and
-        # gets no entries; only rows of more than 3 have a rest.
+        # The entry of a row at each of its variables holds the row's
+        # other variables, as (first, second, rest). The phantom 0 pads a
+        # row of fewer than 3 variables and gets no entries; only rows of
+        # more than 3 have a rest.
         self.occ_xor: List[List[XorEntry]] = [[] for _ in range(n + 1)]
         for vs in self.xors:
             if len(vs) > 3:
@@ -118,67 +148,109 @@ class _Solver:
             if z:
                 self.occ_xor[z].append((x, y, ()))
 
+        self.trail: List[int] = []  # the assigned variables, in order
+        # Each relation kept, by its highest decision; and per depth from
+        # level 0, the relations kept from its pass and its propagations.
+        self.pivots: Dict[int, int] = {}
+        self.passes: List[Tuple[List[_Relation], int]] = []
+
         self.decisions = 0
         self.propagations = 0
         self.conflicts = 0
 
     # -- propagation ---------------------------------------------------------
 
-    def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
-        """Assign pending (var, value) pairs to fixpoint; False on conflict.
+    def _propagate(self, pending: List[Tuple[int, int]]
+                   ) -> Tuple[int, bool, List[Tuple[int, int]]]:
+        """Assign pending (var, form) pairs to fixpoint, last in, first
+        out; return the propagations, whether the all-zero path lives and
+        the relations found, each with the propagations before it.
 
         Each assignment first updates the clause's length, then reads the
-        values of the other variables of each XOR row it occurs in. It
+        forms of the other variables of each XOR row it occurs in. It
         queues the last free entry of each constraint it leaves unit, at
-        the value that makes it hold: the clause's lowest unassigned
-        variable first, then XOR rows in occurrence order. On a conflict
-        the state is left as it is; the caller restores a snapshot.
+        the form that makes it hold: the clause's lowest unassigned
+        variable first, then XOR rows in occurrence order. A relation
+        with a constant term is violated on the all-zero path, which
+        stops there.
         """
-        assign, occ_xor = self.assign, self.occ_xor
+        form, assign, occ_xor, trail = self.form, self.assign, self.occ_xor, self.trail
         clause_len = self.clause_len
+        count = 0
+        found = []
         queue = list(pending)
         while queue:
             var, value = queue.pop()
-            if assign[var] != UNASSIGNED:
-                if assign[var] != value:
-                    self.conflicts += 1
-                    return False
+            held = form[var]
+            if held is not None:
+                held ^= value
+                if held & ONE:
+                    return count, False, found
+                if held:
+                    found.append((held, count))
                 continue
-            assign[var] = value
-            if value:
-                clause_len = 0
-            elif clause_len:
-                clause_len -= 1
-                if not clause_len:
-                    self.conflicts += 1
-                    return False
-                if clause_len == 1:
-                    queue.append((assign.index(UNASSIGNED, 1), 1))
+            form[var] = value
+            assign[var] = value & ONE
+            trail.append(var)
+            if clause_len:
+                if value & ONE:
+                    clause_len = 0
+                else:
+                    clause_len -= 1
+                    if not clause_len:
+                        return count, False, found
+                    if clause_len == 1:
+                        queue.append((assign.index(UNASSIGNED, 1), ONE))
             for a, b, rest in occ_xor[var]:
-                va = assign[a]
-                vb = assign[b]
                 if rest:
                     row = (a, b) + rest
-                    free = [u for u in row if assign[u] == UNASSIGNED]
+                    free = [u for u in row if form[u] is None]
                     if len(free) > 1:
                         continue
-                    parity = (value + sum(assign[u] for u in row if u not in free)) & 1
+                    parity = value
+                    for u in row:
+                        if form[u] is not None:
+                            parity ^= form[u]
                     if free:
                         queue.append((free[0], parity))
-                    elif parity:
-                        self.conflicts += 1
-                        return False
-                elif va == UNASSIGNED:
-                    if vb != UNASSIGNED:
-                        queue.append((a, value ^ vb))
-                elif vb == UNASSIGNED:
-                    queue.append((b, value ^ va))
-                elif value ^ va ^ vb:
-                    self.conflicts += 1
-                    return False
-            self.propagations += 1
+                        continue
+                else:
+                    fa = form[a]
+                    fb = form[b]
+                    if fa is None:
+                        if fb is not None:
+                            queue.append((a, value ^ fb))
+                        continue
+                    if fb is None:
+                        queue.append((b, value ^ fa))
+                        continue
+                    parity = value ^ fa ^ fb
+                if parity & ONE:
+                    return count, False, found
+                if parity:
+                    found.append((parity, count))
+            count += 1
         self.clause_len = clause_len
-        return True
+        return count, True, found
+
+    def _keep(self, found: List[Tuple[int, int]], depth: int) -> List[_Relation]:
+        """The relations of the pass at depth that add rank, in order,
+        each reduced by those kept before it. Once the rank is depth,
+        only the all-zero node meets them all and the rest add none."""
+        pivots = self.pivots
+        kept = []
+        for row, count in found:
+            if len(pivots) == depth:
+                break
+            while row:
+                top = row.bit_length() - 1
+                held = pivots.get(top)
+                if held is None:
+                    pivots[top] = row
+                    kept.append((row, top, count))
+                    break
+                row ^= held
+        return kept
 
     # -- branching -----------------------------------------------------------
 
@@ -213,6 +285,81 @@ class _Solver:
             scores += values == UNASSIGNED
         return int(scores.argmax())
 
+    # -- the tree ------------------------------------------------------------
+
+    def _model(self, node: int) -> Tuple[int, ...]:
+        """The forms evaluated at node, a vector with bit d for decision d
+        and ONE for the constant; unassigned variables read 0."""
+        return tuple((f & node).bit_count() & 1 if f is not None else 0 for f in self.form[1:])
+
+    def _attempt(self, node: int, depth: int) -> bool:
+        """Count the pass of node at depth, whose parent lives: up to the
+        first relation it violates, a conflict, or the whole pass."""
+        found, count = self.passes[depth]
+        for row, _, at in found:
+            if (row & node).bit_count() & 1:
+                self.propagations += at
+                self.conflicts += 1
+                return False
+        self.propagations += count
+        return True
+
+    def _subtree(self, node: int, depth: int) -> Tuple[int, int, int, bool]:
+        """Decisions, propagations and conflicts of the whole subtree
+        below the live node at depth, node included, and whether it holds
+        a SAT leaf; node is off the all-zero path and depth is not last.
+
+        Among the nodes at a deeper depth under node, those that meet the
+        relations kept so far number 2^free: a relation whose highest
+        decision lies deeper than node halves them, and one over node's
+        own decisions alone keeps all or, if node violates it, none."""
+        decisions, propagations, conflicts = 1, 0, 0
+        last = len(self.passes) - 1
+        free = 0
+        for d in range(depth + 1, last + 1):
+            found, count = self.passes[d]
+            free += 1
+            for row, top, at in found:
+                if top > depth:
+                    free -= 1
+                    lost = 1 << free
+                elif (row & node).bit_count() & 1:
+                    lost = 1 << free
+                    return decisions, propagations + at * lost, conflicts + lost, False
+                else:
+                    continue
+                propagations += at * lost
+                conflicts += lost
+            propagations += count << free
+            if d < last:
+                decisions += 1 << free
+        return decisions, propagations, conflicts, True
+
+    def _walk(self, max_decisions: Optional[int]) -> Tuple[str, Optional[Tuple[int, ...]]]:
+        """The search after the all-zero path's last node conflicts: the
+        subtrees of that path's value-1 children, deepest first, each
+        counted whole unless it holds a SAT leaf or the budget ends in
+        it."""
+        last = len(self.passes) - 1
+        todo = [(ONE | 1 << d, d) for d in range(1, last + 1)]
+        while todo:
+            node, depth = todo.pop()
+            if not self._attempt(node, depth):
+                continue
+            if depth == last:
+                return SAT, self._model(node)
+            decisions, propagations, conflicts, sat = self._subtree(node, depth)
+            if not sat and (max_decisions is None or self.decisions + decisions <= max_decisions):
+                self.decisions += decisions
+                self.propagations += propagations
+                self.conflicts += conflicts
+                continue
+            if max_decisions is not None and self.decisions >= max_decisions:
+                return BUDGET_EXHAUSTED, None
+            self.decisions += 1
+            todo += [(node | 1 << depth + 1, depth + 1), (node, depth + 1)]
+        return UNSAT, None
+
     # -- search --------------------------------------------------------------
 
     def run(self, max_decisions: Optional[int], start: float) -> SolveStats:
@@ -223,35 +370,45 @@ class _Solver:
         # Level-0 units: the clause over one variable, then the rows of
         # one, which set it to 0. Every row has a variable: formula rows
         # have 3, and reduced_system drops zero rows.
-        units = [(1, 1)] if self.n == 1 else []
+        units = [(1, ONE)] if self.n == 1 else []
         units += [(vs[0], 0) for vs in self.xors if len(vs) == 1]
-        if not self._propagate(units):
+        count, ok, _ = self._propagate(units)  # values are constants: no relation
+        self.propagations += count
+        if not ok:
+            self.conflicts += 1
             return make_stats(UNSAT)
+        self.passes.append(([], count))
 
+        # Down the all-zero path, one pass per depth, until its node
+        # conflicts or is a SAT leaf.
         cols = self._row_columns()
-        assign = self.assign
-        values = np.frombuffer(assign, dtype=np.uint8)
-        # Decisions whose value 1 is untried: assign as it was before the
-        # decision, and its variable.
-        stack: List[Tuple[bytes, int]] = []
+        values = np.frombuffer(self.assign, dtype=np.uint8)
         while True:
             var = self._pick_branch_var(cols, values)
             if var is None:
-                model = tuple(assign[v] if assign[v] != UNASSIGNED else 0
-                              for v in range(1, self.n + 1))
-                return make_stats(SAT, model)
+                return make_stats(SAT, self._model(ONE))
             if max_decisions is not None and self.decisions >= max_decisions:
                 return make_stats(BUDGET_EXHAUSTED)
             self.decisions += 1
-            stack.append((bytes(assign), var))
-            ok = self._propagate([(var, 0)])
-            while not ok:
-                # Back to the most recent decision whose value 1 is untried.
-                if not stack:
-                    return make_stats(UNSAT)
-                saved, bvar = stack.pop()
-                assign[:] = saved  # in place: values views this buffer
-                ok = self._propagate([(bvar, 1)])
+            depth = len(self.passes)
+            mark = len(self.trail)
+            count, ok, found = self._propagate([(var, 1 << depth)])
+            self.propagations += count
+            if not ok:
+                break
+            self.passes.append((self._keep(found, depth), count))
+
+        # The last depth: the other nodes see a satisfied clause. Undo
+        # the pass and run it again without the clause.
+        self.conflicts += 1
+        for v in self.trail[mark:]:
+            self.form[v] = None
+            self.assign[v] = UNASSIGNED
+        del self.trail[mark:]
+        self.clause_len = 0
+        count, _, found = self._propagate([(var, 1 << depth)])
+        self.passes.append((self._keep(found, depth), count))
+        return make_stats(*self._walk(max_decisions))
 
 
 def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:

@@ -24,7 +24,7 @@ from xorcfi.formula import PinnedSystem, XorClause, XorFormula, make_formula, to
 from xorcfi.gf2 import reduced_system
 from xorcfi.pipeline import PipelineConfig, TrialOutcome, trial_outcomes
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
-from xorcfi.xorsat import UNASSIGNED
+from xorcfi.xorsat import BUDGET_EXHAUSTED, SAT, UNASSIGNED, UNSAT, SolveStats, XorEntry
 
 
 # -- GF(2) -------------------------------------------------------------------
@@ -243,9 +243,194 @@ def first_accepted(cfg: PipelineConfig, count: int) -> List[TrialOutcome]:
 # -- DPLL ----------------------------------------------------------------------
 
 
+class DfsSolver:
+    """The depth-first DPLL search that xorsat._Solver computes one depth
+    at a time: one node at a time, over concrete values.
+
+    It is xorsat's solver as it was before the symbolic pass, kept
+    unchanged as the reference for every counter and model."""
+
+    def __init__(self, n: int, rows: Sequence[int]):
+        """rows are homogeneous rows as gf2 packs them (bit j is variable
+        j+1); each is kept as its variables in ascending order.
+
+        clause_len is the length of the clause "some variable is 1": its
+        unassigned variables while none is 1, else 0. No snapshot holds
+        it: the search tries 0 before 1, so a backtrack first assigns 1
+        and the clause stays satisfied for the rest of the run."""
+        self.n = n
+        self.xors: List[Tuple[int, ...]] = []
+        for row in rows:
+            vs = []
+            while row:
+                low = row & -row
+                vs.append(low.bit_length())
+                row ^= low
+            self.xors.append(tuple(vs))
+
+        # Value of each variable, UNASSIGNED if none; numpy reads it in
+        # place. Index 0 is a phantom variable fixed at 0.
+        self.assign = bytearray([UNASSIGNED]) * (n + 1)
+        self.assign[0] = 0
+        self.clause_len = n
+        # XOR rows keep no state: the entry of a row at each of its
+        # variables holds the row's other variables, as (first, second,
+        # rest). The phantom 0 pads a row of fewer than 3 variables and
+        # gets no entries; only rows of more than 3 have a rest.
+        self.occ_xor: List[List[XorEntry]] = [[] for _ in range(n + 1)]
+        for vs in self.xors:
+            if len(vs) > 3:
+                for i, v in enumerate(vs):
+                    others = vs[:i] + vs[i + 1:]
+                    self.occ_xor[v].append((others[0], others[1], others[2:]))
+                continue
+            x, y, z = (vs + (0, 0))[:3]
+            self.occ_xor[x].append((y, z, ()))
+            if y:
+                self.occ_xor[y].append((x, z, ()))
+            if z:
+                self.occ_xor[z].append((x, y, ()))
+
+        self.decisions = 0
+        self.propagations = 0
+        self.conflicts = 0
+
+    # -- propagation ---------------------------------------------------------
+
+    def _propagate(self, pending: List[Tuple[int, int]]) -> bool:
+        """Assign pending (var, value) pairs to fixpoint; False on conflict.
+
+        Each assignment first updates the clause's length, then reads the
+        values of the other variables of each XOR row it occurs in. It
+        queues the last free entry of each constraint it leaves unit, at
+        the value that makes it hold: the clause's lowest unassigned
+        variable first, then XOR rows in occurrence order. On a conflict
+        the state is left as it is; the caller restores a snapshot.
+        """
+        assign, occ_xor = self.assign, self.occ_xor
+        clause_len = self.clause_len
+        queue = list(pending)
+        while queue:
+            var, value = queue.pop()
+            if assign[var] != UNASSIGNED:
+                if assign[var] != value:
+                    self.conflicts += 1
+                    return False
+                continue
+            assign[var] = value
+            if value:
+                clause_len = 0
+            elif clause_len:
+                clause_len -= 1
+                if not clause_len:
+                    self.conflicts += 1
+                    return False
+                if clause_len == 1:
+                    queue.append((assign.index(UNASSIGNED, 1), 1))
+            for a, b, rest in occ_xor[var]:
+                va = assign[a]
+                vb = assign[b]
+                if rest:
+                    row = (a, b) + rest
+                    free = [u for u in row if assign[u] == UNASSIGNED]
+                    if len(free) > 1:
+                        continue
+                    parity = (value + sum(assign[u] for u in row if u not in free)) & 1
+                    if free:
+                        queue.append((free[0], parity))
+                    elif parity:
+                        self.conflicts += 1
+                        return False
+                elif va == UNASSIGNED:
+                    if vb != UNASSIGNED:
+                        queue.append((a, value ^ vb))
+                elif vb == UNASSIGNED:
+                    queue.append((b, value ^ va))
+                elif value ^ va ^ vb:
+                    self.conflicts += 1
+                    return False
+            self.propagations += 1
+        self.clause_len = clause_len
+        return True
+
+    # -- branching -----------------------------------------------------------
+
+    def _row_columns(self) -> np.ndarray:
+        """The XOR rows as the columns of a (width, rows) array of their
+        variables, padded with the phantom 0."""
+        width = max((len(vs) for vs in self.xors), default=0)
+        padded = [vs + (0,) * (width - len(vs)) for vs in self.xors]
+        return np.array(padded, dtype=np.intp).reshape(len(padded), width).T.copy()
+
+    def _pick_branch_var(self, cols: np.ndarray, values: np.ndarray) -> Optional[int]:
+        """Most occurrences among the shortest active constraints.
+
+        cols holds the XOR rows as _row_columns lays them out and values
+        views assign. A constraint's length is its count of unassigned
+        variables; it is active while that is positive and, for the
+        clause, no variable is 1. Each variable scores one per active
+        constraint of the least length that it is free in; argmax returns
+        the first maximum, so ties go to the lower index.
+        """
+        free = values[cols] == UNASSIGNED
+        length = free.sum(axis=0, dtype=np.int32)  # not a byte: rows run to n variables
+        best = int(length.min(where=length > 0, initial=self.n + 1))  # n + 1: none active
+        clause = self.clause_len  # 0: inactive
+        if 0 < clause < best:
+            return self.assign.index(UNASSIGNED, 1)
+        if best > self.n:
+            return None
+        scores = np.bincount(np.compress((free & (length == best)).ravel(), cols),
+                             minlength=self.n + 1)
+        if clause == best:
+            scores += values == UNASSIGNED
+        return int(scores.argmax())
+
+    # -- search --------------------------------------------------------------
+
+    def run(self, max_decisions: Optional[int], start: float) -> SolveStats:
+        def make_stats(result: str, model=None) -> SolveStats:
+            return SolveStats(result, self.decisions, self.propagations, self.conflicts,
+                              time.monotonic() - start, model)
+
+        # Level-0 units: the clause over one variable, then the rows of
+        # one, which set it to 0. Every row has a variable: formula rows
+        # have 3, and reduced_system drops zero rows.
+        units = [(1, 1)] if self.n == 1 else []
+        units += [(vs[0], 0) for vs in self.xors if len(vs) == 1]
+        if not self._propagate(units):
+            return make_stats(UNSAT)
+
+        cols = self._row_columns()
+        assign = self.assign
+        values = np.frombuffer(assign, dtype=np.uint8)
+        # Decisions whose value 1 is untried: assign as it was before the
+        # decision, and its variable.
+        stack: List[Tuple[bytes, int]] = []
+        while True:
+            var = self._pick_branch_var(cols, values)
+            if var is None:
+                model = tuple(assign[v] if assign[v] != UNASSIGNED else 0
+                              for v in range(1, self.n + 1))
+                return make_stats(SAT, model)
+            if max_decisions is not None and self.decisions >= max_decisions:
+                return make_stats(BUDGET_EXHAUSTED)
+            self.decisions += 1
+            stack.append((bytes(assign), var))
+            ok = self._propagate([(var, 0)])
+            while not ok:
+                # Back to the most recent decision whose value 1 is untried.
+                if not stack:
+                    return make_stats(UNSAT)
+                saved, bvar = stack.pop()
+                assign[:] = saved  # in place: values views this buffer
+                ok = self._propagate([(bvar, 1)])
+
+
 def rescan_branch_var(solver) -> Optional[int]:
-    """The branch variable of an xorsat._Solver, by rescanning the clause
-    "some variable is 1" and every XOR row in its assignment.
+    """The branch variable of a DfsSolver, or of xorsat._Solver on its
+    all-zero path, by rescanning the clause "some variable is 1" and every
+    XOR row in its assignment.
 
     The variable with the most occurrences among the shortest active
     constraints, ties broken by the lower index; None when no constraint
@@ -270,8 +455,8 @@ def rescan_branch_var(solver) -> Optional[int]:
     return min(scores, key=lambda v: (-scores[v], v))
 
 
-class CounterTrailSolver(xorsat._Solver):
-    """xorsat._Solver with counters and trail undo in place of its partner
+class CounterTrailSolver(DfsSolver):
+    """DfsSolver with counters and trail undo in place of its partner
     reads and snapshots, and rescan_branch_var as its pick.
 
     The clause "some variable is 1" keeps its counts of true and of false
@@ -279,7 +464,7 @@ class CounterTrailSolver(xorsat._Solver):
     the parity of its assigned ones. A trail lists the assigned variables
     in order. A backtrack unassigns the trail above the mark of its
     decision and restores every counter, the clause's counts included,
-    so it does not rely on xorsat._Solver's clause length staying 0 once
+    so it does not rely on DfsSolver's clause length staying 0 once
     a variable is 1.
     """
 
@@ -381,12 +566,12 @@ class CounterTrailSolver(xorsat._Solver):
                 ok = self._propagate([(bvar, left.pop())])
 
 
-def counter_trail_solve(query: xorsat.NonzeroQuery, use_gauss: bool = False,
-                        max_decisions: Optional[int] = None) -> xorsat.SolveStats:
-    """xorsat.solve through CounterTrailSolver, for homogeneous rows."""
+def reference_solve(query: xorsat.NonzeroQuery, use_gauss: bool = False,
+                    max_decisions: Optional[int] = None, solver=DfsSolver) -> SolveStats:
+    """xorsat.solve through an oracle solver class, for homogeneous rows."""
     start = time.monotonic()
     rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
-    return CounterTrailSolver(query.n, rows).run(max_decisions, start)
+    return solver(query.n, rows).run(max_decisions, start)
 
 
 # -- lifted graphs and their text formats ------------------------------------

@@ -934,7 +934,7 @@ def test_cli_build_refuses_two_formulas_with_one_output_name(tmp_path, capsys):
     (["sample", "--n", "10", "--ratio", "inf"], "ratio must be finite"),
     (["sample", "--n", "10", "--ratio", "nan"], "ratio must be finite"),
     (["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "0"],
-     "a budget of 0 decisions can show a gauss ratio of at most 1, below the threshold 5"),
+     "a budget of 0 decisions can show a finite gauss ratio of at most 1, below the threshold 5"),
     (["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "-1"],
      "budget must be >= 0, got -1"),
     (["generate", "--n", "12", "--ratio", "2", "--gauss-threshold", "nan"],
@@ -943,6 +943,8 @@ def test_cli_build_refuses_two_formulas_with_one_output_name(tmp_path, capsys):
     (["sample", "--n", "10", "--ratio", "2", "--count", "-3"], "need at least one trial"),
     (["generate", "--n", "10", "--ratio", "1e308"], "ratio * n = 1e+308 * 10 is not finite"),
     (["sample", "--n", "10", "--ratio", "1e308"], "ratio * n = 1e+308 * 10 is not finite"),
+    (["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "4", "--gauss-threshold", "4.5"],
+     "a budget of 4 decisions can show a finite gauss ratio of at most 4, below the threshold 4.5"),
 ])
 def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, message):
     from xorcfi.cli import main
@@ -951,6 +953,17 @@ def test_cli_reports_config_errors_without_traceback(tmp_path, capsys, argv, mes
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not (tmp_path / "d").exists()
+
+
+def test_cli_generate_runs_with_a_threshold_its_budget_can_show(tmp_path, capsys):
+    from xorcfi.cli import main
+
+    # A plain run that refutes within 4 decisions shows a ratio of 4.
+    argv = ["generate", "--n", "20", "--ratio", "2", "--budget-decisions", "4",
+            "--gauss-threshold", "4", "--out", str(tmp_path / "d")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "d" / "index.txt").exists()
 
 
 def test_cli_generate_has_no_seconds_budget(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""DPLL solver on the nonzero-solution query against a truth-table oracle."""
+"""DPLL solver on the nonzero-solution query against a truth-table oracle
+and the depth-first search that it counts one depth at a time."""
 
 import functools
 import itertools
@@ -30,8 +31,10 @@ from xorcfi.xorsat import (
 from oracles import (
     COMPLETE,
     TWO_CLAUSE,
+    CounterTrailSolver,
+    DfsSolver,
     brute_sat,
-    counter_trail_solve,
+    reference_solve,
     rescan_branch_var,
     satisfies,
 )
@@ -155,7 +158,13 @@ def test_decisions_deterministic():
     assert len(set(runs)) == 1
 
 
-def test_gauss_mode_presolves_full_rank_instantly():
+def test_gauss_mode_presolves_full_rank_instantly(monkeypatch):
+    # A refutation at level 0 builds no pick array and keeps no relation.
+    def not_built(solver, *args):
+        raise AssertionError("the refutation built search state")
+
+    monkeypatch.setattr(xorsat._Solver, "_row_columns", not_built)
+    monkeypatch.setattr(xorsat._Solver, "_keep", not_built)
     stats = solve(nontrivial_query(COMPLETE), use_gauss=True)
     assert stats.result == UNSAT and stats.decisions == 0
 
@@ -267,6 +276,16 @@ def test_plain_run_counters_match_golden_at_budget():
     assert (s.result, s.decisions, s.propagations, s.conflicts) == GOLDEN_SCALE
 
 
+# The same query without a budget: a complete tree of depth 18. The
+# depth-first oracle takes about a minute to count it.
+GOLDEN_SCALE_UNBUDGETED = (UNSAT, 262143, 15520078, 262144)
+
+
+def test_plain_run_counters_match_golden_unbudgeted():
+    s = solve(_scale_query())
+    assert (s.result, s.decisions, s.propagations, s.conflicts) == GOLDEN_SCALE_UNBUDGETED
+
+
 # -- branching against the rescan oracle -----------------------------------
 
 
@@ -321,8 +340,8 @@ def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
         nonlocal clause_shortest
         var = numpy_pick(solver, *arrays)
         assert var == rescan_branch_var(solver)
-        # The clause's length is never restored on backtrack, yet it is
-        # exact at every pick.
+        # Each pick is the all-zero path's, made for every node of its
+        # depth; the clause's length there is exact.
         assert solver.clause_len == _rescan_clause_len(solver)
         picks.append(var)
         clause_shortest += _clause_is_shortest(solver)
@@ -374,8 +393,87 @@ def test_solve_matches_counter_trail_oracle():
     outcomes = Counter()
     for query, use_gauss, budget in itertools.chain(_branch_corpus(), _long_row_corpus()):
         got = solve(query, use_gauss=use_gauss, max_decisions=budget)
-        want = counter_trail_solve(query, use_gauss=use_gauss, max_decisions=budget)
+        want = reference_solve(query, use_gauss, budget, solver=CounterTrailSolver)
         assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
             want.result, want.decisions, want.propagations, want.conflicts, want.model), query
         outcomes[got.result, got.decisions > 0, got.conflicts > 0] += 1
     assert {(SAT, True, True), (UNSAT, True, True), (BUDGET_EXHAUSTED, True, True)} <= set(outcomes)
+
+
+# -- the search tree the solver relies on ----------------------------------
+
+
+class _DepthRecorder(DfsSolver):
+    """DfsSolver that records (depth, variable) at each pick. A node's
+    depth is the count of decisions on its path: every propagation after
+    the first pick starts from one decision, at value 0 below the node
+    that picked it, or at value 1 back at that node."""
+
+    def __init__(self, n, rows):
+        super().__init__(n, rows)
+        self.path = None  # the decision variables of the current node
+        self.picks = []
+
+    def _pick_branch_var(self, cols, values):
+        var = super()._pick_branch_var(cols, values)
+        if self.path is None:
+            self.path = []
+        if var is not None:
+            self.picks.append((len(self.path), var))
+        return var
+
+    def _propagate(self, pending):
+        if self.path is not None:
+            (var, value), = pending
+            if value:
+                while self.path[-1] != var:
+                    self.path.pop()
+            else:
+                self.path.append(var)
+        return super()._propagate(pending)
+
+
+def test_oracle_tree_has_one_branch_variable_per_depth():
+    # The premise of the per-depth pass, checked on the depth-first oracle
+    # alone: every node of one depth picks the same variable, the all-zero
+    # path's node (the first pick at each depth) included.
+    runs = itertools.chain(_branch_corpus(), _long_row_corpus(), [(_scale_query(), False, 4096)])
+    shared = 0
+    for query, use_gauss, budget in runs:
+        rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
+        solver = _DepthRecorder(query.n, rows)
+        solver.run(budget, time.monotonic())
+        by_depth = {}
+        for depth, var in solver.picks:
+            by_depth.setdefault(depth, []).append(var)
+        for depth, picked in by_depth.items():
+            assert set(picked) == {picked[0]}, (query, use_gauss, budget, depth)
+            shared += len(picked) > 1
+    # Depths whose all-zero node has a sibling that picks.
+    assert shared > 300
+
+
+def _sweep_queries():
+    """60 sampled queries of 10 to 49 variables at ratios 1 to 2."""
+    for i in range(60):
+        n = 10 + (i * 7) % 40
+        f = sample_homogeneous(SampleConfig(n=n, ratio=1.0 + (i % 11) / 10, seed=3100 + i))
+        yield nontrivial_query(f)
+
+
+def test_solve_matches_oracle_at_every_budget():
+    # Every budget from 0 to one past the unbudgeted decision count, so
+    # the cut falls at every point of the search.
+    outcomes = Counter()
+    for query in _sweep_queries():
+        for use_gauss in (False, True):
+            full = reference_solve(query, use_gauss)
+            for budget in range(full.decisions + 2):
+                got = solve(query, use_gauss=use_gauss, max_decisions=budget)
+                want = reference_solve(query, use_gauss, budget)
+                assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
+                    want.result, want.decisions, want.propagations, want.conflicts, want.model), (
+                    query, use_gauss, budget)
+                outcomes[got.result] += 1
+    assert set(outcomes) == {SAT, UNSAT, BUDGET_EXHAUSTED}, outcomes
+    assert sum(outcomes.values()) > 400
