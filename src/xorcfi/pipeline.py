@@ -22,11 +22,11 @@ formula and reads no graph back: it draws the formula again from the
 manifest's (n, m, seed, trial), and each file passes when its bytes are
 the writer's text for that draw or for a fresh lift of it.
 
-The config's one budget counts work, never seconds: decisions per DPLL
-run and nodes of the IR search in the asymmetry filter. A plain run that
-spends it scores an infinite Gauss ratio; an IR search that spends it
-rejects the trial as BUDGET, which only a uniquely satisfiable formula can
-reach. So everything written is a pure function of the config, and a
+The config's one budget counts work, never seconds: decisions of the
+plain DPLL run and nodes of the IR search in the asymmetry filter. A
+plain run that spends it scores an infinite Gauss ratio; an IR search
+that spends it rejects the trial as BUDGET, which only a uniquely
+satisfiable formula can reach. So everything written is a pure function of the config, and a
 rerun reproduces the tree byte for byte.
 
 No filter checks that colour refinement keeps each X^0/X^1 pair
@@ -57,7 +57,7 @@ from .formula import XorFormula, export_xor_dimacs
 # rebound function is restored.
 from .gf2 import rank  # noqa: F401
 from .sampler import SampleConfig, TrialDraw, draw_name, draws, screen
-from .xorsat import UNSAT, gauss_ratio
+from .xorsat import SAT, gauss_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +86,7 @@ class PipelineConfig:
     trials: int = 1
     gadget_mode: str = GADGET_FULL
     gauss_threshold: float = 5.0
-    budget: int = 100_000  # decisions per DPLL run and nodes of the IR filter
+    budget: int = 100_000  # decisions of the plain DPLL run and nodes of the IR filter
     formats: Tuple[str, ...] = ("dre",)
 
     def __post_init__(self):
@@ -106,10 +106,9 @@ class PipelineConfig:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if math.isnan(self.gauss_threshold):
             raise ValueError("gauss threshold must be a number, got nan")
-        # The Gauss run refutes a full-rank query with 0 decisions, so a
-        # plain run that refutes within B decisions shows a Gauss ratio of
-        # at most max(B, 1), and one that B stops scores +inf. Below the
-        # threshold, only a stopped run could pass the filter.
+        # A plain run that refutes within B decisions shows a Gauss ratio
+        # of at most max(B, 1), and one that B stops scores +inf. Below
+        # the threshold, only a stopped run could pass the filter.
         if max(self.budget, 1) < self.gauss_threshold:
             raise ValueError(f"a budget of {self.budget} decisions can show a finite gauss ratio of "
                              f"at most {max(self.budget, 1)}, below the threshold "
@@ -418,10 +417,9 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
         phi_asymmetric = True
 
     gap = gauss_ratio(f, max_decisions=cfg.budget)
-    # The Gauss run decides the same question as the rank check. A full-rank
-    # query reduces to n unit rows that refute at level 0, so no decision
-    # budget can stop it.
-    if gap.with_gauss.result != UNSAT:
+    # The plain run decides the same question as the rank check, without
+    # GF(2) elimination; a run that the budget stops proves nothing here.
+    if gap.plain.result == SAT:
         raise AssertionError("rank check and SAT cross-check disagree")
     if not gap.ratio >= cfg.gauss_threshold:
         return TrialOutcome(trial, REJECT_LOW_RATIO)

@@ -574,6 +574,22 @@ def reference_solve(query: xorsat.NonzeroQuery, use_gauss: bool = False,
     return solver(query.n, rows).run(max_decisions, start)
 
 
+def two_run_gauss_ratio(f: XorFormula, max_decisions: Optional[int] = None) -> float:
+    """xorsat.gauss_ratio as it was computed from two runs: the plain
+    run's decisions over the Gauss-presolved run's, with the budget on
+    each."""
+    query = xorsat.nontrivial_query(f)
+    with_gauss = xorsat.solve(query, use_gauss=True, max_decisions=max_decisions)
+    without_gauss = xorsat.solve(query, use_gauss=False, max_decisions=max_decisions)
+    if without_gauss.result == BUDGET_EXHAUSTED:
+        return float("inf")
+    if with_gauss.result == BUDGET_EXHAUSTED:
+        return float("nan")
+    if without_gauss.decisions == 0 and with_gauss.decisions == 0:
+        return 1.0
+    return without_gauss.decisions / max(with_gauss.decisions, 1)
+
+
 # -- lifted graphs and their text formats ------------------------------------
 #
 # The lifts and exporters as they were written over sets of (u, v) tuples,

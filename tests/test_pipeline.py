@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import xorcfi
-from xorcfi import formula, pipeline
+from xorcfi import formula, pipeline, xorsat
 from xorcfi.cfi import Graph, build_core
 from xorcfi.formula import export_xor_dimacs, import_xor_dimacs
 from xorcfi.pipeline import (
@@ -307,12 +307,12 @@ def test_chunked_generate_gives_the_per_trial_verdicts(cfg, tmp_path):
     assert rejected
 
 
-def test_run_trial_raises_when_gauss_run_contradicts_rank_check(monkeypatch):
+def test_run_trial_raises_when_plain_run_contradicts_rank_check(monkeypatch):
     real = pipeline.gauss_ratio
 
     def gap_reporting_sat(f, max_decisions=None):
         gap = real(f, max_decisions=max_decisions)
-        return replace(gap, with_gauss=replace(gap.with_gauss, result=SAT))
+        return replace(gap, plain=replace(gap.plain, result=SAT))
 
     monkeypatch.setattr(pipeline, "gauss_ratio", gap_reporting_sat)
     cfg = PipelineConfig(n=4, m=4, seed=1, trials=1, gauss_threshold=1.0)
@@ -337,6 +337,7 @@ def test_one_graph_build_per_accepted_trial_and_one_rank_per_check(
     for name in ("build_core", "build_full"):
         _spy(monkeypatch, name, calls)
     _spy(monkeypatch, "rank", calls, module=formula)
+    _spy(monkeypatch, "reduced_system", calls, module=xorsat)
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=1, gadget_mode=gadget_mode,
                          gauss_threshold=1.0)
     records = generate(cfg, tmp_path)

@@ -3,6 +3,7 @@ and the depth-first search that it counts one depth at a time."""
 
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from xorcfi import xorsat
-from xorcfi.formula import make_formula, pack_rows, to_matrix
+from xorcfi.formula import is_uniquely_satisfiable, make_formula, pack_rows, to_matrix
 from xorcfi.gf2 import reduced_system
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
@@ -37,7 +38,9 @@ from oracles import (
     reference_solve,
     rescan_branch_var,
     satisfies,
+    two_run_gauss_ratio,
 )
+from test_pipeline import FILTER_CASES
 
 
 # -- oracle ----------------------------------------------------------------
@@ -211,15 +214,22 @@ def test_gauss_ratio_deterministic_and_finite():
     gap1 = gauss_ratio(COMPLETE)
     gap2 = gauss_ratio(COMPLETE)
     assert gap1.ratio == gap2.ratio
-    assert gap1.with_gauss.decisions == 0
-    assert gap1.ratio == gap1.without_gauss.decisions / 1
+    assert gap1.ratio == gap1.plain.decisions / 1
 
 
 def test_gauss_ratio_infinite_on_plain_side_exhaustion():
     f = make_formula(12, [(t, 0) for t in _triples_12()])
     gap = gauss_ratio(f, max_decisions=1)
-    assert gap.without_gauss.result == BUDGET_EXHAUSTED
+    assert gap.plain.result == BUDGET_EXHAUSTED
     assert gap.ratio == float("inf")
+
+
+def test_gauss_ratio_is_nan_on_a_satisfiable_query():
+    # Two disjoint clauses: rank 2 over six variables, as perfbench's
+    # set-up probe calls it.
+    gap = gauss_ratio(make_formula(6, [((1, 2, 3), 0), ((4, 5, 6), 0)]))
+    assert gap.plain.result == SAT
+    assert math.isnan(gap.ratio)
 
 
 def test_gauss_ratio_rejects_nonhomogeneous():
@@ -284,6 +294,34 @@ GOLDEN_SCALE_UNBUDGETED = (UNSAT, 262143, 15520078, 262144)
 def test_plain_run_counters_match_golden_unbudgeted():
     s = solve(_scale_query())
     assert (s.result, s.decisions, s.propagations, s.conflicts) == GOLDEN_SCALE_UNBUDGETED
+
+
+# -- gauss gap against the two-run oracle ----------------------------------
+
+
+def _full_rank_ratio_corpus():
+    """(formula, budget) pairs: the full-rank draws of the pipeline's
+    filter cases and of GOLDEN_N200 at each budget, and the scale query
+    at 4096, where the plain run stops."""
+    draws = dict.fromkeys((cfg.sample_config, trial)
+                          for cfg, _ in FILTER_CASES for trial in range(cfg.trials))
+    draws.update(dict.fromkeys((SampleConfig(n=200, ratio=ratio, seed=seed), 0)
+                               for seed, ratio, _ in GOLDEN_N200))
+    for cfg, trial in draws:
+        f = sample_homogeneous(cfg, trial)
+        if is_uniquely_satisfiable(f):
+            for budget in (None, 0, 1, 7, 64, 4096):
+                yield f, budget
+    yield sample_homogeneous(SampleConfig(n=1000, ratio=2.0, seed=SCALE_SEED)), 4096
+
+
+def test_gauss_ratio_matches_two_run_oracle_on_full_rank_draws():
+    ratios = Counter()
+    for f, budget in _full_rank_ratio_corpus():
+        ratio = gauss_ratio(f, budget).ratio
+        assert repr(ratio) == repr(two_run_gauss_ratio(f, budget)), (f.n, budget)
+        ratios[math.isinf(ratio)] += 1
+    assert ratios[True] and ratios[False]
 
 
 # -- branching against the rescan oracle -----------------------------------
