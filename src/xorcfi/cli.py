@@ -141,7 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--gauss-threshold", type=float, default=PipelineConfig.gauss_threshold,
                    help="minimum decision-cost ratio to accept (default %(default)s)")
     p.add_argument("--budget-decisions", type=int, default=PipelineConfig.budget,
-                   help="decisions per DPLL run and nodes of the IR filter (default %(default)s)")
+                   help="nodes of the IR search in the core-gadget asymmetry filter "
+                        "(default %(default)s)")
     p.add_argument("--format", choices=list(GRAPH_FILES), action="append",
                    help="graph format(s) to write (repeatable)")
     _add_output_args(p)

@@ -22,8 +22,10 @@ violate. The live nodes of a depth form a subspace, so the nodes that
 stop at each relation are counted from ranks. Only a relation that adds
 rank to those before it stops any node, and at most one per decision
 does. Decisions, propagations and conflicts are sums of subspace sizes.
-A budget cut or a SAT leaf is found by walking the tree in search
-order, value 0 before 1, with whole subtrees counted the same way.
+A SAT leaf is found by walking the tree in search order, value 0 before
+1: a subtree without one is counted whole the same way, and the walk
+descends only along the path to the first. So the run is polynomial in
+n, takes no decision budget and always decides.
 
 The clause acts only on the all-zero path, the one node per depth
 where no variable is 1. Every variable there is 0, so no active row is
@@ -71,7 +73,6 @@ from .gf2 import reduced_system
 
 SAT = "SAT"
 UNSAT = "UNSAT"
-BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 UNASSIGNED = 0xFF  # the value byte of a variable without a value
 ONE = 1  # the constant term of a form; bit d >= 1 is decision d
@@ -336,11 +337,10 @@ class _Solver:
                 decisions += 1 << free
         return decisions, propagations, conflicts, True
 
-    def _walk(self, max_decisions: Optional[int]) -> Tuple[str, Optional[Tuple[int, ...]]]:
+    def _walk(self) -> Tuple[str, Optional[Tuple[int, ...]]]:
         """The search after the all-zero path's last node conflicts: the
         subtrees of that path's value-1 children, deepest first, each
-        counted whole unless it holds a SAT leaf or the budget ends in
-        it."""
+        counted whole unless it holds a SAT leaf."""
         last = len(self.passes) - 1
         todo = [(ONE | 1 << d, d) for d in range(1, last + 1)]
         while todo:
@@ -350,20 +350,18 @@ class _Solver:
             if depth == last:
                 return SAT, self._model(node)
             decisions, propagations, conflicts, sat = self._subtree(node, depth)
-            if not sat and (max_decisions is None or self.decisions + decisions <= max_decisions):
+            if not sat:
                 self.decisions += decisions
                 self.propagations += propagations
                 self.conflicts += conflicts
                 continue
-            if max_decisions is not None and self.decisions >= max_decisions:
-                return BUDGET_EXHAUSTED, None
             self.decisions += 1
             todo += [(node | 1 << depth + 1, depth + 1), (node, depth + 1)]
         return UNSAT, None
 
     # -- search --------------------------------------------------------------
 
-    def run(self, max_decisions: Optional[int], start: float) -> SolveStats:
+    def run(self, start: float) -> SolveStats:
         def make_stats(result: str, model=None) -> SolveStats:
             return SolveStats(result, self.decisions, self.propagations, self.conflicts,
                               time.monotonic() - start, model)
@@ -388,8 +386,6 @@ class _Solver:
             var = self._pick_branch_var(cols, values)
             if var is None:
                 return make_stats(SAT, self._model(ONE))
-            if max_decisions is not None and self.decisions >= max_decisions:
-                return make_stats(BUDGET_EXHAUSTED)
             self.decisions += 1
             depth = len(self.passes)
             mark = len(self.trail)
@@ -409,7 +405,7 @@ class _Solver:
         self.clause_len = 0
         count, _, found = self._propagate([(var, 1 << depth)])
         self.passes.append((self._keep(found, depth), count))
-        return make_stats(*self._walk(max_decisions))
+        return make_stats(*self._walk())
 
 
 def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:
@@ -418,16 +414,15 @@ def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:
     return x != 0 and not any((row & x).bit_count() & 1 for row in query.rows)
 
 
-def solve(query: NonzeroQuery, use_gauss: bool = False,
-          max_decisions: Optional[int] = None) -> SolveStats:
+def solve(query: NonzeroQuery, use_gauss: bool = False) -> SolveStats:
     """Decide the nonzero-solution query; stats carry the decision cost.
 
     A row with a right-hand side (a bit at n or above) is a ValueError.
     With use_gauss the rows are first replaced by their reduced echelon
     form, homogeneous too; DPLL then works on the clause plus the
-    reduced rows. max_decisions, when set, stops the search with
-    BUDGET_EXHAUSTED before its next decision; elapsed covers the
-    elimination.
+    reduced rows, and elapsed covers the elimination. The run always
+    decides: its result is SAT or UNSAT, with the counts of the whole
+    search up to its end.
     """
     start = time.monotonic()
     rows = query.rows
@@ -435,7 +430,7 @@ def solve(query: NonzeroQuery, use_gauss: bool = False,
         raise ValueError("the nonzero-solution query takes homogeneous rows only")
     if use_gauss:
         rows = reduced_system(rows, query.n)
-    stats = _Solver(query.n, rows).run(max_decisions, start)
+    stats = _Solver(query.n, rows).run(start)
     if stats.result == SAT and not _verify_model(query, stats.model):
         raise AssertionError("the SAT model fails the query")
     return stats
@@ -463,20 +458,15 @@ class GaussGap:
     plain: SolveStats
 
 
-def gauss_ratio(f: XorFormula, max_decisions: Optional[int] = None) -> GaussGap:
+def gauss_ratio(f: XorFormula) -> GaussGap:
     """cost(no gauss) / cost(gauss) on the nonzero-solution query for f.
 
     Cost is the decision count. On a full-rank f the presolved run
     refutes at level 0 with 0 decisions, so only the plain run is made:
-    a refutation after d decisions scores max(d, 1), and a run that
-    exhausts its budget scores +inf (the strongest accept signal). A
-    satisfiable query has no gap and scores nan.
+    a refutation after d decisions scores float(max(d, 1)), exact while
+    d is below 2^53 and the nearest double above. A satisfiable query
+    has no gap and scores nan.
     """
-    plain = solve(nontrivial_query(f), max_decisions=max_decisions)
-    if plain.result == BUDGET_EXHAUSTED:
-        ratio = float("inf")
-    elif plain.result == SAT:
-        ratio = float("nan")
-    else:
-        ratio = float(max(plain.decisions, 1))
+    plain = solve(nontrivial_query(f))
+    ratio = float(max(plain.decisions, 1)) if plain.result == UNSAT else float("nan")
     return GaussGap(ratio, plain)

@@ -24,7 +24,7 @@ from xorcfi.formula import PinnedSystem, XorClause, XorFormula, make_formula, to
 from xorcfi.gf2 import reduced_system
 from xorcfi.pipeline import PipelineConfig, TrialOutcome, trial_outcomes
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
-from xorcfi.xorsat import BUDGET_EXHAUSTED, SAT, UNASSIGNED, UNSAT, SolveStats, XorEntry
+from xorcfi.xorsat import SAT, UNASSIGNED, UNSAT, SolveStats, XorEntry
 
 
 # -- GF(2) -------------------------------------------------------------------
@@ -388,7 +388,7 @@ class DfsSolver:
 
     # -- search --------------------------------------------------------------
 
-    def run(self, max_decisions: Optional[int], start: float) -> SolveStats:
+    def run(self, start: float) -> SolveStats:
         def make_stats(result: str, model=None) -> SolveStats:
             return SolveStats(result, self.decisions, self.propagations, self.conflicts,
                               time.monotonic() - start, model)
@@ -413,8 +413,6 @@ class DfsSolver:
                 model = tuple(assign[v] if assign[v] != UNASSIGNED else 0
                               for v in range(1, self.n + 1))
                 return make_stats(SAT, model)
-            if max_decisions is not None and self.decisions >= max_decisions:
-                return make_stats(BUDGET_EXHAUSTED)
             self.decisions += 1
             stack.append((bytes(assign), var))
             ok = self._propagate([(var, 0)])
@@ -532,7 +530,7 @@ class CounterTrailSolver(DfsSolver):
             self.propagations += 1
         return True
 
-    def run(self, max_decisions: Optional[int], start: float) -> xorsat.SolveStats:
+    def run(self, start: float) -> xorsat.SolveStats:
         def make_stats(result: str, model=None) -> xorsat.SolveStats:
             return xorsat.SolveStats(result, self.decisions, self.propagations, self.conflicts,
                                      time.monotonic() - start, model)
@@ -550,8 +548,6 @@ class CounterTrailSolver(DfsSolver):
                 model = tuple(self.assign[v] if self.assign[v] != UNASSIGNED else 0
                               for v in range(1, self.n + 1))
                 return make_stats(xorsat.SAT, model)
-            if max_decisions is not None and self.decisions >= max_decisions:
-                return make_stats(xorsat.BUDGET_EXHAUSTED)
             self.decisions += 1
             stack.append((len(self.trail), var, [1]))
             ok = self._propagate([(var, 0)])
@@ -567,24 +563,19 @@ class CounterTrailSolver(DfsSolver):
 
 
 def reference_solve(query: xorsat.NonzeroQuery, use_gauss: bool = False,
-                    max_decisions: Optional[int] = None, solver=DfsSolver) -> SolveStats:
+                    solver=DfsSolver) -> SolveStats:
     """xorsat.solve through an oracle solver class, for homogeneous rows."""
     start = time.monotonic()
     rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
-    return solver(query.n, rows).run(max_decisions, start)
+    return solver(query.n, rows).run(start)
 
 
-def two_run_gauss_ratio(f: XorFormula, max_decisions: Optional[int] = None) -> float:
+def two_run_gauss_ratio(f: XorFormula) -> float:
     """xorsat.gauss_ratio as it was computed from two runs: the plain
-    run's decisions over the Gauss-presolved run's, with the budget on
-    each."""
+    run's decisions over the Gauss-presolved run's."""
     query = xorsat.nontrivial_query(f)
-    with_gauss = xorsat.solve(query, use_gauss=True, max_decisions=max_decisions)
-    without_gauss = xorsat.solve(query, use_gauss=False, max_decisions=max_decisions)
-    if without_gauss.result == BUDGET_EXHAUSTED:
-        return float("inf")
-    if with_gauss.result == BUDGET_EXHAUSTED:
-        return float("nan")
+    with_gauss = xorsat.solve(query, use_gauss=True)
+    without_gauss = xorsat.solve(query, use_gauss=False)
     if without_gauss.decisions == 0 and with_gauss.decisions == 0:
         return 1.0
     return without_gauss.decisions / max(with_gauss.decisions, 1)

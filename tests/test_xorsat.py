@@ -1,6 +1,7 @@
 """DPLL solver on the nonzero-solution query against a truth-table oracle
 and the depth-first search that it counts one depth at a time."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -10,16 +11,17 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from xorcfi import xorsat
+from xorcfi import pipeline, xorsat
 from xorcfi.formula import is_uniquely_satisfiable, make_formula, pack_rows, to_matrix
 from xorcfi.gf2 import reduced_system
+from xorcfi.pipeline import PipelineConfig, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
-    BUDGET_EXHAUSTED,
     SAT,
     UNASSIGNED,
     UNSAT,
@@ -38,6 +40,7 @@ from oracles import (
     reference_solve,
     rescan_branch_var,
     satisfies,
+    trial_draw,
     two_run_gauss_ratio,
 )
 from test_pipeline import FILTER_CASES
@@ -130,31 +133,6 @@ def test_verdict_agrees_with_brute_force_on_200_inputs():
             assert check_model(f, gauss.model)
 
 
-def test_budget_only_resolves_never_flips():
-    rnd = random.Random(7)
-    for _ in range(40):
-        query = nontrivial_query(random_formula(rnd, n_max=8))
-        unlimited = solve(query)
-        small = solve(query, max_decisions=1)
-        assert small.result in (unlimited.result, BUDGET_EXHAUSTED)
-        assert solve(query, max_decisions=10**9).result == unlimited.result
-
-
-def test_budget_exhaustion_reported():
-    f = make_formula(12, [(t, 0) for t in _triples_12()])
-    stats = solve(nontrivial_query(f), use_gauss=False, max_decisions=1)
-    assert stats.result == BUDGET_EXHAUSTED
-
-
-def _triples_12():
-    # Deterministic mid-density triple set on 12 variables.
-    out = []
-    for i in range(1, 11):
-        out.append((i, i + 1, i + 2))
-        out.append((i, i + 1, 12 if i + 3 > 12 else i + 3))
-    return sorted(set(tuple(sorted(t)) for t in out))
-
-
 def test_decisions_deterministic():
     query = nontrivial_query(COMPLETE)
     runs = [solve(query, use_gauss=False).decisions for _ in range(3)]
@@ -217,13 +195,6 @@ def test_gauss_ratio_deterministic_and_finite():
     assert gap1.ratio == gap1.plain.decisions / 1
 
 
-def test_gauss_ratio_infinite_on_plain_side_exhaustion():
-    f = make_formula(12, [(t, 0) for t in _triples_12()])
-    gap = gauss_ratio(f, max_decisions=1)
-    assert gap.plain.result == BUDGET_EXHAUSTED
-    assert gap.ratio == float("inf")
-
-
 def test_gauss_ratio_is_nan_on_a_satisfiable_query():
     # Two disjoint clauses: rank 2 over six variables, as perfbench's
     # set-up probe calls it.
@@ -271,24 +242,15 @@ def test_solve_counters_match_golden_n200(key):
 
 
 # The scale workload's accepted trial: an n=1000, m=2000 query whose plain
-# run reaches its decision budget, recorded before the numpy branch pick.
+# run is a complete tree of depth 18. The depth-first oracle takes about
+# a minute to count it.
 SCALE_SEED = 1868515624530699897
-GOLDEN_SCALE = (BUDGET_EXHAUSTED, 4096, 242749, 4088)
+GOLDEN_SCALE_UNBUDGETED = (UNSAT, 262143, 15520078, 262144)
 
 
 @functools.lru_cache(maxsize=None)
 def _scale_query():
     return nontrivial_query(sample_homogeneous(SampleConfig(n=1000, ratio=2.0, seed=SCALE_SEED)))
-
-
-def test_plain_run_counters_match_golden_at_budget():
-    s = solve(_scale_query(), max_decisions=4096)
-    assert (s.result, s.decisions, s.propagations, s.conflicts) == GOLDEN_SCALE
-
-
-# The same query without a budget: a complete tree of depth 18. The
-# depth-first oracle takes about a minute to count it.
-GOLDEN_SCALE_UNBUDGETED = (UNSAT, 262143, 15520078, 262144)
 
 
 def test_plain_run_counters_match_golden_unbudgeted():
@@ -300,9 +262,8 @@ def test_plain_run_counters_match_golden_unbudgeted():
 
 
 def _full_rank_ratio_corpus():
-    """(formula, budget) pairs: the full-rank draws of the pipeline's
-    filter cases and of GOLDEN_N200 at each budget, and the scale query
-    at 4096, where the plain run stops."""
+    """The full-rank draws of the pipeline's filter cases and of
+    GOLDEN_N200, then the scale query's formula."""
     draws = dict.fromkeys((cfg.sample_config, trial)
                           for cfg, _ in FILTER_CASES for trial in range(cfg.trials))
     draws.update(dict.fromkeys((SampleConfig(n=200, ratio=ratio, seed=seed), 0)
@@ -310,18 +271,40 @@ def _full_rank_ratio_corpus():
     for cfg, trial in draws:
         f = sample_homogeneous(cfg, trial)
         if is_uniquely_satisfiable(f):
-            for budget in (None, 0, 1, 7, 64, 4096):
-                yield f, budget
-    yield sample_homogeneous(SampleConfig(n=1000, ratio=2.0, seed=SCALE_SEED)), 4096
+            yield f
+    yield sample_homogeneous(SampleConfig(n=1000, ratio=2.0, seed=SCALE_SEED))
 
 
 def test_gauss_ratio_matches_two_run_oracle_on_full_rank_draws():
-    ratios = Counter()
-    for f, budget in _full_rank_ratio_corpus():
-        ratio = gauss_ratio(f, budget).ratio
-        assert repr(ratio) == repr(two_run_gauss_ratio(f, budget)), (f.n, budget)
-        ratios[math.isinf(ratio)] += 1
-    assert ratios[True] and ratios[False]
+    for f in _full_rank_ratio_corpus():
+        ratio = gauss_ratio(f).ratio
+        assert repr(ratio) == repr(two_run_gauss_ratio(f)), f.n
+    assert ratio == 262143.0  # the scale formula's, last
+
+
+def test_run_trial_cross_checks_the_scale_trial_at_a_small_budget(monkeypatch):
+    # perfbench's scale workload passes --budget-decisions 4096; the plain
+    # run still counts its whole tree, so the SAT cross-check decides.
+    cfg = PipelineConfig(n=1000, ratio=2.0, seed=SCALE_SEED, budget=4096)
+    real = pipeline.gauss_ratio
+    gaps = []
+
+    def recorded(f):
+        gaps.append(real(f))
+        return gaps[-1]
+
+    monkeypatch.setattr(pipeline, "gauss_ratio", recorded)
+    outcome = run_trial(cfg, trial_draw(cfg, 0))
+    (gap,) = gaps
+    plain = gap.plain
+    assert (plain.result, plain.decisions, plain.propagations, plain.conflicts) == (
+        GOLDEN_SCALE_UNBUDGETED)
+    assert outcome.accepted and outcome.record.gauss_ratio == 262143.0
+
+    monkeypatch.setattr(pipeline, "gauss_ratio",
+                        lambda f: replace(gap, plain=replace(plain, result=SAT)))
+    with pytest.raises(AssertionError, match="rank check and SAT cross-check disagree"):
+        run_trial(cfg, trial_draw(cfg, 0))
 
 
 # -- branching against the rescan oracle -----------------------------------
@@ -338,20 +321,18 @@ def _wide_row_queries():
 
 
 def _branch_corpus():
-    """(query, use_gauss, max_decisions) triples: random formulas, sampled
-    ones of 8 to 60 variables, the wide-row queries and the scale query
-    at a budget."""
+    """(query, use_gauss) pairs: random formulas, sampled ones of 8 to 60
+    variables and the wide-row queries."""
     rnd = random.Random(20261018)
     for i in range(600):
-        yield nontrivial_query(random_formula(rnd)), i % 3 == 0, 4 if i % 10 == 9 else None
+        yield nontrivial_query(random_formula(rnd)), i % 3 == 0
     for i in range(200):
         n = 8 + (i * 13) % 53
         f = sample_homogeneous(SampleConfig(n=n, ratio=1.0 + (i % 9) / 8, seed=900 + i))
         for use_gauss in (False, True):
-            yield nontrivial_query(f), use_gauss, 4 if i % 10 == 9 else None
+            yield nontrivial_query(f), use_gauss
     for query in _wide_row_queries():
-        yield query, False, None
-    yield _scale_query(), False, 64
+        yield query, False
 
 
 def _rescan_clause_len(solver) -> int:
@@ -387,9 +368,9 @@ def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
 
     monkeypatch.setattr(xorsat._Solver, "_pick_branch_var", checked_pick)
     outcomes = Counter()
-    for query, use_gauss, budget in _branch_corpus():
-        outcomes[solve(query, use_gauss=use_gauss, max_decisions=budget).result] += 1
-    assert set(outcomes) == {SAT, UNSAT, BUDGET_EXHAUSTED}, outcomes
+    for query, use_gauss in itertools.chain(_branch_corpus(), [(_scale_query(), False)]):
+        outcomes[solve(query, use_gauss=use_gauss).result] += 1
+    assert set(outcomes) == {SAT, UNSAT}, outcomes
     assert sum(v is not None for v in picks) > 1000
     # Some picks score the clause's variables, not only the rows'.
     assert clause_shortest > 0
@@ -399,9 +380,9 @@ def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
 
 
 def _long_row_corpus():
-    """(query, True, max_decisions) triples of sparse homogeneous systems:
-    at m < n the Gauss presolve is rank-deficient, and its reduced rows
-    are often longer than 3."""
+    """(query, True) pairs of sparse homogeneous systems: at m < n the
+    Gauss presolve is rank-deficient, and its reduced rows are often
+    longer than 3."""
     rnd = random.Random(20261019)
     for i in range(300):
         n = rnd.randint(6, 40)
@@ -410,13 +391,13 @@ def _long_row_corpus():
         while len(triples) < m:
             triples.add(tuple(sorted(rnd.sample(range(1, n + 1), 3))))
         f = make_formula(n, [(t, 0) for t in triples])
-        yield nontrivial_query(f), True, 3 if i % 10 == 9 else None
+        yield nontrivial_query(f), True
 
 
 def _long_rows(corpus):
     """The rows of more than 3 variables that the solver is handed."""
     count = 0
-    for query, use_gauss, _ in corpus:
+    for query, use_gauss in corpus:
         rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
         count += sum(row.bit_count() > 3 for row in rows)
     return count
@@ -429,30 +410,38 @@ def test_long_row_corpus_is_rich_in_long_rows():
 
 def test_solve_matches_counter_trail_oracle():
     outcomes = Counter()
-    for query, use_gauss, budget in itertools.chain(_branch_corpus(), _long_row_corpus()):
-        got = solve(query, use_gauss=use_gauss, max_decisions=budget)
-        want = reference_solve(query, use_gauss, budget, solver=CounterTrailSolver)
+    for query, use_gauss in itertools.chain(_branch_corpus(), _long_row_corpus()):
+        got = solve(query, use_gauss=use_gauss)
+        want = reference_solve(query, use_gauss, solver=CounterTrailSolver)
         assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
             want.result, want.decisions, want.propagations, want.conflicts, want.model), query
         outcomes[got.result, got.decisions > 0, got.conflicts > 0] += 1
-    assert {(SAT, True, True), (UNSAT, True, True), (BUDGET_EXHAUSTED, True, True)} <= set(outcomes)
+    assert {(SAT, True, True), (UNSAT, True, True)} <= set(outcomes)
 
 
 # -- the search tree the solver relies on ----------------------------------
 
 
-class _DepthRecorder(DfsSolver):
-    """DfsSolver that records (depth, variable) at each pick. A node's
-    depth is the count of decisions on its path: every propagation after
-    the first pick starts from one decision, at value 0 below the node
-    that picked it, or at value 1 back at that node."""
+class _EnoughPicks(Exception):
+    """Ends a recorded search once it has made its picks."""
 
-    def __init__(self, n, rows):
+
+class _DepthRecorder(DfsSolver):
+    """DfsSolver that records (depth, variable) at each pick, and raises
+    _EnoughPicks before a pick past max_picks. A node's depth is the count
+    of decisions on its path: every propagation after the first pick
+    starts from one decision, at value 0 below the node that picked it,
+    or at value 1 back at that node."""
+
+    def __init__(self, n, rows, max_picks=None):
         super().__init__(n, rows)
         self.path = None  # the decision variables of the current node
         self.picks = []
+        self.max_picks = max_picks
 
     def _pick_branch_var(self, cols, values):
+        if len(self.picks) == self.max_picks:
+            raise _EnoughPicks
         var = super()._pick_branch_var(cols, values)
         if self.path is None:
             self.path = []
@@ -475,43 +464,45 @@ def test_oracle_tree_has_one_branch_variable_per_depth():
     # The premise of the per-depth pass, checked on the depth-first oracle
     # alone: every node of one depth picks the same variable, the all-zero
     # path's node (the first pick at each depth) included.
-    runs = itertools.chain(_branch_corpus(), _long_row_corpus(), [(_scale_query(), False, 4096)])
+    runs = [(query, use_gauss, None)
+            for query, use_gauss in itertools.chain(_branch_corpus(), _long_row_corpus())]
+    # The scale query's whole tree takes the oracle a minute: its first
+    # 4096 picks.
+    runs.append((_scale_query(), False, 4096))
     shared = 0
-    for query, use_gauss, budget in runs:
+    for query, use_gauss, max_picks in runs:
         rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
-        solver = _DepthRecorder(query.n, rows)
-        solver.run(budget, time.monotonic())
+        solver = _DepthRecorder(query.n, rows, max_picks)
+        with contextlib.suppress(_EnoughPicks):
+            solver.run(time.monotonic())
         by_depth = {}
         for depth, var in solver.picks:
             by_depth.setdefault(depth, []).append(var)
         for depth, picked in by_depth.items():
-            assert set(picked) == {picked[0]}, (query, use_gauss, budget, depth)
+            assert set(picked) == {picked[0]}, (query, use_gauss, depth)
             shared += len(picked) > 1
     # Depths whose all-zero node has a sibling that picks.
     assert shared > 300
 
 
 def _sweep_queries():
-    """60 sampled queries of 10 to 49 variables at ratios 1 to 2."""
-    for i in range(60):
+    """140 sampled queries of 10 to 49 variables at ratios 1 to 2."""
+    for i in range(140):
         n = 10 + (i * 7) % 40
         f = sample_homogeneous(SampleConfig(n=n, ratio=1.0 + (i % 11) / 10, seed=3100 + i))
         yield nontrivial_query(f)
 
 
-def test_solve_matches_oracle_at_every_budget():
-    # Every budget from 0 to one past the unbudgeted decision count, so
-    # the cut falls at every point of the search.
+def test_solve_matches_dfs_oracle_on_sampled_queries():
     outcomes = Counter()
     for query in _sweep_queries():
         for use_gauss in (False, True):
-            full = reference_solve(query, use_gauss)
-            for budget in range(full.decisions + 2):
-                got = solve(query, use_gauss=use_gauss, max_decisions=budget)
-                want = reference_solve(query, use_gauss, budget)
-                assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
-                    want.result, want.decisions, want.propagations, want.conflicts, want.model), (
-                    query, use_gauss, budget)
-                outcomes[got.result] += 1
-    assert set(outcomes) == {SAT, UNSAT, BUDGET_EXHAUSTED}, outcomes
-    assert sum(outcomes.values()) > 400
+            got = solve(query, use_gauss=use_gauss)
+            want = reference_solve(query, use_gauss)
+            assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
+                want.result, want.decisions, want.propagations, want.conflicts, want.model), (
+                query, use_gauss)
+            outcomes[got.result, got.conflicts > 0] += 1
+    # A SAT run that conflicts has its first live leaf off the all-zero
+    # path; the first 60 queries hold none, and queries 68 to 133 do.
+    assert set(outcomes) == {(SAT, False), (SAT, True), (UNSAT, True)}, outcomes
