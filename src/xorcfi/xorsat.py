@@ -28,9 +28,10 @@ descends only along the path to the first. So the run is polynomial in
 n, takes no decision budget and always decides.
 
 The clause acts only on the all-zero path, the one node per depth
-where no variable is 1. Every variable there is 0, so no active row is
-shorter than the clause, and a clause as short as the shortest rows
-ties every free variable: the pick is the rows' pick. The clause queues
+where no variable is 1. It holds every free variable there, so no
+active row is longer than the clause: while a row is active the
+clause's scores, one per free variable, leave the rows' pick as it is,
+and with none active the pick is its lowest free variable. It queues
 a unit only when one variable is left free, and that ends the path at
 that depth. So the tree's depth and variable order are those of the
 all-zero path. Its pass keeps the clause's length live; its values are
@@ -46,18 +47,18 @@ columns of one array, padded with the phantom variable 0, which is
 never free. Each pick is one gather over it, a row-length sum and one
 bincount of the shortest rows' free variables. Propagation keeps no
 state per XOR row: each variable lists, per row it occurs in, the row's
-other variables, and assigning it reads their forms. A row of 1, 2 or 3
-variables reads exactly two, the phantom padding the short ones; only
-the rank-deficient rows of a Gauss presolve are longer, and carry their
-further variables in the same entry. A run that propagation refutes at
-level 0, like every Gauss-side refutation, builds neither the array
-nor a relation.
+other two variables, the phantom padding a row of 1 or 2, and
+assigning it reads their forms. solve refuses a row of no variable or
+of more than 3. A run that propagation refutes at level 0, like every
+Gauss-side run, builds neither the array nor a relation.
 
-With use_gauss the XOR rows are eliminated up front over GF(2); a
-full-rank system turns into unit rows that set every variable to 0 at
-level 0, where the clause refutes it with 0 decisions. That is the cost
-gap against the plain run, so gauss_ratio reads it off the plain run
-alone and never presolves.
+With use_gauss the XOR rows are eliminated up front over GF(2), and
+solve takes only a full-rank system. It turns into n unit rows that set
+every variable to 0 at level 0, where the clause refutes it with 0
+decisions. That is the cost gap against the plain run, so gauss_ratio
+reads it off the plain run alone and never presolves. The search over
+the longer reduced rows of a rank-deficient system is a test oracle in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ UNSAT = "UNSAT"
 UNASSIGNED = 0xFF  # the value byte of a variable without a value
 ONE = 1  # the constant term of a form; bit d >= 1 is decision d
 
-# An XOR row seen from one of its variables: two other variables (the
-# phantom 0 where the row has fewer) and the row's further variables.
-XorEntry = Tuple[int, int, Tuple[int, ...]]
+# An XOR row seen from one of its variables: its two other variables,
+# the phantom 0 where the row has fewer.
+XorEntry = Tuple[int, int]
 
 # A relation that adds rank: its row reduced by those before it, the
 # row's highest decision and the propagations of the pass before it.
@@ -133,22 +134,16 @@ class _Solver:
         self.assign[0] = 0
         self.clause_len = n
         # The entry of a row at each of its variables holds the row's
-        # other variables, as (first, second, rest). The phantom 0 pads a
-        # row of fewer than 3 variables and gets no entries; only rows of
-        # more than 3 have a rest.
+        # other two. The phantom 0 pads a row of fewer than 3 variables
+        # and gets no entries.
         self.occ_xor: List[List[XorEntry]] = [[] for _ in range(n + 1)]
         for vs in self.xors:
-            if len(vs) > 3:
-                for i, v in enumerate(vs):
-                    others = vs[:i] + vs[i + 1:]
-                    self.occ_xor[v].append((others[0], others[1], others[2:]))
-                continue
             x, y, z = (vs + (0, 0))[:3]
-            self.occ_xor[x].append((y, z, ()))
+            self.occ_xor[x].append((y, z))
             if y:
-                self.occ_xor[y].append((x, z, ()))
+                self.occ_xor[y].append((x, z))
             if z:
-                self.occ_xor[z].append((x, y, ()))
+                self.occ_xor[z].append((x, y))
 
         self.trail: List[int] = []  # the assigned variables, in order
         # Each relation kept, by its highest decision; and per depth from
@@ -203,30 +198,17 @@ class _Solver:
                         return count, False, found
                     if clause_len == 1:
                         queue.append((assign.index(UNASSIGNED, 1), ONE))
-            for a, b, rest in occ_xor[var]:
-                if rest:
-                    row = (a, b) + rest
-                    free = [u for u in row if form[u] is None]
-                    if len(free) > 1:
-                        continue
-                    parity = value
-                    for u in row:
-                        if form[u] is not None:
-                            parity ^= form[u]
-                    if free:
-                        queue.append((free[0], parity))
-                        continue
-                else:
-                    fa = form[a]
-                    fb = form[b]
-                    if fa is None:
-                        if fb is not None:
-                            queue.append((a, value ^ fb))
-                        continue
-                    if fb is None:
-                        queue.append((b, value ^ fa))
-                        continue
-                    parity = value ^ fa ^ fb
+            for a, b in occ_xor[var]:
+                fa = form[a]
+                fb = form[b]
+                if fa is None:
+                    if fb is not None:
+                        queue.append((a, value ^ fb))
+                    continue
+                if fb is None:
+                    queue.append((b, value ^ fa))
+                    continue
+                parity = value ^ fa ^ fb
                 if parity & ONE:
                     return count, False, found
                 if parity:
@@ -257,11 +239,10 @@ class _Solver:
     # -- branching -----------------------------------------------------------
 
     def _row_columns(self) -> np.ndarray:
-        """The XOR rows as the columns of a (width, rows) array of their
+        """The XOR rows as the columns of a (3, rows) array of their
         variables, padded with the phantom 0."""
-        width = max((len(vs) for vs in self.xors), default=0)
-        padded = [vs + (0,) * (width - len(vs)) for vs in self.xors]
-        return np.array(padded, dtype=np.intp).reshape(len(padded), width).T.copy()
+        padded = [(vs + (0, 0))[:3] for vs in self.xors]
+        return np.array(padded, dtype=np.intp).reshape(len(padded), 3).T.copy()
 
     def _pick_branch_var(self, cols: np.ndarray, values: np.ndarray) -> Optional[int]:
         """Most occurrences among the shortest active constraints.
@@ -271,20 +252,16 @@ class _Solver:
         variables; it is active while that is positive and, for the
         clause, no variable is 1. Each variable scores one per active
         constraint of the least length that it is free in; argmax returns
-        the first maximum, so ties go to the lower index.
+        the first maximum, so ties go to the lower index. The clause
+        changes the pick only when no row is active (module docstring).
         """
         free = values[cols] == UNASSIGNED
-        length = free.sum(axis=0, dtype=np.int32)  # not a byte: rows run to n variables
-        best = int(length.min(where=length > 0, initial=self.n + 1))  # n + 1: none active
-        clause = self.clause_len  # 0: inactive
-        if 0 < clause < best:
-            return self.assign.index(UNASSIGNED, 1)
-        if best > self.n:
-            return None
+        length = free.sum(axis=0)
+        best = int(length.min(where=length > 0, initial=4))  # 4: no row active
+        if best == 4:
+            return self.assign.index(UNASSIGNED, 1) if self.clause_len else None
         scores = np.bincount(np.compress((free & (length == best)).ravel(), cols),
                              minlength=self.n + 1)
-        if clause == best:
-            scores += values == UNASSIGNED
         return int(scores.argmax())
 
     # -- the tree ------------------------------------------------------------
@@ -367,8 +344,7 @@ class _Solver:
                               time.monotonic() - start, model)
 
         # Level-0 units: the clause over one variable, then the rows of
-        # one, which set it to 0. Every row has a variable: formula rows
-        # have 3, and reduced_system drops zero rows.
+        # one, which set it to 0.
         units = [(1, ONE)] if self.n == 1 else []
         units += [(vs[0], 0) for vs in self.xors if len(vs) == 1]
         count, ok, _ = self._propagate(units)  # values are constants: no relation
@@ -417,19 +393,25 @@ def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:
 def solve(query: NonzeroQuery, use_gauss: bool = False) -> SolveStats:
     """Decide the nonzero-solution query; stats carry the decision cost.
 
-    A row with a right-hand side (a bit at n or above) is a ValueError.
+    Each row must have 1 to 3 variables and no right-hand side (a bit at
+    n or above); any other row is a ValueError, before any presolve.
     With use_gauss the rows are first replaced by their reduced echelon
-    form, homogeneous too; DPLL then works on the clause plus the
-    reduced rows, and elapsed covers the elimination. The run always
-    decides: its result is SAT or UNSAT, with the counts of the whole
-    search up to its end.
+    form, which must have n rows: a rank-deficient system is a
+    ValueError too. DPLL then works on the clause plus the reduced
+    rows, and elapsed covers the elimination. The run always decides:
+    its result is SAT or UNSAT, with the counts of the whole search up
+    to its end.
     """
     start = time.monotonic()
     rows = query.rows
     if any(row >> query.n for row in rows):
         raise ValueError("the nonzero-solution query takes homogeneous rows only")
+    if not set(map(int.bit_count, rows)) <= {1, 2, 3}:
+        raise ValueError("the DPLL solver takes rows of 1 to 3 variables only")
     if use_gauss:
         rows = reduced_system(rows, query.n)
+        if len(rows) < query.n:
+            raise ValueError("the Gauss presolve takes full-rank queries only")
     stats = _Solver(query.n, rows).run(start)
     if stats.result == SAT and not _verify_model(query, stats.model):
         raise AssertionError("the SAT model fails the query")

@@ -24,7 +24,12 @@ from xorcfi.formula import PinnedSystem, XorClause, XorFormula, make_formula, to
 from xorcfi.gf2 import reduced_system
 from xorcfi.pipeline import PipelineConfig, TrialOutcome, trial_outcomes
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
-from xorcfi.xorsat import SAT, UNASSIGNED, UNSAT, SolveStats, XorEntry
+from xorcfi.xorsat import SAT, UNASSIGNED, UNSAT, SolveStats
+
+# An XOR row seen from one of its variables, as DfsSolver keeps it: two
+# other variables (the phantom 0 where the row has fewer) and the row's
+# further variables, which only a rank-deficient presolve leaves.
+XorEntry = Tuple[int, int, Tuple[int, ...]]
 
 
 # -- GF(2) -------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 from xorcfi import pipeline, xorsat
 from xorcfi.formula import is_uniquely_satisfiable, make_formula, pack_rows, to_matrix
-from xorcfi.gf2 import reduced_system
+from xorcfi.gf2 import rank, reduced_system
 from xorcfi.pipeline import PipelineConfig, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
@@ -58,6 +58,17 @@ def check_model(f, model) -> bool:
     return any(model) and satisfies(f, model)
 
 
+def full_rank(query: NonzeroQuery) -> bool:
+    """Whether the rows have rank n, the only queries the Gauss presolve
+    takes."""
+    return rank(query.rows, query.n) == query.n
+
+
+def _row(vs) -> int:
+    """The packed row over the variables vs."""
+    return sum(1 << (v - 1) for v in vs)
+
+
 def random_formula(rnd, n_max=16):
     """A homogeneous formula of random n, 1..n_max, and random m, 0..2n."""
     n = rnd.randint(1, n_max)
@@ -80,10 +91,11 @@ def test_unique_system_query_unsat_both_modes():
 def test_degenerate_system_query_sat_with_nonzero_model():
     query = nontrivial_query(TWO_CLAUSE)
     assert query_sat(query)
-    for use_gauss in (False, True):
-        stats = solve(query, use_gauss=use_gauss)
-        assert stats.result == SAT
-        assert check_model(TWO_CLAUSE, stats.model)
+    stats = solve(query)
+    assert stats.result == SAT
+    assert check_model(TWO_CLAUSE, stats.model)
+    with pytest.raises(ValueError, match="full-rank queries only"):
+        solve(query, use_gauss=True)
     assert not xorsat._verify_model(query, (0, 0, 0, 0))
 
 
@@ -125,12 +137,14 @@ def test_verdict_agrees_with_brute_force_on_200_inputs():
         query = nontrivial_query(f)
         expected = query_sat(query)
         plain = solve(query, use_gauss=False)
-        gauss = solve(query, use_gauss=True)
         assert plain.result == (SAT if expected else UNSAT), f
-        assert gauss.result == plain.result, f
         if expected:
             assert check_model(f, plain.model)
-            assert check_model(f, gauss.model)
+            # A nonzero solution leaves the rows rank-deficient.
+            with pytest.raises(ValueError, match="full-rank queries only"):
+                solve(query, use_gauss=True)
+        else:
+            assert solve(query, use_gauss=True).result == UNSAT, f
 
 
 def test_decisions_deterministic():
@@ -185,6 +199,34 @@ def test_solve_refuses_a_row_with_a_right_hand_side(monkeypatch):
                 solve(NonzeroQuery(3, (0b110, row)), use_gauss=use_gauss)
 
 
+def test_solve_refuses_what_it_does_not_search(monkeypatch):
+    # A row of no variable or of more than 3 is refused in both modes
+    # before the presolve, and a rank-deficient presolve after it; none
+    # of them builds any search state.
+    def no_search_state(solver, *args):
+        raise AssertionError("the refusal built search state")
+
+    def no_presolve(*args):
+        raise AssertionError("the presolve ran")
+
+    monkeypatch.setattr(xorsat._Solver, "_row_columns", no_search_state)
+    monkeypatch.setattr(xorsat._Solver, "_keep", no_search_state)
+    n = 300
+    outside = [NonzeroQuery(3, (0,)), NonzeroQuery(3, (0b111, 0))]
+    outside += [NonzeroQuery(n, (_row((1, 2, 3)), _row(vs)))
+                for vs in ((7, 8, 9, 10), range(44, n + 1), range(1, n + 1))]
+    with monkeypatch.context() as m:
+        m.setattr(xorsat, "reduced_system", no_presolve)
+        for query in outside:
+            for use_gauss in (False, True):
+                with pytest.raises(ValueError, match="rows of 1 to 3 variables only"):
+                    solve(query, use_gauss=use_gauss)
+    for query in (nontrivial_query(TWO_CLAUSE), NonzeroQuery(5, ())):
+        assert not full_rank(query)
+        with pytest.raises(ValueError, match="full-rank queries only"):
+            solve(query, use_gauss=True)
+
+
 # -- gauss gap -------------------------------------------------------------
 
 
@@ -221,9 +263,7 @@ def test_nontrivial_query_shape():
 # an n=200 homogeneous sample, recorded before the column-major GF(2)
 # elimination and the set-bit row decoding of the Gauss presolve.
 GOLDEN_N200 = {
-    (1, 1.0, True): (SAT, 14, 200, 0, (200,)),
     (1, 1.0, False): (SAT, 23, 200, 0, (200,)),
-    (4, 2.0, True): (SAT, 0, 200, 0, (79,)),
     (4, 2.0, False): (SAT, 6, 200, 0, (79,)),
     (2, 2.0, True): (UNSAT, 0, 199, 1, None),
     (2, 2.0, False): (UNSAT, 31, 1033, 32, None),
@@ -310,29 +350,28 @@ def test_run_trial_cross_checks_the_scale_trial_at_a_small_budget(monkeypatch):
 # -- branching against the rescan oracle -----------------------------------
 
 
-def _wide_row_queries():
-    """Hand-built queries: rows of 1, 2, 3, 4, 257 and 300 variables over
-    n = 300, and the clause alone. The 257 variables of the long row
-    start free, so a row length counted in a byte would read 1."""
-    n = 300
-    widths = ((1,), (2, 3), (4, 5, 6), (7, 8, 9, 10), range(44, n + 1), range(1, n + 1))
-    yield NonzeroQuery(n, tuple(sum(1 << (v - 1) for v in vs) for vs in widths))
+def _hand_built_queries():
+    """Rows of 1, 2 and 3 variables over n = 300, and the clause alone."""
+    yield NonzeroQuery(300, (_row((1,)), _row((2, 3)), _row((4, 5, 6))))
     yield NonzeroQuery(5, ())
 
 
 def _branch_corpus():
     """(query, use_gauss) pairs: random formulas, sampled ones of 8 to 60
-    variables and the wide-row queries."""
+    variables and the hand-built queries, each in plain mode, and in
+    Gauss mode the full-rank ones of every third random formula and of
+    every sampled one."""
     rnd = random.Random(20261018)
-    for i in range(600):
-        yield nontrivial_query(random_formula(rnd)), i % 3 == 0
+    queries = [(nontrivial_query(random_formula(rnd)), i % 3 == 0) for i in range(600)]
     for i in range(200):
         n = 8 + (i * 13) % 53
         f = sample_homogeneous(SampleConfig(n=n, ratio=1.0 + (i % 9) / 8, seed=900 + i))
-        for use_gauss in (False, True):
-            yield nontrivial_query(f), use_gauss
-    for query in _wide_row_queries():
+        queries.append((nontrivial_query(f), True))
+    queries += [(query, False) for query in _hand_built_queries()]
+    for query, gauss in queries:
         yield query, False
+        if gauss and full_rank(query):
+            yield query, True
 
 
 def _rescan_clause_len(solver) -> int:
@@ -379,43 +418,15 @@ def test_branch_pick_matches_rescan_at_every_decision(monkeypatch):
 # -- propagation against the counter-and-trail oracle ----------------------
 
 
-def _long_row_corpus():
-    """(query, True) pairs of sparse homogeneous systems: at m < n the
-    Gauss presolve is rank-deficient, and its reduced rows are often
-    longer than 3."""
-    rnd = random.Random(20261019)
-    for i in range(300):
-        n = rnd.randint(6, 40)
-        m = rnd.randint(n // 4, 3 * n // 4)
-        triples = set()
-        while len(triples) < m:
-            triples.add(tuple(sorted(rnd.sample(range(1, n + 1), 3))))
-        f = make_formula(n, [(t, 0) for t in triples])
-        yield nontrivial_query(f), True
-
-
-def _long_rows(corpus):
-    """The rows of more than 3 variables that the solver is handed."""
-    count = 0
-    for query, use_gauss in corpus:
-        rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
-        count += sum(row.bit_count() > 3 for row in rows)
-    return count
-
-
-def test_long_row_corpus_is_rich_in_long_rows():
-    # The branch corpus hands the solver 34 such rows among ~23k.
-    assert _long_rows(_long_row_corpus()) > 1000
-
-
 def test_solve_matches_counter_trail_oracle():
     outcomes = Counter()
-    for query, use_gauss in itertools.chain(_branch_corpus(), _long_row_corpus()):
+    for query, use_gauss in _branch_corpus():
         got = solve(query, use_gauss=use_gauss)
         want = reference_solve(query, use_gauss, solver=CounterTrailSolver)
         assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
             want.result, want.decisions, want.propagations, want.conflicts, want.model), query
-        outcomes[got.result, got.decisions > 0, got.conflicts > 0] += 1
+        if not use_gauss:
+            outcomes[got.result, got.decisions > 0, got.conflicts > 0] += 1
     assert {(SAT, True, True), (UNSAT, True, True)} <= set(outcomes)
 
 
@@ -464,8 +475,7 @@ def test_oracle_tree_has_one_branch_variable_per_depth():
     # The premise of the per-depth pass, checked on the depth-first oracle
     # alone: every node of one depth picks the same variable, the all-zero
     # path's node (the first pick at each depth) included.
-    runs = [(query, use_gauss, None)
-            for query, use_gauss in itertools.chain(_branch_corpus(), _long_row_corpus())]
+    runs = [(query, use_gauss, None) for query, use_gauss in _branch_corpus()]
     # The scale query's whole tree takes the oracle a minute: its first
     # 4096 picks.
     runs.append((_scale_query(), False, 4096))
@@ -496,13 +506,15 @@ def _sweep_queries():
 def test_solve_matches_dfs_oracle_on_sampled_queries():
     outcomes = Counter()
     for query in _sweep_queries():
-        for use_gauss in (False, True):
+        for use_gauss in (False, True) if full_rank(query) else (False,):
             got = solve(query, use_gauss=use_gauss)
             want = reference_solve(query, use_gauss)
             assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
                 want.result, want.decisions, want.propagations, want.conflicts, want.model), (
                 query, use_gauss)
-            outcomes[got.result, got.conflicts > 0] += 1
+            if not use_gauss:
+                outcomes[got.result, got.conflicts > 0] += 1
     # A SAT run that conflicts has its first live leaf off the all-zero
     # path; the first 60 queries hold none, and queries 68 to 133 do.
+    # Gauss mode refutes at level 0 and adds no outcome of its own.
     assert set(outcomes) == {(SAT, False), (SAT, True), (UNSAT, True)}, outcomes
