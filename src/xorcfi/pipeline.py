@@ -58,7 +58,7 @@ from .formula import XorFormula, export_xor_dimacs
 # rebound function is restored.
 from .gf2 import rank  # noqa: F401
 from .sampler import SampleConfig, TrialDraw, draw_name, draws, screen
-from .xorsat import SAT, gauss_ratio
+from .xorsat import gauss_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -411,12 +411,12 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
             return TrialOutcome(trial, REJECT_PHI_SYMMETRIC)
         phi_asymmetric = True
 
-    gap = gauss_ratio(f)
+    ratio = gauss_ratio(f)
     # The plain run decides the same question as the rank check, without
-    # GF(2) elimination.
-    if gap.plain.result == SAT:
+    # GF(2) elimination; its ratio is nan exactly when it finds SAT.
+    if math.isnan(ratio):
         raise AssertionError("rank check and SAT cross-check disagree")
-    if not gap.ratio >= cfg.gauss_threshold:
+    if not ratio >= cfg.gauss_threshold:
         return TrialOutcome(trial, REJECT_LOW_RATIO)
 
     g = build_graph(f, cfg.gadget_mode)
@@ -432,7 +432,7 @@ def run_trial(cfg: PipelineConfig, draw: TrialDraw) -> TrialOutcome:
         clause_digest=clause_digest(formula_text),
         phi_asymmetric=phi_asymmetric,
         uniquely_satisfiable=True,
-        gauss_ratio=gap.ratio,
+        gauss_ratio=ratio,
         wl1_nonseparating=None,
         vertices=g.vertex_count,
         edges=g.edge_count,

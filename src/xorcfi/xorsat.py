@@ -52,13 +52,13 @@ assigning it reads their forms. solve refuses a row of no variable or
 of more than 3. A run that propagation refutes at level 0, like every
 Gauss-side run, builds neither the array nor a relation.
 
-With use_gauss the XOR rows are eliminated up front over GF(2), and
-solve takes only a full-rank system. It turns into n unit rows that set
-every variable to 0 at level 0, where the clause refutes it with 0
-decisions. That is the cost gap against the plain run, so gauss_ratio
-reads it off the plain run alone and never presolves. The search over
-the longer reduced rows of a rank-deficient system is a test oracle in
-tests/oracles.py.
+With use_gauss the presolve is a rank check over GF(2): solve takes
+only a full-rank system, whose reduced echelon form is the n unit rows.
+They set every variable to 0 at level 0, where the clause refutes the
+query with 0 decisions. That is the cost gap against the plain run, so
+gauss_ratio reads it off the plain run alone and never presolves. The
+search over the longer reduced rows of a rank-deficient system is a
+test oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .formula import XorFormula, to_matrix
-from .gf2 import reduced_system
+from .gf2 import rank
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -393,25 +393,27 @@ def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:
 def solve(query: NonzeroQuery, use_gauss: bool = False) -> SolveStats:
     """Decide the nonzero-solution query; stats carry the decision cost.
 
-    Each row must have 1 to 3 variables and no right-hand side (a bit at
-    n or above); any other row is a ValueError, before any presolve.
-    With use_gauss the rows are first replaced by their reduced echelon
-    form, which must have n rows: a rank-deficient system is a
-    ValueError too. DPLL then works on the clause plus the reduced
-    rows, and elapsed covers the elimination. The run always decides:
-    its result is SAT or UNSAT, with the counts of the whole search up
-    to its end.
+    The query needs at least one variable, and each row must have 1 to
+    3 variables and no right-hand side (a bit at n or above); anything
+    else is a ValueError, before any presolve. With use_gauss the rows
+    must have rank n over GF(2), or that is a ValueError too; a
+    full-rank system's reduced echelon form is the n unit rows, and
+    DPLL works on the clause plus those. elapsed covers the rank check.
+    The run always decides: its result is SAT or UNSAT, with the counts
+    of the whole search up to its end.
     """
     start = time.monotonic()
     rows = query.rows
+    if query.n < 1:
+        raise ValueError("the nonzero-solution query needs at least one variable")
     if any(row >> query.n for row in rows):
         raise ValueError("the nonzero-solution query takes homogeneous rows only")
     if not set(map(int.bit_count, rows)) <= {1, 2, 3}:
         raise ValueError("the DPLL solver takes rows of 1 to 3 variables only")
     if use_gauss:
-        rows = reduced_system(rows, query.n)
-        if len(rows) < query.n:
+        if rank(rows, query.n) < query.n:
             raise ValueError("the Gauss presolve takes full-rank queries only")
+        rows = [1 << j for j in range(query.n)]
     stats = _Solver(query.n, rows).run(start)
     if stats.result == SAT and not _verify_model(query, stats.model):
         raise AssertionError("the SAT model fails the query")
@@ -432,15 +434,7 @@ def nontrivial_query(f: XorFormula) -> NonzeroQuery:
     return NonzeroQuery(f.n, to_matrix(f))
 
 
-@dataclass(frozen=True)
-class GaussGap:
-    """Decision-cost gap of the plain run over the Gauss-presolved one."""
-
-    ratio: float
-    plain: SolveStats
-
-
-def gauss_ratio(f: XorFormula) -> GaussGap:
+def gauss_ratio(f: XorFormula) -> float:
     """cost(no gauss) / cost(gauss) on the nonzero-solution query for f.
 
     Cost is the decision count. On a full-rank f the presolved run
@@ -450,5 +444,4 @@ def gauss_ratio(f: XorFormula) -> GaussGap:
     has no gap and scores nan.
     """
     plain = solve(nontrivial_query(f))
-    ratio = float(max(plain.decisions, 1)) if plain.result == UNSAT else float("nan")
-    return GaussGap(ratio, plain)
+    return float(max(plain.decisions, 1)) if plain.result == UNSAT else float("nan")

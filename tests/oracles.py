@@ -17,11 +17,10 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, 
 
 import numpy as np
 
-from xorcfi import canon, gf2, xorsat
+from xorcfi import canon, xorsat
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
 from xorcfi.formula import PinnedSystem, XorClause, XorFormula, make_formula, to_matrix
-from xorcfi.gf2 import reduced_system
 from xorcfi.pipeline import PipelineConfig, TrialOutcome, trial_outcomes
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
 from xorcfi.xorsat import SAT, UNASSIGNED, UNSAT, SolveStats
@@ -50,22 +49,6 @@ def mat_vec(rows: Iterable[int], x: int) -> int:
     return bits
 
 
-def solve(rows: Iterable[int], cols: int) -> Optional[int]:
-    """Some x below bit cols on which each row's parity is its bit cols,
-    or None if there is none.
-
-    The returned x is canonical: all free variables are 0.
-    """
-    reduced = reduced_system(rows, cols)
-    if reduced is None:
-        return None
-    x = 0
-    for row in reduced:
-        if row >> cols & 1:
-            x |= row & -row  # the row's lowest set bit is its pivot column
-    return x
-
-
 def kernel_basis(rows: Iterable[int], cols: int) -> List[int]:
     """Canonical basis of {x below bit cols : every row has even parity
     on x}; the bits of a row at cols and above are ignored.
@@ -74,7 +57,7 @@ def kernel_basis(rows: Iterable[int], cols: int) -> List[int]:
     the free coordinate is set to 1 and pivot coordinates are read off
     the reduced echelon form.
     """
-    work, pivots = gf2._rref(rows, cols)
+    work, pivots = column_major_rref(rows, cols)
     basis = []
     for free in range(cols):
         if free in pivots:
@@ -88,12 +71,18 @@ def kernel_basis(rows: Iterable[int], cols: int) -> List[int]:
 
 
 def column_major_rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], List[int]]:
-    """gf2._rref without deferred blocks: each pivot's xors go into every
-    later column at once. Same contract and output as gf2._rref.
+    """Reduced row echelon form; returns (reduced rows, pivot columns).
+
+    Pivots are sought in columns 0..cols-1 only; bits at cols and above
+    (the rhs of an augmented system) are carried along by every row
+    operation. The rows come back as the pivot rows in pivot order,
+    then the others in input order, which are zero below bit cols. The
+    pivot columns are those gf2._pivots finds with deferred blocks.
 
     Column j is one int whose bit i is row i. The pivot of column c is
     its lowest row not yet used as a pivot, and clearing c in the other
-    rows is one xor into each later column that the pivot row touches.
+    rows is one xor into each later column that the pivot row touches,
+    at once.
     """
     rows = list(row_bits)
     width = max(cols, max(rows, default=0).bit_length())
@@ -137,6 +126,13 @@ def column_major_rref(row_bits: Iterable[int], cols: int) -> Tuple[List[int], Li
         order.append(low.bit_length() - 1)
         free ^= low
     return [work[i] for i in order], pivots
+
+
+def reduced_system(rows: Iterable[int], cols: int) -> Optional[List[int]]:
+    """The nonzero rows of the reduced row echelon form, right-hand side
+    at bit cols; None when the system is inconsistent (0 = 1 among them)."""
+    out = [row for row in column_major_rref(rows, cols)[0] if row]
+    return None if 1 << cols in out else out
 
 
 # -- formulas ----------------------------------------------------------------
@@ -399,8 +395,9 @@ class DfsSolver:
                               time.monotonic() - start, model)
 
         # Level-0 units: the clause over one variable, then the rows of
-        # one, which set it to 0. Every row has a variable: formula rows
-        # have 3, and reduced_system drops zero rows.
+        # one, which set it to 0. Every row has a variable: xorsat.solve
+        # refuses a row of none, and reference_solve's presolve keeps the
+        # nonzero reduced rows only.
         units = [(1, 1)] if self.n == 1 else []
         units += [(vs[0], 0) for vs in self.xors if len(vs) == 1]
         if not self._propagate(units):

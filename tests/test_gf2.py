@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from xorcfi import gf2
 from xorcfi.formula import has_full_rank, is_uniquely_satisfiable, pin, to_matrix
-from xorcfi.gf2 import rank, reduced_system
+from xorcfi.gf2 import rank
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 
-from oracles import column_major_rref, kernel_basis, mat_vec, matrix_from_rows, solve
+from oracles import column_major_rref, kernel_basis, mat_vec, matrix_from_rows, reduced_system
 
 
 # -- oracles ---------------------------------------------------------------
@@ -68,29 +68,25 @@ def reference_rref(row_bits, cols):
 
 
 def public_results(rows, cols, bs):
-    """rank, kernel basis, and reduced_system and solve for each b."""
-    systems = [with_rhs(rows, cols, b) for b in bs]
-    return (rank(rows, cols), kernel_basis(rows, cols),
-            [(reduced_system(s, cols), solve(s, cols)) for s in systems])
+    """The rank of the rows, then of the rows with each b as their
+    right-hand side, which rank drops."""
+    return [rank(rows, cols)] + [rank(with_rhs(rows, cols, b), cols) for b in bs]
 
 
 def reference_results(rows, cols, bs):
     """public_results with the row-major reference reducer in place."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf2, "_rref", reference_rref)
+        mp.setattr(gf2, "_pivots", lambda rows, cols: reference_rref(rows, cols)[1])
         return public_results(rows, cols, bs)
 
 
 def assert_matches_reference(rows, cols, bs):
-    """Same public results as the reference, and the same reduced rows:
-    RREF is unique, so only the order of the zero rows may differ."""
+    """Same public results as the reference, and the same pivot columns
+    as both oracles, with and without each right-hand side."""
     assert public_results(rows, cols, bs) == reference_results(rows, cols, bs)
-    work, pivots = gf2._rref(rows, cols)
-    ref_work, ref_pivots = reference_rref(rows, cols)
-    r = len(ref_pivots)
-    assert pivots == ref_pivots
-    assert work[:r] == ref_work[:r]
-    assert work[r:] == [0] * (len(rows) - r) == ref_work[r:]
+    for system in [rows] + [with_rhs(rows, cols, b) for b in bs]:
+        pivots = gf2._pivots(system, cols)
+        assert pivots == column_major_rref(system, cols)[1] == reference_rref(system, cols)[1]
 
 
 def consistent_and_random_rhs(rows, cols, rng):
@@ -193,32 +189,6 @@ def test_kernel_dependent_rows():
     assert spanned == set(brute_kernel(DEPENDENT_ROWS, 4))
 
 
-def test_solve_identity():
-    assert solve(with_rhs([0b001, 0b010, 0b100], 3, 0b101), 3) == 0b101
-
-
-def test_solve_homogeneous_is_zero():
-    assert solve(DEPENDENT_ROWS, 4) == 0
-
-
-def test_solve_complete_triples_unique():
-    rows = with_rhs(COMPLETE_TRIPLES, 4, 0b0001)
-    assert rows[0] == 0b1_0111  # the right-hand side sits at bit cols
-    sols = brute_solutions(rows, 4)
-    assert len(sols) == 1
-    x = solve(rows, 4)
-    assert x == sols[0]
-    assert mat_vec(COMPLETE_TRIPLES, x) == 0b0001
-
-
-def test_reduced_system_keeps_rhs_at_bit_cols():
-    # x1 + x2 = 1, x2 = 1 reduces to x1 = 0, x2 = 1; x1 = 0, x1 = 1 is 0 = 1.
-    assert reduced_system([0b111, 0b110], 2) == [0b001, 0b110]
-    assert reduced_system([0b001, 0b101], 2) is None
-    assert reduced_system([0b100], 2) is None
-    assert reduced_system([0b011, 0b011, 0b000], 2) == [0b011]
-
-
 # -- properties ------------------------------------------------------------
 
 
@@ -238,18 +208,6 @@ def test_kernel_vectors_annihilate(m):
         assert mat_vec(rows, v) == 0
     assert len(set(basis)) == len(basis)
     assert (1 << len(basis)) == len(brute_kernel(rows, cols))
-
-
-@settings(max_examples=150, deadline=None)
-@given(systems(max_rows=6, max_cols=8))
-def test_solve_matches_brute_force(m):
-    rows, cols = m
-    sols = brute_solutions(rows, cols)
-    x = solve(rows, cols)
-    if not sols:
-        assert x is None
-    else:
-        assert x is not None and x in sols
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,7 +283,7 @@ def test_reducer_matches_reference_at_n1000():
     rows = list(to_matrix(f))
     bs = consistent_and_random_rhs(rows, 1000, random.Random(1000))
     expected = reference_results(rows, 1000, bs)
-    assert expected[0] == 1000 and expected[2][1] == (None, None)
+    assert expected == [1000] * 3
     assert public_results(rows, 1000, bs) == expected
 
 
@@ -377,21 +335,15 @@ def runs_out_mid_block(rows, cols, block):
     return bool(rows) and len(pivots) == len(rows) and pivots[-1] % block != block - 1
 
 
-def assert_blocked_matches(rows, cols, consistent):
-    """_rref equals the column-major oracle in full. It equals the row-major
-    reference in pivots and in the rows below bit cols; above bit cols as
-    well when every carried column is in the span of the coefficient
-    columns, the one case where those bits are a function of the matrix."""
-    work, pivots = gf2._rref(rows, cols)
-    assert (work, pivots) == column_major_rref(rows, cols)
+def assert_blocked_matches(rows, cols, consistent=False):
+    """_pivots equals the pivots of the column-major oracle and of the
+    row-major reference. On a consistent system, where the bits at cols
+    are a function of the matrix, the two oracles agree in full."""
+    work, pivots = column_major_rref(rows, cols)
     ref_work, ref_pivots = reference_rref(rows, cols)
-    assert pivots == ref_pivots
-    mask = (1 << cols) - 1
+    assert gf2._pivots(rows, cols) == pivots == ref_pivots
     if consistent:
         assert work == ref_work
-    else:
-        assert [w & mask for w in work] == [w & mask for w in ref_work]
-    assert all(w & mask == 0 for w in work[len(pivots):])
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -410,25 +362,14 @@ def test_blocked_reducer_matches_oracles_across_block_boundaries(monkeypatch, bl
                 consistent_rhs, random_rhs = mat_vec(rows, x), rng.getrandbits(len(rows))
                 assert_blocked_matches(with_rhs(rows, cols, consistent_rhs), cols, consistent=True)
                 system = with_rhs(rows, cols, random_rhs)
-                ok = reduced_system(system, cols) is not None
-                inconsistent += not ok
-                assert_blocked_matches(system, cols, consistent=ok)
-                # Carried bits above the rhs: three random ones, and an identity
-                # block that records which input rows each output row combines.
+                inconsistent += reduced_system(system, cols) is None
+                assert_blocked_matches(system, cols)
+                # Bits above the rhs, which _pivots drops: three random ones,
+                # and an identity block, one bit per input row.
                 carried = [r | rng.getrandbits(3) << (cols + 1) for r in system]
-                assert_blocked_matches(carried, cols, consistent=False)
+                assert_blocked_matches(carried, cols)
                 tagged = [r | 1 << (cols + i) for i, r in enumerate(rows)]
-                assert_blocked_matches(tagged, cols, consistent=False)
-                # A pivot row combines pivot input rows only, and the rows past
-                # the pivots are the other input rows in input order, each plus
-                # some pivot input rows.
-                work, pivots = gf2._rref(tagged, cols)
-                used = 0
-                for w in work[:len(pivots)]:
-                    used |= w >> cols
-                assert used.bit_count() == len(pivots)
-                own = [w >> cols & ~used for w in work[len(pivots):]]
-                assert own == [1 << i for i in range(len(rows)) if not used >> i & 1]
+                assert_blocked_matches(tagged, cols)
         assert inconsistent > 0
         # A one-column block cannot stop before its last column.
         assert early_exits > 0 or block == 1
@@ -442,4 +383,4 @@ def test_full_rank_at_n1000_matches_the_column_major_oracle(seed):
     oracle_rank = len(column_major_rref(rows, 1000)[1])
     assert has_full_rank(1000, triples) == (oracle_rank == 1000)
     system = with_rhs(rows, 1000, random.Random(seed).getrandbits(len(rows)))
-    assert gf2._rref(system, 1000) == column_major_rref(system, 1000)
+    assert gf2._pivots(system, 1000) == column_major_rref(system, 1000)[1]

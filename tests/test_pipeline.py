@@ -39,7 +39,7 @@ from xorcfi.pipeline import (
 )
 from xorcfi.formula import is_uniquely_satisfiable
 from xorcfi.sampler import SampleConfig, chunks, sample_homogeneous
-from xorcfi.xorsat import SAT, gauss_ratio
+from xorcfi.xorsat import gauss_ratio
 
 from oracles import degrees, dimacs_graph_text, trial_draw
 
@@ -239,7 +239,7 @@ def test_filter_order_cannot_change_accept_set():
         checks = {
             "phi": lambda f=f: phi_is_asymmetric(f, budget) is True,
             "unique": lambda f=f: is_uniquely_satisfiable(f),
-            "gauss": lambda f=f: gauss_ratio(f).ratio >= threshold,
+            "gauss": lambda f=f: gauss_ratio(f) >= threshold,
         }
         orderings = [("phi", "unique", "gauss"),
                      ("gauss", "unique", "phi"),
@@ -254,7 +254,7 @@ def _first_failing_filter(f, cfg):
     """Every filter on f, none skipped; the reason of the first that fails."""
     unique = is_uniquely_satisfiable(f)
     phi = phi_is_asymmetric(f, cfg.budget)
-    gap = gauss_ratio(f).ratio >= cfg.gauss_threshold
+    gap = gauss_ratio(f) >= cfg.gauss_threshold
     for passed, reason in ((unique, pipeline.REJECT_NOT_UNIQUE),
                            (phi is not None, pipeline.REJECT_BUDGET),
                            (phi is not False, pipeline.REJECT_PHI_SYMMETRIC),
@@ -308,13 +308,8 @@ def test_chunked_generate_gives_the_per_trial_verdicts(cfg, tmp_path):
 
 
 def test_run_trial_raises_when_plain_run_contradicts_rank_check(monkeypatch):
-    real = pipeline.gauss_ratio
-
-    def gap_reporting_sat(f):
-        gap = real(f)
-        return replace(gap, plain=replace(gap.plain, result=SAT))
-
-    monkeypatch.setattr(pipeline, "gauss_ratio", gap_reporting_sat)
+    # A plain run that finds SAT scores nan.
+    monkeypatch.setattr(pipeline, "gauss_ratio", lambda f: float("nan"))
     cfg = PipelineConfig(n=4, m=4, seed=1, trials=1, gauss_threshold=1.0)
     with pytest.raises(AssertionError, match="disagree"):
         run_trial(cfg, trial_draw(cfg, 0))
@@ -337,7 +332,7 @@ def test_one_graph_build_per_accepted_trial_and_one_rank_per_check(
     for name in ("build_core", "build_full"):
         _spy(monkeypatch, name, calls)
     _spy(monkeypatch, "rank", calls, module=formula)
-    _spy(monkeypatch, "reduced_system", calls, module=xorsat)
+    _spy(monkeypatch, "rank", calls, module=xorsat)
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=1, gadget_mode=gadget_mode,
                          gauss_threshold=1.0)
     records = generate(cfg, tmp_path)

@@ -11,14 +11,13 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from xorcfi import pipeline, xorsat
 from xorcfi.formula import is_uniquely_satisfiable, make_formula, pack_rows, to_matrix
-from xorcfi.gf2 import rank, reduced_system
+from xorcfi.gf2 import rank
 from xorcfi.pipeline import PipelineConfig, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
@@ -37,6 +36,7 @@ from oracles import (
     CounterTrailSolver,
     DfsSolver,
     brute_sat,
+    reduced_system,
     reference_solve,
     rescan_branch_var,
     satisfies,
@@ -62,6 +62,12 @@ def full_rank(query: NonzeroQuery) -> bool:
     """Whether the rows have rank n, the only queries the Gauss presolve
     takes."""
     return rank(query.rows, query.n) == query.n
+
+
+def unit_rows(n: int):
+    """The reduced echelon form of every full-rank system over n
+    variables, which the Gauss presolve of solve relies on."""
+    return [1 << j for j in range(n)]
 
 
 def _row(vs) -> int:
@@ -165,13 +171,13 @@ def test_gauss_mode_presolves_full_rank_instantly(monkeypatch):
 
 
 def test_gauss_mode_elapsed_includes_presolve(monkeypatch):
-    real = xorsat.reduced_system
+    real = xorsat.rank
 
-    def slow_reduced_system(*args):
+    def slow_rank(*args):
         time.sleep(0.05)
         return real(*args)
 
-    monkeypatch.setattr(xorsat, "reduced_system", slow_reduced_system)
+    monkeypatch.setattr(xorsat, "rank", slow_rank)
     stats = solve(nontrivial_query(COMPLETE), use_gauss=True)
     assert stats.decisions == 0
     assert stats.elapsed >= 0.05
@@ -192,7 +198,7 @@ def test_solve_refuses_a_row_with_a_right_hand_side(monkeypatch):
     def no_presolve(*args):
         raise AssertionError("the presolve ran")
 
-    monkeypatch.setattr(xorsat, "reduced_system", no_presolve)
+    monkeypatch.setattr(xorsat, "rank", no_presolve)
     for row in (1 << 3 | 0b111, 1 << 8 | 0b011):
         for use_gauss in (False, True):
             with pytest.raises(ValueError, match="homogeneous rows only"):
@@ -200,9 +206,10 @@ def test_solve_refuses_a_row_with_a_right_hand_side(monkeypatch):
 
 
 def test_solve_refuses_what_it_does_not_search(monkeypatch):
-    # A row of no variable or of more than 3 is refused in both modes
-    # before the presolve, and a rank-deficient presolve after it; none
-    # of them builds any search state.
+    # A query over no variable, and a row of no variable or of more than
+    # 3, is refused in both modes before the presolve, and a
+    # rank-deficient presolve after it; none of them builds any search
+    # state.
     def no_search_state(solver, *args):
         raise AssertionError("the refusal built search state")
 
@@ -212,14 +219,17 @@ def test_solve_refuses_what_it_does_not_search(monkeypatch):
     monkeypatch.setattr(xorsat._Solver, "_row_columns", no_search_state)
     monkeypatch.setattr(xorsat._Solver, "_keep", no_search_state)
     n = 300
-    outside = [NonzeroQuery(3, (0,)), NonzeroQuery(3, (0b111, 0))]
-    outside += [NonzeroQuery(n, (_row((1, 2, 3)), _row(vs)))
+    no_variable = "needs at least one variable"
+    outside = [(NonzeroQuery(k, ()), no_variable) for k in (0, -1)]
+    bad_rows = "rows of 1 to 3 variables only"
+    outside += [(NonzeroQuery(3, (0,)), bad_rows), (NonzeroQuery(3, (0b111, 0)), bad_rows)]
+    outside += [(NonzeroQuery(n, (_row((1, 2, 3)), _row(vs))), bad_rows)
                 for vs in ((7, 8, 9, 10), range(44, n + 1), range(1, n + 1))]
     with monkeypatch.context() as m:
-        m.setattr(xorsat, "reduced_system", no_presolve)
-        for query in outside:
+        m.setattr(xorsat, "rank", no_presolve)
+        for query, message in outside:
             for use_gauss in (False, True):
-                with pytest.raises(ValueError, match="rows of 1 to 3 variables only"):
+                with pytest.raises(ValueError, match=message):
                     solve(query, use_gauss=use_gauss)
     for query in (nontrivial_query(TWO_CLAUSE), NonzeroQuery(5, ())):
         assert not full_rank(query)
@@ -231,18 +241,17 @@ def test_solve_refuses_what_it_does_not_search(monkeypatch):
 
 
 def test_gauss_ratio_deterministic_and_finite():
-    gap1 = gauss_ratio(COMPLETE)
-    gap2 = gauss_ratio(COMPLETE)
-    assert gap1.ratio == gap2.ratio
-    assert gap1.ratio == gap1.plain.decisions / 1
+    ratio = gauss_ratio(COMPLETE)
+    assert ratio == gauss_ratio(COMPLETE)
+    assert ratio == solve(nontrivial_query(COMPLETE)).decisions / 1
 
 
 def test_gauss_ratio_is_nan_on_a_satisfiable_query():
     # Two disjoint clauses: rank 2 over six variables, as perfbench's
     # set-up probe calls it.
-    gap = gauss_ratio(make_formula(6, [((1, 2, 3), 0), ((4, 5, 6), 0)]))
-    assert gap.plain.result == SAT
-    assert math.isnan(gap.ratio)
+    f = make_formula(6, [((1, 2, 3), 0), ((4, 5, 6), 0)])
+    assert solve(nontrivial_query(f)).result == SAT
+    assert math.isnan(gauss_ratio(f))
 
 
 def test_gauss_ratio_rejects_nonhomogeneous():
@@ -317,8 +326,10 @@ def _full_rank_ratio_corpus():
 
 def test_gauss_ratio_matches_two_run_oracle_on_full_rank_draws():
     for f in _full_rank_ratio_corpus():
-        ratio = gauss_ratio(f).ratio
+        ratio = gauss_ratio(f)
         assert repr(ratio) == repr(two_run_gauss_ratio(f)), f.n
+        # The presolved run of the oracle searches the unit rows.
+        assert reduced_system(to_matrix(f), f.n) == unit_rows(f.n), f.n
     assert ratio == 262143.0  # the scale formula's, last
 
 
@@ -327,22 +338,23 @@ def test_run_trial_cross_checks_the_scale_trial_at_a_small_budget(monkeypatch):
     # run still counts its whole tree, so the SAT cross-check decides.
     cfg = PipelineConfig(n=1000, ratio=2.0, seed=SCALE_SEED, budget=4096)
     real = pipeline.gauss_ratio
-    gaps = []
+    calls = []
 
     def recorded(f):
-        gaps.append(real(f))
-        return gaps[-1]
+        calls.append((f, real(f)))
+        return calls[-1][1]
 
     monkeypatch.setattr(pipeline, "gauss_ratio", recorded)
     outcome = run_trial(cfg, trial_draw(cfg, 0))
-    (gap,) = gaps
-    plain = gap.plain
+    ((f, ratio),) = calls
+    plain = solve(nontrivial_query(f))
     assert (plain.result, plain.decisions, plain.propagations, plain.conflicts) == (
         GOLDEN_SCALE_UNBUDGETED)
+    assert ratio == float(plain.decisions)
     assert outcome.accepted and outcome.record.gauss_ratio == 262143.0
 
-    monkeypatch.setattr(pipeline, "gauss_ratio",
-                        lambda f: replace(gap, plain=replace(plain, result=SAT)))
+    # A SAT plain run scores nan.
+    monkeypatch.setattr(pipeline, "gauss_ratio", lambda f: float("nan"))
     with pytest.raises(AssertionError, match="rank check and SAT cross-check disagree"):
         run_trial(cfg, trial_draw(cfg, 0))
 
@@ -482,6 +494,8 @@ def test_oracle_tree_has_one_branch_variable_per_depth():
     shared = 0
     for query, use_gauss, max_picks in runs:
         rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
+        if use_gauss:
+            assert rows == unit_rows(query.n), query
         solver = _DepthRecorder(query.n, rows, max_picks)
         with contextlib.suppress(_EnoughPicks):
             solver.run(time.monotonic())
@@ -507,6 +521,8 @@ def test_solve_matches_dfs_oracle_on_sampled_queries():
     outcomes = Counter()
     for query in _sweep_queries():
         for use_gauss in (False, True) if full_rank(query) else (False,):
+            if use_gauss:
+                assert reduced_system(query.rows, query.n) == unit_rows(query.n), query
             got = solve(query, use_gauss=use_gauss)
             want = reference_solve(query, use_gauss)
             assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
