@@ -41,24 +41,27 @@ pass runs again without it. If no row is active on the all-zero path,
 the other nodes at that depth are SAT leaves, and the path, first in
 search order, goes on through the clause's picks and ends SAT.
 
-The branch pick reads the all-zero path's assignment bytes through
-numpy. Before its first pick the solver lays the XOR rows out as the
-columns of one array, padded with the phantom variable 0, which is
-never free. Each pick is one gather over it, a row-length sum and one
-bincount of the shortest rows' free variables. Propagation keeps no
-state per XOR row: each variable lists, per row it occurs in, the row's
-other two variables, the phantom padding a row of 1 or 2, and
-assigning it reads their forms. solve refuses a row of no variable or
-of more than 3. A run that propagation refutes at level 0, like every
-Gauss-side run, builds neither the array nor a relation.
+The rows are the formula's variable triples, and solve refuses any
+other row. The branch pick reads the all-zero path's assignment bytes
+through numpy. Before its first pick the solver lays the triples out
+as the columns of one (3, rows) array. Each pick is one gather over
+it, a row-length sum and one bincount of the shortest rows' free
+variables. Propagation keeps no state per XOR row: each variable
+lists, per row it occurs in, the row's other two variables, and
+assigning it reads their forms. The only level-0 unit is the clause
+over one variable, which never conflicts.
 
 With use_gauss the presolve is a rank check over GF(2): solve takes
-only a full-rank system, whose reduced echelon form is the n unit rows.
-They set every variable to 0 at level 0, where the clause refutes the
-query with 0 decisions. That is the cost gap against the plain run, so
-gauss_ratio reads it off the plain run alone and never presolves. The
-search over the longer reduced rows of a rank-deficient system is a
-test oracle in tests/oracles.py.
+only a full-rank system, whose reduced echelon form is the n unit rows,
+and returns DPLL's counts on those in closed form. A full-rank system
+of triples has n >= 3, so the clause is no unit at level 0. Taken last
+in, first out, the unit rows set variables n down to 2 to 0, n - 1
+propagations; the clause then queues variable 1 at 1, and its unit row
+refutes that before the propagation counts. So the run is UNSAT with 0
+decisions, n - 1 propagations and 1 conflict. That is the cost gap
+against the plain run, so gauss_ratio reads it off the plain run alone
+and never presolves. The search over the longer reduced rows of a
+rank-deficient system is a test oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -69,8 +72,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .formula import XorFormula, to_matrix
-from .gf2 import rank
+from .formula import XorFormula, has_full_rank
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -78,8 +80,7 @@ UNSAT = "UNSAT"
 UNASSIGNED = 0xFF  # the value byte of a variable without a value
 ONE = 1  # the constant term of a form; bit d >= 1 is decision d
 
-# An XOR row seen from one of its variables: its two other variables,
-# the phantom 0 where the row has fewer.
+# An XOR row seen from one of its variables: its two other variables.
 XorEntry = Tuple[int, int]
 
 # A relation that adds rank: its row reduced by those before it, the
@@ -88,11 +89,12 @@ _Relation = Tuple[int, int, int]
 
 
 class NonzeroQuery(NamedTuple):
-    """The rows of a homogeneous system over variables 1..n as gf2 packs
-    them, no bit at n or above, plus the clause "some variable is 1"."""
+    """The rows of a homogeneous system over variables 1..n, each a
+    strictly increasing variable triple, plus the clause "some variable
+    is 1"."""
 
     n: int
-    rows: Tuple[int, ...]
+    rows: Tuple[Tuple[int, int, int], ...]
 
 
 @dataclass
@@ -109,41 +111,28 @@ class _Solver:
     """One-shot DPLL run over one nonzero-solution query, one
     propagation pass per depth of its search tree."""
 
-    def __init__(self, n: int, rows: Sequence[int]):
-        """rows are homogeneous rows as gf2 packs them (bit j is variable
-        j+1); each is kept as its variables in ascending order.
+    def __init__(self, n: int, rows: Sequence[Tuple[int, int, int]]):
+        """rows are homogeneous rows as strictly increasing variable
+        triples of 1..n.
 
         form holds each variable's value as a form, None if unassigned,
         and assign the all-zero path's values, UNASSIGNED if none.
         clause_len is the length of the clause "some variable is 1" on
         that path: its unassigned variables while none is 1, else 0."""
         self.n = n
-        self.xors: List[Tuple[int, ...]] = []
-        for row in rows:
-            vs = []
-            while row:
-                low = row & -row
-                vs.append(low.bit_length())
-                row ^= low
-            self.xors.append(tuple(vs))
+        self.xors = rows
 
-        # Index 0 is a phantom variable fixed at 0; numpy reads assign in place.
+        # Index 0 is an unused slot; numpy reads assign in place.
         self.form: List[Optional[int]] = [None] * (n + 1)
-        self.form[0] = 0
         self.assign = bytearray([UNASSIGNED]) * (n + 1)
-        self.assign[0] = 0
         self.clause_len = n
         # The entry of a row at each of its variables holds the row's
-        # other two. The phantom 0 pads a row of fewer than 3 variables
-        # and gets no entries.
+        # other two.
         self.occ_xor: List[List[XorEntry]] = [[] for _ in range(n + 1)]
-        for vs in self.xors:
-            x, y, z = (vs + (0, 0))[:3]
+        for x, y, z in rows:
             self.occ_xor[x].append((y, z))
-            if y:
-                self.occ_xor[y].append((x, z))
-            if z:
-                self.occ_xor[z].append((x, y))
+            self.occ_xor[y].append((x, z))
+            self.occ_xor[z].append((x, y))
 
         self.trail: List[int] = []  # the assigned variables, in order
         # Each relation kept, by its highest decision; and per depth from
@@ -240,9 +229,8 @@ class _Solver:
 
     def _row_columns(self) -> np.ndarray:
         """The XOR rows as the columns of a (3, rows) array of their
-        variables, padded with the phantom 0."""
-        padded = [(vs + (0, 0))[:3] for vs in self.xors]
-        return np.array(padded, dtype=np.intp).reshape(len(padded), 3).T.copy()
+        variables."""
+        return np.array(self.xors, np.intp).reshape(-1, 3).T.copy()
 
     def _pick_branch_var(self, cols: np.ndarray, values: np.ndarray) -> Optional[int]:
         """Most occurrences among the shortest active constraints.
@@ -343,15 +331,10 @@ class _Solver:
             return SolveStats(result, self.decisions, self.propagations, self.conflicts,
                               time.monotonic() - start, model)
 
-        # Level-0 units: the clause over one variable, then the rows of
-        # one, which set it to 0.
-        units = [(1, ONE)] if self.n == 1 else []
-        units += [(vs[0], 0) for vs in self.xors if len(vs) == 1]
-        count, ok, _ = self._propagate(units)  # values are constants: no relation
+        # The one level-0 unit: the clause over one variable, where no
+        # triple fits. It keeps no relation and never conflicts.
+        count = self._propagate([(1, ONE)])[0] if self.n == 1 else 0
         self.propagations += count
-        if not ok:
-            self.conflicts += 1
-            return make_stats(UNSAT)
         self.passes.append(([], count))
 
         # Down the all-zero path, one pass per depth, until its node
@@ -386,35 +369,35 @@ class _Solver:
 
 def _verify_model(query: NonzeroQuery, model: Sequence[int]) -> bool:
     """The model is nonzero and has even parity on every row."""
-    x = sum(value << j for j, value in enumerate(model))
-    return x != 0 and not any((row & x).bit_count() & 1 for row in query.rows)
+    return any(model) and not any(model[a - 1] ^ model[b - 1] ^ model[c - 1]
+                                  for a, b, c in query.rows)
 
 
 def solve(query: NonzeroQuery, use_gauss: bool = False) -> SolveStats:
     """Decide the nonzero-solution query; stats carry the decision cost.
 
-    The query needs at least one variable, and each row must have 1 to
-    3 variables and no right-hand side (a bit at n or above); anything
-    else is a ValueError, before any presolve. With use_gauss the rows
-    must have rank n over GF(2), or that is a ValueError too; a
-    full-rank system's reduced echelon form is the n unit rows, and
-    DPLL works on the clause plus those. elapsed covers the rank check.
-    The run always decides: its result is SAT or UNSAT, with the counts
-    of the whole search up to its end.
+    The query needs at least one variable, and each row must be 3
+    strictly increasing variables of 1..n; anything else is a
+    ValueError, before any presolve. With use_gauss the rows must have
+    rank n over GF(2), or that is a ValueError too; the counts are then
+    those of DPLL on the clause plus the n unit rows, the reduced
+    echelon form of every full-rank system, in closed form (module
+    docstring). elapsed covers the rank check. The run always decides:
+    its result is SAT or UNSAT, with the counts of the whole search up
+    to its end.
     """
     start = time.monotonic()
-    rows = query.rows
-    if query.n < 1:
+    n, rows = query
+    if n < 1:
         raise ValueError("the nonzero-solution query needs at least one variable")
-    if any(row >> query.n for row in rows):
-        raise ValueError("the nonzero-solution query takes homogeneous rows only")
-    if not set(map(int.bit_count, rows)) <= {1, 2, 3}:
-        raise ValueError("the DPLL solver takes rows of 1 to 3 variables only")
+    if not all(len(row) == 3 and 0 < row[0] < row[1] < row[2] <= n for row in rows):
+        raise ValueError("the DPLL solver takes rows of 3 strictly increasing "
+                         "variables of 1..n only")
     if use_gauss:
-        if rank(rows, query.n) < query.n:
+        if not has_full_rank(n, rows):
             raise ValueError("the Gauss presolve takes full-rank queries only")
-        rows = [1 << j for j in range(query.n)]
-    stats = _Solver(query.n, rows).run(start)
+        return SolveStats(UNSAT, 0, n - 1, 1, time.monotonic() - start)
+    stats = _Solver(n, rows).run(start)
     if stats.result == SAT and not _verify_model(query, stats.model):
         raise AssertionError("the SAT model fails the query")
     return stats
@@ -431,7 +414,7 @@ def nontrivial_query(f: XorFormula) -> NonzeroQuery:
         raise ValueError("nonzero-solution query is defined for homogeneous formulas")
     if not f.n:
         raise ValueError("nonzero-solution query needs at least one variable")
-    return NonzeroQuery(f.n, to_matrix(f))
+    return NonzeroQuery(f.n, tuple(cl.vars for cl in f.clauses))
 
 
 def gauss_ratio(f: XorFormula) -> float:

@@ -20,7 +20,8 @@ import numpy as np
 from xorcfi import canon, xorsat
 from xorcfi.canon import STATUS_COMPLETE, AutReport, BudgetExceededError
 from xorcfi.cfi import CLAUSE_TAGS, Graph, VertexScheme, is_automorphism
-from xorcfi.formula import PinnedSystem, XorClause, XorFormula, make_formula, to_matrix
+from xorcfi.formula import (PinnedSystem, XorClause, XorFormula, make_formula, pack_rows,
+                             to_matrix)
 from xorcfi.pipeline import PipelineConfig, TrialOutcome, trial_outcomes
 from xorcfi.sampler import SampleConfig, TrialDraw, _shuffle_prefix_subsets, screen, trial_rng
 from xorcfi.xorsat import SAT, UNASSIGNED, UNSAT, SolveStats
@@ -564,11 +565,20 @@ class CounterTrailSolver(DfsSolver):
                 ok = self._propagate([(bvar, left.pop())])
 
 
+def packed_rows(query: xorsat.NonzeroQuery) -> Tuple[int, ...]:
+    """The query's variable triples as gf2 packs them (bit j is variable
+    j+1)."""
+    return pack_rows(query.n, ((vs, 0) for vs in query.rows))
+
+
 def reference_solve(query: xorsat.NonzeroQuery, use_gauss: bool = False,
                     solver=DfsSolver) -> SolveStats:
-    """xorsat.solve through an oracle solver class, for homogeneous rows."""
+    """xorsat.solve through an oracle solver class: the search of the
+    packed rows, or with use_gauss of their reduced echelon form."""
     start = time.monotonic()
-    rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
+    rows = packed_rows(query)
+    if use_gauss:
+        rows = reduced_system(rows, query.n)
     return solver(query.n, rows).run(start)
 
 

@@ -332,7 +332,6 @@ def test_one_graph_build_per_accepted_trial_and_one_rank_per_check(
     for name in ("build_core", "build_full"):
         _spy(monkeypatch, name, calls)
     _spy(monkeypatch, "rank", calls, module=formula)
-    _spy(monkeypatch, "rank", calls, module=xorsat)
     cfg = PipelineConfig(n=8, m=12, seed=5, trials=1, gadget_mode=gadget_mode,
                          gauss_threshold=1.0)
     records = generate(cfg, tmp_path)

@@ -16,8 +16,7 @@ from pathlib import Path
 import pytest
 
 from xorcfi import pipeline, xorsat
-from xorcfi.formula import is_uniquely_satisfiable, make_formula, pack_rows, to_matrix
-from xorcfi.gf2 import rank
+from xorcfi.formula import has_full_rank, is_uniquely_satisfiable, make_formula, to_matrix
 from xorcfi.pipeline import PipelineConfig, run_trial
 from xorcfi.sampler import SampleConfig, sample_homogeneous
 from xorcfi.xorsat import (
@@ -36,6 +35,7 @@ from oracles import (
     CounterTrailSolver,
     DfsSolver,
     brute_sat,
+    packed_rows,
     reduced_system,
     reference_solve,
     rescan_branch_var,
@@ -51,7 +51,7 @@ from test_pipeline import FILTER_CASES
 
 def query_sat(query: NonzeroQuery) -> bool:
     """Whether some assignment sets a variable to 1 and meets every row."""
-    return brute_sat(query.n, [range(1, query.n + 1)], query.rows)
+    return brute_sat(query.n, [range(1, query.n + 1)], packed_rows(query))
 
 
 def check_model(f, model) -> bool:
@@ -61,18 +61,13 @@ def check_model(f, model) -> bool:
 def full_rank(query: NonzeroQuery) -> bool:
     """Whether the rows have rank n, the only queries the Gauss presolve
     takes."""
-    return rank(query.rows, query.n) == query.n
+    return has_full_rank(query.n, query.rows)
 
 
 def unit_rows(n: int):
     """The reduced echelon form of every full-rank system over n
     variables, which the Gauss presolve of solve relies on."""
     return [1 << j for j in range(n)]
-
-
-def _row(vs) -> int:
-    """The packed row over the variables vs."""
-    return sum(1 << (v - 1) for v in vs)
 
 
 def random_formula(rnd, n_max=16):
@@ -102,7 +97,9 @@ def test_degenerate_system_query_sat_with_nonzero_model():
     assert check_model(TWO_CLAUSE, stats.model)
     with pytest.raises(ValueError, match="full-rank queries only"):
         solve(query, use_gauss=True)
-    assert not xorsat._verify_model(query, (0, 0, 0, 0))
+    # The zero model, and a nonzero one that breaks a row.
+    for model in ((0, 0, 0, 0), (1, 0, 0, 0)):
+        assert not xorsat._verify_model(query, model)
 
 
 def test_solve_raises_on_a_model_that_fails_the_query(monkeypatch):
@@ -127,13 +124,10 @@ def test_solve_raises_on_a_model_that_fails_the_query(monkeypatch):
 
 
 def test_level0_units_sat_zero_decisions():
-    # The clause over one variable is a unit, and so is the clause over
-    # two once the hand-built unit row x2 = 0 leaves it one variable.
-    for query, model in ((nontrivial_query(make_formula(1, [])), (1,)),
-                         (NonzeroQuery(2, (0b10,)), (1, 0))):
-        stats = solve(query)
-        assert (stats.result, stats.decisions, stats.propagations, stats.model) == (
-            SAT, 0, query.n, model)
+    # The clause over one variable is the one level-0 unit.
+    stats = solve(nontrivial_query(make_formula(1, [])))
+    assert (stats.result, stats.decisions, stats.propagations, stats.conflicts,
+            stats.model) == (SAT, 0, 1, 0, (1,))
 
 
 def test_verdict_agrees_with_brute_force_on_200_inputs():
@@ -160,56 +154,43 @@ def test_decisions_deterministic():
 
 
 def test_gauss_mode_presolves_full_rank_instantly(monkeypatch):
-    # A refutation at level 0 builds no pick array and keeps no relation.
-    def not_built(solver, *args):
-        raise AssertionError("the refutation built search state")
+    # The presolved run's counts are a closed form: no solver is built.
+    def not_built(*args):
+        raise AssertionError("the presolve built a solver")
 
-    monkeypatch.setattr(xorsat._Solver, "_row_columns", not_built)
-    monkeypatch.setattr(xorsat._Solver, "_keep", not_built)
+    monkeypatch.setattr(xorsat, "_Solver", not_built)
     stats = solve(nontrivial_query(COMPLETE), use_gauss=True)
-    assert stats.result == UNSAT and stats.decisions == 0
+    assert (stats.result, stats.decisions, stats.propagations, stats.conflicts,
+            stats.model) == (UNSAT, 0, 3, 1, None)
 
 
 def test_gauss_mode_elapsed_includes_presolve(monkeypatch):
-    real = xorsat.rank
+    real = xorsat.has_full_rank
 
     def slow_rank(*args):
         time.sleep(0.05)
         return real(*args)
 
-    monkeypatch.setattr(xorsat, "rank", slow_rank)
+    monkeypatch.setattr(xorsat, "has_full_rank", slow_rank)
     stats = solve(nontrivial_query(COMPLETE), use_gauss=True)
     assert stats.decisions == 0
     assert stats.elapsed >= 0.05
 
 
 def test_gauss_mode_refutes_unsorted_full_rank_rows():
-    # A query built by hand may hold rows, and variables within a row,
-    # out of order.
-    rows = [((4, 2, 3), 0), ((3, 1, 4), 0), ((1, 2, 3), 0), ((2, 1, 4), 0)]
-    query = NonzeroQuery(4, pack_rows(4, rows))
+    # A query built by hand may hold its rows out of order.
+    query = NonzeroQuery(4, ((2, 3, 4), (1, 3, 4), (1, 2, 3), (1, 2, 4)))
     assert not query_sat(query)
     assert solve(query).result == UNSAT
     stats = solve(query, use_gauss=True)
     assert stats.result == UNSAT and stats.decisions == 0
 
 
-def test_solve_refuses_a_row_with_a_right_hand_side(monkeypatch):
-    def no_presolve(*args):
-        raise AssertionError("the presolve ran")
-
-    monkeypatch.setattr(xorsat, "rank", no_presolve)
-    for row in (1 << 3 | 0b111, 1 << 8 | 0b011):
-        for use_gauss in (False, True):
-            with pytest.raises(ValueError, match="homogeneous rows only"):
-                solve(NonzeroQuery(3, (0b110, row)), use_gauss=use_gauss)
-
-
 def test_solve_refuses_what_it_does_not_search(monkeypatch):
-    # A query over no variable, and a row of no variable or of more than
-    # 3, is refused in both modes before the presolve, and a
-    # rank-deficient presolve after it; none of them builds any search
-    # state.
+    # A query over no variable, and a row that is not 3 strictly
+    # increasing variables of 1..n, is refused in both modes before the
+    # presolve, and a rank-deficient presolve after it; none of them
+    # builds any search state.
     def no_search_state(solver, *args):
         raise AssertionError("the refusal built search state")
 
@@ -221,12 +202,12 @@ def test_solve_refuses_what_it_does_not_search(monkeypatch):
     n = 300
     no_variable = "needs at least one variable"
     outside = [(NonzeroQuery(k, ()), no_variable) for k in (0, -1)]
-    bad_rows = "rows of 1 to 3 variables only"
-    outside += [(NonzeroQuery(3, (0,)), bad_rows), (NonzeroQuery(3, (0b111, 0)), bad_rows)]
-    outside += [(NonzeroQuery(n, (_row((1, 2, 3)), _row(vs))), bad_rows)
-                for vs in ((7, 8, 9, 10), range(44, n + 1), range(1, n + 1))]
+    bad_rows = "rows of 3 strictly increasing variables of 1..n only"
+    outside += [(NonzeroQuery(n, ((1, 2, 3), tuple(vs))), bad_rows)
+                for vs in ((), (5,), (5, 6), (7, 8, 9, 10), range(44, n + 1), range(1, n + 1),
+                           (4, 2, 3), (2, 4, 3), (3, 3, 4), (2, 3, 3), (0, 1, 2), (1, 2, n + 1))]
     with monkeypatch.context() as m:
-        m.setattr(xorsat, "rank", no_presolve)
+        m.setattr(xorsat, "has_full_rank", no_presolve)
         for query, message in outside:
             for use_gauss in (False, True):
                 with pytest.raises(ValueError, match=message):
@@ -260,7 +241,7 @@ def test_gauss_ratio_rejects_nonhomogeneous():
 
 
 def test_nontrivial_query_shape():
-    assert nontrivial_query(TWO_CLAUSE) == (4, to_matrix(TWO_CLAUSE))
+    assert nontrivial_query(TWO_CLAUSE) == (4, ((1, 2, 3), (1, 2, 4)))
     with pytest.raises(ValueError, match="at least one variable"):
         nontrivial_query(make_formula(0, []))
 
@@ -363,8 +344,8 @@ def test_run_trial_cross_checks_the_scale_trial_at_a_small_budget(monkeypatch):
 
 
 def _hand_built_queries():
-    """Rows of 1, 2 and 3 variables over n = 300, and the clause alone."""
-    yield NonzeroQuery(300, (_row((1,)), _row((2, 3)), _row((4, 5, 6))))
+    """One row over n = 300, and the clause alone."""
+    yield NonzeroQuery(300, ((4, 5, 6),))
     yield NonzeroQuery(5, ())
 
 
@@ -493,8 +474,9 @@ def test_oracle_tree_has_one_branch_variable_per_depth():
     runs.append((_scale_query(), False, 4096))
     shared = 0
     for query, use_gauss, max_picks in runs:
-        rows = reduced_system(query.rows, query.n) if use_gauss else query.rows
+        rows = packed_rows(query)
         if use_gauss:
+            rows = reduced_system(rows, query.n)
             assert rows == unit_rows(query.n), query
         solver = _DepthRecorder(query.n, rows, max_picks)
         with contextlib.suppress(_EnoughPicks):
@@ -522,7 +504,7 @@ def test_solve_matches_dfs_oracle_on_sampled_queries():
     for query in _sweep_queries():
         for use_gauss in (False, True) if full_rank(query) else (False,):
             if use_gauss:
-                assert reduced_system(query.rows, query.n) == unit_rows(query.n), query
+                assert reduced_system(packed_rows(query), query.n) == unit_rows(query.n), query
             got = solve(query, use_gauss=use_gauss)
             want = reference_solve(query, use_gauss)
             assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
@@ -532,5 +514,12 @@ def test_solve_matches_dfs_oracle_on_sampled_queries():
                 outcomes[got.result, got.conflicts > 0] += 1
     # A SAT run that conflicts has its first live leaf off the all-zero
     # path; the first 60 queries hold none, and queries 68 to 133 do.
-    # Gauss mode refutes at level 0 and adds no outcome of its own.
+    # Gauss mode refutes with 0 decisions and adds no outcome of its own.
     assert set(outcomes) == {(SAT, False), (SAT, True), (UNSAT, True)}, outcomes
+    # The scale query's presolved run: perfbench's round-0 Gauss-side
+    # counts on scale, which the closed form must reproduce.
+    got = solve(_scale_query(), use_gauss=True)
+    want = reference_solve(_scale_query(), use_gauss=True)
+    assert (got.result, got.decisions, got.propagations, got.conflicts, got.model) == (
+        want.result, want.decisions, want.propagations, want.conflicts, want.model) == (
+        UNSAT, 0, 999, 1, None)
